@@ -63,13 +63,13 @@ from .subspace import (
     ConicProblem,
     NewtonData,
     OperatorForm,
+    ScaledFrame,
     as_operator_form,
     duality_gap,
     feasible_point,
     mu_candidates,
     newton_direction,
     scaled_projections,
-    step_bound,
     transform_problem,
 )
 from .harness import generate_random_sdp, load_problem, save_problem

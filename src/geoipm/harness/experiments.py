@@ -6,15 +6,12 @@ Both drivers emit plain CSV (data only, no plotting) with pinned headers:
 * ``fig3_mu_trace.csv``: ``step,mu`` for a representative long-step run;
 * ``fig4_center.csv``: ``init_id,iter,delta,h_ub`` per centering iteration.
 
-Trials are independent and may run in parallel; the GEOIPM_THREADS
-environment variable caps the worker count (default 1).  Aggregation is
-sorted by (n, algo, trial), so output is deterministic under the seed.
+Aggregation is sorted by (n, algo, trial), so output is deterministic
+under the seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -84,14 +81,6 @@ def trial_seed(seed: int, n: int, trial: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GEOIPM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -143,17 +132,7 @@ def run_experiment_fig3(config: ExperimentConfig, outdir) -> dict:
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = [(n, trial) for n in config.n_values for trial in range(config.trials)]
-    results = {}
-    workers = _worker_count()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_fig3_trial, config, n, t): (n, t) for n, t in jobs}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    else:
-        for n, t in jobs:
-            results[(n, t)] = _fig3_trial(config, n, t)
+    results = {(n, t): _fig3_trial(config, n, t) for n in config.n_values for t in range(config.trials)}
 
     rows = []
     for key in sorted(results):

@@ -15,7 +15,7 @@ from ..errors import NumericalFailureError
 from ..jordan import ConeDescriptor, Psd
 from ..subspace import BasisForm, ConicProblem
 
-__all__ = ["generate_random_sdp", "random_problem"]
+__all__ = ["generate_random_sdp"]
 
 _MAX_RETRIES = 5
 
@@ -41,32 +41,6 @@ def generate_random_sdp(n: int, dim_l: int, seed: int) -> ConicProblem:
         x0 = jordan.exp(jordan.from_blocks(cone, [_sym_randn(n, rng)]))
         s0 = jordan.exp(jordan.from_blocks(cone, [_sym_randn(n, rng)]))
         basis = tuple(jordan.from_blocks(cone, [_sym_randn(n, rng)]) for _ in range(dim_l))
-        stacked = np.column_stack([l.coords for l in basis])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[-1] > 1e-10 * sv[0]:
-            return ConicProblem(cone, BasisForm(x0=x0, s0=s0, basis=basis))
-    raise NumericalFailureError(
-        f"could not draw an independent subspace basis after {_MAX_RETRIES} retries"
-    )
-
-
-def random_problem(cone: ConeDescriptor, dim_l: int, seed: int) -> ConicProblem:
-    """Random basis-form instance on an arbitrary supported cone.
-
-    Strictly feasible by construction (x0, s0 are exponentials), so the
-    central path exists.  Used for cross-cone experiments and tests.
-    """
-    if not 0 <= dim_l < cone.dim:
-        raise ValueError("need 0 <= dim_l < the cone dimension")
-    for attempt in range(_MAX_RETRIES + 1):
-        rng = np.random.default_rng([int(seed), 7, attempt])
-        x0 = jordan.exp(jordan.element(cone, rng.standard_normal(cone.dim) * 0.7))
-        s0 = jordan.exp(jordan.element(cone, rng.standard_normal(cone.dim) * 0.7))
-        basis = tuple(
-            jordan.element(cone, rng.standard_normal(cone.dim)) for _ in range(dim_l)
-        )
-        if not dim_l:
-            return ConicProblem(cone, BasisForm(x0=x0, s0=s0, basis=basis))
         stacked = np.column_stack([l.coords for l in basis])
         sv = np.linalg.svd(stacked, compute_uv=False)
         if sv[-1] > 1e-10 * sv[0]:

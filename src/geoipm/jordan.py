@@ -52,6 +52,7 @@ __all__ = [
     "spectral",
     "spectral_map",
     "spectral_map_multi",
+    "interior_roots",
     "eigenvalues",
     "min_eigenvalue",
     "is_interior",
@@ -404,30 +405,19 @@ def spectral(x: AlgebraElement) -> SpectralDecomposition:
     cone = x.cone
     vals = []
     frame = []
-    for blk, a, b in cone.spans:
-        c = x.coords[a:b]
-        if isinstance(blk, Orthant):
-            for j in range(blk.size):
-                vals.append(c[j])
-                f = np.zeros(cone.dim)
+    for blk, a, b, lam, data in _block_spectra(x):
+        for j, val in enumerate(lam):
+            vals.append(val)
+            f = np.zeros(cone.dim)
+            if isinstance(blk, Orthant):
                 f[a + j] = 1.0
-                frame.append(_mk(cone, f))
-        elif isinstance(blk, SecondOrder):
-            u = _soc_axis(c)
-            r = float(np.linalg.norm(c[1:]))
-            for sign in (1.0, -1.0):
-                vals.append(c[0] + sign * r)
-                f = np.zeros(cone.dim)
+            elif isinstance(blk, SecondOrder):
+                sign = 1.0 if j == 0 else -1.0
                 f[a] = 0.5
-                f[a + 1 : b] = 0.5 * sign * u
-                frame.append(_mk(cone, f))
-        else:
-            lam, vecs = _eigh(_smat(c, blk.side))
-            for j in range(blk.side):
-                vals.append(lam[j])
-                f = np.zeros(cone.dim)
-                f[a:b] = _svec(np.outer(vecs[:, j], vecs[:, j]))
-                frame.append(_mk(cone, f))
+                f[a + 1 : b] = 0.5 * sign * data
+            else:
+                f[a:b] = _svec(np.outer(data[:, j], data[:, j]))
+            frame.append(_mk(cone, f))
     return SpectralDecomposition(np.array(vals), tuple(frame))
 
 
@@ -463,7 +453,10 @@ def min_eigenvalue(x: AlgebraElement) -> float:
 
 def is_interior(x: AlgebraElement) -> bool:
     """Scale-relative strict positivity of all eigenvalues."""
-    lam = eigenvalues(x)
+    return _interior_spectrum(eigenvalues(x))
+
+
+def _interior_spectrum(lam: np.ndarray) -> bool:
     lam_max = np.abs(lam).max() if lam.size else 0.0
     return bool(lam.min() > INTERIOR_EPS * max(1.0, lam_max))
 
@@ -478,26 +471,52 @@ def spectral_map(x: AlgebraElement, fn: Callable[[np.ndarray], np.ndarray]) -> A
 
 def spectral_map_multi(x: AlgebraElement, fns) -> tuple:
     """Apply several scalar functions from a single decomposition of x."""
-    cone = x.cone
-    outs = [np.empty(cone.dim) for _ in fns]
-    for blk, a, b in cone.spans:
+    return _map_spectra(x.cone, _block_spectra(x), fns)
+
+
+def interior_roots(w: AlgebraElement) -> tuple:
+    """(w^{1/2}, w^{-1/2}) from one decomposition; w must lie in int K.
+
+    The interior test reads the eigenvalues of that same decomposition.
+    """
+    spectra = _block_spectra(w)
+    lam = np.concatenate([lam for _, _, _, lam, _ in spectra])
+    if not _interior_spectrum(lam):
+        raise DomainError("scaling point must be interior", eigenvalue=float(lam.min()))
+    return _map_spectra(w.cone, spectra, (np.sqrt, lambda lam: lam ** -0.5))
+
+
+def _block_spectra(x: AlgebraElement) -> list:
+    """Per block (block, start, stop, eigenvalues, data): the data is the
+    eigenvector matrix (PSD), the unit axis of the vector part (second-order)
+    or None (orthant)."""
+    out = []
+    for blk, a, b in x.cone.spans:
         c = x.coords[a:b]
         if isinstance(blk, Orthant):
-            for fn, out in zip(fns, outs):
-                out[a:b] = fn(c)
+            out.append((blk, a, b, c, None))
         elif isinstance(blk, SecondOrder):
             r = float(np.linalg.norm(c[1:]))
-            u = _soc_axis(c)
-            lam = np.array([c[0] + r, c[0] - r])
-            for fn, out in zip(fns, outs):
-                fp, fm = np.asarray(fn(lam), dtype=float)
-                out[a] = 0.5 * (fp + fm)
-                out[a + 1 : b] = 0.5 * (fp - fm) * u
+            out.append((blk, a, b, np.array([c[0] + r, c[0] - r]), _soc_axis(c)))
         else:
             lam, vecs = _eigh(_smat(c, blk.side))
-            for fn, out in zip(fns, outs):
-                fv = np.asarray(fn(lam), dtype=float)
-                out[a:b] = _svec((vecs * fv) @ vecs.T)
+            out.append((blk, a, b, lam, vecs))
+    return out
+
+
+def _map_spectra(cone: ConeDescriptor, spectra: list, fns) -> tuple:
+    outs = [np.empty(cone.dim) for _ in fns]
+    for blk, a, b, lam, data in spectra:
+        for fn, out in zip(fns, outs):
+            fv = np.asarray(fn(lam), dtype=float)
+            if isinstance(blk, Orthant):
+                out[a:b] = fv
+            elif isinstance(blk, SecondOrder):
+                fp, fm = fv
+                out[a] = 0.5 * (fp + fm)
+                out[a + 1 : b] = 0.5 * (fp - fm) * data
+            else:
+                out[a:b] = _svec((data * fv) @ data.T)
     return tuple(_mk(cone, out) for out in outs)
 
 

@@ -190,8 +190,9 @@ def shortstep(
         outer += 1
         for _ in range(params.m):
             tic = time.perf_counter()
-            nd = subspace.newton_direction(problem, w, mu)
-            w = geometry.geodesic_point(geometry.ray(w, nd.d), 1.0)
+            frame = subspace.ScaledFrame(problem, w)
+            nd = frame.newton(mu)
+            w = _geodesic_step(frame, nd.d, 1.0)
             trace.records.append(
                 StepRecord(
                     outer=outer,
@@ -207,6 +208,11 @@ def shortstep(
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=w))
     trace.status = CONVERGED
     return IterateState(w=w, mu=mu), trace
+
+
+def _geodesic_step(frame: subspace.ScaledFrame, d: AlgebraElement, t: float) -> AlgebraElement:
+    """Q(w^{1/2}) exp(t d), with w^{1/2} taken from the frame of w."""
+    return geometry.geodesic_point(geometry.GeodesicRay(frame.w, d, frame.w_half), t)
 
 
 def center(
@@ -231,24 +237,33 @@ def center(
     own_trace = trace is None
     if own_trace:
         trace = SolverTrace()
-    w = w0
+    frame = _center(subspace.ScaledFrame(problem, w0), mu, eps, gamma, cap, outer, trace, observer)
+    if own_trace:
+        trace.status = CONVERGED
+    return frame.w, trace
+
+
+def _center(
+    frame: subspace.ScaledFrame, mu, eps, gamma, cap, outer, trace, observer
+) -> subspace.ScaledFrame:
+    """The loop of ``center`` on scaled frames; returns the frame of the last iterate."""
     steps = 0
     while True:
         tic = time.perf_counter()
-        nd = subspace.newton_direction(problem, w, mu)
+        nd = frame.newton(mu)
         if observer is not None:
-            observer(steps, w, nd)
+            observer(steps, frame.w, nd)
         if nd.h_ub <= eps:
-            break
+            return frame
         if steps >= cap:
             trace.status = ITERATION_CAP
             raise IterationLimitError(
                 f"centering did not reach h_ub <= {eps:g} within {cap} Newton steps",
                 trace=trace,
-                iterate=IterateState(w=w, mu=mu),
+                iterate=IterateState(w=frame.w, mu=mu),
             )
         t = gamma * nd.t_max
-        w = geometry.geodesic_point(geometry.ray(w, nd.d), t)
+        frame = subspace.ScaledFrame(frame.problem, _geodesic_step(frame, nd.d, t))
         steps += 1
         trace.records.append(
             StepRecord(
@@ -262,9 +277,6 @@ def center(
                 elapsed=time.perf_counter() - tic,
             )
         )
-    if own_trace:
-        trace.status = CONVERGED
-    return w, trace
 
 
 def longstep(
@@ -278,14 +290,15 @@ def longstep(
 
     Loop: recenter to alpha, then drop mu as far as the closed-form bound
     allows (h_ub <= beta); finish with a centering pass at eps.  mu is
-    strictly decreasing across outer iterations.
+    strictly decreasing across outer iterations.  The frame of each
+    re-centred point serves both mu-selection and the next centering pass.
     """
     if params is None:
         params = LongStepParams()
     if mu0 <= 0.0 or mu_f <= 0.0:
         raise ParameterError("mu values must be positive")
     trace = SolverTrace()
-    w = w0
+    frame = subspace.ScaledFrame(problem, w0)
     mu = float(mu0)
     outer = 0
     while mu > mu_f:
@@ -295,24 +308,18 @@ def longstep(
             raise IterationLimitError(
                 f"longstep exceeded {params.max_outer} outer iterations",
                 trace=trace,
-                iterate=IterateState(w=w, mu=mu),
+                iterate=IterateState(w=frame.w, mu=mu),
             )
-        w, _ = center(
-            problem, w, mu, params.alpha, gamma=params.gamma,
-            cap=params.max_newton, outer=outer, trace=trace,
-        )
-        trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=w))
-        mu_next = subspace.mu_candidates(problem, w, mu, params.beta)
+        frame = _center(frame, mu, params.alpha, params.gamma, params.max_newton, outer, trace, None)
+        trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=frame.w))
+        mu_next = subspace.mu_candidates(frame, mu, params.beta)
         if params.clamp_mu_f:
             mu_next = max(mu_next, mu_f)
         mu = mu_next
-    w, _ = center(
-        problem, w, mu, params.eps, gamma=params.gamma,
-        cap=params.max_newton, outer=outer + 1, trace=trace,
-    )
-    trace.snapshots.append(OuterSnapshot(outer=outer + 1, mu=mu, w=w))
+    frame = _center(frame, mu, params.eps, params.gamma, params.max_newton, outer + 1, trace, None)
+    trace.snapshots.append(OuterSnapshot(outer=outer + 1, mu=mu, w=frame.w))
     trace.status = CONVERGED
-    return IterateState(w=w, mu=mu), trace
+    return IterateState(w=frame.w, mu=mu), trace
 
 
 def oracle_center(

@@ -13,6 +13,7 @@ For an interior scaling point w the relevant subspaces are
 direction splits orthogonally as d = d1 - d2 across them, which also yields
 computable divergence bounds (h_lb, h_ub), a guaranteed-descent step bound
 t_max, and the scaling-dependent vector g_w that drives mu-selection.
+``ScaledFrame`` builds all of this that does not depend on mu once per w.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ __all__ = [
     "OperatorForm",
     "ConicProblem",
     "ProjectorPair",
+    "ScaledFrame",
     "NewtonData",
     "scaled_projections",
     "newton_direction",
-    "step_bound",
     "mu_candidates",
     "feasible_point",
     "duality_gap",
@@ -264,28 +265,118 @@ class ProjectorPair:
         return self.problem._from_mc(rest if self.spans_lw else inside)
 
 
+class ScaledFrame:
+    """Everything at one interior scaling point w that does not depend on mu.
+
+    One spectral decomposition of w gives w^{1/2}, w^{-1/2} and the interior
+    test.  The rest is built from them on first use: the projector pair for
+    L_w and L_w_perp, the scaled representatives u_p = Q(w^{-1/2}) x0 and
+    u_d = Q(w^{1/2}) s0, the mu-selection vector g_w and, in operator form,
+    the saddle matrix with the mu-free pieces of its right-hand side.
+    ``newton(mu)`` finishes the Newton data for any mu.
+    """
+
+    def __init__(self, problem: ConicProblem, w: AlgebraElement):
+        self.problem = problem
+        self.w = w
+        self.w_half, self.w_inv_half = jordan.interior_roots(w)
+
+    @functools.cached_property
+    def proj(self) -> ProjectorPair:
+        problem = self.problem
+        if problem.is_basis_form:
+            root, vecs = self.w_inv_half, problem.form.basis
+        else:
+            raw = problem._lperp_mc
+            root, vecs = self.w_half, [problem._from_mc(raw[:, j]) for j in range(raw.shape[1])]
+        cols = [problem._mc(jordan.quad_rep(root, v)) for v in vecs]
+        mat = np.column_stack(cols) if cols else np.zeros((problem.cone.dim, 0))
+        return ProjectorPair(problem, _orthonormalize(mat), spans_lw=problem.is_basis_form)
+
+    @functools.cached_property
+    def u_p(self) -> AlgebraElement:
+        return jordan.quad_rep(self.w_inv_half, self.problem._representatives[0])
+
+    @functools.cached_property
+    def u_d(self) -> AlgebraElement:
+        return jordan.quad_rep(self.w_half, self.problem._representatives[1])
+
+    @functools.cached_property
+    def g_w(self) -> AlgebraElement:
+        return self.proj.onto_lw_perp(self.u_p) + self.proj.onto_lw(self.u_d)
+
+    @functools.cached_property
+    def _saddle(self):
+        """Saddle matrix K and the mu-free pieces (rhs_b, rhs_w) of the
+        right-hand side ``(rhs_b / sqrt(mu) - rhs_w, g / sqrt(mu))`` (operator form)."""
+        problem = self.problem
+        f = problem.form
+        m = len(f.columns)
+        d_rows = f.B.shape[0] if f.B.size else 0
+        qw_cols = np.column_stack(
+            [problem._mc(jordan.quad_rep(self.w, a)) for a in f.columns]
+        ) if m else np.zeros((problem.cone.dim, 0))
+        amat = problem._columns_mc
+        K = np.zeros((m + d_rows, m + d_rows))
+        K[:m, :m] = amat.T @ qw_cols
+        if d_rows:
+            K[:m, m:] = f.B.T
+            K[m:, :m] = f.B
+        rhs_b = f.b + amat.T @ problem._mc(jordan.quad_rep(self.w, f.c))
+        rhs_w = 2.0 * (amat.T @ problem._mc(self.w))
+        return K, rhs_b, rhs_w
+
+    def newton(self, mu: float) -> "NewtonData":
+        """Newton direction at (w, mu) with bounds.
+
+        Basis form uses the orthogonal-projection construction; operator
+        form solves the dense saddle system and recovers the summands by
+        projection.
+        """
+        mu = float(mu)
+        if mu <= 0.0:
+            raise DomainError("mu must be positive")
+        sqrt_mu = math.sqrt(mu)
+        problem = self.problem
+        e = jordan.identity(problem.cone)
+        if problem.is_basis_form:
+            d1 = self.proj.onto_lw_perp(self.u_p / sqrt_mu - e)
+            d2 = self.proj.onto_lw(self.u_d / sqrt_mu - e)
+            d = d1 - d2
+        else:
+            f = problem.form
+            K, rhs_b, rhs_w = self._saddle
+            rhs = np.concatenate([rhs_b / sqrt_mu - rhs_w, f.g / sqrt_mu])
+            try:
+                sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0)
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateConstraintsError(f"saddle system is singular: {exc}") from exc
+            ay = problem._from_mc(problem._columns_mc @ sol[: len(f.columns)])
+            d = e - jordan.quad_rep(self.w_half, f.c / sqrt_mu - ay)
+            d1 = self.proj.onto_lw_perp(d)
+            d2 = d1 - d
+        norm_d = jordan.norm2(d)
+        norm_d_inf = jordan.norm_inf(d)
+        sum_inf = jordan.norm_inf(d1 + d2)
+        h_lb = norm_d ** 2 / (1.0 + sum_inf)
+        h_ub = norm_d ** 2 / (1.0 - sum_inf) if sum_inf < 1.0 else math.inf
+        return NewtonData(
+            d=d,
+            d1=d1,
+            d2=d2,
+            norm_d=norm_d,
+            norm_d_inf=norm_d_inf,
+            sum_inf=sum_inf,
+            h_lb=h_lb,
+            h_ub=h_ub,
+            t_max=_t_max(norm_d, norm_d_inf, h_lb),
+            frame=self,
+        )
+
+
 def scaled_projections(problem: ConicProblem, w: AlgebraElement) -> ProjectorPair:
     """Projector pair for L_w = Q(w^{-1/2}) L and its orthogonal complement."""
-    if not jordan.is_interior(w):
-        raise DomainError("scaling point must be interior", eigenvalue=jordan.min_eigenvalue(w))
-    w_half, w_inv_half = jordan.spectral_map_multi(w, (np.sqrt, lambda lam: lam ** -0.5))
-    return _scaled_projections_cached(problem, w_half, w_inv_half)
-
-
-def _scaled_projections_cached(
-    problem: ConicProblem, w_half: AlgebraElement, w_inv_half: AlgebraElement
-) -> ProjectorPair:
-    if problem.is_basis_form:
-        cols = [problem._mc(jordan.quad_rep(w_inv_half, l)) for l in problem.form.basis]
-        mat = np.column_stack(cols) if cols else np.zeros((problem.cone.dim, 0))
-        return ProjectorPair(problem, _orthonormalize(mat), spans_lw=True)
-    raw = problem._lperp_mc
-    cols = [
-        problem._mc(jordan.quad_rep(w_half, problem._from_mc(raw[:, j])))
-        for j in range(raw.shape[1])
-    ]
-    mat = np.column_stack(cols) if cols else np.zeros((problem.cone.dim, 0))
-    return ProjectorPair(problem, _orthonormalize(mat), spans_lw=False)
+    return ScaledFrame(problem, w).proj
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +386,7 @@ class NewtonData:
     ``d = d1 - d2`` with d1 in L_w_perp and d2 in L_w; ``sum_inf`` is
     ||d1 + d2||_inf; ``h_lb``/``h_ub`` bound the divergence to the centered
     point (h_ub may be +inf); ``t_max`` bounds the guaranteed-descent step;
-    ``g_w`` is the scaling vector used for mu-selection.
+    ``frame`` is the scaled frame of w the data was built from.
     """
 
     d: AlgebraElement
@@ -307,94 +398,22 @@ class NewtonData:
     h_lb: float
     h_ub: float
     t_max: float
-    g_w: AlgebraElement
+    frame: ScaledFrame
 
-
-def _finish_newton_data(d, d1, d2, g_w) -> NewtonData:
-    norm_d = jordan.norm2(d)
-    norm_d_inf = jordan.norm_inf(d)
-    sum_inf = jordan.norm_inf(d1 + d2)
-    h_lb = norm_d ** 2 / (1.0 + sum_inf)
-    h_ub = norm_d ** 2 / (1.0 - sum_inf) if sum_inf < 1.0 else math.inf
-    return NewtonData(
-        d=d,
-        d1=d1,
-        d2=d2,
-        norm_d=norm_d,
-        norm_d_inf=norm_d_inf,
-        sum_inf=sum_inf,
-        h_lb=h_lb,
-        h_ub=h_ub,
-        t_max=_t_max(norm_d, norm_d_inf, h_lb),
-        g_w=g_w,
-    )
+    @property
+    def g_w(self) -> AlgebraElement:
+        """The scaling vector used for mu-selection."""
+        return self.frame.g_w
 
 
 def newton_direction(problem: ConicProblem, w: AlgebraElement, mu: float) -> NewtonData:
-    """Newton direction at (w, mu) with bounds.
-
-    Basis form uses the orthogonal-projection construction; operator form
-    solves the dense saddle system and recovers the summands by projection.
-    """
-    mu = float(mu)
-    if mu <= 0.0:
-        raise DomainError("mu must be positive")
-    if not jordan.is_interior(w):
-        raise DomainError("scaling point must be interior", eigenvalue=jordan.min_eigenvalue(w))
-    sqrt_mu = math.sqrt(mu)
-    w_half, w_inv_half = jordan.spectral_map_multi(w, (np.sqrt, lambda lam: lam ** -0.5))
-    proj = _scaled_projections_cached(problem, w_half, w_inv_half)
-    e = jordan.identity(problem.cone)
-
-    x0, s0 = problem._representatives
-    u_p = jordan.quad_rep(w_inv_half, x0)
-    u_d = jordan.quad_rep(w_half, s0)
-    g_w = proj.onto_lw_perp(u_p) + proj.onto_lw(u_d)
-
-    if problem.is_basis_form:
-        d1 = proj.onto_lw_perp(u_p / sqrt_mu - e)
-        d2 = proj.onto_lw(u_d / sqrt_mu - e)
-        d = d1 - d2
-    else:
-        d = _saddle_direction(problem, w, w_half, mu)
-        d1 = proj.onto_lw_perp(d)
-        d2 = d1 - d
-    return _finish_newton_data(d, d1, d2, g_w)
-
-
-def _saddle_direction(problem, w, w_half, mu) -> AlgebraElement:
-    f = problem.form
-    m = len(f.columns)
-    d_rows = f.B.shape[0] if f.B.size else 0
-    sqrt_mu = math.sqrt(mu)
-    qw_cols = np.column_stack(
-        [problem._mc(jordan.quad_rep(w, a)) for a in f.columns]
-    ) if m else np.zeros((problem.cone.dim, 0))
-    amat = problem._columns_mc
-    H = amat.T @ qw_cols
-    K = np.zeros((m + d_rows, m + d_rows))
-    K[:m, :m] = H
-    if d_rows:
-        K[:m, m:] = f.B.T
-        K[m:, :m] = f.B
-    rhs = np.concatenate(
-        [
-            (f.b + amat.T @ problem._mc(jordan.quad_rep(w, f.c))) / sqrt_mu
-            - 2.0 * (amat.T @ problem._mc(w)),
-            f.g / sqrt_mu,
-        ]
-    )
-    try:
-        sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateConstraintsError(f"saddle system is singular: {exc}") from exc
-    y = sol[:m]
-    ay = problem._from_mc(amat @ y)
-    e = jordan.identity(problem.cone)
-    return e - jordan.quad_rep(w_half, f.c / sqrt_mu - ay)
+    """Newton direction at (w, mu) with bounds (see ``ScaledFrame.newton``)."""
+    return ScaledFrame(problem, w).newton(mu)
 
 
 def _t_max(norm_d: float, norm_d_inf: float, h_lb: float) -> float:
+    """Guaranteed-descent step bound: the divergence to the centered point
+    does not increase for t in [0, t_max]; +inf when d = 0."""
     if norm_d == 0.0 or norm_d_inf == 0.0:
         return math.inf
     k = (norm_d / norm_d_inf) ** 2
@@ -403,18 +422,7 @@ def _t_max(norm_d: float, norm_d_inf: float, h_lb: float) -> float:
     return num / den
 
 
-def step_bound(nd: NewtonData) -> float:
-    """Guaranteed-descent step bound t_max from the Newton data.
-
-    Divergence to the centered point does not increase for t in [0, t_max].
-    Returns +inf when d = 0 (already centered).
-    """
-    return _t_max(nd.norm_d, nd.norm_d_inf, nd.h_lb)
-
-
-def mu_candidates(
-    problem: ConicProblem, w: AlgebraElement, mu_cur: float, beta: float
-) -> float:
+def mu_candidates(frame: ScaledFrame, mu_cur: float, beta: float) -> float:
     """Smallest mu with h_ub(w, mu) <= beta, from the closed-form bound.
 
     In r = sqrt(mu_cur/mu) >= 1 the bound reads
@@ -423,15 +431,16 @@ def mu_candidates(
     g_w; the bound has a pole where k vanishes.  The largest feasible r is
     bracketed by factor-2 checkpoints (the bound is not assumed monotone)
     and then bisected; with huge beta the result clamps at the pole.
+    Only g_w of the frame is needed, so no Newton system is solved.
     """
     mu_cur = float(mu_cur)
-    nd = newton_direction(problem, w, mu_cur)
-    lam = jordan.eigenvalues(nd.g_w)
+    g_w = frame.g_w
+    lam = jordan.eigenvalues(g_w)
     lmin = float(lam.min()) / math.sqrt(mu_cur)
     lmax = float(lam.max()) / math.sqrt(mu_cur)
-    gg = jordan.inner(nd.g_w, nd.g_w) / mu_cur
-    tg = jordan.trace(nd.g_w) / math.sqrt(mu_cur)
-    n = problem.cone.rank
+    gg = jordan.inner(g_w, g_w) / mu_cur
+    tg = jordan.trace(g_w) / math.sqrt(mu_cur)
+    n = frame.problem.cone.rank
 
     def h_of(r: float) -> float:
         k = min(lmin * r, 2.0 - lmax * r)
@@ -472,17 +481,17 @@ def feasible_point(problem: ConicProblem, w: AlgebraElement, mu: float, nd: Newt
 
     Available exactly when ||d||_inf <= 1; then
     x = sqrt(mu) Q(w^{1/2})(e + d) and s = sqrt(mu) Q(w^{-1/2})(e - d) are
-    cone members lying in the primal/dual affine sets.
+    cone members lying in the primal/dual affine sets.  ``nd``, when given,
+    is the Newton data at (w, mu); its frame supplies w^{1/2} and w^{-1/2}.
     """
     if nd is None:
-        nd = newton_direction(problem, w, mu)
+        nd = ScaledFrame(problem, w).newton(mu)
     if nd.norm_d_inf > 1.0:
         return None
     sqrt_mu = math.sqrt(float(mu))
-    w_half, w_inv_half = jordan.spectral_map_multi(w, (np.sqrt, lambda lam: lam ** -0.5))
     e = jordan.identity(problem.cone)
-    x = sqrt_mu * jordan.quad_rep(w_half, e + nd.d)
-    s = sqrt_mu * jordan.quad_rep(w_inv_half, e - nd.d)
+    x = sqrt_mu * jordan.quad_rep(nd.frame.w_half, e + nd.d)
+    s = sqrt_mu * jordan.quad_rep(nd.frame.w_inv_half, e - nd.d)
     return x, s
 
 

@@ -191,31 +191,19 @@ def test_degenerate_saddle_raises():
         S.newton_direction(prob_bad, J.identity(ORTH6), 1.0)
 
 
-def _dummy_newton_data(cone, norm_d, norm_d_inf, h_lb):
-    z = J.zero(cone)
-    return S.NewtonData(
-        d=z, d1=z, d2=z, norm_d=norm_d, norm_d_inf=norm_d_inf, sum_inf=0.0,
-        h_lb=h_lb, h_ub=math.inf, t_max=math.nan, g_w=z,
-    )
-
-
 def test_step_bound_examples():
-    cone = ORTH1
+    # _t_max(norm_d, norm_d_inf, h_lb) is the one place NewtonData.t_max comes from
     # rank-one direction with unit eigenvalue: 2(1/2 + 1)/(1/2 + 2) = 1.2
-    nd = _dummy_newton_data(cone, norm_d=1.0, norm_d_inf=1.0, h_lb=0.5)
-    assert S.step_bound(nd) == pytest.approx(1.2, rel=1e-12)
+    assert S._t_max(1.0, 1.0, 0.5) == pytest.approx(1.2, rel=1e-12)
     # rank-one direction with eigenvalue a -> 0: limit 2
     for a in (1e-3, 1e-5):
-        nd = _dummy_newton_data(cone, norm_d=a, norm_d_inf=a, h_lb=a * a / (1 + a))
-        assert S.step_bound(nd) == pytest.approx(2.0, abs=5 * a)
+        assert S._t_max(a, a, a * a / (1 + a)) == pytest.approx(2.0, abs=5 * a)
     # k-fold equal magnitudes, small h_lb, ||d||_inf^2 <= 2: limit 1
     k = 7
     a = 1.2
-    nd = _dummy_newton_data(cone, norm_d=math.sqrt(k) * a, norm_d_inf=a, h_lb=0.0)
-    assert S.step_bound(nd) == pytest.approx(1.0, rel=1e-12)
+    assert S._t_max(math.sqrt(k) * a, a, 0.0) == pytest.approx(1.0, rel=1e-12)
     # d = 0 sentinel
-    nd = _dummy_newton_data(cone, norm_d=0.0, norm_d_inf=0.0, h_lb=0.0)
-    assert S.step_bound(nd) == math.inf
+    assert S._t_max(0.0, 0.0, 0.0) == math.inf
 
 
 def test_mu_candidates_centered_scalar():
@@ -224,7 +212,7 @@ def test_mu_candidates_centered_scalar():
     prob = scalar_problem(a=2.0)
     w = J.element(ORTH1, [2.0 / math.sqrt(mu0)])
     beta = 0.25
-    mu_star = S.mu_candidates(prob, w, mu0, beta)
+    mu_star = S.mu_candidates(S.ScaledFrame(prob, w), mu0, beta)
     r = scipy.optimize.brentq(lambda r: (r - 1.0) ** 2 - beta * (2.0 - r), 1.0, 1.999999)
     assert mu_star == pytest.approx(mu0 / r ** 2, rel=1e-9)
     assert r == pytest.approx(1.390388, abs=1e-5)
@@ -268,12 +256,12 @@ def test_mu_candidates_monotone_and_pole_clamp():
     prob = random_basis_problem(PSD6, 3, rng)
     mu0 = 1.0
     w = V.oracle_center(prob, mu0)
-    mu_b = S.mu_candidates(prob, w, mu0, 100.0)
+    frame = S.ScaledFrame(prob, w)
+    mu_b = S.mu_candidates(frame, mu0, 100.0)
     assert mu_b < mu0
     # huge beta clamps at the pole where the bound's denominator vanishes
-    mu_inf = S.mu_candidates(prob, w, mu0, 1e18)
-    nd = S.newton_direction(prob, w, mu0)
-    lam_max = float(J.eigenvalues(nd.g_w).max())
+    mu_inf = S.mu_candidates(frame, mu0, 1e18)
+    lam_max = float(J.eigenvalues(frame.g_w).max())
     mu_pole = lam_max ** 2 / 4.0
     assert mu_inf == pytest.approx(mu_pole, rel=1e-6)
     assert mu_inf <= mu_b

@@ -1,0 +1,67 @@
+"""Work per Newton step: symmetric eigensolver calls on a single psd block.
+
+Each iterate is decomposed once (w^{1/2}, w^{-1/2} and the interior test
+share one ``eigh``) and each geodesic step takes one ``exp`` (one ``eigh``);
+the two ``eigvalsh`` calls per Newton step are ||d||_inf and ||d1 + d2||_inf.
+"""
+
+import numpy as np
+import pytest
+
+from geoipm import jordan as J
+from geoipm import solver as V
+from geoipm import subspace as S
+
+from util import PSD6, random_basis_problem
+
+MU0 = 1.0
+MU_F = MU0 / 1024.0
+
+
+def _counted(monkeypatch, run):
+    """Run ``run()`` with numpy's eigh/eigvalsh counted; returns (result, counts)."""
+    calls = dict.fromkeys(("eigh", "eigvalsh"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    try:
+        return run(), calls
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.fixture(scope="module")
+def problem():
+    return random_basis_problem(PSD6, 3, np.random.default_rng(17))
+
+
+def test_shortstep_two_eigh_two_eigvalsh_per_step(problem, monkeypatch):
+    w0 = V.oracle_center(problem, MU0)
+    params = V.shortstep_params(0.5, 1e-4, problem.cone.rank)
+    (_, trace), calls = _counted(
+        monkeypatch, lambda: V.shortstep(problem, w0, MU0, MU_F, params)
+    )
+    steps = trace.newton_steps
+    assert steps > 0
+    assert calls == {"eigh": 2 * steps, "eigvalsh": 2 * steps}
+
+
+def test_longstep_one_decomposition_per_iterate(problem, monkeypatch):
+    (_, trace), calls = _counted(
+        monkeypatch, lambda: V.longstep(problem, J.identity(problem.cone), MU0, MU_F)
+    )
+    # one decomposition per iterate (the start and each step's result) plus one exp per step
+    assert calls["eigh"] == 2 * trace.newton_steps + 1
+
+
+def test_feasible_point_reuses_the_frame(problem, monkeypatch):
+    state, _ = V.longstep(problem, J.identity(problem.cone), MU0, MU_F)
+    nd = S.newton_direction(problem, state.w, state.mu)
+    pair, calls = _counted(
+        monkeypatch, lambda: S.feasible_point(problem, state.w, state.mu, nd=nd)
+    )
+    assert pair is not None
+    assert calls["eigh"] == 0
