@@ -34,7 +34,7 @@ class IllConditionedBasisError(GeoipmError):
 
 
 class DegenerateConstraintsError(GeoipmError):
-    """The constraint data yields a singular saddle system."""
+    """The constraint data is inconsistent (an empty primal or dual affine set)."""
 
 
 class ParameterError(GeoipmError):

@@ -63,11 +63,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ProblemFormatError("experiment config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ProblemFormatError(f"unknown experiment config keys: {sorted(unknown)}")
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except (TypeError, ValueError) as exc:
+            raise ProblemFormatError(f"bad experiment config value: {exc}") from exc
 
     def long_params(self) -> solver.LongStepParams:
         return solver.LongStepParams(

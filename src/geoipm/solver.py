@@ -193,21 +193,24 @@ def shortstep(
             frame = subspace.ScaledFrame(problem, w)
             nd = frame.newton(mu)
             w = _geodesic_step(frame, nd.d, 1.0)
-            trace.records.append(
-                StepRecord(
-                    outer=outer,
-                    mu=mu,
-                    h_ub=nd.h_ub,
-                    h_lb=nd.h_lb,
-                    norm_d=nd.norm_d,
-                    norm_d_inf=nd.norm_d_inf,
-                    step=1.0,
-                    elapsed=time.perf_counter() - tic,
-                )
-            )
+            trace.records.append(_step_record(outer, mu, nd, 1.0, tic))
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=w))
     trace.status = CONVERGED
     return IterateState(w=w, mu=mu), trace
+
+
+def _step_record(outer: int, mu: float, nd: subspace.NewtonData, step: float, tic: float) -> StepRecord:
+    """The record of a Newton step taken with length ``step``, timed from ``tic``."""
+    return StepRecord(
+        outer=outer,
+        mu=mu,
+        h_ub=nd.h_ub,
+        h_lb=nd.h_lb,
+        norm_d=nd.norm_d,
+        norm_d_inf=nd.norm_d_inf,
+        step=step,
+        elapsed=time.perf_counter() - tic,
+    )
 
 
 def _geodesic_step(frame: subspace.ScaledFrame, d: AlgebraElement, t: float) -> AlgebraElement:
@@ -265,18 +268,7 @@ def _center(
         t = gamma * nd.t_max
         frame = subspace.ScaledFrame(frame.problem, _geodesic_step(frame, nd.d, t))
         steps += 1
-        trace.records.append(
-            StepRecord(
-                outer=outer,
-                mu=mu,
-                h_ub=nd.h_ub,
-                h_lb=nd.h_lb,
-                norm_d=nd.norm_d,
-                norm_d_inf=nd.norm_d_inf,
-                step=t,
-                elapsed=time.perf_counter() - tic,
-            )
-        )
+        trace.records.append(_step_record(outer, mu, nd, t, tic))
 
 
 def longstep(

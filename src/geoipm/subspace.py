@@ -8,7 +8,9 @@ A conic problem pairs a cone with affine data in one of two forms:
   ``s0 + L-perp = {c - Ay : By = g}`` and
   ``x0 + L = {x : A*x + B*z = b for some z}``.
 
-For an interior scaling point w the relevant subspaces are
+Both forms reduce to representatives (x0, s0) and a spanning set of L
+(basis form) or L-perp (operator form, the image of ker B under A).  For an
+interior scaling point w the relevant subspaces are
 ``L_w = Q(w^{-1/2}) L`` and ``L_w_perp = Q(w^{1/2}) L-perp``; the Newton
 direction splits orthogonally as d = d1 - d2 across them, which also yields
 computable divergence bounds (h_lb, h_ub), a guaranteed-descent step bound
@@ -270,10 +272,11 @@ class ScaledFrame:
 
     One spectral decomposition of w gives w^{1/2}, w^{-1/2} and the interior
     test.  The rest is built from them on first use: the projector pair for
-    L_w and L_w_perp, the scaled representatives u_p = Q(w^{-1/2}) x0 and
-    u_d = Q(w^{1/2}) s0, the mu-selection vector g_w and, in operator form,
-    the saddle matrix with the mu-free pieces of its right-hand side.
-    ``newton(mu)`` finishes the Newton data for any mu.
+    L_w and L_w_perp (from the basis of L scaled by w^{-1/2} in basis form,
+    from the basis of L-perp scaled by w^{1/2} in operator form), the scaled
+    representatives u_p = Q(w^{-1/2}) x0 and u_d = Q(w^{1/2}) s0, and the
+    mu-selection vector g_w.  ``newton(mu)`` finishes the Newton data for
+    any mu.
     """
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
@@ -305,56 +308,20 @@ class ScaledFrame:
     def g_w(self) -> AlgebraElement:
         return self.proj.onto_lw_perp(self.u_p) + self.proj.onto_lw(self.u_d)
 
-    @functools.cached_property
-    def _saddle(self):
-        """Saddle matrix K and the mu-free pieces (rhs_b, rhs_w) of the
-        right-hand side ``(rhs_b / sqrt(mu) - rhs_w, g / sqrt(mu))`` (operator form)."""
-        problem = self.problem
-        f = problem.form
-        m = len(f.columns)
-        d_rows = f.B.shape[0] if f.B.size else 0
-        qw_cols = np.column_stack(
-            [problem._mc(jordan.quad_rep(self.w, a)) for a in f.columns]
-        ) if m else np.zeros((problem.cone.dim, 0))
-        amat = problem._columns_mc
-        K = np.zeros((m + d_rows, m + d_rows))
-        K[:m, :m] = amat.T @ qw_cols
-        if d_rows:
-            K[:m, m:] = f.B.T
-            K[m:, :m] = f.B
-        rhs_b = f.b + amat.T @ problem._mc(jordan.quad_rep(self.w, f.c))
-        rhs_w = 2.0 * (amat.T @ problem._mc(self.w))
-        return K, rhs_b, rhs_w
-
     def newton(self, mu: float) -> "NewtonData":
         """Newton direction at (w, mu) with bounds.
 
-        Basis form uses the orthogonal-projection construction; operator
-        form solves the dense saddle system and recovers the summands by
-        projection.
+        ``d = d1 - d2`` with ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
+        ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``, for both problem forms.
         """
         mu = float(mu)
         if mu <= 0.0:
             raise DomainError("mu must be positive")
         sqrt_mu = math.sqrt(mu)
-        problem = self.problem
-        e = jordan.identity(problem.cone)
-        if problem.is_basis_form:
-            d1 = self.proj.onto_lw_perp(self.u_p / sqrt_mu - e)
-            d2 = self.proj.onto_lw(self.u_d / sqrt_mu - e)
-            d = d1 - d2
-        else:
-            f = problem.form
-            K, rhs_b, rhs_w = self._saddle
-            rhs = np.concatenate([rhs_b / sqrt_mu - rhs_w, f.g / sqrt_mu])
-            try:
-                sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateConstraintsError(f"saddle system is singular: {exc}") from exc
-            ay = problem._from_mc(problem._columns_mc @ sol[: len(f.columns)])
-            d = e - jordan.quad_rep(self.w_half, f.c / sqrt_mu - ay)
-            d1 = self.proj.onto_lw_perp(d)
-            d2 = d1 - d
+        e = jordan.identity(self.problem.cone)
+        d1 = self.proj.onto_lw_perp(self.u_p / sqrt_mu - e)
+        d2 = self.proj.onto_lw(self.u_d / sqrt_mu - e)
+        d = d1 - d2
         norm_d = jordan.norm2(d)
         norm_d_inf = jordan.norm_inf(d)
         sum_inf = jordan.norm_inf(d1 + d2)

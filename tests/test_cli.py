@@ -98,12 +98,13 @@ def test_numerical_failure_exit_4(tmp_path):
     m = len(op.form.columns)
     B = np.zeros((2, m))
     B[0, 0] = 1.0
-    B[1, 0] = 1.0  # singular saddle
+    B[1, 0] = 1.0
+    # By = g asks y_0 = 0 and y_0 = 1: the dual affine set is empty
     bad = S.ConicProblem(
         ORTH6,
-        S.OperatorForm(columns=op.form.columns, B=B, b=op.form.b, c=op.form.c, g=np.zeros(2)),
+        S.OperatorForm(columns=op.form.columns, B=B, b=op.form.b, c=op.form.c, g=np.array([0.0, 1.0])),
     )
-    path = tmp_path / "degenerate.json"
+    path = tmp_path / "inconsistent.json"
     io.save_problem(bad, path)
     assert cli.solve_cli(["solve", "--input", str(path)]) == 4
 
@@ -121,8 +122,9 @@ def test_bench_fig4(tmp_path):
     assert rc == 0
     assert (tmp_path / "fig4_center.csv").exists()
     bad_cfg = tmp_path / "bad.json"
-    bad_cfg.write_text('{"nope": 1}')
-    rc = cli.solve_cli(
-        ["bench", "--experiment", "fig4", "--config", str(bad_cfg), "--outdir", str(tmp_path)]
-    )
-    assert rc == 3
+    for bad in ('{"nope": 1}', '{"trials": "5"}', '{"n_values": 5}', "[1, 2]"):
+        bad_cfg.write_text(bad)
+        rc = cli.solve_cli(
+            ["bench", "--experiment", "fig4", "--config", str(bad_cfg), "--outdir", str(tmp_path)]
+        )
+        assert rc == 3, bad

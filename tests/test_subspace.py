@@ -130,7 +130,7 @@ def test_lp_log_domain_oracle():
 
 
 def test_route_equivalence_example():
-    # random SDP with n = 6, dim L = 3: projection and saddle routes agree
+    # random SDP with n = 6, dim L = 3: basis and operator forms agree
     rng = np.random.default_rng(5)
     prob = random_basis_problem(PSD6, 3, rng)
     op = S.as_operator_form(prob)
@@ -146,7 +146,7 @@ def test_route_equivalence_example():
 
 
 def test_route_equivalence_degenerate_subspace():
-    # dim L = 0: the saddle route spans the whole space
+    # dim L = 0: the operator form's L-perp spans the whole space
     prob = scalar_problem(a=2.0)
     op = S.as_operator_form(prob)
     w = J.element(ORTH1, [1.3])
@@ -177,18 +177,27 @@ def test_operator_form_with_constrained_coefficients():
     assert_elem_close(nd_b.d, nd_o.d, 1e-8, "operator route with B block")
 
 
-def test_degenerate_saddle_raises():
+def test_redundant_constraint_rows():
+    # a duplicated but consistent row of B leaves the affine sets unchanged
     rng = np.random.default_rng(7)
     prob = random_basis_problem(ORTH6, 2, rng)
     op = S.as_operator_form(prob)
     m = len(op.form.columns)
+
+    def with_rows(B, g):
+        form = S.OperatorForm(columns=op.form.columns, B=B, b=op.form.b, c=op.form.c, g=g)
+        return S.ConicProblem(ORTH6, form)
+
     B = np.zeros((2, m))
     B[0, 0] = 1.0
-    B[1, 0] = 1.0  # duplicated row: singular saddle
-    form = S.OperatorForm(columns=op.form.columns, B=B, b=op.form.b, c=op.form.c, g=np.zeros(2))
-    prob_bad = S.ConicProblem(ORTH6, form)
+    B[1, 0] = 1.0  # duplicated row
+    w = random_interior(ORTH6, rng)
+    nd_dup = S.newton_direction(with_rows(B, np.zeros(2)), w, 0.7)
+    nd_one = S.newton_direction(with_rows(B[:1], np.zeros(1)), w, 0.7)
+    assert_elem_close(nd_dup.d, nd_one.d, 1e-8, "redundant row of B")
+    # the same rows with g = [0, 1] ask y_0 = 0 and y_0 = 1: the dual set is empty
     with pytest.raises(DegenerateConstraintsError):
-        S.newton_direction(prob_bad, J.identity(ORTH6), 1.0)
+        S.newton_direction(with_rows(B, np.array([0.0, 1.0])), w, 0.7)
 
 
 def test_step_bound_examples():

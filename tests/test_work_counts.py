@@ -1,8 +1,10 @@
-"""Work per Newton step: symmetric eigensolver calls on a single psd block.
+"""Work per Newton step on a single psd block: eigensolver and quad_rep calls.
 
 Each iterate is decomposed once (w^{1/2}, w^{-1/2} and the interior test
 share one ``eigh``) and each geodesic step takes one ``exp`` (one ``eigh``);
 the two ``eigvalsh`` calls per Newton step are ||d||_inf and ||d1 + d2||_inf.
+An operator-form Newton step applies ``quad_rep`` once per basis vector of
+L-perp (the projector pair) and once each for u_p and u_d.
 """
 
 import numpy as np
@@ -65,3 +67,17 @@ def test_feasible_point_reuses_the_frame(problem, monkeypatch):
     )
     assert pair is not None
     assert calls["eigh"] == 0
+
+
+def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
+    op = S.as_operator_form(problem)
+    dim_lperp = problem.cone.dim - problem.basis_dim
+    calls = []
+
+    def counted(*args, _fn=J.quad_rep, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(J, "quad_rep", counted)
+    S.ScaledFrame(op, J.identity(op.cone)).newton(0.7)
+    assert len(calls) == dim_lperp + 2
