@@ -60,6 +60,7 @@ class ExperimentConfig:
             raise ProblemFormatError("experiment config needs positive counts")
         if self.mu_ratio <= 1.0 or self.mu0 <= 0.0:
             raise ProblemFormatError("need mu_ratio > 1 and mu0 > 0")
+        self.long_params()  # ParameterError on a bad (beta, alpha, eps, gamma)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

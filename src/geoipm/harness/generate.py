@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import jordan
-from ..errors import NumericalFailureError
+from ..errors import IllConditionedBasisError, NumericalFailureError
 from ..jordan import ConeDescriptor, Psd
 from ..subspace import BasisForm, ConicProblem
 
@@ -41,10 +41,10 @@ def generate_random_sdp(n: int, dim_l: int, seed: int) -> ConicProblem:
         x0 = jordan.exp(jordan.from_blocks(cone, [_sym_randn(n, rng)]))
         s0 = jordan.exp(jordan.from_blocks(cone, [_sym_randn(n, rng)]))
         basis = tuple(jordan.from_blocks(cone, [_sym_randn(n, rng)]) for _ in range(dim_l))
-        stacked = np.column_stack([l.coords for l in basis])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[-1] > 1e-10 * sv[0]:
+        try:
             return ConicProblem(cone, BasisForm(x0=x0, s0=s0, basis=basis))
+        except IllConditionedBasisError:
+            continue
     raise NumericalFailureError(
         f"could not draw an independent subspace basis after {_MAX_RETRIES} retries"
     )

@@ -225,24 +225,22 @@ def center(
     eps: float,
     gamma: float = 0.5,
     cap: int = DEFAULT_CENTER_CAP,
-    outer: int = 0,
-    trace: SolverTrace | None = None,
     observer=None,
 ) -> tuple:
     """Recenter at fixed mu until the divergence bound h_ub drops below eps.
 
-    Steps are t = gamma * t_max, which never increases the divergence to
-    the centered point; the loop is globally convergent.  Exceeding ``cap``
-    raises IterationLimitError carrying the partial trace and iterate.
+    Steps are t = gamma * t_max with 0 < gamma < 1, which never increases
+    the divergence to the centered point; the loop is globally convergent.
+    Exceeding ``cap`` raises IterationLimitError carrying the partial trace
+    and iterate.
     """
     if eps <= 0.0 or mu <= 0.0:
         raise ParameterError("eps and mu must be positive")
-    own_trace = trace is None
-    if own_trace:
-        trace = SolverTrace()
-    frame = _center(subspace.ScaledFrame(problem, w0), mu, eps, gamma, cap, outer, trace, observer)
-    if own_trace:
-        trace.status = CONVERGED
+    if not 0.0 < gamma < 1.0:
+        raise ParameterError("gamma must lie in (0, 1)")
+    trace = SolverTrace()
+    frame = _center(subspace.ScaledFrame(problem, w0), mu, eps, gamma, cap, 0, trace, observer)
+    trace.status = CONVERGED
     return frame.w, trace
 
 

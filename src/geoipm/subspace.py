@@ -11,10 +11,12 @@ A conic problem pairs a cone with affine data in one of two forms:
 Both forms reduce to representatives (x0, s0) and a spanning set of L
 (basis form) or L-perp (operator form, the image of ker B under A).  For an
 interior scaling point w the relevant subspaces are
-``L_w = Q(w^{-1/2}) L`` and ``L_w_perp = Q(w^{1/2}) L-perp``; the Newton
-direction splits orthogonally as d = d1 - d2 across them, which also yields
-computable divergence bounds (h_lb, h_ub), a guaranteed-descent step bound
-t_max, and the scaling-dependent vector g_w that drives mu-selection.
+``L_w = Q(w^{-1/2}) L`` and ``L_w_perp = Q(w^{1/2}) L-perp``.  The Newton
+data at (w, mu) need one mu-free vector g_w and the projector pair: with
+``s = g_w/sqrt(mu) - e`` the Newton direction d is the reflection of s
+across L_w_perp, split orthogonally as d = d1 - d2 across the two
+subspaces.  This yields computable divergence bounds (h_lb, h_ub), a
+guaranteed-descent step bound t_max, and mu-selection in closed form.
 ``ScaledFrame`` builds all of this that does not depend on mu once per w.
 """
 
@@ -55,8 +57,8 @@ __all__ = [
 
 # relative tolerance of the load-time basis rank check
 _BASIS_RANK_TOL = 1e-10
-# rank-loss threshold inside Gram-Schmidt
-_MGS_RANK_TOL = 1e-12
+# rank-loss threshold of the orthonormalization of scaled spanning sets
+_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,22 +229,16 @@ class ConicProblem:
 
 
 def _orthonormalize(cols: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one reorthogonalization pass."""
+    """Orthonormal basis of the span of ``cols`` (QR); rank loss raises.
+
+    |R_jj| is the norm of column j after removing its components along the
+    columns before it, so the rank test is the one Gram-Schmidt makes.
+    """
     n, k = cols.shape
-    out = np.zeros((n, k))
-    got = 0
-    for j in range(k):
-        v = cols[:, j].copy()
-        nrm0 = np.linalg.norm(v)
-        for _ in range(2):
-            if got:
-                v -= out[:, :got] @ (out[:, :got].T @ v)
-        nrm = np.linalg.norm(v)
-        if nrm <= _MGS_RANK_TOL * max(nrm0, 1.0):
-            raise IllConditionedBasisError("rank loss while orthonormalizing the scaled subspace basis")
-        out[:, got] = v / nrm
-        got += 1
-    return out[:, :got]
+    q, r = np.linalg.qr(cols)
+    if k > n or np.any(np.abs(np.diag(r)) <= _RANK_TOL * np.maximum(np.linalg.norm(cols, axis=0), 1.0)):
+        raise IllConditionedBasisError("rank loss while orthonormalizing the scaled subspace basis")
+    return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,10 +269,11 @@ class ScaledFrame:
     One spectral decomposition of w gives w^{1/2}, w^{-1/2} and the interior
     test.  The rest is built from them on first use: the projector pair for
     L_w and L_w_perp (from the basis of L scaled by w^{-1/2} in basis form,
-    from the basis of L-perp scaled by w^{1/2} in operator form), the scaled
-    representatives u_p = Q(w^{-1/2}) x0 and u_d = Q(w^{1/2}) s0, and the
-    mu-selection vector g_w.  ``newton(mu)`` finishes the Newton data for
-    any mu.
+    from the basis of L-perp scaled by w^{1/2} in operator form) and the
+    vector ``g_w = P_{L_w_perp} u_p + P_{L_w} u_d`` of the scaled
+    representatives u_p = Q(w^{-1/2}) x0 and u_d = Q(w^{1/2}) s0.
+    ``newton(mu)`` needs g_w and one projection; ``mu_candidates`` needs
+    g_w only.
     """
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
@@ -297,34 +294,32 @@ class ScaledFrame:
         return ProjectorPair(problem, _orthonormalize(mat), spans_lw=problem.is_basis_form)
 
     @functools.cached_property
-    def u_p(self) -> AlgebraElement:
-        return jordan.quad_rep(self.w_inv_half, self.problem._representatives[0])
-
-    @functools.cached_property
-    def u_d(self) -> AlgebraElement:
-        return jordan.quad_rep(self.w_half, self.problem._representatives[1])
-
-    @functools.cached_property
     def g_w(self) -> AlgebraElement:
-        return self.proj.onto_lw_perp(self.u_p) + self.proj.onto_lw(self.u_d)
+        """``P_{L_w_perp} u_p + P_{L_w} u_d``, written as ``u_p + P_{L_w}(u_d - u_p)``."""
+        x0, s0 = self.problem._representatives
+        u_p = jordan.quad_rep(self.w_inv_half, x0)
+        u_d = jordan.quad_rep(self.w_half, s0)
+        return u_p + self.proj.onto_lw(u_d - u_p)
 
     def newton(self, mu: float) -> "NewtonData":
-        """Newton direction at (w, mu) with bounds.
+        """Newton direction at (w, mu) with bounds, from one projection.
 
-        ``d = d1 - d2`` with ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
+        With ``s = g_w/sqrt(mu) - e``: ``d2 = P_{L_w} s``, ``d1 = s - d2``
+        and ``d = d1 - d2``, the reflection of s across L_w_perp; also
+        ``||d1 + d2||_inf = ||s||_inf``.  These equal
+        ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
         ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``, for both problem forms.
         """
         mu = float(mu)
         if mu <= 0.0:
             raise DomainError("mu must be positive")
-        sqrt_mu = math.sqrt(mu)
-        e = jordan.identity(self.problem.cone)
-        d1 = self.proj.onto_lw_perp(self.u_p / sqrt_mu - e)
-        d2 = self.proj.onto_lw(self.u_d / sqrt_mu - e)
+        s = self.g_w / math.sqrt(mu) - jordan.identity(self.problem.cone)
+        d2 = self.proj.onto_lw(s)
+        d1 = s - d2
         d = d1 - d2
         norm_d = jordan.norm2(d)
         norm_d_inf = jordan.norm_inf(d)
-        sum_inf = jordan.norm_inf(d1 + d2)
+        sum_inf = jordan.norm_inf(s)
         h_lb = norm_d ** 2 / (1.0 + sum_inf)
         h_ub = norm_d ** 2 / (1.0 - sum_inf) if sum_inf < 1.0 else math.inf
         return NewtonData(
@@ -350,7 +345,8 @@ def scaled_projections(problem: ConicProblem, w: AlgebraElement) -> ProjectorPai
 class NewtonData:
     """Newton direction with its orthogonal summands and derived bounds.
 
-    ``d = d1 - d2`` with d1 in L_w_perp and d2 in L_w; ``sum_inf`` is
+    ``d = d1 - d2`` with d1 in L_w_perp and d2 in L_w, the reflection of
+    ``d1 + d2 = g_w/sqrt(mu) - e`` across L_w_perp; ``sum_inf`` is
     ||d1 + d2||_inf; ``h_lb``/``h_ub`` bound the divergence to the centered
     point (h_ub may be +inf); ``t_max`` bounds the guaranteed-descent step;
     ``frame`` is the scaled frame of w the data was built from.
@@ -390,57 +386,41 @@ def _t_max(norm_d: float, norm_d_inf: float, h_lb: float) -> float:
 
 
 def mu_candidates(frame: ScaledFrame, mu_cur: float, beta: float) -> float:
-    """Smallest mu with h_ub(w, mu) <= beta, from the closed-form bound.
+    """Smallest mu with h_ub(w, mu) <= beta, in closed form; mu_cur if
+    h_ub(w, mu_cur) > beta.
 
-    In r = sqrt(mu_cur/mu) >= 1 the bound reads
-    ``(||g_w||^2 r^2/mu_cur - 2 tr(g_w) r/sqrt(mu_cur) + n) / k(r)`` with
-    ``k(r) = min(lmin r, 2 - lmax r)/sqrt(mu_cur)``-scaled eigenvalues of
-    g_w; the bound has a pole where k vanishes.  The largest feasible r is
-    bracketed by factor-2 checkpoints (the bound is not assumed monotone)
-    and then bisected; with huge beta the result clamps at the pole.
-    Only g_w of the frame is needed, so no Newton system is solved.
+    With ``a = g_w/sqrt(mu_cur)`` and ``r = sqrt(mu_cur/mu)`` the bound is
+    ``||r a - e||^2 / min(r lmin, 2 - r lmax)`` (lmin, lmax the extreme
+    eigenvalues of a), so h_ub <= beta holds exactly where the two convex
+    quadratics ``||r a - e||^2 - beta r lmin`` and
+    ``||r a - e||^2 - beta (2 - r lmax)`` are both <= 0: the feasible r
+    form an interval.  When r = 1 lies in it, its upper end is the smaller
+    of the two larger roots.  The second quadratic equals
+    ``||r a - e||^2 > 0`` at the pole r = 2/lmax, so that root lies below
+    the pole.  Only g_w of the frame is needed, so no Newton system is solved.
     """
     mu_cur = float(mu_cur)
-    g_w = frame.g_w
-    lam = jordan.eigenvalues(g_w)
-    lmin = float(lam.min()) / math.sqrt(mu_cur)
-    lmax = float(lam.max()) / math.sqrt(mu_cur)
-    gg = jordan.inner(g_w, g_w) / mu_cur
-    tg = jordan.trace(g_w) / math.sqrt(mu_cur)
+    a = frame.g_w / math.sqrt(mu_cur)
+    lam = jordan.eigenvalues(a)
+    aa = jordan.inner(a, a)
+    ta = jordan.trace(a)
     n = frame.problem.cone.rank
-
-    def h_of(r: float) -> float:
-        k = min(lmin * r, 2.0 - lmax * r)
-        if k <= 0.0:
-            return math.inf
-        return (gg * r * r - 2.0 * tg * r + n) / k
-
-    if h_of(1.0) > beta:
+    # both quadratics read aa r^2 - p r + c
+    p1, c1 = 2.0 * ta + beta * float(lam.min()), n
+    p2, c2 = 2.0 * ta - beta * float(lam.max()), n - 2.0 * beta
+    if aa - p1 + c1 > 0.0 or aa - p2 + c2 > 0.0:
         return mu_cur
-    pole = math.inf if lmax <= 0.0 else 2.0 / lmax
-    r_feas = 1.0
-    r_viol = math.inf
-    cand = 2.0
-    for _ in range(200):
-        r = cand if cand < pole else 0.5 * (r_feas + pole)
-        if r <= r_feas * (1.0 + 1e-15):
-            break
-        if h_of(r) <= beta:
-            r_feas = r
-            cand = 2.0 * r
-        else:
-            r_viol = r
-            break
-    if math.isfinite(r_viol):
-        for _ in range(200):
-            if r_viol - r_feas <= 1e-13:
-                break
-            mid = 0.5 * (r_feas + r_viol)
-            if h_of(mid) <= beta:
-                r_feas = mid
-            else:
-                r_viol = mid
-    return mu_cur / (r_feas * r_feas)
+    r = min(_larger_root(aa, p1, c1), _larger_root(aa, p2, c2))
+    return mu_cur / (r * r)
+
+
+def _larger_root(a: float, p: float, c: float) -> float:
+    """Larger root of ``a r^2 - p r + c`` (a > 0, value <= 0 at r = 1),
+    in the form that does not cancel."""
+    sq = math.sqrt(max(p * p - 4.0 * a * c, 0.0))
+    if p >= 0.0:
+        return (p + sq) / (2.0 * a)
+    return 2.0 * c / (p - sq)
 
 
 def feasible_point(problem: ConicProblem, w: AlgebraElement, mu: float, nd: NewtonData | None = None):

@@ -122,9 +122,17 @@ def test_bench_fig4(tmp_path):
     assert rc == 0
     assert (tmp_path / "fig4_center.csv").exists()
     bad_cfg = tmp_path / "bad.json"
-    for bad in ('{"nope": 1}', '{"trials": "5"}', '{"n_values": 5}', "[1, 2]"):
+    small = '"n_values": [4], "trials": 1, "dim_l": 3, "fig4_n": 4, "fig4_deltas": [0.5]'
+    for experiment, bad in (
+        ("fig4", '{"nope": 1}'),
+        ("fig4", '{"trials": "5"}'),
+        ("fig4", '{"n_values": 5}'),
+        ("fig4", "[1, 2]"),
+        ("fig4", '{"gamma": 0, %s}' % small),
+        ("fig3", '{"gamma": 1.5, %s}' % small),
+    ):
         bad_cfg.write_text(bad)
         rc = cli.solve_cli(
-            ["bench", "--experiment", "fig4", "--config", str(bad_cfg), "--outdir", str(tmp_path)]
+            ["bench", "--experiment", experiment, "--config", str(bad_cfg), "--outdir", str(tmp_path)]
         )
         assert rc == 3, bad

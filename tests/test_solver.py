@@ -136,6 +136,10 @@ def test_center_cap_reports_trace():
     assert exc.value.trace.newton_steps == 2
     assert exc.value.iterate is not None
     assert exc.value.trace.status == V.ITERATION_CAP
+    # gamma outside (0, 1) is rejected before any step (gamma = 0 never moves w)
+    for gamma in (0.0, 1.0):
+        with pytest.raises(ParameterError):
+            V.center(prob, w0, 1.0, 1e-12, gamma=gamma, cap=2)
 
 
 def test_longstep_single_center_when_mu_reached():

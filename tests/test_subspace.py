@@ -85,6 +85,17 @@ def test_rank_loss_in_operator_columns():
         S.scaled_projections(prob, J.identity(ORTH6))
 
 
+def test_rank_loss_more_columns_than_dimension():
+    # seven columns in a six-dimensional space are dependent whatever their values
+    rng = np.random.default_rng(18)
+    cols = tuple(random_element(ORTH6, rng) for _ in range(7))
+    form = S.OperatorForm(
+        columns=cols, B=np.zeros((0, 7)), b=np.zeros(7), c=J.identity(ORTH6), g=np.zeros(0)
+    )
+    with pytest.raises(IllConditionedBasisError):
+        S.scaled_projections(S.ConicProblem(ORTH6, form), J.identity(ORTH6))
+
+
 def test_newton_direction_scalar_closed_form():
     prob = scalar_problem(a=2.0)
     mu = 0.49
@@ -247,6 +258,10 @@ def test_mu_candidates_closed_form_matches_h_ub():
             + cone.rank
         ) / k
         assert closed == pytest.approx(nd.h_ub, rel=1e-9, abs=1e-9)
+        # the selected mu sits on the boundary h_ub = beta
+        mu_next = S.mu_candidates(nd.frame, mu, 100.0)
+        if mu_next < mu:
+            assert nd.frame.newton(mu_next).h_ub == pytest.approx(100.0, rel=1e-9)
         count += 1
 
 

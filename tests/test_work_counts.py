@@ -4,7 +4,8 @@ Each iterate is decomposed once (w^{1/2}, w^{-1/2} and the interior test
 share one ``eigh``) and each geodesic step takes one ``exp`` (one ``eigh``);
 the two ``eigvalsh`` calls per Newton step are ||d||_inf and ||d1 + d2||_inf.
 An operator-form Newton step applies ``quad_rep`` once per basis vector of
-L-perp (the projector pair) and once each for u_p and u_d.
+L-perp (the projector pair) and once each for u_p and u_d.  A frame projects
+once for g_w and once per ``newton(mu)``; ``mu_candidates`` reads g_w only.
 """
 
 import numpy as np
@@ -81,3 +82,18 @@ def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
     monkeypatch.setattr(J, "quad_rep", counted)
     S.ScaledFrame(op, J.identity(op.cone)).newton(0.7)
     assert len(calls) == dim_lperp + 2
+
+
+def test_one_projection_per_newton_call(problem, monkeypatch):
+    calls = []
+
+    def counted(self, z, _fn=S.ProjectorPair._split):
+        calls.append(1)
+        return _fn(self, z)
+
+    monkeypatch.setattr(S.ProjectorPair, "_split", counted)
+    frame = S.ScaledFrame(problem, J.identity(problem.cone))
+    frame.newton(0.7)
+    frame.newton(0.5)
+    S.mu_candidates(frame, 0.5, 100.0)
+    assert len(calls) == 3
