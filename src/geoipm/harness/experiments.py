@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ProblemFormatError("experiment config needs positive counts")
         if self.mu_ratio <= 1.0 or self.mu0 <= 0.0:
             raise ProblemFormatError("need mu_ratio > 1 and mu0 > 0")
+        # ParameterError on a bad short-step (beta, eps); neither check depends on the rank
+        solver.shortstep_params(self.short_beta, self.short_eps, 1)
         self.long_params()  # ParameterError on a bad (beta, alpha, eps, gamma)
 
     @classmethod

@@ -49,6 +49,7 @@ __all__ = [
     "metric_diag",
     "circ",
     "quad_rep",
+    "quad_rep_columns",
     "spectral",
     "spectral_map",
     "spectral_map_multi",
@@ -311,16 +312,18 @@ def _triu_cache(k: int):
 
 
 def _svec(mat: np.ndarray) -> np.ndarray:
-    iu, scale = _triu_cache(mat.shape[0])
-    return mat[iu] * scale
+    """Scaled upper triangle of a k x k matrix, or of each in a (..., k, k) stack."""
+    iu, scale = _triu_cache(mat.shape[-1])
+    return mat[..., iu[0], iu[1]] * scale
 
 
 def _smat(vec: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of ``_svec``: one matrix per vector in a (..., k(k+1)/2) stack."""
     iu, scale = _triu_cache(k)
-    mat = np.zeros((k, k))
+    mat = np.zeros(vec.shape[:-1] + (k, k))
     vals = vec / scale
-    mat[iu] = vals
-    mat[(iu[1], iu[0])] = vals
+    mat[..., iu[0], iu[1]] = vals
+    mat[..., iu[1], iu[0]] = vals
     return mat
 
 
@@ -363,28 +366,36 @@ def circ(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def quad_rep(w: AlgebraElement, z: AlgebraElement) -> AlgebraElement:
-    """Quadratic representation Q(w)z = 2 w o (w o z) - (w o w) o z.
+    """Quadratic representation Q(w)z = 2 w o (w o z) - (w o w) o z."""
+    _same_cone(w, z)
+    return _mk(w.cone, quad_rep_columns(w, z.coords[:, None])[:, 0])
+
+
+def quad_rep_columns(w: AlgebraElement, Z: np.ndarray) -> np.ndarray:
+    """Q(w) applied to every column of an N x m coordinate matrix, in one
+    pass over the blocks.
 
     Blockwise closed forms: w^2 * z (orthant), 2(w.z)w - det(w) Rz with
-    Rz = (z0, -z1) (second-order), and W Z W (PSD).
+    Rz = (z0, -z1) (second-order), and W Z W (PSD, one stacked product over
+    the m columns).
     """
-    _same_cone(w, z)
-    out = np.empty(w.cone.dim)
+    if Z.ndim != 2 or Z.shape[0] != w.cone.dim:
+        raise ValueError(f"expected an array with {w.cone.dim} rows, got shape {Z.shape}")
+    out = np.empty(Z.shape)
     for blk, a, b in w.cone.spans:
         wc = w.coords[a:b]
-        zc = z.coords[a:b]
+        zc = Z[a:b]
         if isinstance(blk, Orthant):
-            out[a:b] = wc * wc * zc
+            out[a:b] = (wc * wc)[:, None] * zc
         elif isinstance(blk, SecondOrder):
             det_w = wc[0] * wc[0] - wc[1:] @ wc[1:]
             s = 2.0 * (wc @ zc)
             out[a] = s * wc[0] - det_w * zc[0]
-            out[a + 1 : b] = s * wc[1:] + det_w * zc[1:]
+            out[a + 1 : b] = np.outer(wc[1:], s) + det_w * zc[1:]
         else:
             W = _smat(wc, blk.side)
-            Z = _smat(zc, blk.side)
-            out[a:b] = _svec(W @ Z @ W)
-    return _mk(w.cone, out)
+            out[a:b] = _svec(W @ _smat(zc.T, blk.side) @ W).T
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -268,8 +268,9 @@ class ScaledFrame:
 
     One spectral decomposition of w gives w^{1/2}, w^{-1/2} and the interior
     test.  The rest is built from them on first use: the projector pair for
-    L_w and L_w_perp (from the basis of L scaled by w^{-1/2} in basis form,
-    from the basis of L-perp scaled by w^{1/2} in operator form) and the
+    L_w and L_w_perp, from one ``jordan.quad_rep_columns`` call on the whole
+    spanning set (the basis of L scaled by w^{-1/2} in basis form, the basis
+    of L-perp scaled by w^{1/2} in operator form), and the
     vector ``g_w = P_{L_w_perp} u_p + P_{L_w} u_d`` of the scaled
     representatives u_p = Q(w^{-1/2}) x0 and u_d = Q(w^{1/2}) s0.
     ``newton(mu)`` needs g_w and one projection; ``mu_candidates`` needs
@@ -285,13 +286,12 @@ class ScaledFrame:
     def proj(self) -> ProjectorPair:
         problem = self.problem
         if problem.is_basis_form:
-            root, vecs = self.w_inv_half, problem.form.basis
+            root, span = self.w_inv_half, problem._basis_mc
         else:
-            raw = problem._lperp_mc
-            root, vecs = self.w_half, [problem._from_mc(raw[:, j]) for j in range(raw.shape[1])]
-        cols = [problem._mc(jordan.quad_rep(root, v)) for v in vecs]
-        mat = np.column_stack(cols) if cols else np.zeros((problem.cone.dim, 0))
-        return ProjectorPair(problem, _orthonormalize(mat), spans_lw=problem.is_basis_form)
+            root, span = self.w_half, problem._lperp_mc
+        # Q acts blockwise and the metric is one scalar per block, so Q keeps metric coordinates
+        scaled = jordan.quad_rep_columns(root, span)
+        return ProjectorPair(problem, _orthonormalize(scaled), spans_lw=problem.is_basis_form)
 
     @functools.cached_property
     def g_w(self) -> AlgebraElement:

@@ -130,6 +130,7 @@ def test_bench_fig4(tmp_path):
         ("fig4", "[1, 2]"),
         ("fig4", '{"gamma": 0, %s}' % small),
         ("fig3", '{"gamma": 1.5, %s}' % small),
+        ("fig3", '{"short_beta": 0.9, %s}' % small),
     ):
         bad_cfg.write_text(bad)
         rc = cli.solve_cli(

@@ -14,6 +14,7 @@ ORTH2 = J.ConeDescriptor((J.Orthant(2),))
 ORTH3 = J.ConeDescriptor((J.Orthant(3),))
 SOC3 = J.ConeDescriptor((J.SecondOrder(3),))
 PSD2 = J.ConeDescriptor((J.Psd(2),))
+PSD1 = J.ConeDescriptor((J.Psd(1),))
 
 
 def test_descriptor_rank_and_dim():
@@ -81,11 +82,28 @@ def test_quad_rep_examples():
 
 def test_quad_rep_matches_defining_formula():
     rng = np.random.default_rng(3)
-    for cone in FAMILIES.values():
-        w = random_element(cone, rng)
-        z = random_element(cone, rng)
-        via_def = 2.0 * J.circ(w, J.circ(w, z)) - J.circ(J.circ(w, w), z)
-        assert_elem_close(J.quad_rep(w, z), via_def, 1e-12, "Q(w)z definition")
+    cases = [(cone, random_element(cone, rng)) for cone in FAMILIES.values()]
+    # degenerate blocks: a second-order w with zero vector part, and psd(1)
+    cases.append((SOC3, J.element(SOC3, [1.7, 0.0, 0.0])))
+    cases.append((PSD1, J.element(PSD1, [-0.8])))
+    for cone, w in cases:
+        for m in (0, 1, 5):
+            Z = rng.standard_normal((cone.dim, m))
+            cols = J.quad_rep_columns(w, Z)
+            assert cols.shape == (cone.dim, m)
+            for j in range(m):
+                z = J.element(cone, Z[:, j])
+                via_def = 2.0 * J.circ(w, J.circ(w, z)) - J.circ(J.circ(w, w), z)
+                assert_elem_close(J.element(cone, cols[:, j]), via_def, 1e-12, "Q(w) on a column")
+                assert_elem_close(J.quad_rep(w, z), via_def, 1e-12, "Q(w)z definition")
+    # Q acts blockwise and the metric is one scalar per block, so Q maps
+    # metric coordinates to metric coordinates (ScaledFrame.proj relies on it)
+    root = np.sqrt(J.metric_diag(MIXED))
+    w = random_element(MIXED, rng)
+    Z = rng.standard_normal((MIXED.dim, 5))
+    via_elements = [J.quad_rep(w, J.element(MIXED, Z[:, j])).coords * root for j in range(5)]
+    via_kernel = J.quad_rep_columns(w, root[:, None] * Z)
+    assert np.allclose(via_kernel, np.column_stack(via_elements), rtol=0, atol=1e-12)
 
 
 def test_spectral_examples():

@@ -1,11 +1,13 @@
-"""Work per Newton step on a single psd block: eigensolver and quad_rep calls.
+"""Work per Newton step on a single psd block: eigensolver and Q(w) kernel calls.
 
 Each iterate is decomposed once (w^{1/2}, w^{-1/2} and the interior test
 share one ``eigh``) and each geodesic step takes one ``exp`` (one ``eigh``);
 the two ``eigvalsh`` calls per Newton step are ||d||_inf and ||d1 + d2||_inf.
-An operator-form Newton step applies ``quad_rep`` once per basis vector of
-L-perp (the projector pair) and once each for u_p and u_d.  A frame projects
-once for g_w and once per ``newton(mu)``; ``mu_candidates`` reads g_w only.
+A Newton step in either problem form applies the ``quad_rep_columns``
+kernel three times: once to the whole spanning set of L or L-perp (the
+projector pair) and, through ``quad_rep``, once each for u_p and u_d.  A
+frame projects once for g_w and once per ``newton(mu)``; ``mu_candidates``
+reads g_w only.
 """
 
 import numpy as np
@@ -71,17 +73,18 @@ def test_feasible_point_reuses_the_frame(problem, monkeypatch):
 
 
 def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
-    op = S.as_operator_form(problem)
-    dim_lperp = problem.cone.dim - problem.basis_dim
     calls = []
 
-    def counted(*args, _fn=J.quad_rep, **kwargs):
+    def counted(*args, _fn=J.quad_rep_columns, **kwargs):
         calls.append(1)
         return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(J, "quad_rep", counted)
-    S.ScaledFrame(op, J.identity(op.cone)).newton(0.7)
-    assert len(calls) == dim_lperp + 2
+    monkeypatch.setattr(J, "quad_rep_columns", counted)
+    for prob in (S.as_operator_form(problem), problem):
+        calls.clear()
+        S.ScaledFrame(prob, J.identity(prob.cone)).newton(0.7)
+        # one for the whole spanning set, one each (through quad_rep) for u_p and u_d
+        assert len(calls) == 3, prob.is_basis_form
 
 
 def test_one_projection_per_newton_call(problem, monkeypatch):
