@@ -33,37 +33,35 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GeodesicRay:
-    """A geodesic t |-> Q(base^{1/2}) exp(t direction) with cached sqrt."""
+    """A geodesic t |-> Q(base^{1/2}) exp(t direction) with cached sqrt; ``spectrum``
+    decomposes the direction once, so a point maps exp(t lambda) on it."""
 
     base: AlgebraElement
     direction: AlgebraElement
     base_half: AlgebraElement
+    spectrum: jordan.Spectrum
 
 
 def ray(base: AlgebraElement, direction: AlgebraElement) -> GeodesicRay:
     """Build a geodesic ray; the base point must be interior."""
     jordan._same_cone(base, direction)
-    if not jordan.is_interior(base):
-        raise DomainError("geodesic base point must lie in int K", eigenvalue=jordan.min_eigenvalue(base))
-    return GeodesicRay(base=base, direction=direction, base_half=jordan.sqrt(base))
+    (base_half,) = jordan.Spectrum(base).require_interior("geodesic base point must lie in int K").map(np.sqrt)
+    return GeodesicRay(base, direction, base_half, jordan.Spectrum(direction))
 
 
 def geodesic_point(r: GeodesicRay, t: float) -> AlgebraElement:
     """Point Q(w^{1/2}) exp(t d) on the ray; always interior."""
-    return jordan.quad_rep(r.base_half, jordan.exp(float(t) * r.direction))
-
-
-def _require_interior(z: AlgebraElement, what: str) -> None:
-    if not jordan.is_interior(z):
-        raise DomainError(f"{what} must lie in int K", eigenvalue=jordan.min_eigenvalue(z))
+    t = float(t)
+    (exp_td,) = r.spectrum.map(lambda lam: np.exp(t * lam))
+    return jordan.quad_rep(r.base_half, exp_td)
 
 
 def geodesic_distance(z0: AlgebraElement, z1: AlgebraElement) -> float:
     """Affine-invariant distance || log Q(z0^{-1/2}) z1 ||."""
     jordan._same_cone(z0, z1)
-    _require_interior(z0, "geodesic_distance argument")
-    _require_interior(z1, "geodesic_distance argument")
-    z0_inv_half = jordan.spectral_map(z0, lambda lam: lam ** -0.5)
+    what = "geodesic_distance argument must lie in int K"
+    (z0_inv_half,) = jordan.Spectrum(z0).require_interior(what).map(lambda lam: lam ** -0.5)
+    jordan.Spectrum(z1).require_interior(what)
     lam = jordan.eigenvalues(jordan.quad_rep(z0_inv_half, z1))
     if lam.min() <= 0.0:
         raise DomainError("scaled point left the cone interior", eigenvalue=float(lam.min()))
@@ -88,10 +86,9 @@ def q_inv(t: float) -> float:
 def divergence(z0: AlgebraElement, z1: AlgebraElement) -> float:
     """Symmetrized divergence <z0, z1^{-1}> + <z0^{-1}, z1> - 2n."""
     jordan._same_cone(z0, z1)
-    _require_interior(z0, "divergence argument")
-    _require_interior(z1, "divergence argument")
-    n = z0.cone.rank
-    return jordan.inner(z0, jordan.inverse(z1)) + jordan.inner(jordan.inverse(z0), z1) - 2.0 * n
+    what = "divergence argument must lie in int K"
+    z0_inv, z1_inv = (jordan.Spectrum(z).require_interior(what).map(lambda lam: 1.0 / lam)[0] for z in (z0, z1))
+    return jordan.inner(z0, z1_inv) + jordan.inner(z0_inv, z1) - 2.0 * z0.cone.rank
 
 
 def divergence_profile(r: GeodesicRay, t: float, z_ref: AlgebraElement) -> float:

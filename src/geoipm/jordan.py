@@ -37,6 +37,7 @@ __all__ = [
     "ConeDescriptor",
     "AlgebraElement",
     "SpectralDecomposition",
+    "Spectrum",
     "ConeAutomorphism",
     "OrthantMap",
     "SecondOrderMap",
@@ -411,12 +412,69 @@ class SpectralDecomposition:
     frame: tuple
 
 
+class Spectrum:
+    """One decomposition of x, read by every domain test and spectral map of x.
+
+    ``blocks`` holds per block (block, start, stop, eigenvalues, data): the
+    eigenvector matrix (PSD), the unit axis of the vector part (second-order)
+    or None (orthant).  ``eigenvalues`` concatenates them blockwise.
+    """
+
+    def __init__(self, x: AlgebraElement):
+        self.cone = x.cone
+        self.blocks = []
+        for blk, a, b in x.cone.spans:
+            c = x.coords[a:b]
+            if isinstance(blk, Orthant):
+                self.blocks.append((blk, a, b, c, None))
+            elif isinstance(blk, SecondOrder):
+                r = float(np.linalg.norm(c[1:]))
+                # eigenvalues coincide when the vector part vanishes; any unit axis is a valid
+                # frame direction, so fix the first coordinate axis deterministically
+                axis = c[1:] / r if r > 0.0 else np.eye(c.shape[0] - 1)[0]
+                self.blocks.append((blk, a, b, np.array([c[0] + r, c[0] - r]), axis))
+            else:
+                lam, vecs = _eigh(_smat(c, blk.side))
+                self.blocks.append((blk, a, b, lam, vecs))
+        self.eigenvalues = np.concatenate([lam for _, _, _, lam, _ in self.blocks])
+
+    def map(self, *fns) -> tuple:
+        """sum_i f(lambda_i) e_i for each f in ``fns``; f takes an eigenvalue ndarray."""
+        outs = [np.empty(self.cone.dim) for _ in fns]
+        for blk, a, b, lam, data in self.blocks:
+            for fn, out in zip(fns, outs):
+                fv = np.asarray(fn(lam), dtype=float)
+                if isinstance(blk, Orthant):
+                    out[a:b] = fv
+                elif isinstance(blk, SecondOrder):
+                    fp, fm = fv
+                    out[a] = 0.5 * (fp + fm)
+                    out[a + 1 : b] = 0.5 * (fp - fm) * data
+                else:
+                    out[a:b] = _svec((data * fv) @ data.T)
+        return tuple(_mk(self.cone, out) for out in outs)
+
+    def require_interior(self, message: str) -> "Spectrum":
+        """This spectrum if it passes the interior test, else DomainError."""
+        if not _interior_spectrum(self.eigenvalues):
+            raise DomainError(message, eigenvalue=float(self.eigenvalues.min()))
+        return self
+
+    def require_domain(self, name: str, lower_open: bool) -> "Spectrum":
+        """This spectrum if all eigenvalues are > 0 (``lower_open``) or >= 0, else DomainError."""
+        lam = self.eigenvalues
+        bad = lam <= 0.0 if lower_open else lam < 0.0
+        if bad.any():
+            raise DomainError(f"{name} undefined for this element", eigenvalue=float(lam[bad][0]))
+        return self
+
+
 def spectral(x: AlgebraElement) -> SpectralDecomposition:
     """Full spectral decomposition x = sum_i lambda_i e_i."""
     cone = x.cone
     vals = []
     frame = []
-    for blk, a, b, lam, data in _block_spectra(x):
+    for blk, a, b, lam, data in Spectrum(x).blocks:
         for j, val in enumerate(lam):
             vals.append(val)
             f = np.zeros(cone.dim)
@@ -430,17 +488,6 @@ def spectral(x: AlgebraElement) -> SpectralDecomposition:
                 f[a:b] = _svec(np.outer(data[:, j], data[:, j]))
             frame.append(_mk(cone, f))
     return SpectralDecomposition(np.array(vals), tuple(frame))
-
-
-def _soc_axis(c: np.ndarray) -> np.ndarray:
-    # eigenvalues coincide when the vector part vanishes; any unit axis is a
-    # valid frame direction, so fix the first coordinate axis deterministically
-    r = np.linalg.norm(c[1:])
-    if r == 0.0:
-        u = np.zeros(c.shape[0] - 1)
-        u[0] = 1.0
-        return u
-    return c[1:] / r
 
 
 def eigenvalues(x: AlgebraElement) -> np.ndarray:
@@ -482,7 +529,7 @@ def spectral_map(x: AlgebraElement, fn: Callable[[np.ndarray], np.ndarray]) -> A
 
 def spectral_map_multi(x: AlgebraElement, fns) -> tuple:
     """Apply several scalar functions from a single decomposition of x."""
-    return _map_spectra(x.cone, _block_spectra(x), fns)
+    return Spectrum(x).map(*fns)
 
 
 def interior_roots(w: AlgebraElement) -> tuple:
@@ -490,52 +537,8 @@ def interior_roots(w: AlgebraElement) -> tuple:
 
     The interior test reads the eigenvalues of that same decomposition.
     """
-    spectra = _block_spectra(w)
-    lam = np.concatenate([lam for _, _, _, lam, _ in spectra])
-    if not _interior_spectrum(lam):
-        raise DomainError("scaling point must be interior", eigenvalue=float(lam.min()))
-    return _map_spectra(w.cone, spectra, (np.sqrt, lambda lam: lam ** -0.5))
-
-
-def _block_spectra(x: AlgebraElement) -> list:
-    """Per block (block, start, stop, eigenvalues, data): the data is the
-    eigenvector matrix (PSD), the unit axis of the vector part (second-order)
-    or None (orthant)."""
-    out = []
-    for blk, a, b in x.cone.spans:
-        c = x.coords[a:b]
-        if isinstance(blk, Orthant):
-            out.append((blk, a, b, c, None))
-        elif isinstance(blk, SecondOrder):
-            r = float(np.linalg.norm(c[1:]))
-            out.append((blk, a, b, np.array([c[0] + r, c[0] - r]), _soc_axis(c)))
-        else:
-            lam, vecs = _eigh(_smat(c, blk.side))
-            out.append((blk, a, b, lam, vecs))
-    return out
-
-
-def _map_spectra(cone: ConeDescriptor, spectra: list, fns) -> tuple:
-    outs = [np.empty(cone.dim) for _ in fns]
-    for blk, a, b, lam, data in spectra:
-        for fn, out in zip(fns, outs):
-            fv = np.asarray(fn(lam), dtype=float)
-            if isinstance(blk, Orthant):
-                out[a:b] = fv
-            elif isinstance(blk, SecondOrder):
-                fp, fm = fv
-                out[a] = 0.5 * (fp + fm)
-                out[a + 1 : b] = 0.5 * (fp - fm) * data
-            else:
-                out[a:b] = _svec((data * fv) @ data.T)
-    return tuple(_mk(cone, out) for out in outs)
-
-
-def _domain_check(x: AlgebraElement, lower_open: bool, name: str) -> None:
-    lam = eigenvalues(x)
-    bad = lam <= 0.0 if lower_open else lam < 0.0
-    if bad.any():
-        raise DomainError(f"{name} undefined for this element", eigenvalue=float(lam[bad][0]))
+    spec = Spectrum(w).require_interior("scaling point must be interior")
+    return spec.map(np.sqrt, lambda lam: lam ** -0.5)
 
 
 def exp(x: AlgebraElement) -> AlgebraElement:
@@ -545,27 +548,25 @@ def exp(x: AlgebraElement) -> AlgebraElement:
 
 def log(x: AlgebraElement) -> AlgebraElement:
     """Logarithm; requires x in int K."""
-    _domain_check(x, lower_open=True, name="log")
-    return spectral_map(x, np.log)
+    return Spectrum(x).require_domain("log", lower_open=True).map(np.log)[0]
 
 
 def sqrt(x: AlgebraElement) -> AlgebraElement:
     """Square root; requires x in K."""
-    _domain_check(x, lower_open=False, name="sqrt")
-    return spectral_map(x, np.sqrt)
+    return Spectrum(x).require_domain("sqrt", lower_open=False).map(np.sqrt)[0]
 
 
 def inverse(x: AlgebraElement) -> AlgebraElement:
     """Inverse; requires x in int K."""
-    _domain_check(x, lower_open=True, name="inverse")
-    return spectral_map(x, lambda lam: 1.0 / lam)
+    return Spectrum(x).require_domain("inverse", lower_open=True).map(lambda lam: 1.0 / lam)[0]
 
 
 def power(x: AlgebraElement, m: int) -> AlgebraElement:
     """Integer power x^m (negative m requires x in int K)."""
+    spec = Spectrum(x)
     if m < 0:
-        _domain_check(x, lower_open=True, name="power")
-    return spectral_map(x, lambda lam: lam ** float(m))
+        spec.require_domain("power", lower_open=True)
+    return spec.map(lambda lam: lam ** float(m))[0]
 
 
 # --------------------------------------------------------------------------

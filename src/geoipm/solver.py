@@ -51,6 +51,10 @@ NUMERICAL_FAILURE = "numerical-failure"
 DEFAULT_CENTER_CAP = 10_000
 DEFAULT_OUTER_CAP = 1_000
 
+# tolerance on h_ub and step fraction of the centering oracle
+ORACLE_EPS = 1e-12
+ORACLE_GAMMA = 0.5
+
 
 @dataclass(frozen=True)
 class ShortStepParams:
@@ -190,9 +194,8 @@ def shortstep(
         outer += 1
         for _ in range(params.m):
             tic = time.perf_counter()
-            frame = subspace.ScaledFrame(problem, w)
-            nd = frame.newton(mu)
-            w = _geodesic_step(frame, nd.d, 1.0)
+            nd = subspace.ScaledFrame(problem, w).newton(mu)
+            w = _geodesic_step(nd, 1.0)
             trace.records.append(_step_record(outer, mu, nd, 1.0, tic))
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=w))
     trace.status = CONVERGED
@@ -213,9 +216,10 @@ def _step_record(outer: int, mu: float, nd: subspace.NewtonData, step: float, ti
     )
 
 
-def _geodesic_step(frame: subspace.ScaledFrame, d: AlgebraElement, t: float) -> AlgebraElement:
-    """Q(w^{1/2}) exp(t d), with w^{1/2} taken from the frame of w."""
-    return geometry.geodesic_point(geometry.GeodesicRay(frame.w, d, frame.w_half), t)
+def _geodesic_step(nd: subspace.NewtonData, t: float) -> AlgebraElement:
+    """Q(w^{1/2}) exp(t d) from the frame of w and the spectrum of d: no decomposition."""
+    frame = nd.frame
+    return geometry.geodesic_point(geometry.GeodesicRay(frame.w, nd.d, frame.w_half, nd.d_spectrum), t)
 
 
 def center(
@@ -264,7 +268,7 @@ def _center(
                 iterate=IterateState(w=frame.w, mu=mu),
             )
         t = gamma * nd.t_max
-        frame = subspace.ScaledFrame(frame.problem, _geodesic_step(frame, nd.d, t))
+        frame = subspace.ScaledFrame(frame.problem, _geodesic_step(nd, t))
         steps += 1
         trace.records.append(_step_record(outer, mu, nd, t, tic))
 
@@ -316,19 +320,17 @@ def oracle_center(
     problem: ConicProblem,
     mu: float,
     warm: AlgebraElement | None = None,
-    eps: float = 1e-12,
-    gamma: float = 0.5,
     cap: int = 20_000,
 ) -> AlgebraElement:
     """High-accuracy centered point (test oracle for the central path).
 
-    Runs ``center`` from the identity (or a warm start) at a tight
-    tolerance; sqrt(mu) * w and sqrt(mu) * w^{-1} approximate the
-    central-path pair at mu.
+    Runs ``center`` from the identity (or a warm start) to
+    h_ub <= ``ORACLE_EPS``; sqrt(mu) * w and sqrt(mu) * w^{-1} approximate
+    the central-path pair at mu.
     """
     start = warm if warm is not None else jordan.identity(problem.cone)
     try:
-        w, _ = center(problem, start, mu, eps, gamma=gamma, cap=cap)
+        w, _ = center(problem, start, mu, ORACLE_EPS, gamma=ORACLE_GAMMA, cap=cap)
     except IterationLimitError as exc:
         raise OracleFailureError(f"centering oracle failed at mu={mu:g}: {exc}") from exc
     return w

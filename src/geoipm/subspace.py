@@ -160,13 +160,6 @@ class ConicProblem:
         return np.column_stack([self._mc(l) for l in f.basis])
 
     @functools.cached_property
-    def basis_dim(self) -> int:
-        """dim L."""
-        if self.is_basis_form:
-            return len(self.form.basis)
-        return self.cone.dim - self._lperp_mc.shape[1]
-
-    @functools.cached_property
     def _columns_mc(self) -> np.ndarray:
         """Metric coordinates of the operator columns, N x m."""
         f = self.form
@@ -308,7 +301,9 @@ class ScaledFrame:
         and ``d = d1 - d2``, the reflection of s across L_w_perp; also
         ``||d1 + d2||_inf = ||s||_inf``.  These equal
         ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
-        ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``, for both problem forms.
+        ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``, for both problem forms.  One
+        ``eigh`` of d gives ||d||_inf and the spectrum the geodesic step
+        maps exp(t lambda) on; ||s||_inf takes one ``eigvalsh``.
         """
         mu = float(mu)
         if mu <= 0.0:
@@ -317,13 +312,15 @@ class ScaledFrame:
         d2 = self.proj.onto_lw(s)
         d1 = s - d2
         d = d1 - d2
+        d_spectrum = jordan.Spectrum(d)
         norm_d = jordan.norm2(d)
-        norm_d_inf = jordan.norm_inf(d)
+        norm_d_inf = float(np.abs(d_spectrum.eigenvalues).max())
         sum_inf = jordan.norm_inf(s)
         h_lb = norm_d ** 2 / (1.0 + sum_inf)
         h_ub = norm_d ** 2 / (1.0 - sum_inf) if sum_inf < 1.0 else math.inf
         return NewtonData(
             d=d,
+            d_spectrum=d_spectrum,
             d1=d1,
             d2=d2,
             norm_d=norm_d,
@@ -346,13 +343,15 @@ class NewtonData:
     """Newton direction with its orthogonal summands and derived bounds.
 
     ``d = d1 - d2`` with d1 in L_w_perp and d2 in L_w, the reflection of
-    ``d1 + d2 = g_w/sqrt(mu) - e`` across L_w_perp; ``sum_inf`` is
-    ||d1 + d2||_inf; ``h_lb``/``h_ub`` bound the divergence to the centered
+    ``d1 + d2 = g_w/sqrt(mu) - e`` across L_w_perp; ``d_spectrum``, the one
+    decomposition of d, gives ``norm_d_inf`` and the geodesic step; ``sum_inf``
+    is ||d1 + d2||_inf; ``h_lb``/``h_ub`` bound the divergence to the centered
     point (h_ub may be +inf); ``t_max`` bounds the guaranteed-descent step;
     ``frame`` is the scaled frame of w the data was built from.
     """
 
     d: AlgebraElement
+    d_spectrum: jordan.Spectrum
     d1: AlgebraElement
     d2: AlgebraElement
     norm_d: float

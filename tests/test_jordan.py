@@ -190,6 +190,19 @@ def test_spectral_map_domain_errors():
     J.sqrt(y)
     with pytest.raises(DomainError):
         J.log(y)
+    # rank-deficient psd(5): the smallest eigenvalue is zero up to rounding, of
+    # either sign; the domain test and the map must read the same one
+    psd5 = J.ConeDescriptor((J.Psd(5),))
+    tiny = 1e-17 * J.identity(psd5)
+    for seed in range(200):
+        v = np.random.default_rng(seed).standard_normal((5, 4))
+        x = J.from_blocks(psd5, [v @ v.T])
+        for fn, arg in ((J.sqrt, x), (J.log, x + tiny), (J.inverse, x + tiny)):
+            try:
+                out = fn(arg)
+            except DomainError:
+                continue
+            assert np.isfinite(out.coords).all(), (fn.__name__, seed)
 
 
 def test_norms_examples():

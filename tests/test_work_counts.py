@@ -1,8 +1,12 @@
 """Work per Newton step on a single psd block: eigensolver and Q(w) kernel calls.
 
-Each iterate is decomposed once (w^{1/2}, w^{-1/2} and the interior test
-share one ``eigh``) and each geodesic step takes one ``exp`` (one ``eigh``);
-the two ``eigvalsh`` calls per Newton step are ||d||_inf and ||d1 + d2||_inf.
+Each element is decomposed once per use.  Each iterate takes one ``eigh``
+(w^{1/2}, w^{-1/2} and the interior test share it), and each Newton call
+takes one ``eigh`` of d, which gives ||d||_inf and the spectrum the geodesic
+step maps exp(t lambda) on, and one ``eigvalsh`` for ||d1 + d2||_inf.  A
+geodesic ray decomposes its base and its direction once each, and its points
+decompose nothing; the divergence decomposes each argument once; a checked
+map such as ``sqrt`` tests the eigenvalues of the ``eigh`` it maps.
 A Newton step in either problem form applies the ``quad_rep_columns``
 kernel three times: once to the whole spanning set of L or L-perp (the
 projector pair) and, through ``quad_rep``, once each for u_p and u_d.  A
@@ -13,11 +17,12 @@ reads g_w only.
 import numpy as np
 import pytest
 
+from geoipm import geometry as G
 from geoipm import jordan as J
 from geoipm import solver as V
 from geoipm import subspace as S
 
-from util import PSD6, random_basis_problem
+from util import PSD6, random_basis_problem, random_element, random_interior
 
 MU0 = 1.0
 MU_F = MU0 / 1024.0
@@ -43,7 +48,7 @@ def problem():
     return random_basis_problem(PSD6, 3, np.random.default_rng(17))
 
 
-def test_shortstep_two_eigh_two_eigvalsh_per_step(problem, monkeypatch):
+def test_shortstep_two_eigh_one_eigvalsh_per_step(problem, monkeypatch):
     w0 = V.oracle_center(problem, MU0)
     params = V.shortstep_params(0.5, 1e-4, problem.cone.rank)
     (_, trace), calls = _counted(
@@ -51,15 +56,38 @@ def test_shortstep_two_eigh_two_eigvalsh_per_step(problem, monkeypatch):
     )
     steps = trace.newton_steps
     assert steps > 0
-    assert calls == {"eigh": 2 * steps, "eigvalsh": 2 * steps}
+    assert calls == {"eigh": 2 * steps, "eigvalsh": steps}
 
 
 def test_longstep_one_decomposition_per_iterate(problem, monkeypatch):
     (_, trace), calls = _counted(
         monkeypatch, lambda: V.longstep(problem, J.identity(problem.cone), MU0, MU_F)
     )
-    # one decomposition per iterate (the start and each step's result) plus one exp per step
-    assert calls["eigh"] == 2 * trace.newton_steps + 1
+    steps = trace.newton_steps
+    # every centering pass ends with a Newton call that takes no step, and
+    # each pass but the last is followed by one mu_candidates call
+    passes = len(trace.snapshots)
+    newton_calls = steps + passes
+    # one eigh per iterate (the start and each step's result) and per Newton
+    # call; eigvalsh for ||s||_inf and in mu_candidates (44 and 34 here)
+    assert calls["eigh"] == (steps + 1) + newton_calls
+    assert calls["eigvalsh"] == newton_calls + (passes - 1)
+
+
+def test_geometry_and_checked_maps_decompose_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    w, z = random_interior(PSD6, rng), random_interior(PSD6, rng)
+    d = random_element(PSD6, rng)
+
+    def ray_and_two_points():
+        r = G.ray(w, d)
+        return G.geodesic_point(r, 0.5), G.geodesic_point(r, -1.0)
+
+    for run in (ray_and_two_points, lambda: G.divergence(w, z)):
+        _, calls = _counted(monkeypatch, run)
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+    _, calls = _counted(monkeypatch, lambda: J.sqrt(w))
+    assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 def test_feasible_point_reuses_the_frame(problem, monkeypatch):
