@@ -35,7 +35,6 @@ from .jordan import (
     Orthant,
     Psd,
     SecondOrder,
-    SpectralDecomposition,
     apply_automorphism,
     circ,
     element,

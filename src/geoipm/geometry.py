@@ -36,8 +36,6 @@ class GeodesicRay:
     """A geodesic t |-> Q(base^{1/2}) exp(t direction) with cached sqrt; ``spectrum``
     decomposes the direction once, so a point maps exp(t lambda) on it."""
 
-    base: AlgebraElement
-    direction: AlgebraElement
     base_half: AlgebraElement
     spectrum: jordan.Spectrum
 
@@ -46,7 +44,7 @@ def ray(base: AlgebraElement, direction: AlgebraElement) -> GeodesicRay:
     """Build a geodesic ray; the base point must be interior."""
     jordan._same_cone(base, direction)
     (base_half,) = jordan.Spectrum(base).require_interior("geodesic base point must lie in int K").map(np.sqrt)
-    return GeodesicRay(base, direction, base_half, jordan.Spectrum(direction))
+    return GeodesicRay(base_half, jordan.Spectrum(direction))
 
 
 def geodesic_point(r: GeodesicRay, t: float) -> AlgebraElement:

@@ -9,6 +9,7 @@ error, 4 numerical failure; one-line diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,7 +32,8 @@ EXIT_ITERATION_CAP = 2
 EXIT_PARSE = 3
 EXIT_NUMERICAL = 4
 
-TRACE_HEADER = "outer,mu,h_ub,h_lb,norm_d,norm_d_inf,step,elapsed"
+# one CSV column per StepRecord field, in declaration order
+TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(solver.StepRecord))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write the extracted feasible (x, s) when available")
     p_solve.add_argument("--seed", type=int, default=None,
                          help="randomize the initial point (default: identity)")
-    p_solve.add_argument("--precenter", action=argparse.BooleanOptionalAction, default=None,
-                         help="center at mu0 before tracking (default: on for --algo short, "
-                              "whose step-count guarantee assumes a centered start)")
 
     p_bench = sub.add_parser("bench", help="run an experiment driver")
     p_bench.add_argument("--experiment", choices=("fig3", "fig4"), required=True)
@@ -90,11 +89,9 @@ def _initial_point(problem, seed):
 
 
 def _write_trace(path: Path, trace: solver.SolverTrace) -> None:
-    lines = [TRACE_HEADER]
+    lines = [",".join(TRACE_FIELDS)]
     for r in trace.records:
-        lines.append(
-            f"{r.outer},{r.mu!r},{r.h_ub!r},{r.h_lb!r},{r.norm_d!r},{r.norm_d_inf!r},{r.step!r},{r.elapsed!r}"
-        )
+        lines.append(",".join(repr(getattr(r, name)) for name in TRACE_FIELDS))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -108,8 +105,9 @@ def _cmd_solve(args) -> int:
     if args.algo == "short":
         beta = args.beta if args.beta is not None else 0.5
         params = solver.shortstep_params(beta, args.eps, problem.cone.rank)
-        precenter = args.precenter if args.precenter is not None else True
-        state, trace = solver.shortstep(problem, w0, mu0, mu_f, params, precenter=precenter)
+        # the step-count guarantee assumes a centered start
+        w0 = solver.oracle_center(problem, mu0, warm=w0)
+        state, trace = solver.shortstep(problem, w0, mu0, mu_f, params)
     else:
         beta = args.beta if args.beta is not None else 100.0
         params = solver.LongStepParams(

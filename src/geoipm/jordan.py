@@ -36,7 +36,6 @@ __all__ = [
     "BlockKind",
     "ConeDescriptor",
     "AlgebraElement",
-    "SpectralDecomposition",
     "Spectrum",
     "ConeAutomorphism",
     "OrthantMap",
@@ -404,20 +403,14 @@ def quad_rep_columns(w: AlgebraElement, Z: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigenvalues with an orthonormal frame of primitive idempotents."""
-
-    eigenvalues: np.ndarray
-    frame: tuple
-
-
 class Spectrum:
-    """One decomposition of x, read by every domain test and spectral map of x.
+    """One decomposition of x = sum_i lambda_i e_i, read by every domain test
+    and spectral map of x.
 
     ``blocks`` holds per block (block, start, stop, eigenvalues, data): the
     eigenvector matrix (PSD), the unit axis of the vector part (second-order)
-    or None (orthant).  ``eigenvalues`` concatenates them blockwise.
+    or None (orthant).  ``eigenvalues`` concatenates them blockwise; ``frame``,
+    built on first read, holds the primitive idempotents e_i in that order.
     """
 
     def __init__(self, x: AlgebraElement):
@@ -437,6 +430,23 @@ class Spectrum:
                 lam, vecs = _eigh(_smat(c, blk.side))
                 self.blocks.append((blk, a, b, lam, vecs))
         self.eigenvalues = np.concatenate([lam for _, _, _, lam, _ in self.blocks])
+
+    @functools.cached_property
+    def frame(self) -> tuple:
+        """The primitive idempotents e_i, in ``eigenvalues`` order."""
+        frame = []
+        for blk, a, b, lam, data in self.blocks:
+            for j in range(lam.shape[0]):
+                f = np.zeros(self.cone.dim)
+                if isinstance(blk, Orthant):
+                    f[a + j] = 1.0
+                elif isinstance(blk, SecondOrder):
+                    f[a] = 0.5
+                    f[a + 1 : b] = (0.5 if j == 0 else -0.5) * data
+                else:
+                    f[a:b] = _svec(np.outer(data[:, j], data[:, j]))
+                frame.append(_mk(self.cone, f))
+        return tuple(frame)
 
     def map(self, *fns) -> tuple:
         """sum_i f(lambda_i) e_i for each f in ``fns``; f takes an eigenvalue ndarray."""
@@ -469,25 +479,9 @@ class Spectrum:
         return self
 
 
-def spectral(x: AlgebraElement) -> SpectralDecomposition:
+def spectral(x: AlgebraElement) -> Spectrum:
     """Full spectral decomposition x = sum_i lambda_i e_i."""
-    cone = x.cone
-    vals = []
-    frame = []
-    for blk, a, b, lam, data in Spectrum(x).blocks:
-        for j, val in enumerate(lam):
-            vals.append(val)
-            f = np.zeros(cone.dim)
-            if isinstance(blk, Orthant):
-                f[a + j] = 1.0
-            elif isinstance(blk, SecondOrder):
-                sign = 1.0 if j == 0 else -1.0
-                f[a] = 0.5
-                f[a + 1 : b] = 0.5 * sign * data
-            else:
-                f[a:b] = _svec(np.outer(data[:, j], data[:, j]))
-            frame.append(_mk(cone, f))
-    return SpectralDecomposition(np.array(vals), tuple(frame))
+    return Spectrum(x)
 
 
 def eigenvalues(x: AlgebraElement) -> np.ndarray:

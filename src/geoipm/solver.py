@@ -176,16 +176,15 @@ def shortstep(
     mu0: float,
     mu_f: float,
     params: ShortStepParams,
-    precenter: bool = False,
 ) -> tuple:
     """Short-step tracker: divide mu by k, then take m full Newton steps.
 
     The step-count guarantee assumes w0 is (near) the centered point at
-    mu0; pass ``precenter=True`` to enforce that with the centering oracle.
+    mu0, e.g. the ``oracle_center`` of mu0.
     """
     if mu0 <= 0.0 or mu_f <= 0.0:
         raise ParameterError("mu values must be positive")
-    w = oracle_center(problem, mu0, warm=w0) if precenter else w0
+    w = w0
     trace = SolverTrace()
     mu = float(mu0)
     outer = 0
@@ -217,9 +216,8 @@ def _step_record(outer: int, mu: float, nd: subspace.NewtonData, step: float, ti
 
 
 def _geodesic_step(nd: subspace.NewtonData, t: float) -> AlgebraElement:
-    """Q(w^{1/2}) exp(t d) from the frame of w and the spectrum of d: no decomposition."""
-    frame = nd.frame
-    return geometry.geodesic_point(geometry.GeodesicRay(frame.w, nd.d, frame.w_half, nd.d_spectrum), t)
+    """Q(w^{1/2}) exp(t d) from the frame of w and the cached spectrum of d."""
+    return geometry.geodesic_point(geometry.GeodesicRay(nd.frame.w_half, nd.d_spectrum), t)
 
 
 def center(

@@ -12,7 +12,7 @@ Both forms reduce to representatives (x0, s0) and a spanning set of L
 (basis form) or L-perp (operator form, the image of ker B under A).  For an
 interior scaling point w the relevant subspaces are
 ``L_w = Q(w^{-1/2}) L`` and ``L_w_perp = Q(w^{1/2}) L-perp``.  The Newton
-data at (w, mu) need one mu-free vector g_w and the projector pair: with
+data at (w, mu) need one mu-free vector g_w and the projections onto them: with
 ``s = g_w/sqrt(mu) - e`` the Newton direction d is the reflection of s
 across L_w_perp, split orthogonally as d = d1 - d2 across the two
 subspaces.  This yields computable divergence bounds (h_lb, h_ub), a
@@ -42,7 +42,6 @@ __all__ = [
     "BasisForm",
     "OperatorForm",
     "ConicProblem",
-    "ProjectorPair",
     "ScaledFrame",
     "NewtonData",
     "scaled_projections",
@@ -234,40 +233,18 @@ def _orthonormalize(cols: np.ndarray) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectorPair:
-    """Orthogonal projectors onto L_w and its complement (they sum to identity)."""
-
-    problem: ConicProblem
-    basis: np.ndarray  # orthonormal columns in metric coordinates
-    spans_lw: bool  # whether ``basis`` spans L_w (else it spans L_w_perp)
-
-    def _split(self, z: AlgebraElement):
-        zm = self.problem._mc(z)
-        inside = self.basis @ (self.basis.T @ zm)
-        return inside, zm - inside
-
-    def onto_lw(self, z: AlgebraElement) -> AlgebraElement:
-        inside, rest = self._split(z)
-        return self.problem._from_mc(inside if self.spans_lw else rest)
-
-    def onto_lw_perp(self, z: AlgebraElement) -> AlgebraElement:
-        inside, rest = self._split(z)
-        return self.problem._from_mc(rest if self.spans_lw else inside)
-
-
 class ScaledFrame:
     """Everything at one interior scaling point w that does not depend on mu.
 
     One spectral decomposition of w gives w^{1/2}, w^{-1/2} and the interior
-    test.  The rest is built from them on first use: the projector pair for
-    L_w and L_w_perp, from one ``jordan.quad_rep_columns`` call on the whole
-    spanning set (the basis of L scaled by w^{-1/2} in basis form, the basis
-    of L-perp scaled by w^{1/2} in operator form), and the
-    vector ``g_w = P_{L_w_perp} u_p + P_{L_w} u_d`` of the scaled
-    representatives u_p = Q(w^{-1/2}) x0 and u_d = Q(w^{1/2}) s0.
-    ``newton(mu)`` needs g_w and one projection; ``mu_candidates`` needs
-    g_w only.
+    test.  The rest is built from them on first use: ``basis``, an
+    orthonormal basis of L_w (basis form) or L_w_perp (operator form) from
+    one ``jordan.quad_rep_columns`` call on the whole spanning set (the basis
+    of L scaled by w^{-1/2}, or of L-perp scaled by w^{1/2}), which gives the
+    orthogonal projections ``onto_lw`` and ``onto_lw_perp``; and the vector
+    ``g_w = P_{L_w_perp} u_p + P_{L_w} u_d`` of the scaled representatives
+    u_p = Q(w^{-1/2}) x0 and u_d = Q(w^{1/2}) s0.  ``newton(mu)`` needs g_w
+    and one projection; ``mu_candidates`` needs g_w only.
     """
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
@@ -276,15 +253,31 @@ class ScaledFrame:
         self.w_half, self.w_inv_half = jordan.interior_roots(w)
 
     @functools.cached_property
-    def proj(self) -> ProjectorPair:
+    def basis(self) -> np.ndarray:
+        """Orthonormal columns in metric coordinates spanning L_w (basis form)
+        or L_w_perp (operator form); rank loss raises."""
         problem = self.problem
         if problem.is_basis_form:
             root, span = self.w_inv_half, problem._basis_mc
         else:
             root, span = self.w_half, problem._lperp_mc
         # Q acts blockwise and the metric is one scalar per block, so Q keeps metric coordinates
-        scaled = jordan.quad_rep_columns(root, span)
-        return ProjectorPair(problem, _orthonormalize(scaled), spans_lw=problem.is_basis_form)
+        return _orthonormalize(jordan.quad_rep_columns(root, span))
+
+    def _split(self, z: AlgebraElement) -> tuple:
+        """Metric coordinates of (P_{L_w} z, P_{L_w_perp} z)."""
+        zm = self.problem._mc(z)
+        inside = self.basis @ (self.basis.T @ zm)
+        rest = zm - inside
+        return (inside, rest) if self.problem.is_basis_form else (rest, inside)
+
+    def onto_lw(self, z: AlgebraElement) -> AlgebraElement:
+        """Orthogonal projection onto L_w."""
+        return self.problem._from_mc(self._split(z)[0])
+
+    def onto_lw_perp(self, z: AlgebraElement) -> AlgebraElement:
+        """Orthogonal projection onto L_w_perp."""
+        return self.problem._from_mc(self._split(z)[1])
 
     @functools.cached_property
     def g_w(self) -> AlgebraElement:
@@ -292,7 +285,7 @@ class ScaledFrame:
         x0, s0 = self.problem._representatives
         u_p = jordan.quad_rep(self.w_inv_half, x0)
         u_d = jordan.quad_rep(self.w_half, s0)
-        return u_p + self.proj.onto_lw(u_d - u_p)
+        return u_p + self.onto_lw(u_d - u_p)
 
     def newton(self, mu: float) -> "NewtonData":
         """Newton direction at (w, mu) with bounds, from one projection.
@@ -301,41 +294,32 @@ class ScaledFrame:
         and ``d = d1 - d2``, the reflection of s across L_w_perp; also
         ``||d1 + d2||_inf = ||s||_inf``.  These equal
         ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
-        ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``, for both problem forms.  One
-        ``eigh`` of d gives ||d||_inf and the spectrum the geodesic step
-        maps exp(t lambda) on; ||s||_inf takes one ``eigvalsh``.
+        ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``, for both problem forms.
+        ||s||_inf takes one ``eigvalsh``; d is decomposed only when the
+        returned data is asked for its spectrum (see ``NewtonData``).
         """
         mu = float(mu)
         if mu <= 0.0:
             raise DomainError("mu must be positive")
         s = self.g_w / math.sqrt(mu) - jordan.identity(self.problem.cone)
-        d2 = self.proj.onto_lw(s)
+        d2 = self.onto_lw(s)
         d1 = s - d2
         d = d1 - d2
-        d_spectrum = jordan.Spectrum(d)
         norm_d = jordan.norm2(d)
-        norm_d_inf = float(np.abs(d_spectrum.eigenvalues).max())
         sum_inf = jordan.norm_inf(s)
         h_lb = norm_d ** 2 / (1.0 + sum_inf)
         h_ub = norm_d ** 2 / (1.0 - sum_inf) if sum_inf < 1.0 else math.inf
         return NewtonData(
-            d=d,
-            d_spectrum=d_spectrum,
-            d1=d1,
-            d2=d2,
-            norm_d=norm_d,
-            norm_d_inf=norm_d_inf,
-            sum_inf=sum_inf,
-            h_lb=h_lb,
-            h_ub=h_ub,
-            t_max=_t_max(norm_d, norm_d_inf, h_lb),
-            frame=self,
+            d=d, d1=d1, d2=d2, norm_d=norm_d, sum_inf=sum_inf, h_lb=h_lb, h_ub=h_ub, frame=self
         )
 
 
-def scaled_projections(problem: ConicProblem, w: AlgebraElement) -> ProjectorPair:
-    """Projector pair for L_w = Q(w^{-1/2}) L and its orthogonal complement."""
-    return ScaledFrame(problem, w).proj
+def scaled_projections(problem: ConicProblem, w: AlgebraElement) -> ScaledFrame:
+    """The frame of w with its basis built: its ``onto_lw``/``onto_lw_perp``
+    project onto L_w = Q(w^{-1/2}) L and its orthogonal complement."""
+    frame = ScaledFrame(problem, w)
+    frame.basis  # build it now, so a rank loss raises here
+    return frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,24 +327,36 @@ class NewtonData:
     """Newton direction with its orthogonal summands and derived bounds.
 
     ``d = d1 - d2`` with d1 in L_w_perp and d2 in L_w, the reflection of
-    ``d1 + d2 = g_w/sqrt(mu) - e`` across L_w_perp; ``d_spectrum``, the one
-    decomposition of d, gives ``norm_d_inf`` and the geodesic step; ``sum_inf``
-    is ||d1 + d2||_inf; ``h_lb``/``h_ub`` bound the divergence to the centered
-    point (h_ub may be +inf); ``t_max`` bounds the guaranteed-descent step;
-    ``frame`` is the scaled frame of w the data was built from.
+    ``d1 + d2 = g_w/sqrt(mu) - e`` across L_w_perp; ``sum_inf`` is
+    ||d1 + d2||_inf; ``h_lb``/``h_ub`` bound the divergence to the centered
+    point (h_ub may be +inf); ``frame`` is the scaled frame of w the data was
+    built from.  What needs the spectrum of d is derived on first read and
+    cached, so a centering test that takes no step decomposes no d:
+    ``d_spectrum``, the one decomposition of d, which the geodesic step maps
+    exp(t lambda) on; ``norm_d_inf``; and ``t_max``, the guaranteed-descent
+    step bound.
     """
 
     d: AlgebraElement
-    d_spectrum: jordan.Spectrum
     d1: AlgebraElement
     d2: AlgebraElement
     norm_d: float
-    norm_d_inf: float
     sum_inf: float
     h_lb: float
     h_ub: float
-    t_max: float
     frame: ScaledFrame
+
+    @functools.cached_property
+    def d_spectrum(self) -> jordan.Spectrum:
+        return jordan.Spectrum(self.d)
+
+    @functools.cached_property
+    def norm_d_inf(self) -> float:
+        return float(np.abs(self.d_spectrum.eigenvalues).max())
+
+    @functools.cached_property
+    def t_max(self) -> float:
+        return _t_max(self.norm_d, self.norm_d_inf, self.h_lb)
 
     @property
     def g_w(self) -> AlgebraElement:
@@ -493,8 +489,8 @@ def transform_problem(problem: ConicProblem, T: jordan.ConeAutomorphism) -> Coni
 
 def affine_residuals(problem: ConicProblem, x: AlgebraElement, s: AlgebraElement):
     """Distances of x to x0 + L and of s to s0 + L-perp (unscaled projections)."""
-    proj = scaled_projections(problem, jordan.identity(problem.cone))
+    frame = ScaledFrame(problem, jordan.identity(problem.cone))
     x0, s0 = problem._representatives
-    rp = jordan.norm2(proj.onto_lw_perp(x - x0))
-    rd = jordan.norm2(proj.onto_lw(s - s0))
+    rp = jordan.norm2(frame.onto_lw_perp(x - x0))
+    rd = jordan.norm2(frame.onto_lw(s - s0))
     return rp, rd

@@ -97,7 +97,7 @@ def test_quad_rep_matches_defining_formula():
                 assert_elem_close(J.element(cone, cols[:, j]), via_def, 1e-12, "Q(w) on a column")
                 assert_elem_close(J.quad_rep(w, z), via_def, 1e-12, "Q(w)z definition")
     # Q acts blockwise and the metric is one scalar per block, so Q maps
-    # metric coordinates to metric coordinates (ScaledFrame.proj relies on it)
+    # metric coordinates to metric coordinates (ScaledFrame.basis relies on it)
     root = np.sqrt(J.metric_diag(MIXED))
     w = random_element(MIXED, rng)
     Z = rng.standard_normal((MIXED.dim, 5))

@@ -2,8 +2,10 @@
 
 Each element is decomposed once per use.  Each iterate takes one ``eigh``
 (w^{1/2}, w^{-1/2} and the interior test share it), and each Newton call
-takes one ``eigh`` of d, which gives ||d||_inf and the spectrum the geodesic
-step maps exp(t lambda) on, and one ``eigvalsh`` for ||d1 + d2||_inf.  A
+takes one ``eigvalsh`` for ||d1 + d2||_inf, which with ||d|| gives h_ub.
+d is decomposed, by one ``eigh``, only when a step reads its spectrum:
+that ``eigh`` gives ||d||_inf, t_max and the spectrum the geodesic step
+maps exp(t lambda) on, so a call that only tests h_ub takes none.  A
 geodesic ray decomposes its base and its direction once each, and its points
 decompose nothing; the divergence decomposes each argument once; a checked
 map such as ``sqrt`` tests the eigenvalues of the ``eigh`` it maps.
@@ -68,10 +70,17 @@ def test_longstep_one_decomposition_per_iterate(problem, monkeypatch):
     # each pass but the last is followed by one mu_candidates call
     passes = len(trace.snapshots)
     newton_calls = steps + passes
-    # one eigh per iterate (the start and each step's result) and per Newton
-    # call; eigvalsh for ||s||_inf and in mu_candidates (44 and 34 here)
-    assert calls["eigh"] == (steps + 1) + newton_calls
+    # one eigh per iterate (the start and each step's result) and per step
+    # taken; eigvalsh for ||s||_inf and in mu_candidates (35 and 34 here)
+    assert calls["eigh"] == (steps + 1) + steps
     assert calls["eigvalsh"] == newton_calls + (passes - 1)
+
+
+def test_centering_test_decomposes_no_direction(problem, monkeypatch):
+    w = random_interior(PSD6, np.random.default_rng(5))
+    _, calls = _counted(monkeypatch, lambda: S.ScaledFrame(problem, w).newton(0.7).h_ub)
+    # the eigh of w and the eigvalsh of ||s||_inf; d is not decomposed
+    assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
 def test_geometry_and_checked_maps_decompose_once(monkeypatch):
@@ -93,6 +102,7 @@ def test_geometry_and_checked_maps_decompose_once(monkeypatch):
 def test_feasible_point_reuses_the_frame(problem, monkeypatch):
     state, _ = V.longstep(problem, J.identity(problem.cone), MU0, MU_F)
     nd = S.newton_direction(problem, state.w, state.mu)
+    nd.norm_d_inf  # decompose d before counting, as a step taken from nd would
     pair, calls = _counted(
         monkeypatch, lambda: S.feasible_point(problem, state.w, state.mu, nd=nd)
     )
@@ -118,11 +128,11 @@ def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
 def test_one_projection_per_newton_call(problem, monkeypatch):
     calls = []
 
-    def counted(self, z, _fn=S.ProjectorPair._split):
+    def counted(self, z, _fn=S.ScaledFrame._split):
         calls.append(1)
         return _fn(self, z)
 
-    monkeypatch.setattr(S.ProjectorPair, "_split", counted)
+    monkeypatch.setattr(S.ScaledFrame, "_split", counted)
     frame = S.ScaledFrame(problem, J.identity(problem.cone))
     frame.newton(0.7)
     frame.newton(0.5)
