@@ -20,6 +20,7 @@ from .. import jordan, solver, subspace
 from ..errors import (
     GeoipmError,
     IterationLimitError,
+    OracleFailureError,
     ParameterError,
     ProblemFormatError,
 )
@@ -56,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="divergence bound (long) / contraction target (short)")
     p_solve.add_argument("--alpha", type=float, default=10.0, help="recentering tolerance (long)")
     p_solve.add_argument("--gamma", type=float, default=0.5, help="step fraction of t_max")
-    p_solve.add_argument("--max-newton", type=int, default=solver.DEFAULT_CENTER_CAP)
+    p_solve.add_argument("--max-newton", type=int, default=solver.DEFAULT_CENTER_CAP,
+                         help="Newton steps per centering pass, the --algo short start included")
     p_solve.add_argument("--max-outer", type=int, default=solver.DEFAULT_OUTER_CAP)
     p_solve.add_argument("--trace", type=Path, default=None, help="write per-step CSV here")
     p_solve.add_argument("--feasible-out", type=Path, default=None,
@@ -106,7 +108,7 @@ def _cmd_solve(args) -> int:
         beta = args.beta if args.beta is not None else 0.5
         params = solver.shortstep_params(beta, args.eps, problem.cone.rank)
         # the step-count guarantee assumes a centered start
-        w0 = solver.oracle_center(problem, mu0, warm=w0)
+        w0 = solver.oracle_center(problem, mu0, warm=w0, cap=args.max_newton)
         state, trace = solver.shortstep(problem, w0, mu0, mu_f, params)
     else:
         beta = args.beta if args.beta is not None else 100.0
@@ -158,7 +160,8 @@ def solve_cli(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_bench(args)
-    except IterationLimitError as exc:
+    except (IterationLimitError, OracleFailureError) as exc:
+        # the centering oracle fails only by hitting its cap
         print(f"geoipm: iteration cap exceeded: {exc}", file=sys.stderr)
         return EXIT_ITERATION_CAP
     except (ProblemFormatError, ParameterError, ValueError) as exc:

@@ -290,8 +290,13 @@ def longstep(
     if mu0 <= 0.0 or mu_f <= 0.0:
         raise ParameterError("mu values must be positive")
     trace = SolverTrace()
-    frame = subspace.ScaledFrame(problem, w0)
-    mu = float(mu0)
+    frame, mu = _longstep(subspace.ScaledFrame(problem, w0), float(mu0), mu_f, params, trace)
+    trace.status = CONVERGED
+    return IterateState(w=frame.w, mu=mu), trace
+
+
+def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepParams, trace) -> tuple:
+    """The loop of ``longstep`` on scaled frames; returns the last frame and mu."""
     outer = 0
     while mu > mu_f:
         outer += 1
@@ -310,8 +315,7 @@ def longstep(
         mu = mu_next
     frame = _center(frame, mu, params.eps, params.gamma, params.max_newton, outer + 1, trace, None)
     trace.snapshots.append(OuterSnapshot(outer=outer + 1, mu=mu, w=frame.w))
-    trace.status = CONVERGED
-    return IterateState(w=frame.w, mu=mu), trace
+    return frame, mu
 
 
 def oracle_center(
@@ -322,13 +326,29 @@ def oracle_center(
 ) -> AlgebraElement:
     """High-accuracy centered point (test oracle for the central path).
 
-    Runs ``center`` from the identity (or a warm start) to
-    h_ub <= ``ORACLE_EPS``; sqrt(mu) * w and sqrt(mu) * w^{-1} approximate
-    the central-path pair at mu.
+    Centers the identity (or a warm start) at mu to h_ub <= ``ORACLE_EPS``;
+    sqrt(mu) * w and sqrt(mu) * w^{-1} approximate the central-path pair at
+    mu.  A start far from the path (h_ub = inf at mu) whose scale-matched
+    mu* (``subspace.scale_matched_mu``) lies above mu is first carried from
+    mu* down to mu by ``longstep`` with ``clamp_mu_f``: a few long steps
+    instead of the many short damped steps ``center`` takes at mu from
+    there.  Every start then ends with ``center`` at mu with gamma
+    ``ORACLE_GAMMA``, so any other start, such as a warm start near the
+    path, is centered as by ``center`` alone.  ``cap`` bounds each centering
+    pass; exceeding it raises OracleFailureError.
     """
+    if mu <= 0.0:
+        raise ParameterError("mu must be positive")
     start = warm if warm is not None else jordan.identity(problem.cone)
+    frame = subspace.ScaledFrame(problem, start)
+    mu_star = subspace.scale_matched_mu(frame)
+    far = mu < mu_star < math.inf and math.isinf(frame.newton(mu).h_ub)
+    trace = SolverTrace()
     try:
-        w, _ = center(problem, start, mu, ORACLE_EPS, gamma=ORACLE_GAMMA, cap=cap)
+        if far:
+            params = LongStepParams(clamp_mu_f=True, max_newton=cap)
+            frame, _ = _longstep(frame, mu_star, mu, params, trace)
+        frame = _center(frame, mu, ORACLE_EPS, ORACLE_GAMMA, cap, 0, trace, None)
     except IterationLimitError as exc:
         raise OracleFailureError(f"centering oracle failed at mu={mu:g}: {exc}") from exc
-    return w
+    return frame.w

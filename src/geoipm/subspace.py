@@ -47,6 +47,7 @@ __all__ = [
     "scaled_projections",
     "newton_direction",
     "mu_candidates",
+    "scale_matched_mu",
     "feasible_point",
     "duality_gap",
     "as_operator_form",
@@ -241,10 +242,13 @@ class ScaledFrame:
     orthonormal basis of L_w (basis form) or L_w_perp (operator form) from
     one ``jordan.quad_rep_columns`` call on the whole spanning set (the basis
     of L scaled by w^{-1/2}, or of L-perp scaled by w^{1/2}), which gives the
-    orthogonal projections ``onto_lw`` and ``onto_lw_perp``; and the vector
+    orthogonal projections ``onto_lw`` and ``onto_lw_perp``; the vector
     ``g_w = P_{L_w_perp} u_p + P_{L_w} u_d`` of the scaled representatives
-    u_p = Q(w^{-1/2}) x0 and u_d = Q(w^{1/2}) s0.  ``newton(mu)`` needs g_w
-    and one projection; ``mu_candidates`` needs g_w only.
+    u_p = Q(w^{-1/2}) x0 and u_d = Q(w^{1/2}) s0, from one projection; and
+    ``g_w_extremes``, its extreme eigenvalues, from one ``eigvalsh``.
+    ``newton(mu)`` reads h_ub from these alone and projects once more only
+    when d is read; ``mu_candidates`` and ``scale_matched_mu`` read g_w and
+    its extreme eigenvalues.
     """
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
@@ -287,31 +291,34 @@ class ScaledFrame:
         u_d = jordan.quad_rep(self.w_half, s0)
         return u_p + self.onto_lw(u_d - u_p)
 
-    def newton(self, mu: float) -> "NewtonData":
-        """Newton direction at (w, mu) with bounds, from one projection.
+    @functools.cached_property
+    def g_w_extremes(self) -> tuple:
+        """Smallest and largest eigenvalue of g_w."""
+        lam = jordan.eigenvalues(self.g_w)
+        return float(lam.min()), float(lam.max())
 
-        With ``s = g_w/sqrt(mu) - e``: ``d2 = P_{L_w} s``, ``d1 = s - d2``
-        and ``d = d1 - d2``, the reflection of s across L_w_perp; also
-        ``||d1 + d2||_inf = ||s||_inf``.  These equal
-        ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
-        ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``, for both problem forms.
-        ||s||_inf takes one ``eigvalsh``; d is decomposed only when the
-        returned data is asked for its spectrum (see ``NewtonData``).
+    def newton(self, mu: float) -> "NewtonData":
+        """Newton data at (w, mu); the bounds need no projection.
+
+        With ``s = g_w/sqrt(mu) - e``, d is the reflection of s across
+        L_w_perp, so ``||d|| = ||s||``, and ``||d1 + d2||_inf = ||s||_inf``
+        is read off the extreme eigenvalues of g_w: h_lb and h_ub cost one
+        vector operation.  d takes one projection when first read, and is
+        decomposed only when its spectrum is read (see ``NewtonData``).
+        For both problem forms ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
+        ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``.
         """
         mu = float(mu)
         if mu <= 0.0:
             raise DomainError("mu must be positive")
-        s = self.g_w / math.sqrt(mu) - jordan.identity(self.problem.cone)
-        d2 = self.onto_lw(s)
-        d1 = s - d2
-        d = d1 - d2
-        norm_d = jordan.norm2(d)
-        sum_inf = jordan.norm_inf(s)
+        sqrt_mu = math.sqrt(mu)
+        s = self.g_w / sqrt_mu - jordan.identity(self.problem.cone)
+        norm_d = jordan.norm2(s)
+        lmin, lmax = self.g_w_extremes
+        sum_inf = max(lmax / sqrt_mu - 1.0, 1.0 - lmin / sqrt_mu)
         h_lb = norm_d ** 2 / (1.0 + sum_inf)
         h_ub = norm_d ** 2 / (1.0 - sum_inf) if sum_inf < 1.0 else math.inf
-        return NewtonData(
-            d=d, d1=d1, d2=d2, norm_d=norm_d, sum_inf=sum_inf, h_lb=h_lb, h_ub=h_ub, frame=self
-        )
+        return NewtonData(s=s, norm_d=norm_d, sum_inf=sum_inf, h_lb=h_lb, h_ub=h_ub, frame=self)
 
 
 def scaled_projections(problem: ConicProblem, w: AlgebraElement) -> ScaledFrame:
@@ -326,25 +333,37 @@ def scaled_projections(problem: ConicProblem, w: AlgebraElement) -> ScaledFrame:
 class NewtonData:
     """Newton direction with its orthogonal summands and derived bounds.
 
-    ``d = d1 - d2`` with d1 in L_w_perp and d2 in L_w, the reflection of
-    ``d1 + d2 = g_w/sqrt(mu) - e`` across L_w_perp; ``sum_inf`` is
-    ||d1 + d2||_inf; ``h_lb``/``h_ub`` bound the divergence to the centered
-    point (h_ub may be +inf); ``frame`` is the scaled frame of w the data was
-    built from.  What needs the spectrum of d is derived on first read and
-    cached, so a centering test that takes no step decomposes no d:
-    ``d_spectrum``, the one decomposition of d, which the geodesic step maps
-    exp(t lambda) on; ``norm_d_inf``; and ``t_max``, the guaranteed-descent
-    step bound.
+    ``s = d1 + d2 = g_w/sqrt(mu) - e``; ``d = d1 - d2`` with d1 in L_w_perp
+    and d2 in L_w is the reflection of s across L_w_perp, so ``norm_d`` is
+    ||s||; ``sum_inf`` is ||s||_inf; ``h_lb``/``h_ub`` bound the divergence
+    to the centered point (h_ub may be +inf); ``frame`` is the scaled frame
+    of w the data was built from.  The rest is derived on first read and
+    cached, so a centering test that takes no step projects nothing and
+    decomposes nothing: ``d``, from one projection of s (``d1`` and ``d2``
+    are its half-sum and half-difference with s); ``d_spectrum``, the one
+    decomposition of d, which the geodesic step maps exp(t lambda) on;
+    ``norm_d_inf``; and ``t_max``, the guaranteed-descent step bound.
     """
 
-    d: AlgebraElement
-    d1: AlgebraElement
-    d2: AlgebraElement
+    s: AlgebraElement
     norm_d: float
     sum_inf: float
     h_lb: float
     h_ub: float
     frame: ScaledFrame
+
+    @functools.cached_property
+    def d(self) -> AlgebraElement:
+        d2 = self.frame.onto_lw(self.s)
+        return (self.s - d2) - d2
+
+    @property
+    def d1(self) -> AlgebraElement:
+        return 0.5 * (self.s + self.d)
+
+    @property
+    def d2(self) -> AlgebraElement:
+        return 0.5 * (self.s - self.d)
 
     @functools.cached_property
     def d_spectrum(self) -> jordan.Spectrum:
@@ -392,21 +411,38 @@ def mu_candidates(frame: ScaledFrame, mu_cur: float, beta: float) -> float:
     form an interval.  When r = 1 lies in it, its upper end is the smaller
     of the two larger roots.  The second quadratic equals
     ``||r a - e||^2 > 0`` at the pole r = 2/lmax, so that root lies below
-    the pole.  Only g_w of the frame is needed, so no Newton system is solved.
+    the pole.  Only g_w of the frame and its cached extreme eigenvalues are
+    read, so no Newton system is solved and nothing is decomposed.
     """
     mu_cur = float(mu_cur)
-    a = frame.g_w / math.sqrt(mu_cur)
-    lam = jordan.eigenvalues(a)
+    sqrt_mu = math.sqrt(mu_cur)
+    a = frame.g_w / sqrt_mu
+    gmin, gmax = frame.g_w_extremes
     aa = jordan.inner(a, a)
     ta = jordan.trace(a)
     n = frame.problem.cone.rank
     # both quadratics read aa r^2 - p r + c
-    p1, c1 = 2.0 * ta + beta * float(lam.min()), n
-    p2, c2 = 2.0 * ta - beta * float(lam.max()), n - 2.0 * beta
+    p1, c1 = 2.0 * ta + beta * (gmin / sqrt_mu), n
+    p2, c2 = 2.0 * ta - beta * (gmax / sqrt_mu), n - 2.0 * beta
     if aa - p1 + c1 > 0.0 or aa - p2 + c2 > 0.0:
         return mu_cur
     r = min(_larger_root(aa, p1, c1), _larger_root(aa, p2, c2))
     return mu_cur / (r * r)
+
+
+def scale_matched_mu(frame: ScaledFrame) -> float:
+    """The mu that minimises ||d(w, mu)|| at the frame's w; +inf when tr g_w <= 0.
+
+    ``||d|| = ||s||`` with ``s = r g_w - e`` and ``r = 1/sqrt(mu)``, and
+    ``||r g_w - e||^2 = r^2 <g_w, g_w> - 2 r tr(g_w) + n`` is least at
+    ``r = tr(g_w) / <g_w, g_w>``, so ``mu* = (<g_w, g_w> / tr(g_w))^2``.
+    When tr(g_w) <= 0 the norm falls as r -> 0, that is as mu -> inf.
+    """
+    g = frame.g_w
+    tr = jordan.trace(g)
+    if tr <= 0.0:
+        return math.inf
+    return (jordan.inner(g, g) / tr) ** 2
 
 
 def _larger_root(a: float, p: float, c: float) -> float:

@@ -91,6 +91,19 @@ def test_iteration_cap_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_short_start_obeys_max_newton(tmp_path, capsys):
+    problem_file = tmp_path / "p.json"
+    cli.solve_cli(["gen", "--n", "5", "--dim-l", "3", "--seed", "3", "--out", str(problem_file)])
+    capsys.readouterr()
+    # the centering of the start at mu0 is capped like every other centering pass
+    rc = cli.solve_cli(
+        ["solve", "--input", str(problem_file), "--algo", "short", "--muf", "0.125",
+         "--max-newton", "1"]
+    )
+    assert rc == 2
+    assert "iteration cap exceeded: centering oracle failed" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_4(tmp_path):
     rng = np.random.default_rng(2)
     prob = random_basis_problem(ORTH6, 2, rng)

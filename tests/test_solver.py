@@ -10,6 +10,8 @@ from geoipm import jordan as J
 from geoipm import solver as V
 from geoipm import subspace as S
 from geoipm.errors import IterationLimitError, OracleFailureError, ParameterError
+from geoipm.harness import generate
+from geoipm.harness.experiments import trial_seed
 
 from util import (
     FAMILIES,
@@ -211,6 +213,33 @@ def test_oracle_failure_signal():
     prob = random_basis_problem(PSD6, 3, rng)
     with pytest.raises(OracleFailureError):
         V.oracle_center(prob, 1.0, warm=random_interior(PSD6, rng), cap=1)
+
+
+def _far_start_problems():
+    """Every test family, plus the fig3 psd(20) instance of trial 0, each
+    with a mu at which the identity is far from the path (h_ub = inf) and
+    below the scale-matched mu*, so ``oracle_center`` takes its long-step
+    route."""
+    cases = []
+    for i, (name, cone) in enumerate(sorted(FAMILIES.items())):
+        prob = random_basis_problem(cone, 3, np.random.default_rng(40 + i))
+        mu = 0.01 * S.scale_matched_mu(S.ScaledFrame(prob, J.identity(cone)))
+        cases.append(pytest.param(prob, mu, id=name))
+    fig3 = generate.generate_random_sdp(20, 10, trial_seed(0, 20, 0))
+    cases.append(pytest.param(fig3, 1.0, id="fig3-psd20"))
+    return cases
+
+
+@pytest.mark.parametrize("prob, mu", _far_start_problems())
+def test_oracle_center_from_far_start_matches_center(prob, mu):
+    e = J.identity(prob.cone)
+    frame = S.ScaledFrame(prob, e)
+    assert math.isinf(frame.newton(mu).h_ub) and mu < S.scale_matched_mu(frame)
+    w = V.oracle_center(prob, mu)
+    assert S.newton_direction(prob, w, mu).h_ub <= V.ORACLE_EPS
+    # plain center from the same start stays the reference
+    w_ref, _ = V.center(prob, e, mu, 1e-12, gamma=0.5)
+    assert J.norm2(w - w_ref) <= 1e-6 * J.norm2(w_ref)
 
 
 def test_central_path_divergence_identity_quick():

@@ -265,6 +265,23 @@ def test_mu_candidates_closed_form_matches_h_ub():
         count += 1
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_scale_matched_mu_minimises_norm_d(name):
+    cone = FAMILIES[name]
+    rng = np.random.default_rng(41)
+    prob = random_basis_problem(cone, 3, rng)
+    for w in (J.identity(cone), random_interior(cone, rng)):
+        frame = S.ScaledFrame(prob, w)
+        mu_star = S.scale_matched_mu(frame)
+        assert 0.0 < mu_star < math.inf
+        best = frame.newton(mu_star).norm_d
+        grid = [frame.newton(mu_star * 10.0 ** k).norm_d for k in np.linspace(-3.0, 3.0, 60)]
+        assert best <= min(grid) * (1.0 + 1e-12)
+        # the reflection keeps the norm: ||d|| = ||g_w/sqrt(mu) - e||
+        nd = frame.newton(mu_star)
+        assert nd.norm_d == pytest.approx(J.norm2(nd.d), rel=1e-12)
+
+
 def test_newton_direction_vanishes_at_oracle_center():
     rng = np.random.default_rng(15)
     prob = random_basis_problem(PSD6, 3, rng)

@@ -1,19 +1,21 @@
 """Work per Newton step on a single psd block: eigensolver and Q(w) kernel calls.
 
 Each element is decomposed once per use.  Each iterate takes one ``eigh``
-(w^{1/2}, w^{-1/2} and the interior test share it), and each Newton call
-takes one ``eigvalsh`` for ||d1 + d2||_inf, which with ||d|| gives h_ub.
-d is decomposed, by one ``eigh``, only when a step reads its spectrum:
-that ``eigh`` gives ||d||_inf, t_max and the spectrum the geodesic step
-maps exp(t lambda) on, so a call that only tests h_ub takes none.  A
-geodesic ray decomposes its base and its direction once each, and its points
-decompose nothing; the divergence decomposes each argument once; a checked
-map such as ``sqrt`` tests the eigenvalues of the ``eigh`` it maps.
+(w^{1/2}, w^{-1/2} and the interior test share it) and one ``eigvalsh``
+of g_w, from which every Newton call at that iterate reads
+||d1 + d2||_inf; with ||d|| = ||d1 + d2|| that gives h_ub, and
+``mu_candidates`` reads the same extreme eigenvalues.  d is decomposed, by
+one ``eigh``, only when a step reads its spectrum: that ``eigh`` gives
+||d||_inf, t_max and the spectrum the geodesic step maps exp(t lambda) on,
+so a call that only tests h_ub takes none.  A geodesic ray decomposes its
+base and its direction once each, and its points decompose nothing; the
+divergence decomposes each argument once; a checked map such as ``sqrt``
+tests the eigenvalues of the ``eigh`` it maps.
 A Newton step in either problem form applies the ``quad_rep_columns``
 kernel three times: once to the whole spanning set of L or L-perp (the
 projector pair) and, through ``quad_rep``, once each for u_p and u_d.  A
-frame projects once for g_w and once per ``newton(mu)``; ``mu_candidates``
-reads g_w only.
+frame projects once for g_w; a Newton call projects once more only when
+its d is read, and ``mu_candidates`` projects nothing.
 """
 
 import numpy as np
@@ -23,6 +25,8 @@ from geoipm import geometry as G
 from geoipm import jordan as J
 from geoipm import solver as V
 from geoipm import subspace as S
+from geoipm.harness import generate
+from geoipm.harness.experiments import trial_seed
 
 from util import PSD6, random_basis_problem, random_element, random_interior
 
@@ -66,14 +70,11 @@ def test_longstep_one_decomposition_per_iterate(problem, monkeypatch):
         monkeypatch, lambda: V.longstep(problem, J.identity(problem.cone), MU0, MU_F)
     )
     steps = trace.newton_steps
-    # every centering pass ends with a Newton call that takes no step, and
-    # each pass but the last is followed by one mu_candidates call
-    passes = len(trace.snapshots)
-    newton_calls = steps + passes
     # one eigh per iterate (the start and each step's result) and per step
-    # taken; eigvalsh for ||s||_inf and in mu_candidates (35 and 34 here)
+    # taken; one eigvalsh of g_w per iterate, shared by every Newton call and
+    # mu_candidates call there (35 and 18 here)
     assert calls["eigh"] == (steps + 1) + steps
-    assert calls["eigvalsh"] == newton_calls + (passes - 1)
+    assert calls["eigvalsh"] == steps + 1
 
 
 def test_centering_test_decomposes_no_direction(problem, monkeypatch):
@@ -134,7 +135,35 @@ def test_one_projection_per_newton_call(problem, monkeypatch):
 
     monkeypatch.setattr(S.ScaledFrame, "_split", counted)
     frame = S.ScaledFrame(problem, J.identity(problem.cone))
-    frame.newton(0.7)
-    frame.newton(0.5)
+    nd = frame.newton(0.7)
+    frame.newton(0.5).h_ub
     S.mu_candidates(frame, 0.5, 100.0)
-    assert len(calls) == 3
+    # g_w's projection only: the bounds and mu-selection project nothing
+    assert len(calls) == 1
+    nd.d, nd.d1, nd.d2
+    assert len(calls) == 2
+
+
+def _fig3_instance(n):
+    return generate.generate_random_sdp(n, 10, trial_seed(0, n, 0))
+
+
+def test_oracle_center_from_far_start_is_short(monkeypatch):
+    calls = []
+
+    def counted(self, mu, _fn=S.ScaledFrame.newton):
+        calls.append(1)
+        return _fn(self, mu)
+
+    problem = _fig3_instance(20)
+    monkeypatch.setattr(S.ScaledFrame, "newton", counted)
+    V.oracle_center(problem, MU0)
+    # long steps from the scale-matched mu*: 44 calls, where centering at
+    # MU0 from the identity takes 354
+    assert len(calls) <= 60
+
+
+def test_oracle_center_converges_from_far_start_on_psd60():
+    problem = _fig3_instance(60)
+    w = V.oracle_center(problem, MU0)
+    assert S.newton_direction(problem, w, MU0).h_ub <= V.ORACLE_EPS
