@@ -174,16 +174,71 @@ class ConeDescriptor:
             pos += blk.dim
         return tuple(out)
 
+    @functools.cached_property
+    def runs(self) -> tuple:
+        """The blocks as runs: maximal stretches of consecutive equal blocks.
 
-@functools.lru_cache(maxsize=None)
+        Consecutive orthant blocks of any size form one run of a single
+        orthant block.  A run's coordinates are one contiguous slice, so its
+        blocks are the rows of a free reshape (``Run.rows``), in block order.
+        """
+        out = []
+        for blk, start, stop in self.spans:
+            prev = out[-1] if out else None
+            if prev is not None and isinstance(blk, Orthant) and isinstance(prev.block, Orthant):
+                size = prev.block.size + blk.size
+                out[-1] = Run(Orthant(size), 1, prev.start, stop, (1, size))
+            elif prev is not None and blk == prev.block:
+                out[-1] = Run(blk, prev.count + 1, prev.start, stop, (prev.count + 1, blk.dim))
+            else:
+                out.append(Run(blk, 1, start, stop, (1, blk.dim)))
+        return tuple(out)
+
+    @functools.cached_property
+    def metric_diag(self) -> np.ndarray:
+        """Diagonal weights making ``(x * w) @ y`` equal tr(x o y)."""
+        w = np.ones(self.dim)
+        for run in self.runs:
+            if isinstance(run.block, SecondOrder):
+                w[run.start : run.stop] = 2.0
+        w.setflags(write=False)
+        return w
+
+    @functools.cached_property
+    def identity(self) -> "AlgebraElement":
+        """The algebra identity e (ones / (1, 0) / identity matrix per block)."""
+        c = np.zeros(self.dim)
+        for run in self.runs:
+            rows = run.rows(c)
+            if isinstance(run.block, Orthant):
+                rows[:] = 1.0
+            elif isinstance(run.block, SecondOrder):
+                rows[:, 0] = 1.0
+            else:
+                rows[:] = _svec(np.eye(run.block.side))
+        return _mk(self, c)
+
+
+class Run(NamedTuple):
+    """``count`` consecutive copies of ``block`` over coordinates
+    ``start:stop``; ``shape`` is (count, block dimension)."""
+
+    block: BlockKind
+    count: int
+    start: int
+    stop: int
+    shape: tuple
+
+    def rows(self, coords: np.ndarray) -> np.ndarray:
+        """The run's slice of ``coords`` (N or N x m) with one block per row:
+        shape (count, dim) or (count, dim, m).  A view when ``coords`` is
+        contiguous."""
+        return coords[self.start : self.stop].reshape(self.shape + coords.shape[1:])
+
+
 def metric_diag(cone: ConeDescriptor) -> np.ndarray:
     """Diagonal weights making ``(x * w) @ y`` equal tr(x o y)."""
-    w = np.ones(cone.dim)
-    for blk, a, b in cone.spans:
-        if isinstance(blk, SecondOrder):
-            w[a:b] = 2.0
-    w.setflags(write=False)
-    return w
+    return cone.metric_diag
 
 
 # --------------------------------------------------------------------------
@@ -249,18 +304,9 @@ def zero(cone: ConeDescriptor) -> AlgebraElement:
     return _mk(cone, np.zeros(cone.dim))
 
 
-@functools.lru_cache(maxsize=None)
 def identity(cone: ConeDescriptor) -> AlgebraElement:
     """The algebra identity e (ones / (1, 0) / identity matrix per block)."""
-    c = np.zeros(cone.dim)
-    for blk, a, b in cone.spans:
-        if isinstance(blk, Orthant):
-            c[a:b] = 1.0
-        elif isinstance(blk, SecondOrder):
-            c[a] = 1.0
-        else:
-            c[a:b] = _svec(np.eye(blk.side))
-    return _mk(cone, c)
+    return cone.identity
 
 
 def from_blocks(cone: ConeDescriptor, parts: Iterable) -> AlgebraElement:
@@ -305,26 +351,31 @@ def _same_cone(x: AlgebraElement, y: AlgebraElement) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _triu_cache(k: int):
+def _svec_gathers(k: int):
+    """Index maps of side k: ``upper`` picks the upper triangle (row-major)
+    from a flattened matrix, with weights ``scale``; ``full`` picks, for each
+    entry of a flattened matrix, its triangle coordinate, with weights
+    ``full_scale``."""
     iu = np.triu_indices(k)
+    upper = iu[0] * k + iu[1]
     scale = np.where(iu[0] == iu[1], 1.0, math.sqrt(2.0))
-    return iu, scale
+    pos = np.empty((k, k), dtype=np.intp)
+    pos[iu] = pos[iu[1], iu[0]] = np.arange(upper.shape[0])
+    full = pos.ravel()
+    return upper, scale, full, scale[full]
 
 
 def _svec(mat: np.ndarray) -> np.ndarray:
     """Scaled upper triangle of a k x k matrix, or of each in a (..., k, k) stack."""
-    iu, scale = _triu_cache(mat.shape[-1])
-    return mat[..., iu[0], iu[1]] * scale
+    k = mat.shape[-1]
+    upper, scale, _, _ = _svec_gathers(k)
+    return mat.reshape(mat.shape[:-2] + (k * k,))[..., upper] * scale
 
 
 def _smat(vec: np.ndarray, k: int) -> np.ndarray:
     """Inverse of ``_svec``: one matrix per vector in a (..., k(k+1)/2) stack."""
-    iu, scale = _triu_cache(k)
-    mat = np.zeros(vec.shape[:-1] + (k, k))
-    vals = vec / scale
-    mat[..., iu[0], iu[1]] = vals
-    mat[..., iu[1], iu[0]] = vals
-    return mat
+    _, _, full, full_scale = _svec_gathers(k)
+    return (vec[..., full] / full_scale).reshape(vec.shape[:-1] + (k, k))
 
 
 def _eigh(mat: np.ndarray):
@@ -339,6 +390,12 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailureError(f"symmetric eigenvalue solve failed: {exc}") from exc
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b (a stacked matmul,
+    which sums as ``a[i] @ b[i]`` does)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 # --------------------------------------------------------------------------
@@ -372,29 +429,30 @@ def quad_rep(w: AlgebraElement, z: AlgebraElement) -> AlgebraElement:
 
 
 def quad_rep_columns(w: AlgebraElement, Z: np.ndarray) -> np.ndarray:
-    """Q(w) applied to every column of an N x m coordinate matrix, in one
-    pass over the blocks.
+    """Q(w) applied to every column of an N x m coordinate matrix, with one
+    stacked operation per run of equal blocks.
 
     Blockwise closed forms: w^2 * z (orthant), 2(w.z)w - det(w) Rz with
     Rz = (z0, -z1) (second-order), and W Z W (PSD, one stacked product over
-    the m columns).
+    the blocks of the run and the m columns).
     """
     if Z.ndim != 2 or Z.shape[0] != w.cone.dim:
         raise ValueError(f"expected an array with {w.cone.dim} rows, got shape {Z.shape}")
     out = np.empty(Z.shape)
-    for blk, a, b in w.cone.spans:
-        wc = w.coords[a:b]
-        zc = Z[a:b]
-        if isinstance(blk, Orthant):
-            out[a:b] = (wc * wc)[:, None] * zc
-        elif isinstance(blk, SecondOrder):
-            det_w = wc[0] * wc[0] - wc[1:] @ wc[1:]
-            s = 2.0 * (wc @ zc)
-            out[a] = s * wc[0] - det_w * zc[0]
-            out[a + 1 : b] = np.outer(wc[1:], s) + det_w * zc[1:]
+    for run in w.cone.runs:
+        W, Zr, O = run.rows(w.coords), run.rows(Z), run.rows(out)
+        if isinstance(run.block, Orthant):
+            O[:] = (W * W)[:, :, None] * Zr
+        elif isinstance(run.block, SecondOrder):
+            w0, w1 = W[:, 0], W[:, 1:]
+            det_w = w0 * w0 - _row_dots(w1, w1)
+            s = 2.0 * (W[:, None, :] @ Zr)[:, 0]
+            O[:, 0] = s * w0[:, None] - det_w[:, None] * Zr[:, 0]
+            O[:, 1:] = w1[:, :, None] * s[:, None, :] + det_w[:, None, None] * Zr[:, 1:]
         else:
-            W = _smat(wc, blk.side)
-            out[a:b] = _svec(W @ _smat(zc.T, blk.side) @ W).T
+            k = run.block.side
+            Wm = _smat(W, k)[:, None]
+            O[:] = _svec(Wm @ _smat(Zr.transpose(0, 2, 1), k) @ Wm).transpose(0, 2, 1)
     return out
 
 
@@ -403,66 +461,86 @@ def quad_rep_columns(w: AlgebraElement, Z: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+def _run_spectrum(run: Run, X: np.ndarray, vectors: bool) -> tuple:
+    """Eigenvalues of the blocks of a run, one block per row of X, as a
+    (count, rank) array, and with ``vectors`` the frame data: the eigenvector
+    matrices (PSD, one stacked ``eigh``) or the unit axes of the vector parts
+    (second-order); else None."""
+    blk = run.block
+    if isinstance(blk, Orthant):
+        return X, None
+    if isinstance(blk, SecondOrder):
+        x0, x1 = X[:, 0], X[:, 1:]
+        r = np.sqrt(_row_dots(x1, x1))
+        lam = np.stack((x0 + r, x0 - r), axis=1)
+        if not vectors:
+            return lam, None
+        # eigenvalues coincide when the vector part vanishes; any unit axis is a valid
+        # frame direction, so fix the first coordinate axis deterministically
+        axis = np.zeros_like(x1)
+        axis[:, 0] = 1.0
+        np.divide(x1, r[:, None], out=axis, where=r[:, None] > 0.0)
+        return lam, axis
+    mats = _smat(X, blk.side)
+    return _eigh(mats) if vectors else (_eigvalsh(mats), None)
+
+
 class Spectrum:
     """One decomposition of x = sum_i lambda_i e_i, read by every domain test
     and spectral map of x.
 
-    ``blocks`` holds per block (block, start, stop, eigenvalues, data): the
-    eigenvector matrix (PSD), the unit axis of the vector part (second-order)
-    or None (orthant).  ``eigenvalues`` concatenates them blockwise; ``frame``,
-    built on first read, holds the primitive idempotents e_i in that order.
+    ``runs`` holds per run of equal blocks (run, eigenvalues, data): the
+    (count, rank) eigenvalues and the stacked eigenvector matrices (PSD), the
+    unit axes of the vector parts (second-order) or None (orthant).
+    ``eigenvalues`` concatenates them in block order; ``frame``, built on
+    first read, holds the primitive idempotents e_i in that order.
     """
 
     def __init__(self, x: AlgebraElement):
         self.cone = x.cone
-        self.blocks = []
-        for blk, a, b in x.cone.spans:
-            c = x.coords[a:b]
-            if isinstance(blk, Orthant):
-                self.blocks.append((blk, a, b, c, None))
-            elif isinstance(blk, SecondOrder):
-                r = float(np.linalg.norm(c[1:]))
-                # eigenvalues coincide when the vector part vanishes; any unit axis is a valid
-                # frame direction, so fix the first coordinate axis deterministically
-                axis = c[1:] / r if r > 0.0 else np.eye(c.shape[0] - 1)[0]
-                self.blocks.append((blk, a, b, np.array([c[0] + r, c[0] - r]), axis))
-            else:
-                lam, vecs = _eigh(_smat(c, blk.side))
-                self.blocks.append((blk, a, b, lam, vecs))
-        self.eigenvalues = np.concatenate([lam for _, _, _, lam, _ in self.blocks])
+        self.runs = tuple(
+            (run, *_run_spectrum(run, run.rows(x.coords), vectors=True)) for run in x.cone.runs
+        )
+        self.eigenvalues = np.concatenate([lam.ravel() for _, lam, _ in self.runs])
 
     @functools.cached_property
     def frame(self) -> tuple:
         """The primitive idempotents e_i, in ``eigenvalues`` order."""
         frame = []
-        for blk, a, b, lam, data in self.blocks:
-            for j in range(lam.shape[0]):
-                f = np.zeros(self.cone.dim)
-                if isinstance(blk, Orthant):
-                    f[a + j] = 1.0
-                elif isinstance(blk, SecondOrder):
-                    f[a] = 0.5
-                    f[a + 1 : b] = (0.5 if j == 0 else -0.5) * data
-                else:
-                    f[a:b] = _svec(np.outer(data[:, j], data[:, j]))
-                frame.append(_mk(self.cone, f))
+        for run, lam, data in self.runs:
+            for i in range(run.count):
+                for j in range(lam.shape[1]):
+                    f = np.zeros(self.cone.dim)
+                    block = run.rows(f)[i]
+                    if isinstance(run.block, Orthant):
+                        block[j] = 1.0
+                    elif isinstance(run.block, SecondOrder):
+                        block[0] = 0.5
+                        block[1:] = (0.5 if j == 0 else -0.5) * data[i]
+                    else:
+                        block[:] = _svec(np.outer(data[i, :, j], data[i, :, j]))
+                    frame.append(_mk(self.cone, f))
         return tuple(frame)
 
     def map(self, *fns) -> tuple:
-        """sum_i f(lambda_i) e_i for each f in ``fns``; f takes an eigenvalue ndarray."""
-        outs = [np.empty(self.cone.dim) for _ in fns]
-        for blk, a, b, lam, data in self.blocks:
-            for fn, out in zip(fns, outs):
-                fv = np.asarray(fn(lam), dtype=float)
-                if isinstance(blk, Orthant):
-                    out[a:b] = fv
-                elif isinstance(blk, SecondOrder):
-                    fp, fm = fv
-                    out[a] = 0.5 * (fp + fm)
-                    out[a + 1 : b] = 0.5 * (fp - fm) * data
+        """sum_i f(lambda_i) e_i for each f in ``fns``; f acts elementwise on an
+        ndarray of eigenvalues (one run's, shaped (count, rank))."""
+        outs = []
+        for fn in fns:
+            out = np.empty(self.cone.dim)
+            for run, lam, data in self.runs:
+                f = np.asarray(fn(lam), dtype=float)
+                rows = run.rows(out)
+                if isinstance(run.block, Orthant):
+                    rows[:] = f
+                elif isinstance(run.block, SecondOrder):
+                    fp, fm = f[:, 0], f[:, 1]
+                    rows[:, 0] = 0.5 * (fp + fm)
+                    rows[:, 1:] = (0.5 * (fp - fm))[:, None] * data
                 else:
-                    out[a:b] = _svec((data * fv) @ data.T)
-        return tuple(_mk(self.cone, out) for out in outs)
+                    rows[:] = _svec((data * f[:, None, :]) @ data.transpose(0, 2, 1))
+            outs.append(_mk(self.cone, out))
+        return tuple(outs)
 
     def require_interior(self, message: str) -> "Spectrum":
         """This spectrum if it passes the interior test, else DomainError."""
@@ -486,17 +564,9 @@ def spectral(x: AlgebraElement) -> Spectrum:
 
 def eigenvalues(x: AlgebraElement) -> np.ndarray:
     """All eigenvalues, concatenated blockwise (length = rank)."""
-    out = []
-    for blk, a, b in x.cone.spans:
-        c = x.coords[a:b]
-        if isinstance(blk, Orthant):
-            out.append(c)
-        elif isinstance(blk, SecondOrder):
-            r = np.linalg.norm(c[1:])
-            out.append(np.array([c[0] + r, c[0] - r]))
-        else:
-            out.append(_eigvalsh(_smat(c, blk.side)))
-    return np.concatenate(out)
+    return np.concatenate(
+        [_run_spectrum(run, run.rows(x.coords), vectors=False)[0].ravel() for run in x.cone.runs]
+    )
 
 
 def min_eigenvalue(x: AlgebraElement) -> float:
@@ -516,7 +586,8 @@ def _interior_spectrum(lam: np.ndarray) -> bool:
 def spectral_map(x: AlgebraElement, fn: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
     """Apply a scalar function to the eigenvalues: sum_i f(lambda_i) e_i.
 
-    ``fn`` must accept an ndarray of eigenvalues (numpy ufuncs qualify).
+    ``fn`` must act elementwise on an ndarray of eigenvalues (numpy ufuncs
+    qualify).
     """
     return spectral_map_multi(x, (fn,))[0]
 

@@ -125,10 +125,15 @@ class LongStepParams:
 
 @dataclass(frozen=True, eq=False)
 class IterateState:
-    """Current interior scaling point and centering parameter."""
+    """Current interior scaling point and centering parameter.
+
+    ``frame`` is the scaled frame of w when the tracker built it (``longstep``
+    returns the frame of its last centering test), else None.
+    """
 
     w: AlgebraElement
     mu: float
+    frame: subspace.ScaledFrame | None = None
 
 
 @dataclass(frozen=True)
@@ -292,7 +297,7 @@ def longstep(
     trace = SolverTrace()
     frame, mu = _longstep(subspace.ScaledFrame(problem, w0), float(mu0), mu_f, params, trace)
     trace.status = CONVERGED
-    return IterateState(w=frame.w, mu=mu), trace
+    return IterateState(w=frame.w, mu=mu, frame=frame), trace
 
 
 def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepParams, trace) -> tuple:

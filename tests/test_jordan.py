@@ -1,6 +1,7 @@
 """Algebra kernel: block products, spectral calculus, norms, automorphisms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,84 @@ def test_quad_rep_matches_defining_formula():
     via_elements = [J.quad_rep(w, J.element(MIXED, Z[:, j])).coords * root for j in range(5)]
     via_kernel = J.quad_rep_columns(w, root[:, None] * Z)
     assert np.allclose(via_kernel, np.column_stack(via_elements), rtol=0, atol=1e-12)
+
+
+# runs: orthant(5) (merged), 3 soc(4), 2 psd(3), 2 psd(1), soc(4)
+REPEATS = J.ConeDescriptor(
+    (J.Orthant(3), J.Orthant(2))
+    + (J.SecondOrder(4),) * 3
+    + (J.Psd(3),) * 2
+    + (J.Psd(1),) * 2
+    + (J.SecondOrder(4),)
+)
+
+
+def test_descriptor_runs():
+    assert list(REPEATS.runs) == [
+        (J.Orthant(5), 1, 0, 5, (1, 5)),
+        (J.SecondOrder(4), 3, 5, 17, (3, 4)),
+        (J.Psd(3), 2, 17, 29, (2, 6)),
+        (J.Psd(1), 2, 29, 31, (2, 1)),
+        (J.SecondOrder(4), 1, 31, 35, (1, 4)),
+    ]
+    assert REPEATS.runs[-1].stop == REPEATS.dim
+
+
+def _repeats_element(rng):
+    """A random element of REPEATS whose middle soc(4) block has a zero vector part."""
+    c = rng.standard_normal(REPEATS.dim)
+    c[10:13] = 0.0
+    return J.element(REPEATS, c)
+
+
+def _block_eigenvalues(x):
+    """Per-block reference: eigvalsh (PSD), x0 +- ||x1|| (second-order), in block order."""
+    out = []
+    for blk, part in zip(x.cone.blocks, J.to_blocks(x)):
+        if isinstance(blk, J.Psd):
+            out.extend(np.linalg.eigvalsh(part))
+        elif isinstance(blk, J.SecondOrder):
+            r = math.sqrt(part[1:] @ part[1:])
+            out.extend([part[0] + r, part[0] - r])
+        else:
+            out.extend(part)
+    return np.array(out)
+
+
+def test_run_kernels_match_blockwise_references():
+    rng = np.random.default_rng(21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(3):
+            w, x = _repeats_element(rng), _repeats_element(rng)
+            Z = rng.standard_normal((REPEATS.dim, 4))
+            cols = J.quad_rep_columns(w, Z)
+            for j in range(Z.shape[1]):
+                z = J.element(REPEATS, Z[:, j])
+                via_circ = 2.0 * J.circ(w, J.circ(w, z)) - J.circ(J.circ(w, w), z)
+                assert_elem_close(J.element(REPEATS, cols[:, j]), via_circ, 1e-12, "Q(w) per run")
+
+            sd = J.Spectrum(x)
+            ref = _block_eigenvalues(x)
+            assert np.allclose(sd.eigenvalues, ref, rtol=0, atol=1e-12)
+            # eigh and eigvalsh may differ in the last digits
+            assert np.allclose(sd.eigenvalues, J.eigenvalues(x), rtol=0, atol=1e-12)
+            # the zero vector part: a double eigenvalue x0 of the middle soc(4)
+            assert sd.eigenvalues[7] == sd.eigenvalues[8] == x.coords[9]
+            (rebuilt,) = sd.map(lambda lam: lam)
+            assert_elem_close(rebuilt, x, 1e-12, "map(identity) rebuilds x")
+
+            recon = J.zero(REPEATS)
+            total = J.zero(REPEATS)
+            for i, (lam, f) in enumerate(zip(sd.eigenvalues, sd.frame)):
+                assert_elem_close(J.circ(f, f), f, 1e-12, "idempotent")
+                assert abs(J.trace(f) - 1.0) < 1e-12, "primitive"
+                for g in sd.frame[i + 1 :]:
+                    assert J.norm2(J.circ(f, g)) < 1e-12, "orthogonal"
+                recon = recon + float(lam) * f
+                total = total + f
+            assert_elem_close(recon, x, 1e-12, "frame in eigenvalues order")
+            assert_elem_close(total, J.identity(REPEATS), 1e-12, "frame sums to e")
 
 
 def test_spectral_examples():

@@ -1,6 +1,9 @@
-"""Work per Newton step on a single psd block: eigensolver and Q(w) kernel calls.
+"""Work per Newton step: eigensolver and Q(w) kernel calls.
 
-Each element is decomposed once per use.  Each iterate takes one ``eigh``
+The kernels make one pass over the runs of equal blocks, with one stacked
+LAPACK call per run of PSD blocks, so the counts below hold for one psd
+block and for a cone of several.  Each element is decomposed once per use.
+Each iterate takes one ``eigh``
 (w^{1/2}, w^{-1/2} and the interior test share it) and one ``eigvalsh``
 of g_w, from which every Newton call at that iterate reads
 ||d1 + d2||_inf; with ||d|| = ||d1 + d2|| that gives h_ub, and
@@ -15,7 +18,9 @@ A Newton step in either problem form applies the ``quad_rep_columns``
 kernel three times: once to the whole spanning set of L or L-perp (the
 projector pair) and, through ``quad_rep``, once each for u_p and u_d.  A
 frame projects once for g_w; a Newton call projects once more only when
-its d is read, and ``mu_candidates`` projects nothing.
+its d is read, and ``mu_candidates`` projects nothing.  ``longstep`` hands
+back the frame of its last iterate, so ``geoipm solve`` reads the final
+h_ub from it and decomposes only d for the feasible pair.
 """
 
 import numpy as np
@@ -25,24 +30,31 @@ from geoipm import geometry as G
 from geoipm import jordan as J
 from geoipm import solver as V
 from geoipm import subspace as S
-from geoipm.harness import generate
+from geoipm.harness import cli, generate, io
 from geoipm.harness.experiments import trial_seed
 
 from util import PSD6, random_basis_problem, random_element, random_interior
+
+# runs: 3 psd(6), 2 soc(4), orthant(3)
+MULTI = J.ConeDescriptor((J.Psd(6),) * 3 + (J.SecondOrder(4),) * 2 + (J.Orthant(3),))
 
 MU0 = 1.0
 MU_F = MU0 / 1024.0
 
 
-def _counted(monkeypatch, run):
-    """Run ``run()`` with numpy's eigh/eigvalsh counted; returns (result, counts)."""
-    calls = dict.fromkeys(("eigh", "eigvalsh"), 0)
-    for name in calls:
-        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+LAPACK = ((np.linalg, "eigh"), (np.linalg, "eigvalsh"))
+
+
+def _counted(monkeypatch, run, targets=LAPACK):
+    """Run ``run()`` with the ``(module, name)`` functions in ``targets``
+    counted (numpy's eigh/eigvalsh by default); returns (result, counts)."""
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     try:
         return run(), calls
     finally:
@@ -54,27 +66,34 @@ def problem():
     return random_basis_problem(PSD6, 3, np.random.default_rng(17))
 
 
-def test_shortstep_two_eigh_one_eigvalsh_per_step(problem, monkeypatch):
-    w0 = V.oracle_center(problem, MU0)
-    params = V.shortstep_params(0.5, 1e-4, problem.cone.rank)
-    (_, trace), calls = _counted(
-        monkeypatch, lambda: V.shortstep(problem, w0, MU0, MU_F, params)
-    )
-    steps = trace.newton_steps
-    assert steps > 0
-    assert calls == {"eigh": 2 * steps, "eigvalsh": steps}
+@pytest.fixture(scope="module")
+def multi_problem():
+    return random_basis_problem(MULTI, 3, np.random.default_rng(17))
 
 
-def test_longstep_one_decomposition_per_iterate(problem, monkeypatch):
-    (_, trace), calls = _counted(
-        monkeypatch, lambda: V.longstep(problem, J.identity(problem.cone), MU0, MU_F)
-    )
-    steps = trace.newton_steps
-    # one eigh per iterate (the start and each step's result) and per step
-    # taken; one eigvalsh of g_w per iterate, shared by every Newton call and
-    # mu_candidates call there (35 and 18 here)
-    assert calls["eigh"] == (steps + 1) + steps
-    assert calls["eigvalsh"] == steps + 1
+def test_shortstep_two_eigh_one_eigvalsh_per_step(problem, multi_problem, monkeypatch):
+    for prob in (problem, multi_problem):
+        w0 = V.oracle_center(prob, MU0)
+        params = V.shortstep_params(0.5, 1e-4, prob.cone.rank)
+        (_, trace), calls = _counted(
+            monkeypatch, lambda: V.shortstep(prob, w0, MU0, MU_F, params)
+        )
+        steps = trace.newton_steps
+        assert steps > 0
+        assert calls == {"eigh": 2 * steps, "eigvalsh": steps}, prob.cone
+
+
+def test_longstep_one_decomposition_per_iterate(problem, multi_problem, monkeypatch):
+    for prob in (problem, multi_problem):
+        (_, trace), calls = _counted(
+            monkeypatch, lambda: V.longstep(prob, J.identity(prob.cone), MU0, MU_F)
+        )
+        steps = trace.newton_steps
+        # one eigh per iterate (the start and each step's result) and per step
+        # taken; one eigvalsh of g_w per iterate, shared by every Newton call and
+        # mu_candidates call there (35 and 18 on the psd(6) instance)
+        assert calls["eigh"] == (steps + 1) + steps, prob.cone
+        assert calls["eigvalsh"] == steps + 1, prob.cone
 
 
 def test_centering_test_decomposes_no_direction(problem, monkeypatch):
@@ -109,6 +128,23 @@ def test_feasible_point_reuses_the_frame(problem, monkeypatch):
     )
     assert pair is not None
     assert calls["eigh"] == 0
+
+
+def test_solve_reads_the_last_frame_of_longstep(problem, tmp_path, monkeypatch):
+    path = tmp_path / "p.json"
+    io.save_problem(problem, path)
+    targets = LAPACK + ((J, "quad_rep_columns"),)
+    argv = ["solve", "--input", str(path), "--feasible-out", str(tmp_path / "pair.json")]
+    rc, cli_calls = _counted(monkeypatch, lambda: cli.solve_cli(argv), targets)
+    assert rc == 0
+    loaded = io.load_problem(path)
+    _, calls = _counted(
+        monkeypatch, lambda: V.longstep(loaded, J.identity(loaded.cone), MU0, MU_F), targets
+    )
+    # beyond the tracker: the eigh of the final d (||d||_inf and the pair)
+    # and Q(w^{1/2}), Q(w^{-1/2}) for x and s; h_ub is read off the last frame
+    extra = {name: cli_calls[name] - calls[name] for name in calls}
+    assert extra == {"eigh": 1, "eigvalsh": 0, "quad_rep_columns": 2}
 
 
 def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
