@@ -90,13 +90,6 @@ def _initial_point(problem, seed):
     return jordan.exp(jordan.element(problem.cone, 0.5 * rng.standard_normal(problem.cone.dim)))
 
 
-def _write_trace(path: Path, trace: solver.SolverTrace) -> None:
-    lines = [",".join(TRACE_FIELDS)]
-    for r in trace.records:
-        lines.append(",".join(repr(getattr(r, name)) for name in TRACE_FIELDS))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _cmd_solve(args) -> int:
     problem = io.load_problem(args.input)
     mu0 = args.mu0
@@ -124,7 +117,7 @@ def _cmd_solve(args) -> int:
         f"mu={state.mu!r} h_ub={nd.h_ub!r}"
     )
     if args.trace is not None:
-        _write_trace(args.trace, trace)
+        io.write_csv(args.trace, ",".join(TRACE_FIELDS), map(dataclasses.astuple, trace.records))
     if args.feasible_out is not None:
         pair = subspace.feasible_point(problem, state.w, state.mu, nd=nd)
         if pair is None:

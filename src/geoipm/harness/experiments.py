@@ -20,6 +20,7 @@ import numpy as np
 from .. import geometry, jordan, solver
 from ..errors import GeoipmError, ProblemFormatError
 from .generate import generate_random_sdp
+from .io import require_int, write_csv
 
 __all__ = ["ExperimentConfig", "run_experiment_fig3", "run_experiment_fig4", "trial_seed"]
 
@@ -54,7 +55,9 @@ class ExperimentConfig:
     fig4_eps: float = 1e-10
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
+        for name in ("seed", "trials", "dim_l", "fig4_n"):
+            require_int(getattr(self, name), name)
+        object.__setattr__(self, "n_values", tuple(require_int(v, "n_values") for v in self.n_values))
         object.__setattr__(self, "fig4_deltas", tuple(float(v) for v in self.fig4_deltas))
         if self.trials < 1 or self.dim_l < 1 or not self.n_values:
             raise ProblemFormatError("experiment config needs positive counts")
@@ -87,18 +90,6 @@ def trial_seed(seed: int, n: int, trial: int) -> int:
     """Stable 64-bit per-trial seed derived from (seed, n, trial)."""
     ss = np.random.SeedSequence((int(seed), int(n), int(trial)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _fig3_trial(config: ExperimentConfig, n: int, trial: int):
@@ -146,7 +137,7 @@ def run_experiment_fig3(config: ExperimentConfig, outdir) -> dict:
     for key in sorted(results):
         rows.extend(results[key][0])
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    _write_csv(outdir / "fig3_steps.csv", FIG3_STEPS_HEADER, rows)
+    write_csv(outdir / "fig3_steps.csv", FIG3_STEPS_HEADER, rows)
 
     representative = (max(config.n_values), 0)
     trace_rows = results.get(representative, (None, None))[1]
@@ -155,7 +146,7 @@ def run_experiment_fig3(config: ExperimentConfig, outdir) -> dict:
             if results[key][1] is not None:
                 trace_rows = results[key][1]
                 break
-    _write_csv(outdir / "fig3_mu_trace.csv", FIG3_MU_HEADER, trace_rows or [])
+    write_csv(outdir / "fig3_mu_trace.csv", FIG3_MU_HEADER, trace_rows or [])
 
     summary = {}
     for n in config.n_values:
@@ -193,5 +184,5 @@ def run_experiment_fig4(config: ExperimentConfig, outdir) -> Path:
         solver.center(problem, w0, config.mu0, config.fig4_eps,
                       gamma=config.gamma, observer=observe)
     path = outdir / "fig4_center.csv"
-    _write_csv(path, FIG4_HEADER, rows)
+    write_csv(path, FIG4_HEADER, rows)
     return path

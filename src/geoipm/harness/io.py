@@ -11,12 +11,15 @@ Problem document::
 or, with ``"form": "operator"``, the fields ``A`` (list of columns, each a
 coordinate array), ``B`` (d x m rows), ``b``, ``c``, ``g``.  Coordinate
 arrays use the package's flat convention (PSD blocks svec'd with sqrt(2)
-off-diagonals).  Parsing rejects NaN/Inf and inconsistent lengths.
+off-diagonals).  Parsing rejects NaN/Inf, inconsistent lengths and
+non-integer block sizes.  ``write_csv`` is the one CSV writer of the
+package (experiment drivers and the CLI trace).
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +36,18 @@ __all__ = [
     "problem_to_dict",
     "write_feasible_pair",
     "read_feasible_pair",
+    "write_csv",
+    "require_int",
 ]
 
 _BLOCK_NAMES = {"orthant": Orthant, "soc": SecondOrder, "psd": Psd}
+
+
+def require_int(value, what: str) -> int:
+    """``value`` as an int; ProblemFormatError unless it is an integer (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ProblemFormatError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _reject_constant(name: str):
@@ -58,9 +70,10 @@ def _cone_from_list(entries) -> ConeDescriptor:
     for entry in entries:
         try:
             kind = _BLOCK_NAMES[entry["type"]]
-            size = int(entry["size"])
-        except (KeyError, TypeError, ValueError) as exc:
+            size = entry["size"]
+        except (KeyError, TypeError) as exc:
             raise ProblemFormatError(f"bad cone block entry {entry!r}") from exc
+        size = require_int(size, "cone block size")
         try:
             blocks.append(kind(size))
         except ValueError as exc:
@@ -158,6 +171,13 @@ def save_problem(problem: ConicProblem, path) -> None:
 def write_feasible_pair(path, x, s, mu: float, gap: float) -> None:
     doc = {"mu": mu, "gap": gap, "x": x.coords.tolist(), "s": s.coords.tolist()}
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+
+
+def write_csv(path, header: str, rows) -> None:
+    """A CSV file: the header line, then one line per row (floats by repr)."""
+    lines = [header]
+    lines.extend(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_feasible_pair(path, cone: ConeDescriptor):

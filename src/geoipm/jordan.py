@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Union
 
 import numpy as np
@@ -428,6 +428,11 @@ def quad_rep(w: AlgebraElement, z: AlgebraElement) -> AlgebraElement:
     return _mk(w.cone, quad_rep_columns(w, z.coords[:, None])[:, 0])
 
 
+def _check_columns(cone: ConeDescriptor, Z: np.ndarray) -> None:
+    if Z.ndim != 2 or Z.shape[0] != cone.dim:
+        raise ValueError(f"expected an array with {cone.dim} rows, got shape {Z.shape}")
+
+
 def quad_rep_columns(w: AlgebraElement, Z: np.ndarray) -> np.ndarray:
     """Q(w) applied to every column of an N x m coordinate matrix, with one
     stacked operation per run of equal blocks.
@@ -436,8 +441,7 @@ def quad_rep_columns(w: AlgebraElement, Z: np.ndarray) -> np.ndarray:
     Rz = (z0, -z1) (second-order), and W Z W (PSD, one stacked product over
     the blocks of the run and the m columns).
     """
-    if Z.ndim != 2 or Z.shape[0] != w.cone.dim:
-        raise ValueError(f"expected an array with {w.cone.dim} rows, got shape {Z.shape}")
+    _check_columns(w.cone, Z)
     out = np.empty(Z.shape)
     for run in w.cone.runs:
         W, Zr, O = run.rows(w.coords), run.rows(Z), run.rows(out)
@@ -682,55 +686,59 @@ def norm_inf(x: AlgebraElement) -> float:
 
 @dataclass(frozen=True, eq=False)
 class OrthantMap:
-    """x |-> scale * x[perm] on an orthant block."""
+    """x |-> x[perm] on an orthant block."""
 
     perm: np.ndarray
-    scale: np.ndarray
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=int)
-        scale = np.asarray(self.scale, dtype=float)
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "scale", scale)
         if sorted(perm.tolist()) != list(range(perm.shape[0])):
             raise ValueError("perm must be a permutation of 0..k-1")
-        if scale.shape != perm.shape or (scale <= 0).any():
-            raise ValueError("scale must be positive and match the permutation length")
+
+    def columns(self, Z: np.ndarray, transpose: bool) -> np.ndarray:
+        if not transpose:
+            return Z[self.perm]
+        out = np.empty(Z.shape)
+        out[self.perm] = Z
+        return out
 
 
 @dataclass(frozen=True, eq=False)
 class SecondOrderMap:
-    """(x0, x1) |-> scale * (x0, U x1) with U orthogonal."""
+    """(x0, x1) |-> (x0, U x1) with U orthogonal."""
 
     rotation: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
-        U = np.asarray(self.rotation, dtype=float)
-        object.__setattr__(self, "rotation", U)
-        if U.ndim != 2 or U.shape[0] != U.shape[1]:
-            raise ValueError("rotation must be square")
-        if not np.allclose(U.T @ U, np.eye(U.shape[0]), atol=1e-10):
-            raise ValueError("rotation must be orthogonal")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        object.__setattr__(self, "rotation", _orthogonal_matrix(self.rotation, "rotation"))
+
+    def columns(self, Z: np.ndarray, transpose: bool) -> np.ndarray:
+        U = self.rotation.T if transpose else self.rotation
+        return np.vstack((Z[:1], U @ Z[1:]))
 
 
 @dataclass(frozen=True, eq=False)
 class PsdMap:
-    """X |-> G X G^T with invertible G."""
+    """X |-> O X O^T with O orthogonal."""
 
     factor: np.ndarray
 
     def __post_init__(self):
-        G = np.asarray(self.factor, dtype=float)
-        object.__setattr__(self, "factor", G)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise ValueError("factor must be square")
-        if abs(np.linalg.det(G)) < 1e-300:
-            raise ValueError("factor must be invertible")
-        # cached inverse; not a dataclass field
-        object.__setattr__(self, "factor_inv", np.linalg.inv(G))
+        object.__setattr__(self, "factor", _orthogonal_matrix(self.factor, "factor"))
+
+    def columns(self, Z: np.ndarray, transpose: bool) -> np.ndarray:
+        O = self.factor.T if transpose else self.factor
+        return _svec(O @ _smat(Z.T, O.shape[0]) @ O.T).T
+
+
+def _orthogonal_matrix(data, name: str) -> np.ndarray:
+    U = np.asarray(data, dtype=float)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise ValueError(f"{name} must be square")
+    if not np.allclose(U.T @ U, np.eye(U.shape[0]), atol=1e-10):
+        raise ValueError(f"{name} must be orthogonal")
+    return U
 
 
 BlockMap = Union[OrthantMap, SecondOrderMap, PsdMap]
@@ -738,16 +746,20 @@ BlockMap = Union[OrthantMap, SecondOrderMap, PsdMap]
 
 @dataclass(frozen=True, eq=False)
 class ConeAutomorphism:
-    """Blockwise invertible linear map preserving the cone.
+    """The cone automorphism T = Q(p) k.
 
-    With ``orthogonal`` set, the map additionally preserves the trace inner
-    product (unit scalings, orthogonal PSD factors); such maps fix the
-    identity and commute with the spectral calculus.
+    ``maps`` is k: one orthogonal block map per block, so k preserves the
+    trace inner product and fixes e.  ``scaling`` is p, an interior point
+    (default e).  Every automorphism that maps each block to itself has this
+    form, with p = (Te)^{1/2} (polar decomposition).  Then T* = k^T Q(p),
+    T^{-1} = k^T Q(p^{-1}) and (T^{-1})* = Q(p^{-1}) k.  The ``*_columns``
+    methods apply these maps to every column of an N x m coordinate matrix.
     """
 
     cone: ConeDescriptor
     maps: tuple
-    orthogonal: bool = False
+    scaling: AlgebraElement | None = None
+    _scaling_inv: AlgebraElement = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
@@ -762,123 +774,99 @@ class ConeAutomorphism:
                 ok = isinstance(bm, PsdMap) and bm.factor.shape[0] == blk.side
             if not ok:
                 raise ValueError(f"block map {bm!r} incompatible with block {blk!r}")
-        if self.orthogonal:
-            for bm in self.maps:
-                if isinstance(bm, OrthantMap) and not np.allclose(bm.scale, 1.0, atol=1e-12):
-                    raise ValueError("orthogonal automorphisms need unit orthant scalings")
-                if isinstance(bm, SecondOrderMap) and abs(bm.scale - 1.0) > 1e-12:
-                    raise ValueError("orthogonal automorphisms need unit second-order scalings")
-                if isinstance(bm, PsdMap) and not np.allclose(
-                    bm.factor.T @ bm.factor, np.eye(bm.factor.shape[0]), atol=1e-10
-                ):
-                    raise ValueError("orthogonal automorphisms need orthogonal PSD factors")
+        p = self.cone.identity if self.scaling is None else self.scaling
+        if p.cone != self.cone:
+            raise ConeMismatchError("automorphism scaling lives on a different cone")
+        spec = Spectrum(p).require_interior("automorphism scaling must be interior")
+        object.__setattr__(self, "scaling", p)
+        object.__setattr__(self, "_scaling_inv", spec.map(lambda lam: 1.0 / lam)[0])
+
+    def _k(self, Z: np.ndarray, transpose: bool) -> np.ndarray:
+        """k (or k^T) applied to every column of Z."""
+        _check_columns(self.cone, Z)
+        out = np.empty(Z.shape)
+        for (_, a, b), bm in zip(self.cone.spans, self.maps):
+            out[a:b] = bm.columns(Z[a:b], transpose)
+        return out
+
+    def columns(self, Z: np.ndarray) -> np.ndarray:
+        """T Z = Q(p) k Z."""
+        return quad_rep_columns(self.scaling, self._k(Z, False))
+
+    def adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
+        """T* Z = k^T Q(p) Z."""
+        return self._k(quad_rep_columns(self.scaling, Z), True)
+
+    def inverse_columns(self, Z: np.ndarray) -> np.ndarray:
+        """T^{-1} Z = k^T Q(p^{-1}) Z."""
+        return self._k(quad_rep_columns(self._scaling_inv, Z), True)
+
+    def inverse_adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
+        """(T^{-1})* Z = Q(p^{-1}) k Z."""
+        return quad_rep_columns(self._scaling_inv, self._k(Z, False))
 
 
-def _check_compat(T: ConeAutomorphism, x: AlgebraElement) -> None:
+def _column(T: ConeAutomorphism, x: AlgebraElement) -> np.ndarray:
     if T.cone != x.cone:
         raise ConeMismatchError("automorphism and element live on different cones")
-
-
-def _apply_blocks(T: ConeAutomorphism, x: AlgebraElement, mode: str) -> AlgebraElement:
-    out = np.empty(x.cone.dim)
-    for (blk, a, b), bm in zip(x.cone.spans, T.maps):
-        c = x.coords[a:b]
-        if isinstance(bm, OrthantMap):
-            s = bm.scale
-            if mode == "apply":
-                out[a:b] = s * c[bm.perm]
-            elif mode == "adjoint":
-                res = np.empty_like(c)
-                res[bm.perm] = s * c
-                out[a:b] = res
-            elif mode == "inverse":
-                res = np.empty_like(c)
-                res[bm.perm] = c / s
-                out[a:b] = res
-            else:  # inverse adjoint
-                out[a:b] = c[bm.perm] / s
-        elif isinstance(bm, SecondOrderMap):
-            U = bm.rotation
-            s = bm.scale
-            if mode == "apply":
-                out[a] = s * c[0]
-                out[a + 1 : b] = s * (U @ c[1:])
-            elif mode == "adjoint":
-                out[a] = s * c[0]
-                out[a + 1 : b] = s * (U.T @ c[1:])
-            elif mode == "inverse":
-                out[a] = c[0] / s
-                out[a + 1 : b] = (U.T @ c[1:]) / s
-            else:
-                out[a] = c[0] / s
-                out[a + 1 : b] = (U @ c[1:]) / s
-        else:
-            X = _smat(c, bm.factor.shape[0])
-            G = bm.factor
-            Gi = bm.factor_inv
-            if mode == "apply":
-                out[a:b] = _svec(G @ X @ G.T)
-            elif mode == "adjoint":
-                out[a:b] = _svec(G.T @ X @ G)
-            elif mode == "inverse":
-                out[a:b] = _svec(Gi @ X @ Gi.T)
-            else:
-                out[a:b] = _svec(Gi.T @ X @ Gi)
-    return _mk(x.cone, out)
+    return x.coords[:, None]
 
 
 def apply_automorphism(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
-    """Apply T to x blockwise."""
-    _check_compat(T, x)
-    return _apply_blocks(T, x, "apply")
+    """Apply T to x."""
+    return _mk(x.cone, T.columns(_column(T, x))[:, 0])
 
 
 def apply_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
     """Apply the adjoint T* (with respect to the trace inner product)."""
-    _check_compat(T, x)
-    return _apply_blocks(T, x, "adjoint")
+    return _mk(x.cone, T.adjoint_columns(_column(T, x))[:, 0])
 
 
 def apply_inverse(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
     """Apply T^{-1}."""
-    _check_compat(T, x)
-    return _apply_blocks(T, x, "inverse")
+    return _mk(x.cone, T.inverse_columns(_column(T, x))[:, 0])
 
 
 def apply_inverse_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
     """Apply (T^{-1})* = (T*)^{-1}."""
-    _check_compat(T, x)
-    return _apply_blocks(T, x, "inverse_adjoint")
+    return _mk(x.cone, T.inverse_adjoint_columns(_column(T, x))[:, 0])
 
 
 def random_automorphism(
     cone: ConeDescriptor, rng: np.random.Generator, orthogonal: bool = False
 ) -> ConeAutomorphism:
-    """Draw a random cone automorphism (orthogonal subgroup if requested).
+    """Draw a random cone automorphism T = Q(p) k.
 
-    Non-orthogonal maps use log-uniform scalings / singular values in
-    [e^-0.7, e^0.7] to keep conditioning mild.
+    k draws per block a uniform permutation (orthant), rotation of the
+    vector part (second-order) or orthogonal factor (PSD).  With
+    ``orthogonal`` p = e, so T preserves the trace inner product and fixes
+    e.  Otherwise p = exp(v), with the eigenvalues of v uniform in
+    [-0.35, 0.35] (so Q(p) has eigenvalues in [e^-0.7, e^0.7]) and a random
+    frame; on second-order blocks Q(p) is then a Lorentz boost.
     """
     maps = []
     for blk in cone.blocks:
         if isinstance(blk, Orthant):
-            perm = rng.permutation(blk.size)
-            scale = np.ones(blk.size) if orthogonal else np.exp(rng.uniform(-0.7, 0.7, blk.size))
-            maps.append(OrthantMap(perm=perm, scale=scale))
+            maps.append(OrthantMap(rng.permutation(blk.size)))
         elif isinstance(blk, SecondOrder):
-            U = _random_orthogonal(blk.dim - 1, rng)
-            scale = 1.0 if orthogonal else float(np.exp(rng.uniform(-0.7, 0.7)))
-            maps.append(SecondOrderMap(rotation=U, scale=scale))
+            maps.append(SecondOrderMap(_random_orthogonal(blk.dim - 1, rng)))
         else:
-            if orthogonal:
-                G = _random_orthogonal(blk.side, rng)
-            else:
-                q1 = _random_orthogonal(blk.side, rng)
-                q2 = _random_orthogonal(blk.side, rng)
-                sv = np.exp(rng.uniform(-0.7, 0.7, blk.side))
-                G = (q1 * sv) @ q2.T
-            maps.append(PsdMap(factor=G))
-    return ConeAutomorphism(cone=cone, maps=tuple(maps), orthogonal=orthogonal)
+            maps.append(PsdMap(_random_orthogonal(blk.side, rng)))
+    if orthogonal:
+        return ConeAutomorphism(cone, tuple(maps))
+    logs = []
+    for blk in cone.blocks:
+        lam = rng.uniform(-0.35, 0.35, blk.rank)
+        if isinstance(blk, Orthant):
+            logs.append(lam)
+        elif isinstance(blk, SecondOrder):
+            u = rng.standard_normal(blk.dim - 1)
+            half_gap = 0.5 * (lam[0] - lam[1]) / np.linalg.norm(u)
+            logs.append(np.concatenate(([lam.mean()], half_gap * u)))
+        else:
+            q = _random_orthogonal(blk.side, rng)
+            logs.append((q * lam) @ q.T)
+    return ConeAutomorphism(cone, tuple(maps), scaling=exp(from_blocks(cone, logs)))
 
 
 def _random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,7 +29,6 @@ from .subspace import ConicProblem
 __all__ = [
     "CONVERGED",
     "ITERATION_CAP",
-    "NUMERICAL_FAILURE",
     "ShortStepParams",
     "LongStepParams",
     "IterateState",
@@ -45,7 +44,6 @@ __all__ = [
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
-NUMERICAL_FAILURE = "numerical-failure"
 
 # configurable safety caps (see also LongStepParams)
 DEFAULT_CENTER_CAP = 10_000
@@ -202,7 +200,6 @@ def shortstep(
             w = _geodesic_step(nd, 1.0)
             trace.records.append(_step_record(outer, mu, nd, 1.0, tic))
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=w))
-    trace.status = CONVERGED
     return IterateState(w=w, mu=mu), trace
 
 
@@ -247,7 +244,6 @@ def center(
         raise ParameterError("gamma must lie in (0, 1)")
     trace = SolverTrace()
     frame = _center(subspace.ScaledFrame(problem, w0), mu, eps, gamma, cap, 0, trace, observer)
-    trace.status = CONVERGED
     return frame.w, trace
 
 
@@ -296,7 +292,6 @@ def longstep(
         raise ParameterError("mu values must be positive")
     trace = SolverTrace()
     frame, mu = _longstep(subspace.ScaledFrame(problem, w0), float(mu0), mu_f, params, trace)
-    trace.status = CONVERGED
     return IterateState(w=frame.w, mu=mu, frame=frame), trace
 
 

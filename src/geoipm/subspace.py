@@ -504,23 +504,20 @@ def transform_problem(problem: ConicProblem, T: jordan.ConeAutomorphism) -> Coni
 
     The primal set maps through T and the dual set through (T^{-1})*.
     """
-    if problem.is_basis_form:
-        f = problem.form
-        form = BasisForm(
-            x0=jordan.apply_automorphism(T, f.x0),
-            s0=jordan.apply_inverse_adjoint(T, f.s0),
-            basis=tuple(jordan.apply_automorphism(T, l) for l in f.basis),
-        )
-        return ConicProblem(problem.cone, form)
     f = problem.form
-    form = OperatorForm(
-        columns=tuple(jordan.apply_inverse_adjoint(T, a) for a in f.columns),
-        B=f.B.copy(),
-        b=f.b.copy(),
-        c=jordan.apply_inverse_adjoint(T, f.c),
-        g=f.g.copy(),
-    )
+    if problem.is_basis_form:
+        x0, *basis = _map_columns(T.columns, (f.x0, *f.basis))
+        form = BasisForm(x0=x0, s0=jordan.apply_inverse_adjoint(T, f.s0), basis=basis)
+    else:
+        c, *columns = _map_columns(T.inverse_adjoint_columns, (f.c, *f.columns))
+        form = OperatorForm(columns=columns, B=f.B.copy(), b=f.b.copy(), c=c, g=f.g.copy())
     return ConicProblem(problem.cone, form)
+
+
+def _map_columns(fn, elems: tuple) -> list:
+    """The images of ``elems`` under a column map ``fn``, from one call."""
+    out = fn(np.column_stack([x.coords for x in elems]))
+    return [jordan.element(elems[0].cone, col) for col in out.T]
 
 
 def affine_residuals(problem: ConicProblem, x: AlgebraElement, s: AlgebraElement):

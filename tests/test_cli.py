@@ -104,6 +104,17 @@ def test_short_start_obeys_max_newton(tmp_path, capsys):
     assert "iteration cap exceeded: centering oracle failed" in capsys.readouterr().err
 
 
+def test_non_integer_block_size_exit_3(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    for size in ("2.5", "true"):
+        path.write_text(
+            '{"cone": [{"type": "psd", "size": %s}], "form": "basis",'
+            ' "x0": [1.0, 0.0, 1.0], "s0": [1.0, 0.0, 1.0], "basis_L": []}' % size
+        )
+        assert cli.solve_cli(["solve", "--input", str(path)]) == 3
+        assert "must be an integer" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_4(tmp_path):
     rng = np.random.default_rng(2)
     prob = random_basis_problem(ORTH6, 2, rng)
@@ -140,6 +151,12 @@ def test_bench_fig4(tmp_path):
         ("fig4", '{"nope": 1}'),
         ("fig4", '{"trials": "5"}'),
         ("fig4", '{"n_values": 5}'),
+        ("fig4", '{"trials": 2.5}'),
+        ("fig4", '{"trials": true}'),
+        ("fig3", '{"n_values": [4.7], "trials": 1, "dim_l": 3}'),
+        ("fig4", '{"fig4_n": 4.0}'),
+        ("fig4", '{"seed": 0.5}'),
+        ("fig4", '{"dim_l": 3.5}'),
         ("fig4", "[1, 2]"),
         ("fig4", '{"gamma": 0, %s}' % small),
         ("fig3", '{"gamma": 1.5, %s}' % small),

@@ -93,6 +93,14 @@ def test_problem_file_rejects_bad_documents(tmp_path):
     with pytest.raises(ProblemFormatError):
         io.load_problem(path)
 
+    # block sizes must be integers: 2.5 is not psd(2), true is not psd(1)
+    doc = {"form": "basis", "x0": [1.0], "s0": [1.0], "basis_L": []}
+    for size in (2.5, 1.0, True, "1", None):
+        doc["cone"] = [{"type": "psd", "size": size}]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemFormatError, match="integer"):
+            io.load_problem(path)
+
 
 def test_experiment_config_validation():
     with pytest.raises(ProblemFormatError):
@@ -101,6 +109,12 @@ def test_experiment_config_validation():
         experiments.ExperimentConfig.from_dict({"bogus_key": 1})
     cfg = experiments.ExperimentConfig.from_dict({"seed": 9, "n_values": [4], "trials": 2, "dim_l": 3})
     assert cfg.n_values == (4,)
+    for key, value in (
+        ("seed", 1.5), ("trials", 2.5), ("trials", True), ("dim_l", 3.0),
+        ("fig4_n", "4"), ("n_values", [4.7]), ("n_values", [False]),
+    ):
+        with pytest.raises(ProblemFormatError, match="integer"):
+            experiments.ExperimentConfig.from_dict({key: value})
 
 
 TINY = dict(seed=11, n_values=(4,), trials=2, dim_l=3, mu_ratio=64.0, fig4_n=4,

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from geoipm import jordan as J
 from geoipm.errors import ConeMismatchError, DomainError
@@ -331,8 +332,8 @@ def test_automorphism_examples():
         )
         assert_elem_close(J.apply_automorphism(T, J.identity(cone)), J.identity(cone), 1e-12, "Te = e")
 
-    G = np.diag([2.0, 1.0])
-    T = J.ConeAutomorphism(PSD2, (J.PsdMap(G),))
+    p = J.from_blocks(PSD2, [np.diag([2.0, 1.0])])
+    T = J.ConeAutomorphism(PSD2, (J.PsdMap(np.eye(2)),), scaling=p)
     img = J.apply_automorphism(T, J.identity(PSD2))
     assert np.allclose(J.to_blocks(img)[0], np.diag([4.0, 1.0]))
 
@@ -356,17 +357,119 @@ def test_automorphism_adjoint_inverse_consistency():
         assert J.is_interior(J.apply_inverse(T, w))
 
 
-def test_orthogonal_flag_validation():
+def test_block_maps_must_be_orthogonal_and_scaling_interior():
     with pytest.raises(ValueError):
-        J.ConeAutomorphism(
-            PSD2, (J.PsdMap(np.diag([2.0, 1.0])),), orthogonal=True
-        )
+        J.PsdMap(np.diag([2.0, 1.0]))
     with pytest.raises(ValueError):
-        J.ConeAutomorphism(
-            ORTH2,
-            (J.OrthantMap(perm=np.array([0, 1]), scale=np.array([2.0, 1.0])),),
-            orthogonal=True,
+        J.SecondOrderMap(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    maps = (J.PsdMap(np.eye(2)),)
+    with pytest.raises(DomainError):
+        J.ConeAutomorphism(PSD2, maps, scaling=J.from_blocks(PSD2, [np.diag([1.0, 0.0])]))
+    with pytest.raises(DomainError):
+        J.ConeAutomorphism(SOC3, (J.SecondOrderMap(np.eye(2)),), scaling=J.element(SOC3, [1.0, 1.0, 0.0]))
+    with pytest.raises(ConeMismatchError):
+        J.ConeAutomorphism(PSD2, maps, scaling=J.identity(SOC3))
+
+
+def _orthogonal(k, rng):
+    return np.linalg.qr(rng.standard_normal((k, k)))[0]
+
+
+def _boost_cone_and_map(rng):
+    """A mixed cone with two second-order blocks, each boosted along a
+    random axis with rapidity 0.9, then rotated."""
+    cone = J.ConeDescriptor((J.SecondOrder(4), J.Orthant(2), J.SecondOrder(3)))
+    parts = []
+    for blk in cone.blocks:
+        if isinstance(blk, J.SecondOrder):
+            u = rng.standard_normal(blk.dim - 1)
+            parts.append(np.concatenate(([0.0], 0.45 * u / np.linalg.norm(u))))
+        else:
+            parts.append(np.zeros(blk.dim))
+    p = J.exp(J.from_blocks(cone, parts))
+    maps = (
+        J.SecondOrderMap(_orthogonal(3, rng)),
+        J.OrthantMap([1, 0]),
+        J.SecondOrderMap(_orthogonal(2, rng)),
+    )
+    return cone, J.ConeAutomorphism(cone, maps, scaling=p)
+
+
+def test_second_order_boost_is_an_automorphism():
+    rng = np.random.default_rng(12)
+    cone, T = _boost_cone_and_map(rng)
+    # a boost: the scaling has a nonzero vector part, so Q(p) mixes x0 into x1
+    assert np.linalg.norm(T.scaling.coords[1:4]) > 0.4
+    for _ in range(5):
+        x = random_element(cone, rng)
+        y = random_element(cone, rng)
+        w = random_interior(cone, rng)
+        assert J.inner(J.apply_automorphism(T, x), y) == pytest.approx(
+            J.inner(x, J.apply_adjoint(T, y)), rel=1e-12, abs=1e-12
         )
+        assert_elem_close(J.apply_inverse(T, J.apply_automorphism(T, x)), x, 1e-12, "T^-1 T")
+        assert_elem_close(
+            J.apply_inverse_adjoint(T, J.apply_adjoint(T, x)), x, 1e-12, "(T^-1)* T*"
+        )
+        assert_elem_close(
+            J.quad_rep(J.apply_automorphism(T, w), y),
+            J.apply_automorphism(T, J.quad_rep(w, J.apply_adjoint(T, y))),
+            1e-12,
+            "Q(Tw) = T Q(w) T*",
+        )
+        assert J.is_interior(J.apply_automorphism(T, w))
+        assert J.is_interior(J.apply_inverse(T, w))
+    # Te = p^2, which is not a multiple of e on a boosted block
+    assert_elem_close(J.apply_automorphism(T, J.identity(cone)), J.power(T.scaling, 2), 1e-12, "Te")
+
+
+def test_automorphism_reproduces_scalar_and_congruence_maps():
+    """s * x[perm] (orthant), s * (x0, U x1) (second-order) and G X G^T (PSD),
+    and their adjoints and inverses, as Q(p) k with p = sqrt(s), sqrt(s) e and
+    the positive polar factor P of G = P O."""
+    rng = np.random.default_rng(13)
+    cone = J.ConeDescriptor((J.Orthant(4), J.SecondOrder(4), J.Psd(3)))
+    perm = rng.permutation(4)
+    s_orth = np.exp(rng.uniform(-0.7, 0.7, 4))
+    U = _orthogonal(3, rng)
+    s_soc = float(np.exp(rng.uniform(-0.7, 0.7)))
+    G = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
+    O, P = scipy.linalg.polar(G, side="left")
+    Gi = np.linalg.inv(G)
+    p = J.from_blocks(cone, [np.sqrt(s_orth), [math.sqrt(s_soc), 0.0, 0.0, 0.0], P])
+    T = J.ConeAutomorphism(cone, (J.OrthantMap(perm), J.SecondOrderMap(U), J.PsdMap(O)), scaling=p)
+
+    def reference(x, mode):
+        xo, xs, X = J.to_blocks(x)
+        orth = np.empty(4)
+        if mode == "apply":
+            orth = s_orth * xo[perm]
+            soc = s_soc * np.concatenate(([xs[0]], U @ xs[1:]))
+            psd = G @ X @ G.T
+        elif mode == "adjoint":
+            orth[perm] = s_orth * xo
+            soc = s_soc * np.concatenate(([xs[0]], U.T @ xs[1:]))
+            psd = G.T @ X @ G
+        elif mode == "inverse":
+            orth[perm] = xo / s_orth
+            soc = np.concatenate(([xs[0]], U.T @ xs[1:])) / s_soc
+            psd = Gi @ X @ Gi.T
+        else:
+            orth = xo[perm] / s_orth
+            soc = np.concatenate(([xs[0]], U @ xs[1:])) / s_soc
+            psd = Gi.T @ X @ Gi
+        return J.from_blocks(cone, [orth, soc, psd])
+
+    applies = {
+        "apply": J.apply_automorphism,
+        "adjoint": J.apply_adjoint,
+        "inverse": J.apply_inverse,
+        "inverse_adjoint": J.apply_inverse_adjoint,
+    }
+    for _ in range(5):
+        x = random_element(cone, rng)
+        for mode, apply in applies.items():
+            assert_elem_close(apply(T, x), reference(x, mode), 1e-12, mode)
 
 
 def test_q_of_automorphism_image():
