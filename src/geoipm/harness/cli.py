@@ -168,3 +168,7 @@ def solve_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(solve_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -20,13 +20,19 @@ import numpy as np
 from .. import geometry, jordan, solver
 from ..errors import GeoipmError, ProblemFormatError
 from .generate import generate_random_sdp
-from .io import require_int, write_csv
+from .io import require_int, require_real, write_csv
 
 __all__ = ["ExperimentConfig", "run_experiment_fig3", "run_experiment_fig4", "trial_seed"]
 
 FIG3_STEPS_HEADER = "n,algo,trial,steps,errors"
 FIG3_MU_HEADER = "step,mu"
 FIG4_HEADER = "init_id,iter,delta,h_ub"
+
+
+# the float fields of ExperimentConfig besides the tuple fig4_deltas
+_REAL_FIELDS = (
+    "mu_ratio", "mu0", "short_beta", "short_eps", "long_beta", "long_alpha", "long_eps", "gamma", "fig4_eps",
+)
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,9 @@ class ExperimentConfig:
         for name in ("seed", "trials", "dim_l", "fig4_n"):
             require_int(getattr(self, name), name)
         object.__setattr__(self, "n_values", tuple(require_int(v, "n_values") for v in self.n_values))
-        object.__setattr__(self, "fig4_deltas", tuple(float(v) for v in self.fig4_deltas))
+        for name in _REAL_FIELDS:
+            object.__setattr__(self, name, require_real(getattr(self, name), name))
+        object.__setattr__(self, "fig4_deltas", tuple(require_real(v, "fig4_deltas") for v in self.fig4_deltas))
         if self.trials < 1 or self.dim_l < 1 or not self.n_values:
             raise ProblemFormatError("experiment config needs positive counts")
         if self.mu_ratio <= 1.0 or self.mu0 <= 0.0:

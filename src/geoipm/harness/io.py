@@ -38,6 +38,7 @@ __all__ = [
     "read_feasible_pair",
     "write_csv",
     "require_int",
+    "require_real",
 ]
 
 _BLOCK_NAMES = {"orthant": Orthant, "soc": SecondOrder, "psd": Psd}
@@ -48,6 +49,13 @@ def require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ProblemFormatError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_real(value, what: str) -> float:
+    """``value`` as a float; ProblemFormatError unless it is a finite real number (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ProblemFormatError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _reject_constant(name: str):

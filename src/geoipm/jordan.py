@@ -41,6 +41,7 @@ __all__ = [
     "OrthantMap",
     "SecondOrderMap",
     "PsdMap",
+    "Anchor",
     "element",
     "identity",
     "zero",
@@ -53,7 +54,6 @@ __all__ = [
     "spectral",
     "spectral_map",
     "spectral_map_multi",
-    "interior_roots",
     "eigenvalues",
     "min_eigenvalue",
     "is_interior",
@@ -378,6 +378,22 @@ def _smat(vec: np.ndarray, k: int) -> np.ndarray:
     return (vec[..., full] / full_scale).reshape(vec.shape[:-1] + (k, k))
 
 
+def _congruence(F: np.ndarray, Zr: np.ndarray, k: int) -> np.ndarray:
+    """F Z F^T for each PSD block of a run and each column: ``F`` stacks one
+    k x k factor per block, ``Zr`` is (count, dim, m) in svec coordinates,
+    and so is the result.
+
+    The m symmetric matrices of a block sit side by side, so each side of
+    the product is one matrix product per block: Y = F Z, then
+    F Y^T = (F Z F^T)^T = F Z F^T.
+    """
+    count, _, m = Zr.shape
+    upper, scale, full, full_scale = _svec_gathers(k)
+    Z = (Zr[:, full, :] / full_scale[:, None]).reshape(count, k, k * m)
+    Y = (F @ Z).reshape(count, k, k, m).transpose(0, 2, 1, 3).reshape(count, k, k * m)
+    return (F @ Y).reshape(count, k * k, m)[:, upper, :] * scale[:, None]
+
+
 def _eigh(mat: np.ndarray):
     try:
         return np.linalg.eigh(mat)
@@ -438,8 +454,8 @@ def quad_rep_columns(w: AlgebraElement, Z: np.ndarray) -> np.ndarray:
     stacked operation per run of equal blocks.
 
     Blockwise closed forms: w^2 * z (orthant), 2(w.z)w - det(w) Rz with
-    Rz = (z0, -z1) (second-order), and W Z W (PSD, one stacked product over
-    the blocks of the run and the m columns).
+    Rz = (z0, -z1) (second-order), and W Z W (PSD, two matrix products per
+    block for all m columns, see ``_congruence``).
     """
     _check_columns(w.cone, Z)
     out = np.empty(Z.shape)
@@ -454,9 +470,7 @@ def quad_rep_columns(w: AlgebraElement, Z: np.ndarray) -> np.ndarray:
             O[:, 0] = s * w0[:, None] - det_w[:, None] * Zr[:, 0]
             O[:, 1:] = w1[:, :, None] * s[:, None, :] + det_w[:, None, None] * Zr[:, 1:]
         else:
-            k = run.block.side
-            Wm = _smat(W, k)[:, None]
-            O[:] = _svec(Wm @ _smat(Zr.transpose(0, 2, 1), k) @ Wm).transpose(0, 2, 1)
+            O[:] = _congruence(_smat(W, run.block.side), Zr, run.block.side)
     return out
 
 
@@ -601,15 +615,6 @@ def spectral_map_multi(x: AlgebraElement, fns) -> tuple:
     return Spectrum(x).map(*fns)
 
 
-def interior_roots(w: AlgebraElement) -> tuple:
-    """(w^{1/2}, w^{-1/2}) from one decomposition; w must lie in int K.
-
-    The interior test reads the eigenvalues of that same decomposition.
-    """
-    spec = Spectrum(w).require_interior("scaling point must be interior")
-    return spec.map(np.sqrt, lambda lam: lam ** -0.5)
-
-
 def exp(x: AlgebraElement) -> AlgebraElement:
     """Exponential map; lands in the interior of the cone."""
     return spectral_map(x, np.exp)
@@ -729,7 +734,7 @@ class PsdMap:
 
     def columns(self, Z: np.ndarray, transpose: bool) -> np.ndarray:
         O = self.factor.T if transpose else self.factor
-        return _svec(O @ _smat(Z.T, O.shape[0]) @ O.T).T
+        return _congruence(O[None], Z[None], O.shape[0])[0]
 
 
 def _orthogonal_matrix(data, name: str) -> np.ndarray:
@@ -830,6 +835,117 @@ def apply_inverse(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
 def apply_inverse_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
     """Apply (T^{-1})* = (T*)^{-1}."""
     return _mk(x.cone, T.inverse_adjoint_columns(_column(T, x))[:, 0])
+
+
+class Anchor:
+    """A cone automorphism T held as its per-run linear maps, so that a
+    product of quadratic representations costs one small product per step.
+
+    ``maps`` holds per run of equal blocks the pair (T, T^{-1}): on an
+    orthant run a positive vector a with T x = a x; on a second-order run
+    stacked raw-coordinate matrices M with T x = M x; on a PSD run stacked
+    factors P with T X = P X P^T.  The trace inner product is a fixed
+    multiple of the coordinate dot product on each block, so T* and
+    (T^{-1})* are the transposed maps, and every map acts alike on raw and
+    on metric coordinates.  No polar form ``Q(p) k`` is kept: ``point``
+    forms T e when it is read.
+    """
+
+    def __init__(self, cone: ConeDescriptor, maps):
+        self.cone = cone
+        self.maps = tuple(maps)
+
+    @classmethod
+    def scaling(cls, spec: Spectrum, fn: Callable[[np.ndarray], np.ndarray]) -> "Anchor":
+        """Q(y) for y = sum_i f(lambda_i) e_i on the spectrum of x; f must be
+        positive.  T^{-1} = Q(y^{-1}) maps 1/f on the same spectrum."""
+        maps = []
+        for run, lam, data in spec.runs:
+            f = np.asarray(fn(lam), dtype=float)
+            if isinstance(run.block, Orthant):
+                maps.append((f * f, 1.0 / (f * f)))
+            elif isinstance(run.block, SecondOrder):
+                maps.append((_soc_quad_matrices(f, data), _soc_quad_matrices(1.0 / f, data)))
+            else:
+                vt = data.transpose(0, 2, 1)
+                maps.append(((data * f[:, None, :]) @ vt, (data / f[:, None, :]) @ vt))
+        return cls(spec.cone, maps)
+
+    def then(self, other: "Anchor") -> "Anchor":
+        """The composition T S of this map T with ``other`` S applied first."""
+        maps = []
+        for run, (t, t_inv), (s, s_inv) in zip(self.cone.runs, self.maps, other.maps):
+            if isinstance(run.block, Orthant):
+                maps.append((t * s, s_inv * t_inv))
+            else:
+                maps.append((t @ s, s_inv @ t_inv))
+        return Anchor(self.cone, maps)
+
+    def point(self) -> AlgebraElement:
+        """T e."""
+        out = np.empty(self.cone.dim)
+        for run, (t, _) in zip(self.cone.runs, self.maps):
+            rows = run.rows(out)
+            if isinstance(run.block, Orthant):
+                rows[:] = t
+            elif isinstance(run.block, SecondOrder):
+                rows[:] = t[:, :, 0]
+            else:
+                rows[:] = _svec(t @ t.transpose(0, 2, 1))
+        return _mk(self.cone, out)
+
+    def _columns(self, Z: np.ndarray, inverse: bool, adjoint: bool) -> np.ndarray:
+        _check_columns(self.cone, Z)
+        out = np.empty(Z.shape)
+        for run, pair in zip(self.cone.runs, self.maps):
+            A, Zr, O = pair[inverse], run.rows(Z), run.rows(out)
+            if isinstance(run.block, Orthant):
+                O[:] = A[:, :, None] * Zr
+                continue
+            if adjoint:
+                A = A.transpose(0, 2, 1)
+            if isinstance(run.block, SecondOrder):
+                O[:] = A @ Zr
+            else:
+                O[:] = _congruence(A, Zr, run.block.side)
+        return out
+
+    def columns(self, Z: np.ndarray) -> np.ndarray:
+        """T applied to every column of an N x m coordinate matrix."""
+        return self._columns(Z, False, False)
+
+    def adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
+        """T* applied to every column."""
+        return self._columns(Z, False, True)
+
+    def inverse_columns(self, Z: np.ndarray) -> np.ndarray:
+        """T^{-1} applied to every column."""
+        return self._columns(Z, True, False)
+
+    def inverse_adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
+        """(T^{-1})* applied to every column."""
+        return self._columns(Z, True, True)
+
+
+def _soc_quad_matrices(f: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Raw-coordinate matrices of Q(y), one per second-order block of a run,
+    for y with eigenvalues f = (f+, f-) (one row per block) on unit axes u.
+
+    Q(y) scales the directions (1, +-u) by f+^2 and f-^2 and the vector
+    directions orthogonal to u by f+ f-; the spectral form keeps the small
+    scale f-^2 exact where 2 y y^T - det(y) R would cancel.
+    """
+    fp, fm = f[:, 0], f[:, 1]
+    a = 0.5 * (fp * fp + fm * fm)
+    b = 0.5 * (fp * fp - fm * fm)
+    g = fp * fm
+    count, m = axis.shape
+    out = np.empty((count, m + 1, m + 1))
+    out[:, 0, 0] = a
+    out[:, 0, 1:] = out[:, 1:, 0] = b[:, None] * axis
+    out[:, 1:, 1:] = (a - g)[:, None, None] * (axis[:, :, None] * axis[:, None, :])
+    out[:, 1:, 1:] += g[:, None, None] * np.eye(m)
+    return out
 
 
 def random_automorphism(

@@ -13,6 +13,13 @@ Three entry points:
 All algorithms store a single interior variable w; the primal-dual pair is
 implicitly (sqrt(mu) w, sqrt(mu) w^{-1}).  Convergence is always reported
 through the computable bound h_ub, never the (unknown) true divergence.
+
+Each tracker decomposes its start once, to build the ``ScaledFrame`` of
+w0, and then steps frames (``ScaledFrame.step``): the problem is carried
+in the frame of the current iterate, which is e there, so no stepped
+iterate is decomposed or tested for interiority, and w = T e is formed only
+for the snapshots, the observer and the returned ``IterateState``, whose
+``frame`` is the last frame.
 """
 
 from __future__ import annotations
@@ -125,8 +132,8 @@ class LongStepParams:
 class IterateState:
     """Current interior scaling point and centering parameter.
 
-    ``frame`` is the scaled frame of w when the tracker built it (``longstep``
-    returns the frame of its last centering test), else None.
+    ``frame`` is the scaled frame of w when the tracker built it (both
+    trackers return the frame their last step produced), else None.
     """
 
     w: AlgebraElement
@@ -187,7 +194,7 @@ def shortstep(
     """
     if mu0 <= 0.0 or mu_f <= 0.0:
         raise ParameterError("mu values must be positive")
-    w = w0
+    frame = subspace.ScaledFrame(problem, w0)
     trace = SolverTrace()
     mu = float(mu0)
     outer = 0
@@ -196,11 +203,11 @@ def shortstep(
         outer += 1
         for _ in range(params.m):
             tic = time.perf_counter()
-            nd = subspace.ScaledFrame(problem, w).newton(mu)
-            w = _geodesic_step(nd, 1.0)
+            nd = frame.newton(mu)
+            frame = frame.step(nd, 1.0)
             trace.records.append(_step_record(outer, mu, nd, 1.0, tic))
-        trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=w))
-    return IterateState(w=w, mu=mu), trace
+        trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=frame.w))
+    return IterateState(w=frame.w, mu=mu, frame=frame), trace
 
 
 def _step_record(outer: int, mu: float, nd: subspace.NewtonData, step: float, tic: float) -> StepRecord:
@@ -215,11 +222,6 @@ def _step_record(outer: int, mu: float, nd: subspace.NewtonData, step: float, ti
         step=step,
         elapsed=time.perf_counter() - tic,
     )
-
-
-def _geodesic_step(nd: subspace.NewtonData, t: float) -> AlgebraElement:
-    """Q(w^{1/2}) exp(t d) from the frame of w and the cached spectrum of d."""
-    return geometry.geodesic_point(geometry.GeodesicRay(nd.frame.w_half, nd.d_spectrum), t)
 
 
 def center(
@@ -264,10 +266,10 @@ def _center(
             raise IterationLimitError(
                 f"centering did not reach h_ub <= {eps:g} within {cap} Newton steps",
                 trace=trace,
-                iterate=IterateState(w=frame.w, mu=mu),
+                iterate=IterateState(w=frame.w, mu=mu, frame=frame),
             )
         t = gamma * nd.t_max
-        frame = subspace.ScaledFrame(frame.problem, _geodesic_step(nd, t))
+        frame = frame.step(nd, t)
         steps += 1
         trace.records.append(_step_record(outer, mu, nd, t, tic))
 
@@ -305,7 +307,7 @@ def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepPara
             raise IterationLimitError(
                 f"longstep exceeded {params.max_outer} outer iterations",
                 trace=trace,
-                iterate=IterateState(w=frame.w, mu=mu),
+                iterate=IterateState(w=frame.w, mu=mu, frame=frame),
             )
         frame = _center(frame, mu, params.alpha, params.gamma, params.max_newton, outer, trace, None)
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=frame.w))
@@ -332,10 +334,13 @@ def oracle_center(
     mu* (``subspace.scale_matched_mu``) lies above mu is first carried from
     mu* down to mu by ``longstep`` with ``clamp_mu_f``: a few long steps
     instead of the many short damped steps ``center`` takes at mu from
-    there.  Every start then ends with ``center`` at mu with gamma
-    ``ORACLE_GAMMA``, so any other start, such as a warm start near the
-    path, is centered as by ``center`` alone.  ``cap`` bounds each centering
-    pass; exceeding it raises OracleFailureError.
+    there.  Those long steps carry the problem data down a scale of
+    sqrt(mu*/mu), exact only to rounding at the scale each step took them,
+    so their last iterate gets a fresh frame (one decomposition).  Every
+    start then ends with ``center`` at mu with gamma ``ORACLE_GAMMA``, so
+    any other start, such as a warm start near the path, is centered as by
+    ``center`` alone.  ``cap`` bounds each centering pass; exceeding it
+    raises OracleFailureError.
     """
     if mu <= 0.0:
         raise ParameterError("mu must be positive")
@@ -348,6 +353,7 @@ def oracle_center(
         if far:
             params = LongStepParams(clamp_mu_f=True, max_newton=cap)
             frame, _ = _longstep(frame, mu_star, mu, params, trace)
+            frame = subspace.ScaledFrame(problem, frame.w)
         frame = _center(frame, mu, ORACLE_EPS, ORACLE_GAMMA, cap, 0, trace, None)
     except IterationLimitError as exc:
         raise OracleFailureError(f"centering oracle failed at mu={mu:g}: {exc}") from exc

@@ -9,15 +9,26 @@ A conic problem pairs a cone with affine data in one of two forms:
   ``x0 + L = {x : A*x + B*z = b for some z}``.
 
 Both forms reduce to representatives (x0, s0) and a spanning set of L
-(basis form) or L-perp (operator form, the image of ker B under A).  For an
-interior scaling point w the relevant subspaces are
-``L_w = Q(w^{-1/2}) L`` and ``L_w_perp = Q(w^{1/2}) L-perp``.  The Newton
-data at (w, mu) need one mu-free vector g_w and the projections onto them: with
-``s = g_w/sqrt(mu) - e`` the Newton direction d is the reflection of s
-across L_w_perp, split orthogonally as d = d1 - d2 across the two
-subspaces.  This yields computable divergence bounds (h_lb, h_ub), a
-guaranteed-descent step bound t_max, and mu-selection in closed form.
-``ScaledFrame`` builds all of this that does not depend on mu once per w.
+(basis form) or L-perp (operator form, the image of ker B under A).
+
+The Newton machinery works in the frame of the iterate w, where w is e: a
+``ScaledFrame`` carries an anchor, a cone automorphism T with T e = w, and
+the problem mapped by it, the primal set by T^{-1} and the dual set by T*.
+So the relevant subspaces are ``L_w = T^{-1} L`` and
+``L_w_perp = T* L-perp``; a frame built from w takes T = Q(w^{1/2}), the
+scaling of the paper.  The Newton data at (w, mu) need one mu-free vector
+g_w and the projections onto these subspaces: with ``s = g_w/sqrt(mu) - e``
+the Newton direction d is the reflection of s across L_w_perp, split
+orthogonally as d = d1 - d2 across the two subspaces.  This yields
+computable divergence bounds (h_lb, h_ub), a guaranteed-descent step bound
+t_max, and mu-selection in closed form.
+
+A geodesic step ``Q(w^{1/2}) exp(t d)`` is taken in the frame
+(``ScaledFrame.step``): the anchor takes on Q(exp(t d/2)), the subspace
+basis is mapped by it, and the representatives reset to the points
+``sqrt(mu)(e +- d)`` mapped along, so the new iterate is never decomposed.
+Only the start of a run decomposes its w; the iterate w = T e is formed
+only where it is read (snapshots, observers, returned states).
 """
 
 from __future__ import annotations
@@ -149,7 +160,7 @@ class ConicProblem:
         return x.coords * self._sqrt_metric
 
     def _from_mc(self, v: np.ndarray) -> AlgebraElement:
-        return jordan.element(self.cone, v / self._sqrt_metric)
+        return jordan._mk(self.cone, v / self._sqrt_metric)
 
     @functools.cached_property
     def _basis_mc(self) -> np.ndarray:
@@ -234,39 +245,96 @@ def _orthonormalize(cols: np.ndarray) -> np.ndarray:
     return q
 
 
-class ScaledFrame:
-    """Everything at one interior scaling point w that does not depend on mu.
+def _cholesky_qr(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of well-conditioned ``cols`` (Cholesky QR).
 
-    One spectral decomposition of w gives w^{1/2}, w^{-1/2} and the interior
-    test.  The rest is built from them on first use: ``basis``, an
-    orthonormal basis of L_w (basis form) or L_w_perp (operator form) from
-    one ``jordan.quad_rep_columns`` call on the whole spanning set (the basis
-    of L scaled by w^{-1/2}, or of L-perp scaled by w^{1/2}), which gives the
-    orthogonal projections ``onto_lw`` and ``onto_lw_perp``; the vector
-    ``g_w = P_{L_w_perp} u_p + P_{L_w} u_d`` of the scaled representatives
-    u_p = Q(w^{-1/2}) x0 and u_d = Q(w^{1/2}) s0, from one projection; and
-    ``g_w_extremes``, its extreme eigenvalues, from one ``eigvalsh``.
+    Orthogonality is lost as cond(cols)^2 times the rounding unit, so this
+    serves the image of an orthonormal basis under a step map, whose
+    condition number exp(t (lambda_max - lambda_min)) stays small.
+    """
+    try:
+        chol = np.linalg.cholesky(cols.T @ cols)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedBasisError("rank loss while stepping the scaled subspace basis") from exc
+    return cols @ np.linalg.inv(chol).T
+
+
+class ScaledFrame:
+    """The problem in the frame of one interior point w, where w is e.
+
+    The frame carries an anchor T, a ``jordan.Anchor`` with T e = w, and
+    the problem mapped into it: ``basis``, an orthonormal basis (metric
+    coordinates) of the anchored subspace L_w = T^{-1} L (basis form) or of
+    its complement L_w_perp = T* L-perp (operator form), which gives the
+    orthogonal projections ``onto_lw`` and ``onto_lw_perp``; and the
+    representatives u_p of T^{-1}(x0 + L) and u_d of T*(s0 + L-perp).  From
+    them come ``g_w = P_{L_w_perp} u_p + P_{L_w} u_d``, from one projection,
+    and ``g_w_extremes``, its extreme eigenvalues, from one ``eigvalsh``.
     ``newton(mu)`` reads h_ub from these alone and projects once more only
     when d is read; ``mu_candidates`` and ``scale_matched_mu`` read g_w and
-    its extreme eigenvalues.
+    its extreme eigenvalues, which do not depend on which T with T e = w
+    the frame carries.
+
+    ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
+    decomposition of the given w, which must be interior.  ``step`` moves
+    the frame along a geodesic without decomposing the new iterate: only d
+    is decomposed, and w = T e is formed only when ``w`` is read.
     """
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
-        self.problem = problem
+        spec = jordan.Spectrum(w).require_interior("scaling point must be interior")
+        anchor = jordan.Anchor.scaling(spec, np.sqrt)
+        x0, s0 = problem._representatives
+        # raw x0 (or s0) and the spanning set in metric coordinates share one
+        # map call: the anchor acts alike on both
+        if problem.is_basis_form:
+            cols = anchor.inverse_columns(np.column_stack((x0.coords, problem._basis_mc)))
+            u_p, span = cols[:, 0], cols[:, 1:]
+            u_d = anchor.adjoint_columns(s0.coords[:, None])[:, 0]
+        else:
+            cols = anchor.adjoint_columns(np.column_stack((s0.coords, problem._lperp_mc)))
+            u_d, span = cols[:, 0], cols[:, 1:]
+            u_p = anchor.inverse_columns(x0.coords[:, None])[:, 0]
+        cone = problem.cone
+        self._set(problem, anchor, _orthonormalize(span), jordan.element(cone, u_p), jordan.element(cone, u_d))
         self.w = w
-        self.w_half, self.w_inv_half = jordan.interior_roots(w)
+
+    def _set(self, problem, anchor, basis, u_p, u_d) -> None:
+        self.problem, self.anchor, self.basis, self.u_p, self.u_d = problem, anchor, basis, u_p, u_d
 
     @functools.cached_property
-    def basis(self) -> np.ndarray:
-        """Orthonormal columns in metric coordinates spanning L_w (basis form)
-        or L_w_perp (operator form); rank loss raises."""
-        problem = self.problem
-        if problem.is_basis_form:
-            root, span = self.w_inv_half, problem._basis_mc
+    def w(self) -> AlgebraElement:
+        """The iterate T e."""
+        return self.anchor.point()
+
+    def step(self, nd: "NewtonData", t: float) -> "ScaledFrame":
+        """The frame of the geodesic point T exp(t d), for the Newton data
+        ``nd`` of this frame (Q(w^{1/2}) exp(t d) from a frame built at w);
+        nothing but d is decomposed.
+
+        The anchor takes on S = Q(exp(t d/2)), so the new point is
+        T S e = T exp(t d).  The basis maps by S^{-1} (L_w) or S* = S
+        (L_w_perp) and is orthonormalized again.  The representatives reset
+        to S^{-1} x and S* s for x = sqrt(mu)(e + d) and s = sqrt(mu)(e - d),
+        which lie in the anchored affine sets for every d the frame gives:
+        ``sqrt(mu)(e + d) o exp(-t d)`` and ``sqrt(mu)(e - d) o exp(t d)``,
+        one spectral map of d.
+        """
+        t = float(t)
+        spec = nd.d_spectrum
+        move = jordan.Anchor.scaling(spec, lambda lam: np.exp(0.5 * t * lam))
+        if self.problem.is_basis_form:
+            span = move.inverse_columns(self.basis)
         else:
-            root, span = self.w_half, problem._lperp_mc
-        # Q acts blockwise and the metric is one scalar per block, so Q keeps metric coordinates
-        return _orthonormalize(jordan.quad_rep_columns(root, span))
+            span = move.adjoint_columns(self.basis)
+        r = math.sqrt(nd.mu)
+        u_p, u_d = spec.map(
+            lambda lam: r * (1.0 + lam) * np.exp(-t * lam),
+            lambda lam: r * (1.0 - lam) * np.exp(t * lam),
+        )
+        frame = ScaledFrame.__new__(ScaledFrame)
+        frame._set(self.problem, self.anchor.then(move), _cholesky_qr(span), u_p, u_d)
+        return frame
 
     def _split(self, z: AlgebraElement) -> tuple:
         """Metric coordinates of (P_{L_w} z, P_{L_w_perp} z)."""
@@ -286,10 +354,7 @@ class ScaledFrame:
     @functools.cached_property
     def g_w(self) -> AlgebraElement:
         """``P_{L_w_perp} u_p + P_{L_w} u_d``, written as ``u_p + P_{L_w}(u_d - u_p)``."""
-        x0, s0 = self.problem._representatives
-        u_p = jordan.quad_rep(self.w_inv_half, x0)
-        u_d = jordan.quad_rep(self.w_half, s0)
-        return u_p + self.onto_lw(u_d - u_p)
+        return self.u_p + self.onto_lw(self.u_d - self.u_p)
 
     @functools.cached_property
     def g_w_extremes(self) -> tuple:
@@ -318,15 +383,13 @@ class ScaledFrame:
         sum_inf = max(lmax / sqrt_mu - 1.0, 1.0 - lmin / sqrt_mu)
         h_lb = norm_d ** 2 / (1.0 + sum_inf)
         h_ub = norm_d ** 2 / (1.0 - sum_inf) if sum_inf < 1.0 else math.inf
-        return NewtonData(s=s, norm_d=norm_d, sum_inf=sum_inf, h_lb=h_lb, h_ub=h_ub, frame=self)
+        return NewtonData(s=s, norm_d=norm_d, sum_inf=sum_inf, h_lb=h_lb, h_ub=h_ub, frame=self, mu=mu)
 
 
 def scaled_projections(problem: ConicProblem, w: AlgebraElement) -> ScaledFrame:
-    """The frame of w with its basis built: its ``onto_lw``/``onto_lw_perp``
-    project onto L_w = Q(w^{-1/2}) L and its orthogonal complement."""
-    frame = ScaledFrame(problem, w)
-    frame.basis  # build it now, so a rank loss raises here
-    return frame
+    """The frame of w; its ``onto_lw``/``onto_lw_perp`` project onto
+    L_w = Q(w^{-1/2}) L and its orthogonal complement."""
+    return ScaledFrame(problem, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,12 +400,13 @@ class NewtonData:
     and d2 in L_w is the reflection of s across L_w_perp, so ``norm_d`` is
     ||s||; ``sum_inf`` is ||s||_inf; ``h_lb``/``h_ub`` bound the divergence
     to the centered point (h_ub may be +inf); ``frame`` is the scaled frame
-    of w the data was built from.  The rest is derived on first read and
-    cached, so a centering test that takes no step projects nothing and
-    decomposes nothing: ``d``, from one projection of s (``d1`` and ``d2``
-    are its half-sum and half-difference with s); ``d_spectrum``, the one
-    decomposition of d, which the geodesic step maps exp(t lambda) on;
-    ``norm_d_inf``; and ``t_max``, the guaranteed-descent step bound.
+    of w the data was built from, and ``mu`` the centering parameter.  The
+    rest is derived on first read and cached, so a centering test that takes
+    no step projects nothing and decomposes nothing: ``d``, from one
+    projection of s (``d1`` and ``d2`` are its half-sum and half-difference
+    with s); ``d_spectrum``, the one decomposition of d, which the geodesic
+    step (``ScaledFrame.step``) maps on; ``norm_d_inf``; and ``t_max``, the
+    guaranteed-descent step bound.
     """
 
     s: AlgebraElement
@@ -351,6 +415,7 @@ class NewtonData:
     h_lb: float
     h_ub: float
     frame: ScaledFrame
+    mu: float
 
     @functools.cached_property
     def d(self) -> AlgebraElement:
@@ -457,10 +522,10 @@ def _larger_root(a: float, p: float, c: float) -> float:
 def feasible_point(problem: ConicProblem, w: AlgebraElement, mu: float, nd: NewtonData | None = None):
     """Feasible (x, s) built from the Newton direction, or None.
 
-    Available exactly when ||d||_inf <= 1; then
-    x = sqrt(mu) Q(w^{1/2})(e + d) and s = sqrt(mu) Q(w^{-1/2})(e - d) are
-    cone members lying in the primal/dual affine sets.  ``nd``, when given,
-    is the Newton data at (w, mu); its frame supplies w^{1/2} and w^{-1/2}.
+    Available exactly when ||d||_inf <= 1; then with the anchor T of the
+    frame (T e = w) x = sqrt(mu) T(e + d) and s = sqrt(mu) (T^{-1})*(e - d)
+    are cone members lying in the primal/dual affine sets.  ``nd``, when
+    given, is the Newton data at (w, mu), and its frame supplies T.
     """
     if nd is None:
         nd = ScaledFrame(problem, w).newton(mu)
@@ -468,8 +533,9 @@ def feasible_point(problem: ConicProblem, w: AlgebraElement, mu: float, nd: Newt
         return None
     sqrt_mu = math.sqrt(float(mu))
     e = jordan.identity(problem.cone)
-    x = sqrt_mu * jordan.quad_rep(nd.frame.w_half, e + nd.d)
-    s = sqrt_mu * jordan.quad_rep(nd.frame.w_inv_half, e - nd.d)
+    anchor = nd.frame.anchor
+    (x,) = _map_columns(anchor.columns, (sqrt_mu * (e + nd.d),))
+    (s,) = _map_columns(anchor.inverse_adjoint_columns, (sqrt_mu * (e - nd.d),))
     return x, s
 
 

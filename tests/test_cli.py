@@ -1,9 +1,15 @@
 """CLI subcommands and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import geoipm
 from geoipm import jordan as J
 from geoipm import subspace as S
 from geoipm.harness import cli, io
@@ -161,9 +167,30 @@ def test_bench_fig4(tmp_path):
         ("fig4", '{"gamma": 0, %s}' % small),
         ("fig3", '{"gamma": 1.5, %s}' % small),
         ("fig3", '{"short_beta": 0.9, %s}' % small),
+        # JSON true is not a number, nor is a string
+        ("fig4", '{"mu0": true, %s}' % small),
+        ("fig4", '{"fig4_eps": true, %s}' % small),
+        ("fig4", '{"n_values": [4], "trials": 1, "dim_l": 3, "fig4_n": 4, "fig4_deltas": [true]}'),
+        ("fig3", '{"mu_ratio": true, %s}' % small),
+        ("fig3", '{"gamma": "0.5", %s}' % small),
+        ("fig3", '{"long_eps": null, %s}' % small),
     ):
         bad_cfg.write_text(bad)
         rc = cli.solve_cli(
             ["bench", "--experiment", experiment, "--config", str(bad_cfg), "--outdir", str(tmp_path)]
         )
         assert rc == 3, bad
+
+
+@pytest.mark.parametrize("module", ["geoipm", "geoipm.harness.cli"])
+def test_module_forms_run_the_cli(module):
+    # the directory that holds the package, so the child imports this checkout
+    env = dict(os.environ, PYTHONPATH=str(Path(geoipm.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", module, "gen", "--n", "3", "--dim-l", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["form"] == "basis"
+    assert doc["cone"] == [{"type": "psd", "size": 3}]

@@ -186,6 +186,47 @@ def test_run_kernels_match_blockwise_references():
             assert_elem_close(total, J.identity(REPEATS), 1e-12, "frame sums to e")
 
 
+def _cols_inner(cone, X, Y):
+    """Trace inner products of the columns of X with those of Y."""
+    return (X * J.metric_diag(cone)[:, None]).T @ Y
+
+
+def test_anchor_scaling_is_the_quadratic_representation():
+    rng = np.random.default_rng(31)
+    cones = list(FAMILIES.values()) + [REPEATS]
+    for cone in cones:
+        # on REPEATS the middle soc(4) block has a zero vector part (equal eigenvalues)
+        x = _repeats_element(rng) if cone is REPEATS else random_element(cone, rng)
+        w = J.exp(x)
+        T = J.Anchor.scaling(J.Spectrum(w), np.sqrt)
+        Z = rng.standard_normal((cone.dim, 3))
+        half = J.quad_rep_columns(J.sqrt(w), Z)
+        assert np.allclose(T.columns(Z), half, rtol=1e-12, atol=1e-12), cone
+        assert np.allclose(T.adjoint_columns(Z), half, rtol=1e-12, atol=1e-12), cone
+        assert np.allclose(T.inverse_columns(half), Z, rtol=1e-10, atol=1e-10), cone
+        assert_elem_close(T.point(), w, 1e-12, "T e = w")
+
+
+def test_anchor_composition_adjoints_and_point():
+    rng = np.random.default_rng(32)
+    for cone in list(FAMILIES.values()) + [REPEATS]:
+        T = J.Anchor.scaling(J.Spectrum(random_interior(cone, rng)), np.sqrt)
+        S = J.Anchor.scaling(J.Spectrum(random_element(cone, rng)), np.exp)
+        TS = T.then(S)
+        X, Y = rng.standard_normal((cone.dim, 2)), rng.standard_normal((cone.dim, 2))
+        assert np.allclose(TS.columns(X), T.columns(S.columns(X)), rtol=1e-12, atol=1e-12)
+        assert np.allclose(TS.inverse_columns(TS.columns(X)), X, rtol=1e-10, atol=1e-10)
+        assert np.allclose(TS.inverse_adjoint_columns(TS.adjoint_columns(Y)), Y, rtol=1e-10, atol=1e-10)
+        # T* and (T^{-1})* are adjoint to T and T^{-1} in the trace inner product
+        assert np.allclose(_cols_inner(cone, TS.columns(X), Y), _cols_inner(cone, X, TS.adjoint_columns(Y)))
+        assert np.allclose(
+            _cols_inner(cone, TS.inverse_columns(X), Y), _cols_inner(cone, X, TS.inverse_adjoint_columns(Y))
+        )
+        e = J.identity(cone)
+        assert_elem_close(TS.point(), J.element(cone, TS.columns(e.coords[:, None])[:, 0]), 1e-12, "T e")
+        assert J.is_interior(TS.point())
+
+
 def test_spectral_examples():
     x = J.element(SOC3, [3.0, 0.0, 4.0])
     assert sorted(J.eigenvalues(x).tolist()) == [-1.0, 7.0]

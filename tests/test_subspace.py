@@ -96,6 +96,41 @@ def test_rank_loss_more_columns_than_dimension():
         S.scaled_projections(S.ConicProblem(ORTH6, form), J.identity(ORTH6))
 
 
+@pytest.mark.parametrize("operator", [False, True], ids=["basis", "operator"])
+def test_stepped_frame_matches_the_frame_of_the_stepped_point(operator):
+    """A step in the frame lands on T exp(t d), which is Q(w^{1/2}) exp(t d)
+    from a frame built at w, and the frame it gives reads the same Newton
+    data and the same feasible pair as the frame built from that point,
+    which is rotated against it."""
+    rng = np.random.default_rng(41)
+    mu = 0.8
+    for cone in FAMILIES.values():
+        prob = random_basis_problem(cone, 3, rng)
+        if operator:
+            prob = S.as_operator_form(prob)
+        w = perturb_to_divergence(V.oracle_center(prob, mu), rng, 0.3)
+        frame = S.ScaledFrame(prob, w)
+        for t in (1.0, 0.4):
+            nd = frame.newton(mu)
+            stepped = frame.step(nd, t)
+            (exp_td,) = nd.d_spectrum.map(lambda lam: np.exp(t * lam))
+            w_next = J.element(cone, frame.anchor.columns(exp_td.coords[:, None])[:, 0])
+            assert_elem_close(stepped.w, w_next, 1e-10, "stepped point")
+            if t == 1.0:
+                assert_elem_close(w_next, G.geodesic_point(G.ray(frame.w, nd.d), t), 1e-10, "geodesic")
+            fresh = S.ScaledFrame(prob, w_next)
+            a, b = stepped.newton(mu), fresh.newton(mu)
+            assert a.norm_d == pytest.approx(b.norm_d, rel=1e-8, abs=1e-12)
+            assert a.sum_inf == pytest.approx(b.sum_inf, rel=1e-8, abs=1e-12)
+            assert a.norm_d_inf == pytest.approx(b.norm_d_inf, rel=1e-8, abs=1e-12)
+            assert stepped.g_w_extremes == pytest.approx(fresh.g_w_extremes, rel=1e-10)
+            pair_a = S.feasible_point(prob, stepped.w, mu, nd=a)
+            pair_b = S.feasible_point(prob, w_next, mu, nd=b)
+            assert pair_a is not None and pair_b is not None
+            for p, q in zip(pair_a, pair_b):
+                assert_elem_close(p, q, 1e-9, "feasible pair")
+            frame = stepped
+
 def test_newton_direction_scalar_closed_form():
     prob = scalar_problem(a=2.0)
     mu = 0.49

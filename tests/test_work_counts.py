@@ -1,26 +1,30 @@
-"""Work per Newton step: eigensolver and Q(w) kernel calls.
+"""Work per Newton step: eigensolver calls, Q(w) kernel calls and anchor maps.
 
 The kernels make one pass over the runs of equal blocks, with one stacked
 LAPACK call per run of PSD blocks, so the counts below hold for one psd
 block and for a cone of several.  Each element is decomposed once per use.
-Each iterate takes one ``eigh``
-(w^{1/2}, w^{-1/2} and the interior test share it) and one ``eigvalsh``
-of g_w, from which every Newton call at that iterate reads
-||d1 + d2||_inf; with ||d|| = ||d1 + d2|| that gives h_ub, and
-``mu_candidates`` reads the same extreme eigenvalues.  d is decomposed, by
-one ``eigh``, only when a step reads its spectrum: that ``eigh`` gives
-||d||_inf, t_max and the spectrum the geodesic step maps exp(t lambda) on,
-so a call that only tests h_ub takes none.  A geodesic ray decomposes its
-base and its direction once each, and its points decompose nothing; the
+
+A tracker decomposes its start w once (``ScaledFrame(problem, w)``: one
+``eigh``, which gives the anchor T = Q(w^{1/2}) and the interior test) and
+never decomposes or tests a stepped iterate.  A frame takes one ``eigvalsh``
+of g_w, from which every Newton call at that iterate reads ||d1 + d2||_inf;
+with ||d|| = ||d1 + d2|| that gives h_ub, and ``mu_candidates`` reads the
+same extreme eigenvalues.  d is decomposed, by one ``eigh``, only when a
+step reads its spectrum: that ``eigh`` gives ||d||_inf, t_max, the step map
+Q(exp(t d/2)) and the reset representatives, so a call that only tests
+h_ub takes none.  So a step costs 1 ``eigh`` and 1 ``eigvalsh``.
+
+A step maps the basis once, by the ``jordan.Anchor`` of Q(exp(t d/2)), and
+calls ``quad_rep_columns`` not at all.  A fresh frame makes two anchor maps
+(T^{-1} on the basis of L with x0, T* on s0, or T* on L-perp with s0 and
+T^{-1} on x0), and so does the feasible pair (T and (T^{-1})*).  A frame
+projects once for g_w; a Newton call projects once more only when its d is
+read, and ``mu_candidates`` projects nothing.  Both trackers hand back the
+frame of their last iterate, so ``geoipm solve`` reads the final h_ub from
+it and decomposes only d for the feasible pair.  A geodesic ray decomposes
+its base and its direction once each, and its points decompose nothing; the
 divergence decomposes each argument once; a checked map such as ``sqrt``
 tests the eigenvalues of the ``eigh`` it maps.
-A Newton step in either problem form applies the ``quad_rep_columns``
-kernel three times: once to the whole spanning set of L or L-perp (the
-projector pair) and, through ``quad_rep``, once each for u_p and u_d.  A
-frame projects once for g_w; a Newton call projects once more only when
-its d is read, and ``mu_candidates`` projects nothing.  ``longstep`` hands
-back the frame of its last iterate, so ``geoipm solve`` reads the final
-h_ub from it and decomposes only d for the feasible pair.
 """
 
 import numpy as np
@@ -43,6 +47,8 @@ MU_F = MU0 / 1024.0
 
 
 LAPACK = ((np.linalg, "eigh"), (np.linalg, "eigvalsh"))
+# LAPACK, the Q(w) kernel, the anchor maps and the interior test of a scaling point
+KERNELS = LAPACK + ((J, "quad_rep_columns"), (J.Anchor, "_columns"), (J.Spectrum, "require_interior"))
 
 
 def _counted(monkeypatch, run, targets=LAPACK):
@@ -71,29 +77,36 @@ def multi_problem():
     return random_basis_problem(MULTI, 3, np.random.default_rng(17))
 
 
-def test_shortstep_two_eigh_one_eigvalsh_per_step(problem, multi_problem, monkeypatch):
+def test_shortstep_one_eigh_one_eigvalsh_per_step(problem, multi_problem, monkeypatch):
     for prob in (problem, multi_problem):
         w0 = V.oracle_center(prob, MU0)
         params = V.shortstep_params(0.5, 1e-4, prob.cone.rank)
         (_, trace), calls = _counted(
-            monkeypatch, lambda: V.shortstep(prob, w0, MU0, MU_F, params)
+            monkeypatch, lambda: V.shortstep(prob, w0, MU0, MU_F, params), KERNELS
         )
         steps = trace.newton_steps
         assert steps > 0
-        assert calls == {"eigh": 2 * steps, "eigvalsh": steps}, prob.cone
+        # the start: the eigh and interior test of w0 and two anchor maps; each
+        # step: the eigvalsh of g_w, the eigh of d and one anchor map of the basis
+        assert calls == {
+            "eigh": 1 + steps, "eigvalsh": steps, "quad_rep_columns": 0,
+            "_columns": 2 + steps, "require_interior": 1,
+        }, prob.cone
 
 
-def test_longstep_one_decomposition_per_iterate(problem, multi_problem, monkeypatch):
+def test_longstep_decomposes_only_the_start(problem, multi_problem, monkeypatch):
     for prob in (problem, multi_problem):
         (_, trace), calls = _counted(
-            monkeypatch, lambda: V.longstep(prob, J.identity(prob.cone), MU0, MU_F)
+            monkeypatch, lambda: V.longstep(prob, J.identity(prob.cone), MU0, MU_F), KERNELS
         )
         steps = trace.newton_steps
-        # one eigh per iterate (the start and each step's result) and per step
-        # taken; one eigvalsh of g_w per iterate, shared by every Newton call and
-        # mu_candidates call there (35 and 18 on the psd(6) instance)
-        assert calls["eigh"] == (steps + 1) + steps, prob.cone
-        assert calls["eigvalsh"] == steps + 1, prob.cone
+        # one eigh of the start and one per step taken; one eigvalsh of g_w per
+        # iterate, shared by every Newton call and mu_candidates call there
+        # (17 steps on the psd(6) instance)
+        assert calls == {
+            "eigh": 1 + steps, "eigvalsh": 1 + steps, "quad_rep_columns": 0,
+            "_columns": 2 + steps, "require_interior": 1,
+        }, prob.cone
 
 
 def test_centering_test_decomposes_no_direction(problem, monkeypatch):
@@ -133,33 +146,28 @@ def test_feasible_point_reuses_the_frame(problem, monkeypatch):
 def test_solve_reads_the_last_frame_of_longstep(problem, tmp_path, monkeypatch):
     path = tmp_path / "p.json"
     io.save_problem(problem, path)
-    targets = LAPACK + ((J, "quad_rep_columns"),)
     argv = ["solve", "--input", str(path), "--feasible-out", str(tmp_path / "pair.json")]
-    rc, cli_calls = _counted(monkeypatch, lambda: cli.solve_cli(argv), targets)
+    rc, cli_calls = _counted(monkeypatch, lambda: cli.solve_cli(argv), KERNELS)
     assert rc == 0
     loaded = io.load_problem(path)
     _, calls = _counted(
-        monkeypatch, lambda: V.longstep(loaded, J.identity(loaded.cone), MU0, MU_F), targets
+        monkeypatch, lambda: V.longstep(loaded, J.identity(loaded.cone), MU0, MU_F), KERNELS
     )
-    # beyond the tracker: the eigh of the final d (||d||_inf and the pair)
-    # and Q(w^{1/2}), Q(w^{-1/2}) for x and s; h_ub is read off the last frame
+    # beyond the tracker: the eigh of the final d (||d||_inf and the pair) and
+    # the anchor maps T and (T^{-1})* for x and s; h_ub is read off the last frame
     extra = {name: cli_calls[name] - calls[name] for name in calls}
-    assert extra == {"eigh": 1, "eigvalsh": 0, "quad_rep_columns": 2}
+    assert extra == {
+        "eigh": 1, "eigvalsh": 0, "quad_rep_columns": 0, "_columns": 2, "require_interior": 0,
+    }
 
 
 def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
-    calls = []
-
-    def counted(*args, _fn=J.quad_rep_columns, **kwargs):
-        calls.append(1)
-        return _fn(*args, **kwargs)
-
-    monkeypatch.setattr(J, "quad_rep_columns", counted)
     for prob in (S.as_operator_form(problem), problem):
-        calls.clear()
-        S.ScaledFrame(prob, J.identity(prob.cone)).newton(0.7)
-        # one for the whole spanning set, one each (through quad_rep) for u_p and u_d
-        assert len(calls) == 3, prob.is_basis_form
+        _, calls = _counted(
+            monkeypatch, lambda: S.ScaledFrame(prob, J.identity(prob.cone)).newton(0.7), KERNELS
+        )
+        # T^{-1} and T* once each, one of them on the whole spanning set
+        assert calls["_columns"] == 2 and calls["quad_rep_columns"] == 0, prob.is_basis_form
 
 
 def test_one_projection_per_newton_call(problem, monkeypatch):
