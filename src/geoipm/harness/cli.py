@@ -110,8 +110,7 @@ def _cmd_solve(args) -> int:
             max_newton=args.max_newton, max_outer=args.max_outer,
         )
         state, trace = solver.longstep(problem, w0, mu0, mu_f, params)
-    frame = state.frame if state.frame is not None else subspace.ScaledFrame(problem, state.w)
-    nd = frame.newton(state.mu)
+    nd = state.frame.newton(state.mu)
     print(
         f"status={trace.status} algo={args.algo} newton_steps={trace.newton_steps} "
         f"mu={state.mu!r} h_ub={nd.h_ub!r}"

@@ -130,15 +130,19 @@ class LongStepParams:
 
 @dataclass(frozen=True, eq=False)
 class IterateState:
-    """Current interior scaling point and centering parameter.
+    """Centering parameter and the scaled frame of the current iterate.
 
-    ``frame`` is the scaled frame of w when the tracker built it (both
-    trackers return the frame their last step produced), else None.
+    ``frame`` is the last frame the tracker stepped to; ``w`` is read off
+    it.
     """
 
-    w: AlgebraElement
     mu: float
-    frame: subspace.ScaledFrame | None = None
+    frame: subspace.ScaledFrame
+
+    @property
+    def w(self) -> AlgebraElement:
+        """The current interior scaling point."""
+        return self.frame.w
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,7 @@ def shortstep(
             frame = frame.step(nd, 1.0)
             trace.records.append(_step_record(outer, mu, nd, 1.0, tic))
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=frame.w))
-    return IterateState(w=frame.w, mu=mu, frame=frame), trace
+    return IterateState(mu=mu, frame=frame), trace
 
 
 def _step_record(outer: int, mu: float, nd: subspace.NewtonData, step: float, tic: float) -> StepRecord:
@@ -266,7 +270,7 @@ def _center(
             raise IterationLimitError(
                 f"centering did not reach h_ub <= {eps:g} within {cap} Newton steps",
                 trace=trace,
-                iterate=IterateState(w=frame.w, mu=mu, frame=frame),
+                iterate=IterateState(mu=mu, frame=frame),
             )
         t = gamma * nd.t_max
         frame = frame.step(nd, t)
@@ -294,7 +298,7 @@ def longstep(
         raise ParameterError("mu values must be positive")
     trace = SolverTrace()
     frame, mu = _longstep(subspace.ScaledFrame(problem, w0), float(mu0), mu_f, params, trace)
-    return IterateState(w=frame.w, mu=mu, frame=frame), trace
+    return IterateState(mu=mu, frame=frame), trace
 
 
 def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepParams, trace) -> tuple:
@@ -307,7 +311,7 @@ def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepPara
             raise IterationLimitError(
                 f"longstep exceeded {params.max_outer} outer iterations",
                 trace=trace,
-                iterate=IterateState(w=frame.w, mu=mu, frame=frame),
+                iterate=IterateState(mu=mu, frame=frame),
             )
         frame = _center(frame, mu, params.alpha, params.gamma, params.max_newton, outer, trace, None)
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=frame.w))
