@@ -68,7 +68,6 @@ from .subspace import (
     feasible_point,
     mu_candidates,
     newton_direction,
-    scaled_projections,
     transform_problem,
 )
 from .harness import generate_random_sdp, load_problem, save_problem

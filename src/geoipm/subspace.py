@@ -8,18 +8,27 @@ A conic problem pairs a cone with affine data in one of two forms:
   ``s0 + L-perp = {c - Ay : By = g}`` and
   ``x0 + L = {x : A*x + B*z = b for some z}``.
 
-Both forms reduce to representatives (x0, s0) and a spanning set of L
-(basis form) or L-perp (operator form, the image of ker B under A).
+The forms are how problems are stated and stored; on first use both reduce
+to one representation: representatives (x0, s0), a side flag, and a
+spanning set of whichever of L and L-perp is smaller.  The set the form
+gives (the basis of L, or the image of ker B under A, which spans L-perp)
+serves as it is unless it is the larger side; then one complete QR gives
+an orthonormal basis of the other side.  So the cost of a Newton step
+follows min(dim L, dim L-perp), not the form.  The method is primal-dual
+symmetric, and ``ConicProblem.dual`` states the dual problem (x0 <-> s0,
+L <-> L-perp) in the other form by handing over the representation with
+the side flipped.
 
 The Newton machinery works in the frame of the iterate w, where w is e: a
 ``ScaledFrame`` carries an anchor, a cone automorphism T with T e = w, and
 the problem mapped by it, the primal set by T^{-1} and the dual set by T*.
 So the relevant subspaces are ``L_w = T^{-1} L`` and
-``L_w_perp = T* L-perp``; a frame built from w takes T = Q(w^{1/2}), the
-scaling of the paper.  The Newton data at (w, mu) need one mu-free vector
-g_w and the projections onto these subspaces: with ``s = g_w/sqrt(mu) - e``
-the Newton direction d is the reflection of s across L_w_perp, split
-orthogonally as d = d1 - d2 across the two subspaces.  This yields
+``L_w_perp = T* L-perp``, of which the frame holds the smaller; a frame
+built from w takes T = Q(w^{1/2}), the scaling of the paper.  The Newton
+data at (w, mu) need one mu-free vector g_w and the projections onto these
+subspaces: with ``s = g_w/sqrt(mu) - e`` the Newton direction d is the
+reflection of s across L_w_perp, split orthogonally as d = d1 - d2 across
+the two subspaces.  This yields
 computable divergence bounds (h_lb, h_ub), a guaranteed-descent step bound
 t_max, and mu-selection in closed form.
 
@@ -36,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -55,7 +65,6 @@ __all__ = [
     "ConicProblem",
     "ScaledFrame",
     "NewtonData",
-    "scaled_projections",
     "newton_direction",
     "mu_candidates",
     "scale_matched_mu",
@@ -137,13 +146,14 @@ class ConicProblem:
             raise ProblemFormatError(f"unsupported problem form: {type(self.form).__name__}")
 
     # ------------------------------------------------------------------
-    @property
-    def is_basis_form(self) -> bool:
-        return isinstance(self.form, BasisForm)
-
     def _check_basis_rank(self) -> None:
         mat = self._basis_mc
-        if mat.shape[1] == 0:
+        n, k = mat.shape
+        if k > n:
+            raise IllConditionedBasisError(
+                f"subspace basis has {k} elements in a cone of dimension {n}, so they are dependent"
+            )
+        if k == 0:
             return
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv[-1] <= _BASIS_RANK_TOL * sv[0]:
@@ -179,33 +189,24 @@ class ConicProblem:
         return np.column_stack([self._mc(a) for a in f.columns])
 
     @functools.cached_property
-    def _lperp_mc(self) -> np.ndarray:
-        """Orthonormal basis of L-perp in metric coordinates.
-
-        Basis form: full-space orthogonal complement of the basis of L (QR).
-        Operator form: orthonormalized image of ker(B) under A.
-        """
-        if self.is_basis_form:
-            mat = self._basis_mc
-            ell = mat.shape[1]
-            if ell == 0:
-                return np.eye(self.cone.dim)
-            q, _ = np.linalg.qr(mat, mode="complete")
-            return q[:, ell:]
+    def _given_mc(self) -> np.ndarray:
+        """Spanning set, in metric coordinates, of the side the form states:
+        the basis of L as given, or the image of ker(B) under A, which spans
+        L-perp, orthonormalized."""
         f = self.form
+        if isinstance(f, BasisForm):
+            return self._basis_mc
+        span = self._columns_mc
         if f.B.size:
-            nb = scipy.linalg.null_space(f.B)
-        else:
-            nb = np.eye(len(f.columns))
-        span = self._columns_mc @ nb
+            span = span @ scipy.linalg.null_space(f.B)
         return _orthonormalize(span)
 
     @functools.cached_property
     def _representatives(self):
         """(x0, s0) representatives; direct for basis form, least-norm solves otherwise."""
-        if self.is_basis_form:
-            return self.form.x0, self.form.s0
         f = self.form
+        if isinstance(f, BasisForm):
+            return f.x0, f.s0
         m = len(f.columns)
         d = f.B.shape[0] if f.B.size else 0
         # A* x + B* z = b with unknown (x in metric coords, z)
@@ -223,6 +224,24 @@ class ConicProblem:
         s0 = f.c - self._from_mc(self._columns_mc @ y)
         return x0, s0
 
+    @functools.cached_property
+    def _representation(self) -> "_Representation":
+        """The one representation every projection reads: the representatives
+        and a spanning set of the smaller of L and L-perp.  The side the form
+        states serves as it is unless it is the larger; then one complete QR
+        gives an orthonormal basis of the other side."""
+        x0, s0 = self._representatives
+        span = self._given_mc
+        on_l = isinstance(self.form, BasisForm)
+        if 2 * span.shape[1] > span.shape[0]:
+            span, on_l = _complement(span), not on_l
+        return _Representation(x0, s0, on_l, span)
+
+    @functools.cached_property
+    def _orthonormal_span(self) -> np.ndarray:
+        """Orthonormal basis, metric coordinates, of the representation's side."""
+        return _orthonormalize(self._representation.span)
+
     @property
     def x0(self) -> AlgebraElement:
         return self._representatives[0]
@@ -230,6 +249,66 @@ class ConicProblem:
     @property
     def s0(self) -> AlgebraElement:
         return self._representatives[1]
+
+    def dual(self) -> "ConicProblem":
+        """The dual problem, whose primal set is s0 + L-perp and whose dual
+        set is x0 + L, stated in the other form.
+
+        Basis form (x0, s0, basis of L) gives the operator form with A the
+        basis, b = (<l_i, s0>), c = x0 and no B; an operator form gives the
+        basis form (s0, x0, the orthonormalized image of ker(B) under A).
+        The dual takes over this problem's representation with x0 and s0
+        swapped and the side flipped, so its subspace is not factorized
+        again; a basis-form dual still takes the load-time rank check.
+        """
+        f = self.form
+        x0, s0, on_l, span = self._representation
+        if isinstance(f, BasisForm):
+            b = np.array([jordan.inner(l, f.s0) for l in f.basis])
+            B = np.zeros((0, len(f.basis)))
+            form = OperatorForm(columns=f.basis, B=B, b=b, c=f.x0, g=np.zeros(0))
+        else:
+            basis = [self._from_mc(col) for col in self._given_mc.T]
+            form = BasisForm(x0=s0, s0=x0, basis=basis)
+        dual = ConicProblem(self.cone, form)
+        # seed the caches that the lazy derivation would fill
+        dual.__dict__["_representatives"] = (s0, x0)
+        dual.__dict__["_representation"] = _Representation(s0, x0, not on_l, span)
+        return dual
+
+
+class _Representation(NamedTuple):
+    """Representatives x0, s0 and the spanning set, metric coordinates, of L
+    (``on_l``) or of L-perp, whichever is the smaller."""
+
+    x0: AlgebraElement
+    s0: AlgebraElement
+    on_l: bool
+    span: np.ndarray
+
+
+def _complement(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the span of
+    full-rank ``cols``, from one complete QR."""
+    n, k = cols.shape
+    if k == 0:
+        return np.eye(n)
+    q, _ = np.linalg.qr(cols, mode="complete")
+    return q[:, k:]
+
+
+def _projections(basis: np.ndarray, on_l: bool, zm: np.ndarray) -> tuple:
+    """(P_L zm, P_L-perp zm) for an orthonormal ``basis`` of L (``on_l``)
+    or of L-perp."""
+    inside = basis @ (basis.T @ zm)
+    rest = zm - inside
+    return (inside, rest) if on_l else (rest, inside)
+
+
+def _map_side(anchor: jordan.Anchor, on_l: bool, Z: np.ndarray) -> np.ndarray:
+    """The anchor's map of one side of the problem on the columns of Z:
+    T^{-1} for x0 + L (``on_l``), T* for s0 + L-perp."""
+    return anchor._columns(Z, on_l, not on_l)
 
 
 def _orthonormalize(cols: np.ndarray) -> np.ndarray:
@@ -263,13 +342,15 @@ class ScaledFrame:
     """The problem in the frame of one interior point w, where w is e.
 
     The frame carries an anchor T, a ``jordan.Anchor`` with T e = w, and
-    the problem mapped into it: ``basis``, an orthonormal basis (metric
-    coordinates) of the anchored subspace L_w = T^{-1} L (basis form) or of
-    its complement L_w_perp = T* L-perp (operator form), which gives the
-    orthogonal projections ``onto_lw`` and ``onto_lw_perp``; and the
-    representatives u_p of T^{-1}(x0 + L) and u_d of T*(s0 + L-perp).  From
-    them come ``g_w = P_{L_w_perp} u_p + P_{L_w} u_d``, from one projection,
-    and ``g_w_extremes``, its extreme eigenvalues, from one ``eigvalsh``.
+    the problem's representation mapped into it: ``basis``, an orthonormal
+    basis (metric coordinates) of the anchored smaller side, L_w = T^{-1} L
+    or its complement L_w_perp = T* L-perp as the side flag says, which
+    gives the orthogonal projections ``onto_lw`` and ``onto_lw_perp``; and
+    the representatives u_p of T^{-1}(x0 + L) and u_d of T*(s0 + L-perp).
+    From them come ``g_w = P_{L_w_perp} u_p + P_{L_w} u_d``, from one
+    projection, and ``g_w_extremes``, its extreme eigenvalues, from one
+    ``eigvalsh``.  The frame of the dual problem at w^{-1} holds the same
+    subspace with the sides swapped, so it reads -d where this one reads d.
     ``newton(mu)`` reads h_ub from these alone and projects once more only
     when d is read; ``mu_candidates`` and ``scale_matched_mu`` read g_w and
     its extreme eigenvalues, which do not depend on which T with T e = w
@@ -284,17 +365,14 @@ class ScaledFrame:
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
         spec = jordan.Spectrum(w).require_interior("scaling point must be interior")
         anchor = jordan.Anchor.scaling(spec, np.sqrt)
-        x0, s0 = problem._representatives
-        # raw x0 (or s0) and the spanning set in metric coordinates share one
-        # map call: the anchor acts alike on both
-        if problem.is_basis_form:
-            cols = anchor.inverse_columns(np.column_stack((x0.coords, problem._basis_mc)))
-            u_p, span = cols[:, 0], cols[:, 1:]
-            u_d = anchor.adjoint_columns(s0.coords[:, None])[:, 0]
-        else:
-            cols = anchor.adjoint_columns(np.column_stack((s0.coords, problem._lperp_mc)))
-            u_d, span = cols[:, 0], cols[:, 1:]
-            u_p = anchor.inverse_columns(x0.coords[:, None])[:, 0]
+        x0, s0, on_l, span = problem._representation
+        # the raw representative of the spanned side and the spanning set in
+        # metric coordinates share one map call: the anchor acts alike on both
+        near, far = (x0, s0) if on_l else (s0, x0)
+        cols = _map_side(anchor, on_l, np.column_stack((near.coords, span)))
+        u_near, span = cols[:, 0], cols[:, 1:]
+        u_far = _map_side(anchor, not on_l, far.coords[:, None])[:, 0]
+        u_p, u_d = (u_near, u_far) if on_l else (u_far, u_near)
         cone = problem.cone
         self._set(problem, anchor, _orthonormalize(span), jordan.element(cone, u_p), jordan.element(cone, u_d))
         self.w = w
@@ -323,10 +401,7 @@ class ScaledFrame:
         t = float(t)
         spec = nd.d_spectrum
         move = jordan.Anchor.scaling(spec, lambda lam: np.exp(0.5 * t * lam))
-        if self.problem.is_basis_form:
-            span = move.inverse_columns(self.basis)
-        else:
-            span = move.adjoint_columns(self.basis)
+        span = _map_side(move, self.problem._representation.on_l, self.basis)
         r = math.sqrt(nd.mu)
         u_p, u_d = spec.map(
             lambda lam: r * (1.0 + lam) * np.exp(-t * lam),
@@ -338,10 +413,7 @@ class ScaledFrame:
 
     def _split(self, z: AlgebraElement) -> tuple:
         """Metric coordinates of (P_{L_w} z, P_{L_w_perp} z)."""
-        zm = self.problem._mc(z)
-        inside = self.basis @ (self.basis.T @ zm)
-        rest = zm - inside
-        return (inside, rest) if self.problem.is_basis_form else (rest, inside)
+        return _projections(self.basis, self.problem._representation.on_l, self.problem._mc(z))
 
     def onto_lw(self, z: AlgebraElement) -> AlgebraElement:
         """Orthogonal projection onto L_w."""
@@ -370,7 +442,7 @@ class ScaledFrame:
         is read off the extreme eigenvalues of g_w: h_lb and h_ub cost one
         vector operation.  d takes one projection when first read, and is
         decomposed only when its spectrum is read (see ``NewtonData``).
-        For both problem forms ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
+        On either side ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
         ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``.
         """
         mu = float(mu)
@@ -384,12 +456,6 @@ class ScaledFrame:
         h_lb = norm_d ** 2 / (1.0 + sum_inf)
         h_ub = norm_d ** 2 / (1.0 - sum_inf) if sum_inf < 1.0 else math.inf
         return NewtonData(s=s, norm_d=norm_d, sum_inf=sum_inf, h_lb=h_lb, h_ub=h_ub, frame=self, mu=mu)
-
-
-def scaled_projections(problem: ConicProblem, w: AlgebraElement) -> ScaledFrame:
-    """The frame of w; its ``onto_lw``/``onto_lw_perp`` project onto
-    L_w = Q(w^{-1/2}) L and its orthogonal complement."""
-    return ScaledFrame(problem, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,9 +616,9 @@ def as_operator_form(problem: ConicProblem) -> ConicProblem:
     A's columns are an orthonormal basis of L-perp (full-space complement of
     the stacked basis, via QR), c = s0, b = A* x0, and B/g are empty.
     """
-    if not problem.is_basis_form:
+    if not isinstance(problem.form, BasisForm):
         return problem
-    lperp = problem._lperp_mc
+    lperp = _complement(problem._basis_mc)
     cols = tuple(problem._from_mc(lperp[:, j]) for j in range(lperp.shape[1]))
     b = np.array([jordan.inner(a, problem.form.x0) for a in cols])
     form = OperatorForm(
@@ -571,7 +637,7 @@ def transform_problem(problem: ConicProblem, T: jordan.ConeAutomorphism) -> Coni
     The primal set maps through T and the dual set through (T^{-1})*.
     """
     f = problem.form
-    if problem.is_basis_form:
+    if isinstance(f, BasisForm):
         x0, *basis = _map_columns(T.columns, (f.x0, *f.basis))
         form = BasisForm(x0=x0, s0=jordan.apply_inverse_adjoint(T, f.s0), basis=basis)
     else:
@@ -588,8 +654,8 @@ def _map_columns(fn, elems: tuple) -> list:
 
 def affine_residuals(problem: ConicProblem, x: AlgebraElement, s: AlgebraElement):
     """Distances of x to x0 + L and of s to s0 + L-perp (unscaled projections)."""
-    frame = ScaledFrame(problem, jordan.identity(problem.cone))
-    x0, s0 = problem._representatives
-    rp = jordan.norm2(frame.onto_lw_perp(x - x0))
-    rd = jordan.norm2(frame.onto_lw(s - s0))
-    return rp, rd
+    x0, s0, on_l, _ = problem._representation
+    basis = problem._orthonormal_span
+    rp = _projections(basis, on_l, problem._mc(x - x0))[1]
+    rd = _projections(basis, on_l, problem._mc(s - s0))[0]
+    return float(np.linalg.norm(rp)), float(np.linalg.norm(rd))

@@ -13,6 +13,7 @@ from geoipm import jordan as J
 from geoipm import solver as V
 from geoipm import subspace as S
 from geoipm.harness import generate
+from geoipm.harness.experiments import trial_seed
 
 from util import (
     FAMILIES,
@@ -298,3 +299,44 @@ def test_criterion_10_bound_correctness_and_derivative():
         assert abs(fd - expect) <= 1e-5 * max(1.0, abs(expect))
         checked += 1
     assert checked == 50
+
+
+def _symmetric_runs(prob, w_short, w_long, mu_f):
+    """Worst relative distance of the dual runs from w^{-1}, after checking
+    that shortstep from ``w_short`` and longstep from ``w_long`` take the
+    same steps on the problem and on its dual started from the inverses."""
+    dual = prob.dual()
+    params = V.shortstep_params(0.5, 1e-4, prob.cone.rank)
+    worst = 0.0
+    for run, w0 in (
+        (lambda p, w: V.shortstep(p, w, 1.0, mu_f, params), w_short),
+        (lambda p, w: V.longstep(p, w, 1.0, mu_f), w_long),
+    ):
+        state, trace = run(prob, w0)
+        state_d, trace_d = run(dual, J.inverse(w0))
+        assert trace_d.newton_steps == trace.newton_steps
+        assert state_d.mu == pytest.approx(state.mu, rel=1e-9)
+        w_inv = J.inverse(state.w)
+        worst = max(worst, J.norm2(state_d.w - w_inv) / J.norm2(w_inv))
+    return worst
+
+
+def test_criterion_11_primal_dual_symmetry():
+    """The dual problem (x0 <-> s0, L <-> L-perp) started from w0^{-1} takes
+    the same steps under shortstep and longstep and returns w^{-1}: to 1e-8
+    relative on every cone family, in both input forms, and to 5e-8 on the
+    fig3 psd(20) instances t = 0..3 at mu_f = 1/1024, where cond(w) is about
+    1e9."""
+    mu_f = 1.0 / 1024.0
+    for index, cone in enumerate(FAMILIES.values()):
+        rng = np.random.default_rng(11000 + index)
+        for _ in range(2):
+            prob = random_basis_problem(cone, 3, rng)
+            for p in (prob, S.as_operator_form(prob)):
+                err = _symmetric_runs(p, V.oracle_center(p, 1.0), random_interior(cone, rng), mu_f)
+                assert err <= 1e-8
+    for t in range(4):
+        prob = generate.generate_random_sdp(20, 10, trial_seed(0, 20, t))
+        err = _symmetric_runs(prob, V.oracle_center(prob, 1.0), J.identity(prob.cone), mu_f)
+        assert err <= 5e-8
+

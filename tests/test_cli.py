@@ -121,6 +121,19 @@ def test_non_integer_block_size_exit_3(tmp_path, capsys):
         assert "must be an integer" in capsys.readouterr().err
 
 
+def test_basis_longer_than_the_cone_dimension_exit_3(tmp_path, capsys):
+    # four basis vectors of orthant(3) are dependent: rejected at load, not at solve
+    rng = np.random.default_rng(3)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "cone": [{"type": "orthant", "size": 3}], "form": "basis",
+        "x0": [1.0, 1.0, 1.0], "s0": [1.0, 1.0, 1.0],
+        "basis_L": rng.standard_normal((4, 3)).tolist(),
+    }))
+    assert cli.solve_cli(["solve", "--input", str(path)]) == 3
+    assert "dimension 3" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_4(tmp_path):
     rng = np.random.default_rng(2)
     prob = random_basis_problem(ORTH6, 2, rng)

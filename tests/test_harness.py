@@ -55,7 +55,7 @@ def test_problem_file_roundtrip(tmp_path):
     op = S.as_operator_form(prob)
     io.save_problem(op, path)
     back = io.load_problem(path)
-    assert not back.is_basis_form
+    assert isinstance(back.form, S.OperatorForm)
     assert np.allclose(back.form.b, op.form.b)
 
 

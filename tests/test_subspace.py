@@ -53,12 +53,12 @@ def test_scaled_projection_properties():
     for cone in FAMILIES.values():
         prob = random_basis_problem(cone, 3, rng)
         # w = e gives the projectors onto L and L-perp themselves
-        proj = S.scaled_projections(prob, J.identity(cone))
+        proj = S.ScaledFrame(prob, J.identity(cone))
         for l in prob.form.basis:
             assert_elem_close(proj.onto_lw(l), l, 1e-10, "basis fixed by projector at e")
             assert J.norm2(proj.onto_lw_perp(l)) <= 1e-10 * J.norm2(l)
         w = random_interior(cone, rng)
-        proj = S.scaled_projections(prob, w)
+        proj = S.ScaledFrame(prob, w)
         z = random_element(cone, rng)
         z2 = random_element(cone, rng)
         assert_elem_close(proj.onto_lw(z) + proj.onto_lw_perp(z), z, 1e-10, "complementary")
@@ -72,7 +72,7 @@ def test_scaled_projections_rejects_boundary_w():
     prob = random_basis_problem(ORTH6, 2, rng)
     w = J.element(ORTH6, [1, 1, 1, 1, 1, 0])
     with pytest.raises(DomainError):
-        S.scaled_projections(prob, w)
+        S.ScaledFrame(prob, w)
 
 
 def test_rank_loss_in_operator_columns():
@@ -82,7 +82,7 @@ def test_rank_loss_in_operator_columns():
     )
     prob = S.ConicProblem(ORTH6, form)
     with pytest.raises(IllConditionedBasisError):
-        S.scaled_projections(prob, J.identity(ORTH6))
+        S.ScaledFrame(prob, J.identity(ORTH6))
 
 
 def test_rank_loss_more_columns_than_dimension():
@@ -93,23 +93,50 @@ def test_rank_loss_more_columns_than_dimension():
         columns=cols, B=np.zeros((0, 7)), b=np.zeros(7), c=J.identity(ORTH6), g=np.zeros(0)
     )
     with pytest.raises(IllConditionedBasisError):
-        S.scaled_projections(S.ConicProblem(ORTH6, form), J.identity(ORTH6))
+        S.ScaledFrame(S.ConicProblem(ORTH6, form), J.identity(ORTH6))
 
 
-@pytest.mark.parametrize("operator", [False, True], ids=["basis", "operator"])
-def test_stepped_frame_matches_the_frame_of_the_stepped_point(operator):
+def test_basis_longer_than_the_cone_dimension_is_rejected_at_load():
+    # four vectors in a three-dimensional space are dependent whatever their values
+    rng = np.random.default_rng(19)
+    cone = J.ConeDescriptor((J.Orthant(3),))
+    basis = tuple(random_element(cone, rng) for _ in range(4))
+    with pytest.raises(IllConditionedBasisError, match="dimension 3"):
+        S.ConicProblem(cone, S.BasisForm(x0=J.identity(cone), s0=J.identity(cone), basis=basis))
+
+
+def _side_case(cone, case, rng):
+    """A problem in basis or operator form with dim L = 2 or dim L-perp = 2
+    ("large-L"), and its dim L.  The operator form states L-perp, so its
+    given spanning set is the larger side exactly when L is small."""
+    form, large_l = case
+    dim_l = cone.dim - 2 if large_l else 2
+    prob = random_basis_problem(cone, dim_l, rng)
+    return (S.as_operator_form(prob) if form == "operator" else prob), dim_l
+
+
+SIDE_CASES = {
+    "basis": ("basis", False),
+    "operator": ("operator", False),
+    "basis-large-L": ("basis", True),
+    "operator-large-L": ("operator", True),
+}
+
+
+@pytest.mark.parametrize("case", SIDE_CASES.values(), ids=SIDE_CASES.keys())
+def test_stepped_frame_matches_the_frame_of_the_stepped_point(case):
     """A step in the frame lands on T exp(t d), which is Q(w^{1/2}) exp(t d)
     from a frame built at w, and the frame it gives reads the same Newton
     data and the same feasible pair as the frame built from that point,
-    which is rotated against it."""
+    which is rotated against it.  Both sides of the frame run: it spans L or
+    L-perp, whichever is smaller, as the form gives it or as its complement."""
     rng = np.random.default_rng(41)
     mu = 0.8
     for cone in FAMILIES.values():
-        prob = random_basis_problem(cone, 3, rng)
-        if operator:
-            prob = S.as_operator_form(prob)
+        prob, dim_l = _side_case(cone, case, rng)
         w = perturb_to_divergence(V.oracle_center(prob, mu), rng, 0.3)
         frame = S.ScaledFrame(prob, w)
+        assert frame.basis.shape[1] == min(dim_l, cone.dim - dim_l)
         for t in (1.0, 0.4):
             nd = frame.newton(mu)
             stepped = frame.step(nd, t)
@@ -130,6 +157,68 @@ def test_stepped_frame_matches_the_frame_of_the_stepped_point(operator):
             for p, q in zip(pair_a, pair_b):
                 assert_elem_close(p, q, 1e-9, "feasible pair")
             frame = stepped
+
+
+
+@pytest.mark.parametrize("form", ["basis", "operator"])
+@pytest.mark.parametrize("full", [False, True], ids=["dim-L-0", "dim-L-N"])
+def test_trivial_subspaces(form, full):
+    """dim L = 0 fixes x = x0 and dim L = N fixes s = s0, so the centered
+    point is x0/sqrt(mu) or sqrt(mu) s0^{-1}; the frame spans nothing."""
+    rng = np.random.default_rng(43)
+    mu, mu_f = 0.6, 1.0 / 128.0
+    for cone in FAMILIES.values():
+        prob = random_basis_problem(cone, cone.dim if full else 0, rng)
+        if form == "operator":
+            prob = S.as_operator_form(prob)
+
+        def center(m):
+            return math.sqrt(m) * J.inverse(prob.s0) if full else prob.x0 / math.sqrt(m)
+
+        frame = S.ScaledFrame(prob, center(mu))
+        assert frame.basis.shape[1] == 0
+        assert frame.newton(mu).norm_d <= 1e-12
+        state, _ = V.longstep(prob, J.identity(cone), 1.0, mu_f)
+        nd = state.frame.newton(state.mu)
+        assert state.mu <= mu_f and nd.h_ub <= 1e-4
+        assert_elem_close(state.w, center(state.mu), 1e-2, "near the centered point")
+        x, s = S.feasible_point(prob, state.w, state.mu, nd=nd)
+        rp, rd = S.affine_residuals(prob, x, s)
+        assert rp <= 1e-12 * J.norm2(x) and rd <= 1e-12 * J.norm2(s)
+
+
+@pytest.mark.parametrize("case", SIDE_CASES.values(), ids=SIDE_CASES.keys())
+def test_dual_swaps_the_affine_sets(case):
+    """The dual's primal set is s0 + L-perp and its dual set x0 + L, so
+    ``dual().dual()`` states the same affine sets in the same form, and the
+    dual's Newton direction at w^{-1} is -d."""
+    rng = np.random.default_rng(44)
+    for cone in FAMILIES.values():
+        prob, dim_l = _side_case(cone, case, rng)
+        dual = prob.dual()
+        twice = dual.dual()
+        # the dual's form data alone, as a problem file would restate them
+        restated = S.ConicProblem(cone, dual.form)
+        assert type(dual.form) is not type(prob.form) and type(twice.form) is type(prob.form)
+        at_e = [S.ScaledFrame(p, J.identity(cone)) for p in (prob, dual, twice, restated)]
+        assert [f.basis.shape[1] for f in at_e] == [min(dim_l, cone.dim - dim_l)] * 4
+        for z in (random_element(cone, rng) for _ in range(3)):
+            assert_elem_close(at_e[1].onto_lw(z), at_e[0].onto_lw_perp(z), 1e-10, "L of the dual")
+            assert_elem_close(at_e[2].onto_lw(z), at_e[0].onto_lw(z), 1e-10, "L of the dual's dual")
+            assert_elem_close(at_e[3].onto_lw(z), at_e[0].onto_lw_perp(z), 1e-10, "L restated")
+        for p, x0, s0 in (
+            (dual, prob.s0, prob.x0),
+            (restated, prob.s0, prob.x0),
+            (twice, prob.x0, prob.s0),
+            (prob, twice.x0, twice.s0),
+        ):
+            rp, rd = S.affine_residuals(p, x0, s0)
+            assert rp <= 1e-10 * J.norm2(x0) and rd <= 1e-10 * J.norm2(s0)
+        # the dual's direction at w^{-1} is -d
+        w = random_interior(cone, rng)
+        d = S.newton_direction(prob, w, 0.7).d
+        assert_elem_close(S.newton_direction(dual, J.inverse(w), 0.7).d, -1.0 * d, 1e-10, "-d")
+
 
 def test_newton_direction_scalar_closed_form():
     prob = scalar_problem(a=2.0)

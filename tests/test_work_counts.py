@@ -15,9 +15,10 @@ Q(exp(t d/2)) and the reset representatives, so a call that only tests
 h_ub takes none.  So a step costs 1 ``eigh`` and 1 ``eigvalsh``.
 
 A step maps the basis once, by the ``jordan.Anchor`` of Q(exp(t d/2)), and
-calls ``quad_rep_columns`` not at all.  A fresh frame makes two anchor maps
-(T^{-1} on the basis of L with x0, T* on s0, or T* on L-perp with s0 and
-T^{-1} on x0), and so does the feasible pair (T and (T^{-1})*).  A frame
+calls ``quad_rep_columns`` not at all.  The basis spans the smaller of L and
+L-perp, whichever form states the problem.  A fresh frame makes two anchor
+maps (T^{-1} on the basis of L with x0, T* on s0, or T* on L-perp with s0
+and T^{-1} on x0), and so does the feasible pair (T and (T^{-1})*).  A frame
 projects once for g_w; a Newton call projects once more only when its d is
 read, and ``mu_candidates`` projects nothing.  Both trackers hand back the
 frame of their last iterate, so ``geoipm solve`` reads the final h_ub from
@@ -167,7 +168,19 @@ def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
             monkeypatch, lambda: S.ScaledFrame(prob, J.identity(prob.cone)).newton(0.7), KERNELS
         )
         # T^{-1} and T* once each, one of them on the whole spanning set
-        assert calls["_columns"] == 2 and calls["quad_rep_columns"] == 0, prob.is_basis_form
+        assert calls["_columns"] == 2 and calls["quad_rep_columns"] == 0, type(prob.form).__name__
+
+
+def test_frame_spans_the_smaller_side_whatever_the_form():
+    # fig3 psd(20): N = 210 and dim L = 10, so L-perp has 200 dimensions; the
+    # operator form states L-perp, and the basis form of the operator form's
+    # dual spans it, yet every frame carries the 10 columns of the smaller side
+    problem = _fig3_instance(20)
+    op = S.as_operator_form(problem)
+    op_dual = op.dual()
+    w = J.identity(problem.cone)
+    for prob in (problem, op, problem.dual(), S.ConicProblem(op_dual.cone, op_dual.form)):
+        assert S.ScaledFrame(prob, w).basis.shape == (210, 10), type(prob.form).__name__
 
 
 def test_one_projection_per_newton_call(problem, monkeypatch):
