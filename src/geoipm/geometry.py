@@ -44,14 +44,14 @@ def ray(base: AlgebraElement, direction: AlgebraElement) -> GeodesicRay:
     """Build a geodesic ray; the base point must be interior."""
     jordan._same_cone(base, direction)
     (base_half,) = jordan.Spectrum(base).require_interior("geodesic base point must lie in int K").map(np.sqrt)
-    return GeodesicRay(base_half, jordan.Spectrum(direction))
+    return GeodesicRay(jordan.pack(base.cone, base_half), jordan.Spectrum(direction))
 
 
 def geodesic_point(r: GeodesicRay, t: float) -> AlgebraElement:
     """Point Q(w^{1/2}) exp(t d) on the ray; always interior."""
     t = float(t)
     (exp_td,) = r.spectrum.map(lambda lam: np.exp(t * lam))
-    return jordan.quad_rep(r.base_half, exp_td)
+    return jordan.quad_rep(r.base_half, jordan.pack(r.base_half.cone, exp_td))
 
 
 def geodesic_distance(z0: AlgebraElement, z1: AlgebraElement) -> float:
@@ -60,7 +60,7 @@ def geodesic_distance(z0: AlgebraElement, z1: AlgebraElement) -> float:
     what = "geodesic_distance argument must lie in int K"
     (z0_inv_half,) = jordan.Spectrum(z0).require_interior(what).map(lambda lam: lam ** -0.5)
     jordan.Spectrum(z1).require_interior(what)
-    lam = jordan.eigenvalues(jordan.quad_rep(z0_inv_half, z1))
+    lam = jordan.eigenvalues(jordan.quad_rep(jordan.pack(z0.cone, z0_inv_half), z1))
     if lam.min() <= 0.0:
         raise DomainError("scaled point left the cone interior", eigenvalue=float(lam.min()))
     # eigenvalue multiset of the log; the trace norm is the plain 2-norm here
@@ -86,7 +86,8 @@ def divergence(z0: AlgebraElement, z1: AlgebraElement) -> float:
     jordan._same_cone(z0, z1)
     what = "divergence argument must lie in int K"
     z0_inv, z1_inv = (jordan.Spectrum(z).require_interior(what).map(lambda lam: 1.0 / lam)[0] for z in (z0, z1))
-    return jordan.inner(z0, z1_inv) + jordan.inner(z0_inv, z1) - 2.0 * z0.cone.rank
+    # frame coordinates: the trace inner product is the dot product
+    return float(jordan.unpack(z0) @ z1_inv + z0_inv @ jordan.unpack(z1)) - 2.0 * z0.cone.rank
 
 
 def divergence_profile(r: GeodesicRay, t: float, z_ref: AlgebraElement) -> float:

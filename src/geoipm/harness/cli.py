@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -94,8 +95,8 @@ def _cmd_solve(args) -> int:
     problem = io.load_problem(args.input)
     mu0 = args.mu0
     mu_f = args.muf if args.muf is not None else mu0 / 1024.0
-    if mu0 <= 0.0 or mu_f <= 0.0:
-        raise ParameterError("mu0 and muf must be positive")
+    if not (0.0 < mu0 < math.inf and 0.0 < mu_f < math.inf):
+        raise ParameterError("mu0 and muf must be positive and finite")
     w0 = _initial_point(problem, args.seed)
     if args.algo == "short":
         beta = args.beta if args.beta is not None else 0.5

@@ -16,6 +16,19 @@ raw dot product, because the eigenvalues of (x0, x1) are x0 +- ||x1|| and
 hence tr x = 2 x0.  ``metric_diag`` exposes the diagonal weights relating
 the two, and all norms, projections and adjoints in this package are taken
 with respect to this inner product.
+
+Frame coordinates are the working layout of the Newton step: one flat
+array of length ``ConeDescriptor.frame_dim`` per element, in which
+
+* orthant blocks hold their entries as they are;
+* second-order blocks hold their raw coordinates times sqrt(2);
+* PSD blocks hold the full k x k matrix, row-major;
+
+so the trace inner product is the plain dot product, the eigensolvers read
+the PSD matrices in place, and every anchor map is a plain product per run
+(``a * z``, ``M z`` or ``P Z P^T``).  ``unpack`` and ``pack`` convert at
+the ``AlgebraElement`` boundary; ``Spectrum`` and ``Anchor`` work in frame
+coordinates, and the public spectral functions pack their results once.
 """
 
 from __future__ import annotations
@@ -47,6 +60,8 @@ __all__ = [
     "zero",
     "from_blocks",
     "to_blocks",
+    "pack",
+    "unpack",
     "metric_diag",
     "circ",
     "quad_rep",
@@ -55,6 +70,7 @@ __all__ = [
     "spectral_map",
     "spectral_map_multi",
     "eigenvalues",
+    "frame_eigenvalues",
     "min_eigenvalue",
     "is_interior",
     "inner",
@@ -77,6 +93,11 @@ __all__ = [
 
 # Scale-relative strictness of the interior membership test.
 INTERIOR_EPS = 1e-12
+
+_SQRT2 = math.sqrt(2.0)
+# sum_i f_i e_i on a second-order block has raw coordinates 0.5 (f+ + f-, (f+ - f-) u),
+# so its frame coordinates are these halves times sqrt(2)
+_HALF_SQRT2 = 0.5 * _SQRT2
 
 
 # --------------------------------------------------------------------------
@@ -218,6 +239,33 @@ class ConeDescriptor:
                 rows[:] = _svec(np.eye(run.block.side))
         return _mk(self, c)
 
+    @functools.cached_property
+    def frame_runs(self) -> tuple:
+        """The runs with their places in frame coordinates, one ``FrameRun`` each."""
+        out = []
+        pos = 0
+        for run in self.runs:
+            if isinstance(run.block, Psd):
+                shape = (run.count, run.block.side, run.block.side)
+            else:
+                shape = run.shape
+            size = math.prod(shape)
+            out.append(FrameRun(run, pos, pos + size, shape))
+            pos += size
+        return tuple(out)
+
+    @functools.cached_property
+    def frame_dim(self) -> int:
+        """Length D of the frame coordinates (a PSD block of side k takes k^2)."""
+        return self.frame_runs[-1].stop
+
+    @functools.cached_property
+    def frame_identity(self) -> np.ndarray:
+        """Frame coordinates of the identity e."""
+        f = unpack(self.identity)
+        f.setflags(write=False)
+        return f
+
 
 class Run(NamedTuple):
     """``count`` consecutive copies of ``block`` over coordinates
@@ -234,6 +282,23 @@ class Run(NamedTuple):
         shape (count, dim) or (count, dim, m).  A view when ``coords`` is
         contiguous."""
         return coords[self.start : self.stop].reshape(self.shape + coords.shape[1:])
+
+
+class FrameRun(NamedTuple):
+    """A run in frame coordinates: its blocks fill ``start:stop``, one per
+    row of ``shape``: (1, size) for the orthant, (count, dim) for
+    second-order and (count, k, k) for PSD blocks."""
+
+    run: Run
+    start: int
+    stop: int
+    shape: tuple
+
+    def view(self, f: np.ndarray) -> np.ndarray:
+        """The run's part of frame coordinates ``f`` of shape (..., D), one
+        block per row: shape (..., *shape).  A view when the last axis of
+        ``f`` is contiguous."""
+        return f[..., self.start : self.stop].reshape(f.shape[:-1] + self.shape)
 
 
 def metric_diag(cone: ConeDescriptor) -> np.ndarray:
@@ -337,6 +402,51 @@ def to_blocks(x: AlgebraElement) -> list:
             out.append(_smat(x.coords[a:b], blk.side))
         else:
             out.append(x.coords[a:b].copy())
+    return out
+
+
+def unpack(x: AlgebraElement) -> np.ndarray:
+    """Frame coordinates of x (see the module docstring)."""
+    return _unpack(x.cone, x.coords)
+
+
+def pack(cone: ConeDescriptor, f: np.ndarray) -> AlgebraElement:
+    """The element with frame coordinates ``f``; a PSD block reads the upper
+    triangle of its matrix."""
+    return _mk(cone, _pack(cone, f))
+
+
+def _unpack(cone: ConeDescriptor, coords: np.ndarray) -> np.ndarray:
+    """Frame coordinates of each row of ``coords`` (..., N): shape (..., D)."""
+    lead = coords.shape[:-1]
+    out = np.empty(lead + (cone.frame_dim,))
+    for fr in cone.frame_runs:
+        run = fr.run
+        part = coords[..., run.start : run.stop].reshape(lead + run.shape)
+        rows = fr.view(out)
+        if isinstance(run.block, Orthant):
+            rows[...] = part
+        elif isinstance(run.block, SecondOrder):
+            rows[...] = part * _SQRT2
+        else:
+            rows[...] = _smat(part, run.block.side)
+    return out
+
+
+def _pack(cone: ConeDescriptor, f: np.ndarray) -> np.ndarray:
+    """Element coordinates of each row of frame coordinates ``f`` (..., D)."""
+    lead = f.shape[:-1]
+    out = np.empty(lead + (cone.dim,))
+    for fr in cone.frame_runs:
+        run = fr.run
+        part = fr.view(f)
+        rows = out[..., run.start : run.stop].reshape(lead + run.shape)
+        if isinstance(run.block, Orthant):
+            rows[...] = part
+        elif isinstance(run.block, SecondOrder):
+            rows[...] = part / _SQRT2
+        else:
+            rows[...] = _svec(part)
     return out
 
 
@@ -480,10 +590,11 @@ def quad_rep_columns(w: AlgebraElement, Z: np.ndarray) -> np.ndarray:
 
 
 def _run_spectrum(run: Run, X: np.ndarray, vectors: bool) -> tuple:
-    """Eigenvalues of the blocks of a run, one block per row of X, as a
-    (count, rank) array, and with ``vectors`` the frame data: the eigenvector
-    matrices (PSD, one stacked ``eigh``) or the unit axes of the vector parts
-    (second-order); else None."""
+    """Eigenvalues of the blocks of a run as a (count, rank) array, and with
+    ``vectors`` the frame data: the eigenvector matrices (PSD, one stacked
+    ``eigh``) or the unit axes of the vector parts (second-order); else
+    None.  ``X`` holds one block per row: raw coordinates (orthant,
+    second-order) or the k x k matrix (PSD)."""
     blk = run.block
     if isinstance(blk, Orthant):
         return X, None
@@ -499,27 +610,53 @@ def _run_spectrum(run: Run, X: np.ndarray, vectors: bool) -> tuple:
         axis[:, 0] = 1.0
         np.divide(x1, r[:, None], out=axis, where=r[:, None] > 0.0)
         return lam, axis
-    mats = _smat(X, blk.side)
-    return _eigh(mats) if vectors else (_eigvalsh(mats), None)
+    return _eigh(X) if vectors else (_eigvalsh(X), None)
+
+
+def _element_blocks(x: AlgebraElement):
+    """Per run, the blocks of x in the form ``_run_spectrum`` reads."""
+    for run in x.cone.runs:
+        X = run.rows(x.coords)
+        yield run, (_smat(X, run.block.side) if isinstance(run.block, Psd) else X)
+
+
+def _frame_blocks(cone: ConeDescriptor, f: np.ndarray):
+    """Per run, the blocks of frame coordinates ``f`` in the form
+    ``_run_spectrum`` reads: the PSD matrices in place."""
+    for fr in cone.frame_runs:
+        X = fr.view(f)
+        yield fr.run, (X / _SQRT2 if isinstance(fr.run.block, SecondOrder) else X)
 
 
 class Spectrum:
     """One decomposition of x = sum_i lambda_i e_i, read by every domain test
     and spectral map of x.
 
-    ``runs`` holds per run of equal blocks (run, eigenvalues, data): the
-    (count, rank) eigenvalues and the stacked eigenvector matrices (PSD), the
-    unit axes of the vector parts (second-order) or None (orthant).
-    ``eigenvalues`` concatenates them in block order; ``frame``, built on
-    first read, holds the primitive idempotents e_i in that order.
+    ``Spectrum(x)`` decomposes an element and ``Spectrum.of_frame(cone, f)``
+    the element with frame coordinates f; both read the same blocks, raw
+    second-order coordinates and the PSD matrices.  ``runs`` holds per run
+    of equal blocks (run, eigenvalues, data): the (count, rank) eigenvalues
+    and the stacked eigenvector matrices (PSD), the unit axes of the vector
+    parts (second-order) or None (orthant).  ``eigenvalues`` concatenates
+    them in block order; ``frame``, built on first read, holds the
+    primitive idempotents e_i in that order.  ``map`` gives frame
+    coordinates.
     """
 
     def __init__(self, x: AlgebraElement):
-        self.cone = x.cone
-        self.runs = tuple(
-            (run, *_run_spectrum(run, run.rows(x.coords), vectors=True)) for run in x.cone.runs
-        )
-        self.eigenvalues = np.concatenate([lam.ravel() for _, lam, _ in self.runs])
+        self._decompose(x.cone, _element_blocks(x))
+
+    @classmethod
+    def of_frame(cls, cone: ConeDescriptor, f: np.ndarray) -> "Spectrum":
+        """The spectrum of the element with frame coordinates ``f``."""
+        spec = cls.__new__(cls)
+        spec._decompose(cone, _frame_blocks(cone, f))
+        return spec
+
+    def _decompose(self, cone: ConeDescriptor, blocks) -> None:
+        self.cone = cone
+        self.runs = tuple((run, *_run_spectrum(run, X, vectors=True)) for run, X in blocks)
+        self.eigenvalues = _concat([lam for _, lam, _ in self.runs])
 
     @functools.cached_property
     def frame(self) -> tuple:
@@ -541,24 +678,25 @@ class Spectrum:
         return tuple(frame)
 
     def map(self, *fns) -> tuple:
-        """sum_i f(lambda_i) e_i for each f in ``fns``; f acts elementwise on an
-        ndarray of eigenvalues (one run's, shaped (count, rank))."""
-        outs = []
-        for fn in fns:
-            out = np.empty(self.cone.dim)
-            for run, lam, data in self.runs:
-                f = np.asarray(fn(lam), dtype=float)
-                rows = run.rows(out)
-                if isinstance(run.block, Orthant):
-                    rows[:] = f
-                elif isinstance(run.block, SecondOrder):
-                    fp, fm = f[:, 0], f[:, 1]
-                    rows[:, 0] = 0.5 * (fp + fm)
-                    rows[:, 1:] = (0.5 * (fp - fm))[:, None] * data
-                else:
-                    rows[:] = _svec((data * f[:, None, :]) @ data.transpose(0, 2, 1))
-            outs.append(_mk(self.cone, out))
-        return tuple(outs)
+        """Frame coordinates of sum_i f(lambda_i) e_i for each f in ``fns``; f
+        acts elementwise on an ndarray of eigenvalues (one run's, shaped
+        (count, rank))."""
+        out = np.empty((len(fns), self.cone.frame_dim))
+        for fr, (run, lam, data) in zip(self.cone.frame_runs, self.runs):
+            # (len(fns), count, rank): every function at once, one product per run
+            f = np.empty((len(fns),) + lam.shape)
+            for i, fn in enumerate(fns):
+                f[i] = fn(lam)
+            rows = fr.view(out)
+            if isinstance(run.block, Orthant):
+                rows[...] = f
+            elif isinstance(run.block, SecondOrder):
+                fp, fm = f[..., 0], f[..., 1]
+                rows[..., 0] = _HALF_SQRT2 * (fp + fm)
+                rows[..., 1:] = (_HALF_SQRT2 * (fp - fm))[..., None] * data
+            else:
+                np.matmul(data * f[..., None, :], data.transpose(0, 2, 1), out=rows)
+        return tuple(out)
 
     def require_interior(self, message: str) -> "Spectrum":
         """This spectrum if it passes the interior test, else DomainError."""
@@ -580,11 +718,23 @@ def spectral(x: AlgebraElement) -> Spectrum:
     return Spectrum(x)
 
 
+def _concat(lams: list) -> np.ndarray:
+    """The per-run eigenvalue arrays, flattened in block order."""
+    return lams[0].ravel() if len(lams) == 1 else np.concatenate([lam.ravel() for lam in lams])
+
+
+def _eigenvalues(blocks) -> np.ndarray:
+    return _concat([_run_spectrum(run, X, vectors=False)[0] for run, X in blocks])
+
+
 def eigenvalues(x: AlgebraElement) -> np.ndarray:
     """All eigenvalues, concatenated blockwise (length = rank)."""
-    return np.concatenate(
-        [_run_spectrum(run, run.rows(x.coords), vectors=False)[0].ravel() for run in x.cone.runs]
-    )
+    return _eigenvalues(_element_blocks(x))
+
+
+def frame_eigenvalues(cone: ConeDescriptor, f: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the element with frame coordinates ``f``."""
+    return _eigenvalues(_frame_blocks(cone, f))
 
 
 def min_eigenvalue(x: AlgebraElement) -> float:
@@ -612,7 +762,7 @@ def spectral_map(x: AlgebraElement, fn: Callable[[np.ndarray], np.ndarray]) -> A
 
 def spectral_map_multi(x: AlgebraElement, fns) -> tuple:
     """Apply several scalar functions from a single decomposition of x."""
-    return Spectrum(x).map(*fns)
+    return tuple(pack(x.cone, f) for f in Spectrum(x).map(*fns))
 
 
 def exp(x: AlgebraElement) -> AlgebraElement:
@@ -622,17 +772,18 @@ def exp(x: AlgebraElement) -> AlgebraElement:
 
 def log(x: AlgebraElement) -> AlgebraElement:
     """Logarithm; requires x in int K."""
-    return Spectrum(x).require_domain("log", lower_open=True).map(np.log)[0]
+    return pack(x.cone, Spectrum(x).require_domain("log", lower_open=True).map(np.log)[0])
 
 
 def sqrt(x: AlgebraElement) -> AlgebraElement:
     """Square root; requires x in K."""
-    return Spectrum(x).require_domain("sqrt", lower_open=False).map(np.sqrt)[0]
+    return pack(x.cone, Spectrum(x).require_domain("sqrt", lower_open=False).map(np.sqrt)[0])
 
 
 def inverse(x: AlgebraElement) -> AlgebraElement:
     """Inverse; requires x in int K."""
-    return Spectrum(x).require_domain("inverse", lower_open=True).map(lambda lam: 1.0 / lam)[0]
+    spec = Spectrum(x).require_domain("inverse", lower_open=True)
+    return pack(x.cone, spec.map(lambda lam: 1.0 / lam)[0])
 
 
 def power(x: AlgebraElement, m: int) -> AlgebraElement:
@@ -640,7 +791,7 @@ def power(x: AlgebraElement, m: int) -> AlgebraElement:
     spec = Spectrum(x)
     if m < 0:
         spec.require_domain("power", lower_open=True)
-    return spec.map(lambda lam: lam ** float(m))[0]
+    return pack(x.cone, spec.map(lambda lam: lam ** float(m))[0])
 
 
 # --------------------------------------------------------------------------
@@ -784,7 +935,7 @@ class ConeAutomorphism:
             raise ConeMismatchError("automorphism scaling lives on a different cone")
         spec = Spectrum(p).require_interior("automorphism scaling must be interior")
         object.__setattr__(self, "scaling", p)
-        object.__setattr__(self, "_scaling_inv", spec.map(lambda lam: 1.0 / lam)[0])
+        object.__setattr__(self, "_scaling_inv", pack(self.cone, spec.map(lambda lam: 1.0 / lam)[0]))
 
     def _k(self, Z: np.ndarray, transpose: bool) -> np.ndarray:
         """k (or k^T) applied to every column of Z."""
@@ -838,17 +989,17 @@ def apply_inverse_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElem
 
 
 class Anchor:
-    """A cone automorphism T held as its per-run linear maps, so that a
-    product of quadratic representations costs one small product per step.
+    """A cone automorphism T held as its per-run linear maps on frame
+    coordinates, so that a product of quadratic representations costs one
+    small product per step.
 
     ``maps`` holds per run of equal blocks the pair (T, T^{-1}): on an
     orthant run a positive vector a with T x = a x; on a second-order run
     stacked raw-coordinate matrices M with T x = M x; on a PSD run stacked
-    factors P with T X = P X P^T.  The trace inner product is a fixed
-    multiple of the coordinate dot product on each block, so T* and
-    (T^{-1})* are the transposed maps, and every map acts alike on raw and
-    on metric coordinates.  No polar form ``Q(p) k`` is kept: ``point``
-    forms T e when it is read.
+    factors P with T X = P X P^T.  The trace inner product is the dot
+    product of frame coordinates, so T* and (T^{-1})* are the transposed
+    maps.  No polar form ``Q(p) k`` is kept: ``point`` forms T e when it is
+    read.
     """
 
     def __init__(self, cone: ConeDescriptor, maps):
@@ -865,7 +1016,8 @@ class Anchor:
             if isinstance(run.block, Orthant):
                 maps.append((f * f, 1.0 / (f * f)))
             elif isinstance(run.block, SecondOrder):
-                maps.append((_soc_quad_matrices(f, data), _soc_quad_matrices(1.0 / f, data)))
+                both = _soc_quad_matrices(np.stack((f, 1.0 / f)), data)
+                maps.append((both[0], both[1]))
             else:
                 vt = data.transpose(0, 2, 1)
                 maps.append(((data * f[:, None, :]) @ vt, (data / f[:, None, :]) @ vt))
@@ -895,56 +1047,70 @@ class Anchor:
         return _mk(self.cone, out)
 
     def _columns(self, Z: np.ndarray, inverse: bool, adjoint: bool) -> np.ndarray:
-        _check_columns(self.cone, Z)
-        out = np.empty(Z.shape)
-        for run, pair in zip(self.cone.runs, self.maps):
-            A, Zr, O = pair[inverse], run.rows(Z), run.rows(out)
-            if isinstance(run.block, Orthant):
-                O[:] = A[:, :, None] * Zr
+        D = self.cone.frame_dim
+        if Z.shape[0] != D or Z.ndim > 2:
+            raise ValueError(f"expected frame coordinates with {D} rows, got shape {Z.shape}")
+        # one element per row, contiguous when Z is a vector or a Fortran-ordered
+        # D x m array; the result is laid out alike
+        R = Z.T.reshape(-1, D)
+        out = np.empty(R.shape)
+        for fr, pair in zip(self.cone.frame_runs, self.maps):
+            A, Zr, O = pair[inverse], fr.view(R), fr.view(out)
+            if isinstance(fr.run.block, Orthant):
+                O[...] = A * Zr
                 continue
             if adjoint:
                 A = A.transpose(0, 2, 1)
-            if isinstance(run.block, SecondOrder):
-                O[:] = A @ Zr
+            if isinstance(fr.run.block, SecondOrder):
+                # M z for every element: the elements side by side, one product per block
+                O[...] = (A @ Zr.transpose(1, 2, 0)).transpose(2, 0, 1)
             else:
-                O[:] = _congruence(A, Zr, run.block.side)
-        return out
+                # P Z P^T is symmetric but its rounding is not; without the
+                # symmetrization, an antisymmetric part, which no map or
+                # projection removes, drifts up from the rounding level step by step
+                Y = A @ Zr @ A.transpose(0, 2, 1)
+                np.add(Y, Y.swapaxes(-1, -2), out=O)
+                O *= 0.5
+        return out.T.reshape(Z.shape)
 
     def columns(self, Z: np.ndarray) -> np.ndarray:
-        """T applied to every column of an N x m coordinate matrix."""
+        """T applied to frame coordinates: a vector (D,) or the columns of a
+        (D, m) array."""
         return self._columns(Z, False, False)
 
     def adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
-        """T* applied to every column."""
+        """T* applied to frame coordinates."""
         return self._columns(Z, False, True)
 
     def inverse_columns(self, Z: np.ndarray) -> np.ndarray:
-        """T^{-1} applied to every column."""
+        """T^{-1} applied to frame coordinates."""
         return self._columns(Z, True, False)
 
     def inverse_adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
-        """(T^{-1})* applied to every column."""
+        """(T^{-1})* applied to frame coordinates."""
         return self._columns(Z, True, True)
 
 
 def _soc_quad_matrices(f: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Raw-coordinate matrices of Q(y), one per second-order block of a run,
-    for y with eigenvalues f = (f+, f-) (one row per block) on unit axes u.
+    for y with eigenvalues f = (f+, f-) on unit axes u: ``f`` is (..., count,
+    2) and ``axis`` (count, m), so a leading axis of ``f`` gives several maps
+    on the same axes from one call.
 
     Q(y) scales the directions (1, +-u) by f+^2 and f-^2 and the vector
     directions orthogonal to u by f+ f-; the spectral form keeps the small
     scale f-^2 exact where 2 y y^T - det(y) R would cancel.
     """
-    fp, fm = f[:, 0], f[:, 1]
+    fp, fm = f[..., 0], f[..., 1]
     a = 0.5 * (fp * fp + fm * fm)
     b = 0.5 * (fp * fp - fm * fm)
     g = fp * fm
-    count, m = axis.shape
-    out = np.empty((count, m + 1, m + 1))
-    out[:, 0, 0] = a
-    out[:, 0, 1:] = out[:, 1:, 0] = b[:, None] * axis
-    out[:, 1:, 1:] = (a - g)[:, None, None] * (axis[:, :, None] * axis[:, None, :])
-    out[:, 1:, 1:] += g[:, None, None] * np.eye(m)
+    m = axis.shape[1]
+    out = np.empty(f.shape[:-1] + (m + 1, m + 1))
+    out[..., 0, 0] = a
+    out[..., 0, 1:] = out[..., 1:, 0] = b[..., None] * axis
+    out[..., 1:, 1:] = (a - g)[..., None, None] * (axis[:, :, None] * axis[:, None, :])
+    out[..., 1:, 1:] += g[..., None, None] * np.eye(m)
     return out
 
 

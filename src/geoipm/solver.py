@@ -126,6 +126,19 @@ class LongStepParams:
             raise ParameterError("need beta > alpha > eps > 0")
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError("gamma must lie in (0, 1)")
+        _require_cap(self.max_newton, "max_newton")
+        _require_cap(self.max_outer, "max_outer")
+
+
+def _require_mu(message: str, *values: float) -> None:
+    """ParameterError unless every value is positive and finite (NaN is not)."""
+    if not all(0.0 < v < math.inf for v in values):
+        raise ParameterError(message)
+
+
+def _require_cap(cap: int, name: str) -> None:
+    if cap < 0:
+        raise ParameterError(f"{name} must be non-negative, got {cap}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +209,7 @@ def shortstep(
     The step-count guarantee assumes w0 is (near) the centered point at
     mu0, e.g. the ``oracle_center`` of mu0.
     """
-    if mu0 <= 0.0 or mu_f <= 0.0:
-        raise ParameterError("mu values must be positive")
+    _require_mu("mu values must be positive and finite", mu0, mu_f)
     frame = subspace.ScaledFrame(problem, w0)
     trace = SolverTrace()
     mu = float(mu0)
@@ -244,10 +256,10 @@ def center(
     Exceeding ``cap`` raises IterationLimitError carrying the partial trace
     and iterate.
     """
-    if eps <= 0.0 or mu <= 0.0:
-        raise ParameterError("eps and mu must be positive")
+    _require_mu("eps and mu must be positive and finite", eps, mu)
     if not 0.0 < gamma < 1.0:
         raise ParameterError("gamma must lie in (0, 1)")
+    _require_cap(cap, "cap")
     trace = SolverTrace()
     frame = _center(subspace.ScaledFrame(problem, w0), mu, eps, gamma, cap, 0, trace, observer)
     return frame.w, trace
@@ -294,8 +306,7 @@ def longstep(
     """
     if params is None:
         params = LongStepParams()
-    if mu0 <= 0.0 or mu_f <= 0.0:
-        raise ParameterError("mu values must be positive")
+    _require_mu("mu values must be positive and finite", mu0, mu_f)
     trace = SolverTrace()
     frame, mu = _longstep(subspace.ScaledFrame(problem, w0), float(mu0), mu_f, params, trace)
     return IterateState(mu=mu, frame=frame), trace
@@ -346,8 +357,8 @@ def oracle_center(
     ``center`` alone.  ``cap`` bounds each centering pass; exceeding it
     raises OracleFailureError.
     """
-    if mu <= 0.0:
-        raise ParameterError("mu must be positive")
+    _require_mu("mu must be positive and finite", mu)
+    _require_cap(cap, "cap")
     start = warm if warm is not None else jordan.identity(problem.cone)
     frame = subspace.ScaledFrame(problem, start)
     mu_star = subspace.scale_matched_mu(frame)

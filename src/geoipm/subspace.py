@@ -38,6 +38,16 @@ basis is mapped by it, and the representatives reset to the points
 ``sqrt(mu)(e +- d)`` mapped along, so the new iterate is never decomposed.
 Only the start of a run decomposes its w; the iterate w = T e is formed
 only where it is read (snapshots, observers, returned states).
+
+The frame holds its basis, representatives and Newton data in the frame
+coordinates of ``jordan`` (PSD blocks as full matrices, second-order
+blocks scaled by sqrt(2)), where the trace inner product is the dot
+product and the anchor maps are plain products, so a step gathers no
+coordinates and builds no ``AlgebraElement``; elements are packed only
+where they are read.  The problem's own representation stays in the
+N-dimensional coordinates in which the dot product is the trace inner
+product (``ConicProblem._mc``): its complete-QR complement must span only
+symmetric directions.
 """
 
 from __future__ import annotations
@@ -238,6 +248,12 @@ class ConicProblem:
         return _Representation(x0, s0, on_l, span)
 
     @functools.cached_property
+    def _frame_span(self) -> np.ndarray:
+        """The representation's spanning set in frame coordinates, D x k."""
+        span = self._representation.span
+        return jordan._unpack(self.cone, span.T / self._sqrt_metric).T
+
+    @functools.cached_property
     def _orthonormal_span(self) -> np.ndarray:
         """Orthonormal basis, metric coordinates, of the representation's side."""
         return _orthonormalize(self._representation.span)
@@ -299,7 +315,8 @@ def _complement(cols: np.ndarray) -> np.ndarray:
 
 def _projections(basis: np.ndarray, on_l: bool, zm: np.ndarray) -> tuple:
     """(P_L zm, P_L-perp zm) for an orthonormal ``basis`` of L (``on_l``)
-    or of L-perp."""
+    or of L-perp, in coordinates where the dot product is the trace inner
+    product."""
     inside = basis @ (basis.T @ zm)
     rest = zm - inside
     return (inside, rest) if on_l else (rest, inside)
@@ -316,12 +333,13 @@ def _orthonormalize(cols: np.ndarray) -> np.ndarray:
 
     |R_jj| is the norm of column j after removing its components along the
     columns before it, so the rank test is the one Gram-Schmidt makes.
+    The basis is Fortran-ordered, so each column is contiguous.
     """
     n, k = cols.shape
     q, r = np.linalg.qr(cols)
     if k > n or np.any(np.abs(np.diag(r)) <= _RANK_TOL * np.maximum(np.linalg.norm(cols, axis=0), 1.0)):
         raise IllConditionedBasisError("rank loss while orthonormalizing the scaled subspace basis")
-    return q
+    return np.asfortranarray(q)
 
 
 def _cholesky_qr(cols: np.ndarray) -> np.ndarray:
@@ -329,32 +347,36 @@ def _cholesky_qr(cols: np.ndarray) -> np.ndarray:
 
     Orthogonality is lost as cond(cols)^2 times the rounding unit, so this
     serves the image of an orthonormal basis under a step map, whose
-    condition number exp(t (lambda_max - lambda_min)) stays small.
+    condition number exp(t (lambda_max - lambda_min)) stays small.  Like
+    ``cols`` from an anchor map, the basis is Fortran-ordered.
     """
-    try:
-        chol = np.linalg.cholesky(cols.T @ cols)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedBasisError("rank loss while stepping the scaled subspace basis") from exc
-    return cols @ np.linalg.inv(chol).T
+    rows = cols.T
+    chol, info = scipy.linalg.lapack.dpotrf(rows @ cols, lower=1)
+    if info != 0:
+        raise IllConditionedBasisError("rank loss while stepping the scaled subspace basis")
+    chol_inv, _ = scipy.linalg.lapack.dtrtri(chol, lower=1)
+    return (chol_inv @ rows).T
 
 
 class ScaledFrame:
     """The problem in the frame of one interior point w, where w is e.
 
     The frame carries an anchor T, a ``jordan.Anchor`` with T e = w, and
-    the problem's representation mapped into it: ``basis``, an orthonormal
-    basis (metric coordinates) of the anchored smaller side, L_w = T^{-1} L
-    or its complement L_w_perp = T* L-perp as the side flag says, which
-    gives the orthogonal projections ``onto_lw`` and ``onto_lw_perp``; and
-    the representatives u_p of T^{-1}(x0 + L) and u_d of T*(s0 + L-perp).
-    From them come ``g_w = P_{L_w_perp} u_p + P_{L_w} u_d``, from one
-    projection, and ``g_w_extremes``, its extreme eigenvalues, from one
-    ``eigvalsh``.  The frame of the dual problem at w^{-1} holds the same
-    subspace with the sides swapped, so it reads -d where this one reads d.
-    ``newton(mu)`` reads h_ub from these alone and projects once more only
-    when d is read; ``mu_candidates`` and ``scale_matched_mu`` read g_w and
-    its extreme eigenvalues, which do not depend on which T with T e = w
-    the frame carries.
+    the problem's representation mapped into it, in frame coordinates:
+    ``basis``, an orthonormal basis (D x k, Fortran-ordered) of the
+    anchored smaller side, L_w = T^{-1} L or its complement
+    L_w_perp = T* L-perp as the side flag says, which gives the orthogonal
+    projections onto L_w and L_w_perp; and the representatives ``u_p`` of
+    T^{-1}(x0 + L) and ``u_d`` of T*(s0 + L-perp).  From them come
+    ``g_f = P_{L_w_perp} u_p + P_{L_w} u_d``, from one projection, and
+    ``g_w_extremes``, its extreme eigenvalues, from one ``eigvalsh``.  The
+    frame of the dual problem at w^{-1} holds the same subspace with the
+    sides swapped, so it reads -d where this one reads d.  ``newton(mu)``
+    reads h_ub from these alone and projects once more only when d is read;
+    ``mu_candidates`` and ``scale_matched_mu`` read g_f and its extreme
+    eigenvalues, which do not depend on which T with T e = w the frame
+    carries.  The elements ``w``, ``g_w``, ``onto_lw(z)`` and
+    ``onto_lw_perp(z)`` are packed when read.
 
     ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
     decomposition of the given w, which must be interior.  ``step`` moves
@@ -365,16 +387,14 @@ class ScaledFrame:
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
         spec = jordan.Spectrum(w).require_interior("scaling point must be interior")
         anchor = jordan.Anchor.scaling(spec, np.sqrt)
-        x0, s0, on_l, span = problem._representation
-        # the raw representative of the spanned side and the spanning set in
-        # metric coordinates share one map call: the anchor acts alike on both
+        x0, s0, on_l, _ = problem._representation
+        # the representative of the spanned side and the spanning set share one map call
         near, far = (x0, s0) if on_l else (s0, x0)
-        cols = _map_side(anchor, on_l, np.column_stack((near.coords, span)))
+        cols = _map_side(anchor, on_l, np.column_stack((jordan.unpack(near), problem._frame_span)))
         u_near, span = cols[:, 0], cols[:, 1:]
-        u_far = _map_side(anchor, not on_l, far.coords[:, None])[:, 0]
+        u_far = _map_side(anchor, not on_l, jordan.unpack(far))
         u_p, u_d = (u_near, u_far) if on_l else (u_far, u_near)
-        cone = problem.cone
-        self._set(problem, anchor, _orthonormalize(span), jordan.element(cone, u_p), jordan.element(cone, u_d))
+        self._set(problem, anchor, _orthonormalize(span), u_p, u_d)
         self.w = w
 
     def _set(self, problem, anchor, basis, u_p, u_d) -> None:
@@ -411,27 +431,32 @@ class ScaledFrame:
         frame._set(self.problem, self.anchor.then(move), _cholesky_qr(span), u_p, u_d)
         return frame
 
-    def _split(self, z: AlgebraElement) -> tuple:
-        """Metric coordinates of (P_{L_w} z, P_{L_w_perp} z)."""
-        return _projections(self.basis, self.problem._representation.on_l, self.problem._mc(z))
+    def _split(self, z: np.ndarray) -> tuple:
+        """(P_{L_w} z, P_{L_w_perp} z), frame coordinates."""
+        return _projections(self.basis, self.problem._representation.on_l, z)
 
     def onto_lw(self, z: AlgebraElement) -> AlgebraElement:
         """Orthogonal projection onto L_w."""
-        return self.problem._from_mc(self._split(z)[0])
+        return jordan.pack(z.cone, self._split(jordan.unpack(z))[0])
 
     def onto_lw_perp(self, z: AlgebraElement) -> AlgebraElement:
         """Orthogonal projection onto L_w_perp."""
-        return self.problem._from_mc(self._split(z)[1])
+        return jordan.pack(z.cone, self._split(jordan.unpack(z))[1])
 
     @functools.cached_property
-    def g_w(self) -> AlgebraElement:
+    def g_f(self) -> np.ndarray:
         """``P_{L_w_perp} u_p + P_{L_w} u_d``, written as ``u_p + P_{L_w}(u_d - u_p)``."""
-        return self.u_p + self.onto_lw(self.u_d - self.u_p)
+        return self.u_p + self._split(self.u_d - self.u_p)[0]
+
+    @property
+    def g_w(self) -> AlgebraElement:
+        """The scaling vector g_f as an element."""
+        return jordan.pack(self.problem.cone, self.g_f)
 
     @functools.cached_property
     def g_w_extremes(self) -> tuple:
         """Smallest and largest eigenvalue of g_w."""
-        lam = jordan.eigenvalues(self.g_w)
+        lam = jordan.frame_eigenvalues(self.problem.cone, self.g_f)
         return float(lam.min()), float(lam.max())
 
     def newton(self, mu: float) -> "NewtonData":
@@ -446,36 +471,38 @@ class ScaledFrame:
         ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``.
         """
         mu = float(mu)
-        if mu <= 0.0:
-            raise DomainError("mu must be positive")
+        if not 0.0 < mu < math.inf:
+            raise DomainError(f"mu must be positive and finite, got {mu!r}")
         sqrt_mu = math.sqrt(mu)
-        s = self.g_w / sqrt_mu - jordan.identity(self.problem.cone)
-        norm_d = jordan.norm2(s)
+        s = self.g_f / sqrt_mu - self.problem.cone.frame_identity
+        norm_d = math.sqrt(float(s @ s))
         lmin, lmax = self.g_w_extremes
         sum_inf = max(lmax / sqrt_mu - 1.0, 1.0 - lmin / sqrt_mu)
         h_lb = norm_d ** 2 / (1.0 + sum_inf)
         h_ub = norm_d ** 2 / (1.0 - sum_inf) if sum_inf < 1.0 else math.inf
-        return NewtonData(s=s, norm_d=norm_d, sum_inf=sum_inf, h_lb=h_lb, h_ub=h_ub, frame=self, mu=mu)
+        return NewtonData(s_f=s, norm_d=norm_d, sum_inf=sum_inf, h_lb=h_lb, h_ub=h_ub, frame=self, mu=mu)
 
 
 @dataclass(frozen=True, eq=False)
 class NewtonData:
     """Newton direction with its orthogonal summands and derived bounds.
 
-    ``s = d1 + d2 = g_w/sqrt(mu) - e``; ``d = d1 - d2`` with d1 in L_w_perp
-    and d2 in L_w is the reflection of s across L_w_perp, so ``norm_d`` is
-    ||s||; ``sum_inf`` is ||s||_inf; ``h_lb``/``h_ub`` bound the divergence
-    to the centered point (h_ub may be +inf); ``frame`` is the scaled frame
-    of w the data was built from, and ``mu`` the centering parameter.  The
-    rest is derived on first read and cached, so a centering test that takes
-    no step projects nothing and decomposes nothing: ``d``, from one
-    projection of s (``d1`` and ``d2`` are its half-sum and half-difference
-    with s); ``d_spectrum``, the one decomposition of d, which the geodesic
-    step (``ScaledFrame.step``) maps on; ``norm_d_inf``; and ``t_max``, the
-    guaranteed-descent step bound.
+    ``s = d1 + d2 = g_w/sqrt(mu) - e``, held as frame coordinates ``s_f``;
+    ``d = d1 - d2`` with d1 in L_w_perp and d2 in L_w is the reflection of
+    s across L_w_perp, so ``norm_d`` is ||s||; ``sum_inf`` is ||s||_inf;
+    ``h_lb``/``h_ub`` bound the divergence to the centered point (h_ub may
+    be +inf); ``frame`` is the scaled frame of w the data was built from,
+    and ``mu`` the centering parameter.  The rest is derived on first read
+    and cached, so a centering test that takes no step projects nothing and
+    decomposes nothing: ``d_f``, the frame coordinates of d, from one
+    projection of s; ``d_spectrum``, the one decomposition of d, which the
+    geodesic step (``ScaledFrame.step``) maps on; ``norm_d_inf``; and
+    ``t_max``, the guaranteed-descent step bound.  The elements ``s``,
+    ``d``, ``d1`` and ``d2`` (half the sum and difference of s and d) are
+    packed when read.
     """
 
-    s: AlgebraElement
+    s_f: np.ndarray
     norm_d: float
     sum_inf: float
     h_lb: float
@@ -484,21 +511,32 @@ class NewtonData:
     mu: float
 
     @functools.cached_property
+    def d_f(self) -> np.ndarray:
+        d2 = self.frame._split(self.s_f)[0]
+        return (self.s_f - d2) - d2
+
+    def _pack(self, f: np.ndarray) -> AlgebraElement:
+        return jordan.pack(self.frame.problem.cone, f)
+
+    @property
+    def s(self) -> AlgebraElement:
+        return self._pack(self.s_f)
+
+    @property
     def d(self) -> AlgebraElement:
-        d2 = self.frame.onto_lw(self.s)
-        return (self.s - d2) - d2
+        return self._pack(self.d_f)
 
     @property
     def d1(self) -> AlgebraElement:
-        return 0.5 * (self.s + self.d)
+        return self._pack(0.5 * (self.s_f + self.d_f))
 
     @property
     def d2(self) -> AlgebraElement:
-        return 0.5 * (self.s - self.d)
+        return self._pack(0.5 * (self.s_f - self.d_f))
 
     @functools.cached_property
     def d_spectrum(self) -> jordan.Spectrum:
-        return jordan.Spectrum(self.d)
+        return jordan.Spectrum.of_frame(self.frame.problem.cone, self.d_f)
 
     @functools.cached_property
     def norm_d_inf(self) -> float:
@@ -547,11 +585,12 @@ def mu_candidates(frame: ScaledFrame, mu_cur: float, beta: float) -> float:
     """
     mu_cur = float(mu_cur)
     sqrt_mu = math.sqrt(mu_cur)
-    a = frame.g_w / sqrt_mu
+    cone = frame.problem.cone
+    a = frame.g_f / sqrt_mu
     gmin, gmax = frame.g_w_extremes
-    aa = jordan.inner(a, a)
-    ta = jordan.trace(a)
-    n = frame.problem.cone.rank
+    aa = float(a @ a)
+    ta = float(a @ cone.frame_identity)
+    n = cone.rank
     # both quadratics read aa r^2 - p r + c
     p1, c1 = 2.0 * ta + beta * (gmin / sqrt_mu), n
     p2, c2 = 2.0 * ta - beta * (gmax / sqrt_mu), n - 2.0 * beta
@@ -569,11 +608,11 @@ def scale_matched_mu(frame: ScaledFrame) -> float:
     ``r = tr(g_w) / <g_w, g_w>``, so ``mu* = (<g_w, g_w> / tr(g_w))^2``.
     When tr(g_w) <= 0 the norm falls as r -> 0, that is as mu -> inf.
     """
-    g = frame.g_w
-    tr = jordan.trace(g)
+    g = frame.g_f
+    tr = float(g @ frame.problem.cone.frame_identity)
     if tr <= 0.0:
         return math.inf
-    return (jordan.inner(g, g) / tr) ** 2
+    return (float(g @ g) / tr) ** 2
 
 
 def _larger_root(a: float, p: float, c: float) -> float:
@@ -598,11 +637,11 @@ def feasible_point(problem: ConicProblem, w: AlgebraElement, mu: float, nd: Newt
     if nd.norm_d_inf > 1.0:
         return None
     sqrt_mu = math.sqrt(float(mu))
-    e = jordan.identity(problem.cone)
+    e = problem.cone.frame_identity
     anchor = nd.frame.anchor
-    (x,) = _map_columns(anchor.columns, (sqrt_mu * (e + nd.d),))
-    (s,) = _map_columns(anchor.inverse_adjoint_columns, (sqrt_mu * (e - nd.d),))
-    return x, s
+    x = anchor.columns(sqrt_mu * (e + nd.d_f))
+    s = anchor.inverse_adjoint_columns(sqrt_mu * (e - nd.d_f))
+    return jordan.pack(problem.cone, x), jordan.pack(problem.cone, s)
 
 
 def duality_gap(x: AlgebraElement, s: AlgebraElement) -> float:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,30 @@ def test_iteration_cap_exit_2(tmp_path):
         ["solve", "--input", str(problem_file), "--algo", "long", "--max-outer", "0"]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--mu0", "nan"],
+        ["--mu0", "inf"],
+        ["--muf", "inf"],
+        ["--muf", "nan"],
+        ["--max-newton", "-1"],
+        ["--max-outer", "-3"],
+        ["--algo", "short", "--max-newton", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_parameters_exit_3(tmp_path, capsys, flags):
+    problem_file = tmp_path / "p.json"
+    cli.solve_cli(["gen", "--n", "4", "--dim-l", "2", "--seed", "6", "--out", str(problem_file)])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.solve_cli(["solve", "--input", str(problem_file), *flags])
+    assert rc == 3
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_short_start_obeys_max_newton(tmp_path, capsys):

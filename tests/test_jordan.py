@@ -99,7 +99,7 @@ def test_quad_rep_matches_defining_formula():
                 assert_elem_close(J.element(cone, cols[:, j]), via_def, 1e-12, "Q(w) on a column")
                 assert_elem_close(J.quad_rep(w, z), via_def, 1e-12, "Q(w)z definition")
     # Q acts blockwise and the metric is one scalar per block, so Q maps
-    # metric coordinates to metric coordinates (ScaledFrame.basis relies on it)
+    # metric coordinates to metric coordinates
     root = np.sqrt(J.metric_diag(MIXED))
     w = random_element(MIXED, rng)
     Z = rng.standard_normal((MIXED.dim, 5))
@@ -127,6 +127,34 @@ def test_descriptor_runs():
         (J.SecondOrder(4), 1, 31, 35, (1, 4)),
     ]
     assert REPEATS.runs[-1].stop == REPEATS.dim
+
+
+def test_pack_unpack_round_trip_and_inner_product():
+    """Frame coordinates hold orthant entries and PSD diagonals as they are,
+    second-order coordinates times sqrt(2) and PSD off-diagonals divided by
+    it; the dot product of frame coordinates is the trace inner product."""
+    rng = np.random.default_rng(37)
+    for cone in list(FAMILIES.values()) + [REPEATS]:
+        unscaled = np.zeros(cone.dim, dtype=bool)
+        for blk, a, b in cone.spans:
+            if isinstance(blk, J.Orthant):
+                unscaled[a:b] = True
+            elif isinstance(blk, J.Psd):
+                iu = np.triu_indices(blk.side)
+                unscaled[a:b] = iu[0] == iu[1]
+        for _ in range(5):
+            x = _repeats_element(rng) if cone is REPEATS else random_element(cone, rng)
+            y = random_element(cone, rng)
+            fx = J.unpack(x)
+            assert fx.shape == (cone.frame_dim,)
+            back = J.pack(cone, fx).coords
+            assert np.array_equal(back[unscaled], x.coords[unscaled])
+            # scaling by sqrt(2) and back is exact only to the last bit: v -> fl(v/sqrt(2))
+            # maps neighbouring floats to one, so no rounding inverts it bitwise
+            np.testing.assert_array_max_ulp(back, x.coords, maxulp=1)
+            assert fx @ J.unpack(y) == pytest.approx(J.inner(x, y), rel=1e-14, abs=1e-14)
+        assert np.array_equal(J.unpack(J.identity(cone)), cone.frame_identity)
+        assert cone.frame_identity @ cone.frame_identity == pytest.approx(cone.rank, rel=1e-15)
 
 
 def _repeats_element(rng):
@@ -170,7 +198,7 @@ def test_run_kernels_match_blockwise_references():
             assert np.allclose(sd.eigenvalues, J.eigenvalues(x), rtol=0, atol=1e-12)
             # the zero vector part: a double eigenvalue x0 of the middle soc(4)
             assert sd.eigenvalues[7] == sd.eigenvalues[8] == x.coords[9]
-            (rebuilt,) = sd.map(lambda lam: lam)
+            rebuilt = J.pack(REPEATS, sd.map(lambda lam: lam)[0])
             assert_elem_close(rebuilt, x, 1e-12, "map(identity) rebuilds x")
 
             recon = J.zero(REPEATS)
@@ -186,9 +214,14 @@ def test_run_kernels_match_blockwise_references():
             assert_elem_close(total, J.identity(REPEATS), 1e-12, "frame sums to e")
 
 
-def _cols_inner(cone, X, Y):
-    """Trace inner products of the columns of X with those of Y."""
-    return (X * J.metric_diag(cone)[:, None]).T @ Y
+def _to_frame(cone, Z):
+    """Frame coordinates of the columns of an N x m coordinate matrix, D x m."""
+    return np.column_stack([J.unpack(J.element(cone, z)) for z in Z.T])
+
+
+def _from_frame(cone, F):
+    """Element coordinates of the columns of a D x m frame-coordinate matrix."""
+    return np.column_stack([J.pack(cone, f).coords for f in F.T])
 
 
 def test_anchor_scaling_is_the_quadratic_representation():
@@ -201,9 +234,10 @@ def test_anchor_scaling_is_the_quadratic_representation():
         T = J.Anchor.scaling(J.Spectrum(w), np.sqrt)
         Z = rng.standard_normal((cone.dim, 3))
         half = J.quad_rep_columns(J.sqrt(w), Z)
-        assert np.allclose(T.columns(Z), half, rtol=1e-12, atol=1e-12), cone
-        assert np.allclose(T.adjoint_columns(Z), half, rtol=1e-12, atol=1e-12), cone
-        assert np.allclose(T.inverse_columns(half), Z, rtol=1e-10, atol=1e-10), cone
+        Zf = _to_frame(cone, Z)
+        assert np.allclose(_from_frame(cone, T.columns(Zf)), half, rtol=1e-12, atol=1e-12), cone
+        assert np.allclose(_from_frame(cone, T.adjoint_columns(Zf)), half, rtol=1e-12, atol=1e-12), cone
+        assert np.allclose(_from_frame(cone, T.inverse_columns(_to_frame(cone, half))), Z, rtol=1e-10, atol=1e-10), cone
         assert_elem_close(T.point(), w, 1e-12, "T e = w")
 
 
@@ -213,17 +247,17 @@ def test_anchor_composition_adjoints_and_point():
         T = J.Anchor.scaling(J.Spectrum(random_interior(cone, rng)), np.sqrt)
         S = J.Anchor.scaling(J.Spectrum(random_element(cone, rng)), np.exp)
         TS = T.then(S)
-        X, Y = rng.standard_normal((cone.dim, 2)), rng.standard_normal((cone.dim, 2))
+        X = _to_frame(cone, rng.standard_normal((cone.dim, 2)))
+        Y = _to_frame(cone, rng.standard_normal((cone.dim, 2)))
         assert np.allclose(TS.columns(X), T.columns(S.columns(X)), rtol=1e-12, atol=1e-12)
         assert np.allclose(TS.inverse_columns(TS.columns(X)), X, rtol=1e-10, atol=1e-10)
         assert np.allclose(TS.inverse_adjoint_columns(TS.adjoint_columns(Y)), Y, rtol=1e-10, atol=1e-10)
-        # T* and (T^{-1})* are adjoint to T and T^{-1} in the trace inner product
-        assert np.allclose(_cols_inner(cone, TS.columns(X), Y), _cols_inner(cone, X, TS.adjoint_columns(Y)))
-        assert np.allclose(
-            _cols_inner(cone, TS.inverse_columns(X), Y), _cols_inner(cone, X, TS.inverse_adjoint_columns(Y))
-        )
+        # T* and (T^{-1})* are adjoint to T and T^{-1} in the trace inner
+        # product, the dot product of frame coordinates
+        assert np.allclose(TS.columns(X).T @ Y, X.T @ TS.adjoint_columns(Y))
+        assert np.allclose(TS.inverse_columns(X).T @ Y, X.T @ TS.inverse_adjoint_columns(Y))
         e = J.identity(cone)
-        assert_elem_close(TS.point(), J.element(cone, TS.columns(e.coords[:, None])[:, 0]), 1e-12, "T e")
+        assert_elem_close(TS.point(), J.pack(cone, TS.columns(J.unpack(e))), 1e-12, "T e")
         assert J.is_interior(TS.point())
 
 

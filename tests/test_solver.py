@@ -9,7 +9,7 @@ from geoipm import geometry as G
 from geoipm import jordan as J
 from geoipm import solver as V
 from geoipm import subspace as S
-from geoipm.errors import IterationLimitError, OracleFailureError, ParameterError
+from geoipm.errors import DomainError, IterationLimitError, OracleFailureError, ParameterError
 from geoipm.harness import generate
 from geoipm.harness.experiments import trial_seed
 
@@ -188,6 +188,42 @@ def test_longstep_params_validation():
         V.LongStepParams(beta=1.0, alpha=10.0)
     with pytest.raises(ParameterError):
         V.LongStepParams(gamma=1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_mu_must_be_positive_and_finite(bad):
+    prob = scalar_problem()
+    w0 = J.element(ORTH1, [1.0])
+    params = V.shortstep_params(0.5, 1e-4, 1)
+    calls = (
+        lambda: V.shortstep(prob, w0, bad, 0.5, params),
+        lambda: V.shortstep(prob, w0, 1.0, bad, params),
+        lambda: V.longstep(prob, w0, bad, 0.5),
+        lambda: V.longstep(prob, w0, 1.0, bad),
+        lambda: V.center(prob, w0, bad, 1e-8),
+        lambda: V.center(prob, w0, 1.0, bad),
+        lambda: V.oracle_center(prob, bad),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+    with pytest.raises(DomainError):
+        S.ScaledFrame(prob, w0).newton(bad)
+
+
+def test_caps_must_be_non_negative():
+    prob = scalar_problem()
+    w0 = J.element(ORTH1, [1.0])
+    for kwargs in ({"max_newton": -1}, {"max_outer": -3}):
+        with pytest.raises(ParameterError):
+            V.LongStepParams(**kwargs)
+    with pytest.raises(ParameterError):
+        V.center(prob, w0, 1.0, 1e-8, cap=-1)
+    with pytest.raises(ParameterError):
+        V.oracle_center(prob, 1.0, cap=-1)
+    # a zero cap is a valid bound: a centred start needs no step
+    V.LongStepParams(max_newton=0, max_outer=0)
+    V.center(prob, V.oracle_center(prob, 1.0), 1.0, 1e-8, cap=0)
 
 
 def test_oracle_center_closed_forms():

@@ -141,7 +141,7 @@ def test_stepped_frame_matches_the_frame_of_the_stepped_point(case):
             nd = frame.newton(mu)
             stepped = frame.step(nd, t)
             (exp_td,) = nd.d_spectrum.map(lambda lam: np.exp(t * lam))
-            w_next = J.element(cone, frame.anchor.columns(exp_td.coords[:, None])[:, 0])
+            w_next = J.pack(cone, frame.anchor.columns(exp_td))
             assert_elem_close(stepped.w, w_next, 1e-10, "stepped point")
             if t == 1.0:
                 assert_elem_close(w_next, G.geodesic_point(G.ray(frame.w, nd.d), t), 1e-10, "geodesic")

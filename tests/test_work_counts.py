@@ -15,7 +15,9 @@ Q(exp(t d/2)) and the reset representatives, so a call that only tests
 h_ub takes none.  So a step costs 1 ``eigh`` and 1 ``eigvalsh``.
 
 A step maps the basis once, by the ``jordan.Anchor`` of Q(exp(t d/2)), and
-calls ``quad_rep_columns`` not at all.  The basis spans the smaller of L and
+calls ``quad_rep_columns`` not at all.  It works in frame coordinates (PSD
+blocks as full matrices), so it gathers no svec coordinates: ``_smat`` and
+``_svec`` run only where an element enters or leaves a run.  The basis spans the smaller of L and
 L-perp, whichever form states the problem.  A fresh frame makes two anchor
 maps (T^{-1} on the basis of L with x0, T* on s0, or T* on L-perp with s0
 and T^{-1} on x0), and so does the feasible pair (T and (T^{-1})*).  A frame
@@ -50,6 +52,8 @@ MU_F = MU0 / 1024.0
 LAPACK = ((np.linalg, "eigh"), (np.linalg, "eigvalsh"))
 # LAPACK, the Q(w) kernel, the anchor maps and the interior test of a scaling point
 KERNELS = LAPACK + ((J, "quad_rep_columns"), (J.Anchor, "_columns"), (J.Spectrum, "require_interior"))
+# the svec gathers between element coordinates and PSD matrices
+SVEC = ((J, "_smat"), (J, "_svec"))
 
 
 def _counted(monkeypatch, run, targets=LAPACK):
@@ -93,6 +97,12 @@ def test_shortstep_one_eigh_one_eigvalsh_per_step(problem, multi_problem, monkey
             "eigh": 1 + steps, "eigvalsh": steps, "quad_rep_columns": 0,
             "_columns": 2 + steps, "require_interior": 1,
         }, prob.cone
+        (_, trace), gathers = _counted(
+            monkeypatch, lambda: V.shortstep(prob, w0, MU0, MU_F, params), SVEC
+        )
+        # unpacking w0, x0 and s0 at the start, and packing w = T e for each
+        # outer snapshot; none per step
+        assert gathers == {"_smat": 3, "_svec": len(trace.snapshots)}, prob.cone
 
 
 def test_longstep_decomposes_only_the_start(problem, multi_problem, monkeypatch):
@@ -174,13 +184,22 @@ def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
 def test_frame_spans_the_smaller_side_whatever_the_form():
     # fig3 psd(20): N = 210 and dim L = 10, so L-perp has 200 dimensions; the
     # operator form states L-perp, and the basis form of the operator form's
-    # dual spans it, yet every frame carries the 10 columns of the smaller side
+    # dual spans it, yet every frame carries the 10 columns of the smaller
+    # side, in frame coordinates (the full 20 x 20 matrix, 400 rows)
     problem = _fig3_instance(20)
     op = S.as_operator_form(problem)
     op_dual = op.dual()
     w = J.identity(problem.cone)
     for prob in (problem, op, problem.dual(), S.ConicProblem(op_dual.cone, op_dual.form)):
-        assert S.ScaledFrame(prob, w).basis.shape == (210, 10), type(prob.form).__name__
+        assert S.ScaledFrame(prob, w).basis.shape == (400, 10), type(prob.form).__name__
+
+
+def test_operator_form_complement_spans_symmetric_directions():
+    # the complete-QR complement is taken in the N = 210 svec coordinates of
+    # psd(20): 200 columns; in the 400 frame coordinates it would also span
+    # the 190 antisymmetric directions (390 columns)
+    problem = _fig3_instance(20)
+    assert len(S.as_operator_form(problem).form.columns) == 200
 
 
 def test_one_projection_per_newton_call(problem, monkeypatch):
