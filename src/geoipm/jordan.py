@@ -25,17 +25,19 @@ array of length ``ConeDescriptor.frame_dim`` per element, in which
 * PSD blocks hold the full k x k matrix, row-major;
 
 so the trace inner product is the plain dot product, the eigensolvers read
-the PSD matrices in place, and every anchor map is a plain product per run
-(``a * z``, ``M z`` or ``P Z P^T``).  ``unpack`` and ``pack`` convert at
-the ``AlgebraElement`` boundary; ``Spectrum`` and ``Anchor`` work in frame
-coordinates, and the public spectral functions pack their results once.
+the PSD matrices in place, and every cone automorphism is a plain product
+per run (``a * z``, gathered by a permutation where it has one, ``M z`` or
+``P Z P^T``).  ``unpack`` and ``pack``
+convert at the ``AlgebraElement`` boundary; ``Spectrum`` and
+``ConeAutomorphism`` work in frame coordinates, and the public functions
+pack their results once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Union
 
 import numpy as np
@@ -51,10 +53,6 @@ __all__ = [
     "AlgebraElement",
     "Spectrum",
     "ConeAutomorphism",
-    "OrthantMap",
-    "SecondOrderMap",
-    "PsdMap",
-    "Anchor",
     "element",
     "identity",
     "zero",
@@ -65,7 +63,6 @@ __all__ = [
     "metric_diag",
     "circ",
     "quad_rep",
-    "quad_rep_columns",
     "spectral",
     "spectral_map",
     "spectral_map_multi",
@@ -488,22 +485,6 @@ def _smat(vec: np.ndarray, k: int) -> np.ndarray:
     return (vec[..., full] / full_scale).reshape(vec.shape[:-1] + (k, k))
 
 
-def _congruence(F: np.ndarray, Zr: np.ndarray, k: int) -> np.ndarray:
-    """F Z F^T for each PSD block of a run and each column: ``F`` stacks one
-    k x k factor per block, ``Zr`` is (count, dim, m) in svec coordinates,
-    and so is the result.
-
-    The m symmetric matrices of a block sit side by side, so each side of
-    the product is one matrix product per block: Y = F Z, then
-    F Y^T = (F Z F^T)^T = F Z F^T.
-    """
-    count, _, m = Zr.shape
-    upper, scale, full, full_scale = _svec_gathers(k)
-    Z = (Zr[:, full, :] / full_scale[:, None]).reshape(count, k, k * m)
-    Y = (F @ Z).reshape(count, k, k, m).transpose(0, 2, 1, 3).reshape(count, k, k * m)
-    return (F @ Y).reshape(count, k * k, m)[:, upper, :] * scale[:, None]
-
-
 def _eigh(mat: np.ndarray):
     try:
         return np.linalg.eigh(mat)
@@ -549,39 +530,28 @@ def circ(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def quad_rep(w: AlgebraElement, z: AlgebraElement) -> AlgebraElement:
-    """Quadratic representation Q(w)z = 2 w o (w o z) - (w o w) o z."""
-    _same_cone(w, z)
-    return _mk(w.cone, quad_rep_columns(w, z.coords[:, None])[:, 0])
+    """Quadratic representation Q(w)z = 2 w o (w o z) - (w o w) o z, for any w.
 
-
-def _check_columns(cone: ConeDescriptor, Z: np.ndarray) -> None:
-    if Z.ndim != 2 or Z.shape[0] != cone.dim:
-        raise ValueError(f"expected an array with {cone.dim} rows, got shape {Z.shape}")
-
-
-def quad_rep_columns(w: AlgebraElement, Z: np.ndarray) -> np.ndarray:
-    """Q(w) applied to every column of an N x m coordinate matrix, with one
-    stacked operation per run of equal blocks.
-
-    Blockwise closed forms: w^2 * z (orthant), 2(w.z)w - det(w) Rz with
-    Rz = (z0, -z1) (second-order), and W Z W (PSD, two matrix products per
-    block for all m columns, see ``_congruence``).
+    Blockwise closed forms on the frame coordinates of z, one stacked
+    operation per run: w^2 z (orthant), 2 (w.z) w - det(w) R z with
+    R z = (z0, -z1) and w in raw coordinates (second-order), and W Z W (PSD).
     """
-    _check_columns(w.cone, Z)
-    out = np.empty(Z.shape)
-    for run in w.cone.runs:
-        W, Zr, O = run.rows(w.coords), run.rows(Z), run.rows(out)
+    _same_cone(w, z)
+    zf = unpack(z)
+    out = np.empty(zf.shape)
+    for fr, (run, W) in zip(w.cone.frame_runs, _frame_blocks(w.cone, unpack(w))):
+        Z, O = fr.view(zf), fr.view(out)
         if isinstance(run.block, Orthant):
-            O[:] = (W * W)[:, :, None] * Zr
+            O[...] = W * W * Z
         elif isinstance(run.block, SecondOrder):
             w0, w1 = W[:, 0], W[:, 1:]
             det_w = w0 * w0 - _row_dots(w1, w1)
-            s = 2.0 * (W[:, None, :] @ Zr)[:, 0]
-            O[:, 0] = s * w0[:, None] - det_w[:, None] * Zr[:, 0]
-            O[:, 1:] = w1[:, :, None] * s[:, None, :] + det_w[:, None, None] * Zr[:, 1:]
+            s = 2.0 * _row_dots(W, Z)
+            O[:, 0] = s * w0 - det_w * Z[:, 0]
+            O[:, 1:] = s[:, None] * w1 + det_w[:, None] * Z[:, 1:]
         else:
-            O[:] = _congruence(_smat(W, run.block.side), Zr, run.block.side)
-    return out
+            O[...] = W @ Z @ W
+    return pack(w.cone, out)
 
 
 # --------------------------------------------------------------------------
@@ -613,16 +583,10 @@ def _run_spectrum(run: Run, X: np.ndarray, vectors: bool) -> tuple:
     return _eigh(X) if vectors else (_eigvalsh(X), None)
 
 
-def _element_blocks(x: AlgebraElement):
-    """Per run, the blocks of x in the form ``_run_spectrum`` reads."""
-    for run in x.cone.runs:
-        X = run.rows(x.coords)
-        yield run, (_smat(X, run.block.side) if isinstance(run.block, Psd) else X)
-
-
 def _frame_blocks(cone: ConeDescriptor, f: np.ndarray):
     """Per run, the blocks of frame coordinates ``f`` in the form
-    ``_run_spectrum`` reads: the PSD matrices in place."""
+    ``_run_spectrum`` reads: raw second-order coordinates and the PSD
+    matrices in place."""
     for fr in cone.frame_runs:
         X = fr.view(f)
         yield fr.run, (X / _SQRT2 if isinstance(fr.run.block, SecondOrder) else X)
@@ -633,29 +597,28 @@ class Spectrum:
     and spectral map of x.
 
     ``Spectrum(x)`` decomposes an element and ``Spectrum.of_frame(cone, f)``
-    the element with frame coordinates f; both read the same blocks, raw
-    second-order coordinates and the PSD matrices.  ``runs`` holds per run
-    of equal blocks (run, eigenvalues, data): the (count, rank) eigenvalues
-    and the stacked eigenvector matrices (PSD), the unit axes of the vector
-    parts (second-order) or None (orthant).  ``eigenvalues`` concatenates
-    them in block order; ``frame``, built on first read, holds the
-    primitive idempotents e_i in that order.  ``map`` gives frame
-    coordinates.
+    the element with frame coordinates f; both read the frame coordinates.
+    ``runs`` holds per run of equal blocks (run, eigenvalues, data): the
+    (count, rank) eigenvalues and the stacked eigenvector matrices (PSD),
+    the unit axes of the vector parts (second-order) or None (orthant).
+    ``eigenvalues`` concatenates them in block order; ``frame``, built on
+    first read, holds the primitive idempotents e_i in that order.  ``map``
+    gives frame coordinates.
     """
 
     def __init__(self, x: AlgebraElement):
-        self._decompose(x.cone, _element_blocks(x))
+        self._decompose(x.cone, unpack(x))
 
     @classmethod
     def of_frame(cls, cone: ConeDescriptor, f: np.ndarray) -> "Spectrum":
         """The spectrum of the element with frame coordinates ``f``."""
         spec = cls.__new__(cls)
-        spec._decompose(cone, _frame_blocks(cone, f))
+        spec._decompose(cone, f)
         return spec
 
-    def _decompose(self, cone: ConeDescriptor, blocks) -> None:
+    def _decompose(self, cone: ConeDescriptor, f: np.ndarray) -> None:
         self.cone = cone
-        self.runs = tuple((run, *_run_spectrum(run, X, vectors=True)) for run, X in blocks)
+        self.runs = tuple((run, *_run_spectrum(run, X, vectors=True)) for run, X in _frame_blocks(cone, f))
         self.eigenvalues = _concat([lam for _, lam, _ in self.runs])
 
     @functools.cached_property
@@ -723,18 +686,14 @@ def _concat(lams: list) -> np.ndarray:
     return lams[0].ravel() if len(lams) == 1 else np.concatenate([lam.ravel() for lam in lams])
 
 
-def _eigenvalues(blocks) -> np.ndarray:
-    return _concat([_run_spectrum(run, X, vectors=False)[0] for run, X in blocks])
-
-
 def eigenvalues(x: AlgebraElement) -> np.ndarray:
     """All eigenvalues, concatenated blockwise (length = rank)."""
-    return _eigenvalues(_element_blocks(x))
+    return frame_eigenvalues(x.cone, unpack(x))
 
 
 def frame_eigenvalues(cone: ConeDescriptor, f: np.ndarray) -> np.ndarray:
     """All eigenvalues of the element with frame coordinates ``f``."""
-    return _eigenvalues(_frame_blocks(cone, f))
+    return _concat([_run_spectrum(run, X, vectors=False)[0] for run, X in _frame_blocks(cone, f)])
 
 
 def min_eigenvalue(x: AlgebraElement) -> float:
@@ -840,166 +799,24 @@ def norm_inf(x: AlgebraElement) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class OrthantMap:
-    """x |-> x[perm] on an orthant block."""
-
-    perm: np.ndarray
-
-    def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=int)
-        object.__setattr__(self, "perm", perm)
-        if sorted(perm.tolist()) != list(range(perm.shape[0])):
-            raise ValueError("perm must be a permutation of 0..k-1")
-
-    def columns(self, Z: np.ndarray, transpose: bool) -> np.ndarray:
-        if not transpose:
-            return Z[self.perm]
-        out = np.empty(Z.shape)
-        out[self.perm] = Z
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class SecondOrderMap:
-    """(x0, x1) |-> (x0, U x1) with U orthogonal."""
-
-    rotation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", _orthogonal_matrix(self.rotation, "rotation"))
-
-    def columns(self, Z: np.ndarray, transpose: bool) -> np.ndarray:
-        U = self.rotation.T if transpose else self.rotation
-        return np.vstack((Z[:1], U @ Z[1:]))
-
-
-@dataclass(frozen=True, eq=False)
-class PsdMap:
-    """X |-> O X O^T with O orthogonal."""
-
-    factor: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor", _orthogonal_matrix(self.factor, "factor"))
-
-    def columns(self, Z: np.ndarray, transpose: bool) -> np.ndarray:
-        O = self.factor.T if transpose else self.factor
-        return _congruence(O[None], Z[None], O.shape[0])[0]
-
-
-def _orthogonal_matrix(data, name: str) -> np.ndarray:
-    U = np.asarray(data, dtype=float)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if not np.allclose(U.T @ U, np.eye(U.shape[0]), atol=1e-10):
-        raise ValueError(f"{name} must be orthogonal")
-    return U
-
-
-BlockMap = Union[OrthantMap, SecondOrderMap, PsdMap]
-
-
-@dataclass(frozen=True, eq=False)
 class ConeAutomorphism:
-    """The cone automorphism T = Q(p) k.
+    """A cone automorphism T, held as its per-run linear maps on frame
+    coordinates, so that a product of automorphisms costs one small product
+    per run.
 
-    ``maps`` is k: one orthogonal block map per block, so k preserves the
-    trace inner product and fixes e.  ``scaling`` is p, an interior point
-    (default e).  Every automorphism that maps each block to itself has this
-    form, with p = (Te)^{1/2} (polar decomposition).  Then T* = k^T Q(p),
-    T^{-1} = k^T Q(p^{-1}) and (T^{-1})* = Q(p^{-1}) k.  The ``*_columns``
-    methods apply these maps to every column of an N x m coordinate matrix.
-    """
+    ``maps`` holds per run of equal blocks the triple (T, T^{-1}, index): on
+    an orthant run positive vectors a with T x = a x[index] (T x = a x when
+    the index is None); on a second-order run stacked raw-coordinate
+    matrices M with T x = M x; on a PSD run stacked factors P with
+    T X = P X P^T; the index is None on these.  The trace inner product is
+    the dot product of frame coordinates, so T* and (T^{-1})* are the
+    transposed maps; on an orthant run T and (T^{-1})* gather by the index,
+    and T* and T^{-1} scatter.
 
-    cone: ConeDescriptor
-    maps: tuple
-    scaling: AlgebraElement | None = None
-    _scaling_inv: AlgebraElement = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(self.maps))
-        if len(self.maps) != len(self.cone.blocks):
-            raise ValueError("one block map per cone block required")
-        for blk, bm in zip(self.cone.blocks, self.maps):
-            if isinstance(blk, Orthant):
-                ok = isinstance(bm, OrthantMap) and bm.perm.shape[0] == blk.size
-            elif isinstance(blk, SecondOrder):
-                ok = isinstance(bm, SecondOrderMap) and bm.rotation.shape[0] == blk.dim - 1
-            else:
-                ok = isinstance(bm, PsdMap) and bm.factor.shape[0] == blk.side
-            if not ok:
-                raise ValueError(f"block map {bm!r} incompatible with block {blk!r}")
-        p = self.cone.identity if self.scaling is None else self.scaling
-        if p.cone != self.cone:
-            raise ConeMismatchError("automorphism scaling lives on a different cone")
-        spec = Spectrum(p).require_interior("automorphism scaling must be interior")
-        object.__setattr__(self, "scaling", p)
-        object.__setattr__(self, "_scaling_inv", pack(self.cone, spec.map(lambda lam: 1.0 / lam)[0]))
-
-    def _k(self, Z: np.ndarray, transpose: bool) -> np.ndarray:
-        """k (or k^T) applied to every column of Z."""
-        _check_columns(self.cone, Z)
-        out = np.empty(Z.shape)
-        for (_, a, b), bm in zip(self.cone.spans, self.maps):
-            out[a:b] = bm.columns(Z[a:b], transpose)
-        return out
-
-    def columns(self, Z: np.ndarray) -> np.ndarray:
-        """T Z = Q(p) k Z."""
-        return quad_rep_columns(self.scaling, self._k(Z, False))
-
-    def adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
-        """T* Z = k^T Q(p) Z."""
-        return self._k(quad_rep_columns(self.scaling, Z), True)
-
-    def inverse_columns(self, Z: np.ndarray) -> np.ndarray:
-        """T^{-1} Z = k^T Q(p^{-1}) Z."""
-        return self._k(quad_rep_columns(self._scaling_inv, Z), True)
-
-    def inverse_adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
-        """(T^{-1})* Z = Q(p^{-1}) k Z."""
-        return quad_rep_columns(self._scaling_inv, self._k(Z, False))
-
-
-def _column(T: ConeAutomorphism, x: AlgebraElement) -> np.ndarray:
-    if T.cone != x.cone:
-        raise ConeMismatchError("automorphism and element live on different cones")
-    return x.coords[:, None]
-
-
-def apply_automorphism(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
-    """Apply T to x."""
-    return _mk(x.cone, T.columns(_column(T, x))[:, 0])
-
-
-def apply_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
-    """Apply the adjoint T* (with respect to the trace inner product)."""
-    return _mk(x.cone, T.adjoint_columns(_column(T, x))[:, 0])
-
-
-def apply_inverse(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
-    """Apply T^{-1}."""
-    return _mk(x.cone, T.inverse_columns(_column(T, x))[:, 0])
-
-
-def apply_inverse_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
-    """Apply (T^{-1})* = (T*)^{-1}."""
-    return _mk(x.cone, T.inverse_adjoint_columns(_column(T, x))[:, 0])
-
-
-class Anchor:
-    """A cone automorphism T held as its per-run linear maps on frame
-    coordinates, so that a product of quadratic representations costs one
-    small product per step.
-
-    ``maps`` holds per run of equal blocks the pair (T, T^{-1}): on an
-    orthant run a positive vector a with T x = a x; on a second-order run
-    stacked raw-coordinate matrices M with T x = M x; on a PSD run stacked
-    factors P with T X = P X P^T.  The trace inner product is the dot
-    product of frame coordinates, so T* and (T^{-1})* are the transposed
-    maps.  No polar form ``Q(p) k`` is kept: ``point`` forms T e when it is
-    read.
+    ``scaling`` gives Q(y) from a spectrum and ``polar`` the form Q(p) k,
+    which every automorphism that maps each block to itself takes (polar
+    decomposition, with p = (T e)^{1/2}).  ``then`` composes, and ``point``
+    forms T e when it is read.
     """
 
     def __init__(self, cone: ConeDescriptor, maps):
@@ -1007,36 +824,69 @@ class Anchor:
         self.maps = tuple(maps)
 
     @classmethod
-    def scaling(cls, spec: Spectrum, fn: Callable[[np.ndarray], np.ndarray]) -> "Anchor":
+    def scaling(cls, spec: Spectrum, fn: Callable[[np.ndarray], np.ndarray]) -> "ConeAutomorphism":
         """Q(y) for y = sum_i f(lambda_i) e_i on the spectrum of x; f must be
         positive.  T^{-1} = Q(y^{-1}) maps 1/f on the same spectrum."""
         maps = []
         for run, lam, data in spec.runs:
             f = np.asarray(fn(lam), dtype=float)
             if isinstance(run.block, Orthant):
-                maps.append((f * f, 1.0 / (f * f)))
+                maps.append((f * f, 1.0 / (f * f), None))
             elif isinstance(run.block, SecondOrder):
                 both = _soc_quad_matrices(np.stack((f, 1.0 / f)), data)
-                maps.append((both[0], both[1]))
+                maps.append((both[0], both[1], None))
             else:
                 vt = data.transpose(0, 2, 1)
-                maps.append(((data * f[:, None, :]) @ vt, (data / f[:, None, :]) @ vt))
+                maps.append(((data * f[:, None, :]) @ vt, (data / f[:, None, :]) @ vt, None))
         return cls(spec.cone, maps)
 
-    def then(self, other: "Anchor") -> "Anchor":
+    @classmethod
+    def polar(cls, cone: ConeDescriptor, ks, p: AlgebraElement | None = None) -> "ConeAutomorphism":
+        """T = Q(p) k.  ``ks`` is k, one orthogonal map per block: a
+        permutation of the entries (orthant, T x = x[perm]), a rotation U of
+        the vector part (second-order, (x0, U x1)) or a factor O (PSD,
+        O X O^T); so k preserves the trace inner product and fixes e.  ``p``
+        is an interior point (default e).  Then T* = k^T Q(p),
+        T^{-1} = k^T Q(p^{-1}) and (T^{-1})* = Q(p^{-1}) k."""
+        ks = tuple(ks)
+        if len(ks) != len(cone.blocks):
+            raise ValueError("one block map per cone block required")
+        maps = []
+        for run in cone.runs:
+            parts = [(a - run.start, _block_map(blk, km)) for (blk, a, _), km in zip(cone.spans, ks)
+                     if run.start <= a < run.stop]
+            if isinstance(run.block, Orthant):
+                ones = np.ones(run.shape)
+                maps.append((ones, ones, np.concatenate([a + perm for a, perm in parts])))
+            else:
+                stack = np.stack([m for _, m in parts])
+                maps.append((stack, stack.transpose(0, 2, 1), None))
+        k = cls(cone, maps)
+        if p is None:
+            return k
+        if p.cone != cone:
+            raise ConeMismatchError("automorphism scaling lives on a different cone")
+        spec = Spectrum(p).require_interior("automorphism scaling must be interior")
+        return cls.scaling(spec, lambda lam: lam).then(k)
+
+    def then(self, other: "ConeAutomorphism") -> "ConeAutomorphism":
         """The composition T S of this map T with ``other`` S applied first."""
         maps = []
-        for run, (t, t_inv), (s, s_inv) in zip(self.cone.runs, self.maps, other.maps):
-            if isinstance(run.block, Orthant):
-                maps.append((t * s, s_inv * t_inv))
+        for run, (t, t_inv, i_t), (s, s_inv, i_s) in zip(self.cone.runs, self.maps, other.maps):
+            if not isinstance(run.block, Orthant):
+                maps.append((t @ s, s_inv @ t_inv, None))
+            elif i_t is None:
+                maps.append((t * s, s_inv * t_inv, i_s))
             else:
-                maps.append((t @ s, s_inv @ t_inv))
-        return Anchor(self.cone, maps)
+                # T S x = a_t a_s[i_t] x[i_s[i_t]]
+                i = i_t if i_s is None else i_s[i_t]
+                maps.append((t * s[..., i_t], s_inv[..., i_t] * t_inv, i))
+        return ConeAutomorphism(self.cone, maps)
 
     def point(self) -> AlgebraElement:
         """T e."""
         out = np.empty(self.cone.dim)
-        for run, (t, _) in zip(self.cone.runs, self.maps):
+        for run, (t, _, _) in zip(self.cone.runs, self.maps):
             rows = run.rows(out)
             if isinstance(run.block, Orthant):
                 rows[:] = t
@@ -1054,10 +904,15 @@ class Anchor:
         # D x m array; the result is laid out alike
         R = Z.T.reshape(-1, D)
         out = np.empty(R.shape)
-        for fr, pair in zip(self.cone.frame_runs, self.maps):
-            A, Zr, O = pair[inverse], fr.view(R), fr.view(out)
+        for fr, (t, t_inv, index) in zip(self.cone.frame_runs, self.maps):
+            A, Zr, O = (t_inv if inverse else t), fr.view(R), fr.view(out)
             if isinstance(fr.run.block, Orthant):
-                O[...] = A * Zr
+                if index is None:
+                    O[...] = A * Zr
+                elif inverse == adjoint:  # T and (T^{-1})* gather, T* and T^{-1} scatter
+                    O[...] = A * Zr[..., index]
+                else:
+                    O[..., index] = A * Zr
                 continue
             if adjoint:
                 A = A.transpose(0, 2, 1)
@@ -1089,6 +944,54 @@ class Anchor:
     def inverse_adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
         """(T^{-1})* applied to frame coordinates."""
         return self._columns(Z, True, True)
+
+
+def _block_map(blk: BlockKind, data) -> np.ndarray:
+    """k on one block, validated: the permutation (orthant), or the
+    orthogonal matrix 1 (+) U acting on raw second-order coordinates, or the
+    PSD factor O."""
+    if isinstance(blk, Orthant):
+        perm = np.asarray(data, dtype=int)
+        if sorted(perm.tolist()) != list(range(blk.size)):
+            raise ValueError(f"orthant block map must be a permutation of 0..{blk.size - 1}")
+        return perm
+    U = np.asarray(data, dtype=float)
+    k = blk.dim - 1 if isinstance(blk, SecondOrder) else blk.side
+    if U.shape != (k, k):
+        raise ValueError(f"block map of shape {U.shape} incompatible with block {blk!r}")
+    if not np.allclose(U.T @ U, np.eye(k), atol=1e-10):
+        raise ValueError(f"block map of {blk!r} must be orthogonal")
+    if isinstance(blk, Psd):
+        return U
+    M = np.eye(k + 1)
+    M[1:, 1:] = U
+    return M
+
+
+def _apply(T: ConeAutomorphism, x: AlgebraElement, inverse: bool, adjoint: bool) -> AlgebraElement:
+    if T.cone != x.cone:
+        raise ConeMismatchError("automorphism and element live on different cones")
+    return pack(x.cone, T._columns(unpack(x), inverse, adjoint))
+
+
+def apply_automorphism(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
+    """Apply T to x."""
+    return _apply(T, x, False, False)
+
+
+def apply_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
+    """Apply the adjoint T* (with respect to the trace inner product)."""
+    return _apply(T, x, False, True)
+
+
+def apply_inverse(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
+    """Apply T^{-1}."""
+    return _apply(T, x, True, False)
+
+
+def apply_inverse_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
+    """Apply (T^{-1})* = (T*)^{-1}."""
+    return _apply(T, x, True, True)
 
 
 def _soc_quad_matrices(f: np.ndarray, axis: np.ndarray) -> np.ndarray:
@@ -1126,16 +1029,16 @@ def random_automorphism(
     [-0.35, 0.35] (so Q(p) has eigenvalues in [e^-0.7, e^0.7]) and a random
     frame; on second-order blocks Q(p) is then a Lorentz boost.
     """
-    maps = []
+    ks = []
     for blk in cone.blocks:
         if isinstance(blk, Orthant):
-            maps.append(OrthantMap(rng.permutation(blk.size)))
+            ks.append(rng.permutation(blk.size))
         elif isinstance(blk, SecondOrder):
-            maps.append(SecondOrderMap(_random_orthogonal(blk.dim - 1, rng)))
+            ks.append(_random_orthogonal(blk.dim - 1, rng))
         else:
-            maps.append(PsdMap(_random_orthogonal(blk.side, rng)))
+            ks.append(_random_orthogonal(blk.side, rng))
     if orthogonal:
-        return ConeAutomorphism(cone, tuple(maps))
+        return ConeAutomorphism.polar(cone, ks)
     logs = []
     for blk in cone.blocks:
         lam = rng.uniform(-0.35, 0.35, blk.rank)
@@ -1148,11 +1051,9 @@ def random_automorphism(
         else:
             q = _random_orthogonal(blk.side, rng)
             logs.append((q * lam) @ q.T)
-    return ConeAutomorphism(cone, tuple(maps), scaling=exp(from_blocks(cone, logs)))
+    return ConeAutomorphism.polar(cone, ks, exp(from_blocks(cone, logs)))
 
 
 def _random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
-    if k == 0:
-        return np.zeros((0, 0))
     q, r = np.linalg.qr(rng.standard_normal((k, k)))
     return q * np.sign(np.diag(r))

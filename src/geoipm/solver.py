@@ -122,8 +122,8 @@ class LongStepParams:
     clamp_mu_f: bool = False  # clamp mu-updates at mu_f instead of overshooting
 
     def __post_init__(self):
-        if not self.beta > self.alpha > self.eps > 0.0:
-            raise ParameterError("need beta > alpha > eps > 0")
+        if not math.inf > self.beta > self.alpha > self.eps > 0.0:
+            raise ParameterError("need finite beta > alpha > eps > 0")
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError("gamma must lie in (0, 1)")
         _require_cap(self.max_newton, "max_newton")

@@ -322,7 +322,7 @@ def _projections(basis: np.ndarray, on_l: bool, zm: np.ndarray) -> tuple:
     return (inside, rest) if on_l else (rest, inside)
 
 
-def _map_side(anchor: jordan.Anchor, on_l: bool, Z: np.ndarray) -> np.ndarray:
+def _map_side(anchor: jordan.ConeAutomorphism, on_l: bool, Z: np.ndarray) -> np.ndarray:
     """The anchor's map of one side of the problem on the columns of Z:
     T^{-1} for x0 + L (``on_l``), T* for s0 + L-perp."""
     return anchor._columns(Z, on_l, not on_l)
@@ -350,6 +350,9 @@ def _cholesky_qr(cols: np.ndarray) -> np.ndarray:
     condition number exp(t (lambda_max - lambda_min)) stays small.  Like
     ``cols`` from an anchor map, the basis is Fortran-ordered.
     """
+    if cols.shape[1] == 0:
+        # LAPACK rejects an empty factor, and says so on stdout
+        return cols
     rows = cols.T
     chol, info = scipy.linalg.lapack.dpotrf(rows @ cols, lower=1)
     if info != 0:
@@ -361,9 +364,9 @@ def _cholesky_qr(cols: np.ndarray) -> np.ndarray:
 class ScaledFrame:
     """The problem in the frame of one interior point w, where w is e.
 
-    The frame carries an anchor T, a ``jordan.Anchor`` with T e = w, and
-    the problem's representation mapped into it, in frame coordinates:
-    ``basis``, an orthonormal basis (D x k, Fortran-ordered) of the
+    The frame carries an anchor T, a ``jordan.ConeAutomorphism`` with
+    T e = w, and the problem's representation mapped into it, in frame
+    coordinates: ``basis``, an orthonormal basis (D x k, Fortran-ordered) of the
     anchored smaller side, L_w = T^{-1} L or its complement
     L_w_perp = T* L-perp as the side flag says, which gives the orthogonal
     projections onto L_w and L_w_perp; and the representatives ``u_p`` of
@@ -386,7 +389,7 @@ class ScaledFrame:
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
         spec = jordan.Spectrum(w).require_interior("scaling point must be interior")
-        anchor = jordan.Anchor.scaling(spec, np.sqrt)
+        anchor = jordan.ConeAutomorphism.scaling(spec, np.sqrt)
         x0, s0, on_l, _ = problem._representation
         # the representative of the spanned side and the spanning set share one map call
         near, far = (x0, s0) if on_l else (s0, x0)
@@ -420,7 +423,7 @@ class ScaledFrame:
         """
         t = float(t)
         spec = nd.d_spectrum
-        move = jordan.Anchor.scaling(spec, lambda lam: np.exp(0.5 * t * lam))
+        move = jordan.ConeAutomorphism.scaling(spec, lambda lam: np.exp(0.5 * t * lam))
         span = _map_side(move, self.problem._representation.on_l, self.basis)
         r = math.sqrt(nd.mu)
         u_p, u_d = spec.map(
@@ -570,7 +573,7 @@ def _t_max(norm_d: float, norm_d_inf: float, h_lb: float) -> float:
 
 def mu_candidates(frame: ScaledFrame, mu_cur: float, beta: float) -> float:
     """Smallest mu with h_ub(w, mu) <= beta, in closed form; mu_cur if
-    h_ub(w, mu_cur) > beta.
+    h_ub(w, mu_cur) > beta, and never above it.
 
     With ``a = g_w/sqrt(mu_cur)`` and ``r = sqrt(mu_cur/mu)`` the bound is
     ``||r a - e||^2 / min(r lmin, 2 - r lmax)`` (lmin, lmax the extreme
@@ -588,16 +591,30 @@ def mu_candidates(frame: ScaledFrame, mu_cur: float, beta: float) -> float:
     cone = frame.problem.cone
     a = frame.g_f / sqrt_mu
     gmin, gmax = frame.g_w_extremes
-    aa = float(a @ a)
-    ta = float(a @ cone.frame_identity)
-    n = cone.rank
-    # both quadratics read aa r^2 - p r + c
-    p1, c1 = 2.0 * ta + beta * (gmin / sqrt_mu), n
-    p2, c2 = 2.0 * ta - beta * (gmax / sqrt_mu), n - 2.0 * beta
-    if aa - p1 + c1 > 0.0 or aa - p2 + c2 > 0.0:
-        return mu_cur
-    r = min(_larger_root(aa, p1, c1), _larger_root(aa, p2, c2))
+    data = (float(a @ a), float(a @ cone.frame_identity), cone.rank, gmin / sqrt_mu, gmax / sqrt_mu, beta)
+    r = _upper_ratio(*data, 1.0)
+    if math.isnan(r):
+        # from about beta = 1e150 the coefficients overflow; divided by beta
+        # the quadratics keep their roots
+        r = _upper_ratio(*data, 1.0 / beta)
     return mu_cur / (r * r)
+
+
+def _upper_ratio(aa: float, ta: float, n: int, lmin: float, lmax: float, beta: float, scale: float) -> float:
+    """The upper end r >= 1 of the interval where h_ub <= beta, from the
+    quadratics of ``mu_candidates`` multiplied by ``scale``; 1.0 when r = 1
+    lies outside it, and NaN when a coefficient overflows."""
+    a, b = aa * scale, beta * scale
+    # both quadratics read a r^2 - p r + c
+    quadratics = (
+        (2.0 * ta * scale + b * lmin, n * scale),
+        (2.0 * ta * scale - b * lmax, n * scale - 2.0 * b),
+    )
+    if not all(math.isfinite(p * p - 4.0 * a * c) for p, c in quadratics):
+        return math.nan
+    if any(a - p + c > 0.0 for p, c in quadratics):
+        return 1.0
+    return max(1.0, min(_larger_root(a, p, c) for p, c in quadratics))
 
 
 def scale_matched_mu(frame: ScaledFrame) -> float:
@@ -686,9 +703,10 @@ def transform_problem(problem: ConicProblem, T: jordan.ConeAutomorphism) -> Coni
 
 
 def _map_columns(fn, elems: tuple) -> list:
-    """The images of ``elems`` under a column map ``fn``, from one call."""
-    out = fn(np.column_stack([x.coords for x in elems]))
-    return [jordan.element(elems[0].cone, col) for col in out.T]
+    """The images of ``elems`` under a frame-coordinate map ``fn``, from one call."""
+    cone = elems[0].cone
+    out = fn(jordan._unpack(cone, np.stack([x.coords for x in elems])).T)
+    return [jordan.pack(cone, f) for f in out.T]
 
 
 def affine_residuals(problem: ConicProblem, x: AlgebraElement, s: AlgebraElement):

@@ -63,6 +63,15 @@ def test_solve_short_algo(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("beta", ["1e200", "1e308"])
+def test_solve_with_huge_beta(tmp_path, capsys, beta):
+    problem_file = tmp_path / "p.json"
+    cli.solve_cli(["gen", "--n", "6", "--dim-l", "4", "--seed", "1", "--out", str(problem_file)])
+    capsys.readouterr()
+    assert cli.solve_cli(["solve", "--input", str(problem_file), "--beta", beta]) == 0
+    assert capsys.readouterr().out.startswith("status=converged")
+
+
 def test_malformed_json_exit_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
@@ -108,6 +117,7 @@ def test_iteration_cap_exit_2(tmp_path):
         ["--max-newton", "-1"],
         ["--max-outer", "-3"],
         ["--algo", "short", "--max-newton", "-1"],
+        ["--beta", "inf"],
     ],
     ids=" ".join,
 )

@@ -1,5 +1,6 @@
 """Algebra kernel: block products, spectral calculus, norms, automorphisms."""
 
+import functools
 import math
 import warnings
 
@@ -91,21 +92,10 @@ def test_quad_rep_matches_defining_formula():
     for cone, w in cases:
         for m in (0, 1, 5):
             Z = rng.standard_normal((cone.dim, m))
-            cols = J.quad_rep_columns(w, Z)
-            assert cols.shape == (cone.dim, m)
             for j in range(m):
                 z = J.element(cone, Z[:, j])
                 via_def = 2.0 * J.circ(w, J.circ(w, z)) - J.circ(J.circ(w, w), z)
-                assert_elem_close(J.element(cone, cols[:, j]), via_def, 1e-12, "Q(w) on a column")
                 assert_elem_close(J.quad_rep(w, z), via_def, 1e-12, "Q(w)z definition")
-    # Q acts blockwise and the metric is one scalar per block, so Q maps
-    # metric coordinates to metric coordinates
-    root = np.sqrt(J.metric_diag(MIXED))
-    w = random_element(MIXED, rng)
-    Z = rng.standard_normal((MIXED.dim, 5))
-    via_elements = [J.quad_rep(w, J.element(MIXED, Z[:, j])).coords * root for j in range(5)]
-    via_kernel = J.quad_rep_columns(w, root[:, None] * Z)
-    assert np.allclose(via_kernel, np.column_stack(via_elements), rtol=0, atol=1e-12)
 
 
 # runs: orthant(5) (merged), 3 soc(4), 2 psd(3), 2 psd(1), soc(4)
@@ -185,19 +175,19 @@ def test_run_kernels_match_blockwise_references():
         for _ in range(3):
             w, x = _repeats_element(rng), _repeats_element(rng)
             Z = rng.standard_normal((REPEATS.dim, 4))
-            cols = J.quad_rep_columns(w, Z)
             for j in range(Z.shape[1]):
                 z = J.element(REPEATS, Z[:, j])
                 via_circ = 2.0 * J.circ(w, J.circ(w, z)) - J.circ(J.circ(w, w), z)
-                assert_elem_close(J.element(REPEATS, cols[:, j]), via_circ, 1e-12, "Q(w) per run")
+                assert_elem_close(J.quad_rep(w, z), via_circ, 1e-12, "Q(w) per run")
 
             sd = J.Spectrum(x)
             ref = _block_eigenvalues(x)
             assert np.allclose(sd.eigenvalues, ref, rtol=0, atol=1e-12)
             # eigh and eigvalsh may differ in the last digits
             assert np.allclose(sd.eigenvalues, J.eigenvalues(x), rtol=0, atol=1e-12)
-            # the zero vector part: a double eigenvalue x0 of the middle soc(4)
-            assert sd.eigenvalues[7] == sd.eigenvalues[8] == x.coords[9]
+            # the zero vector part: a double eigenvalue x0 of the middle soc(4),
+            # read off the frame coordinates (x0 times sqrt(2), divided by it)
+            assert sd.eigenvalues[7] == sd.eigenvalues[8] == J.pack(REPEATS, J.unpack(x)).coords[9]
             rebuilt = J.pack(REPEATS, sd.map(lambda lam: lam)[0])
             assert_elem_close(rebuilt, x, 1e-12, "map(identity) rebuilds x")
 
@@ -231,9 +221,9 @@ def test_anchor_scaling_is_the_quadratic_representation():
         # on REPEATS the middle soc(4) block has a zero vector part (equal eigenvalues)
         x = _repeats_element(rng) if cone is REPEATS else random_element(cone, rng)
         w = J.exp(x)
-        T = J.Anchor.scaling(J.Spectrum(w), np.sqrt)
+        T = J.ConeAutomorphism.scaling(J.Spectrum(w), np.sqrt)
         Z = rng.standard_normal((cone.dim, 3))
-        half = J.quad_rep_columns(J.sqrt(w), Z)
+        half = np.column_stack([J.quad_rep(J.sqrt(w), J.element(cone, z)).coords for z in Z.T])
         Zf = _to_frame(cone, Z)
         assert np.allclose(_from_frame(cone, T.columns(Zf)), half, rtol=1e-12, atol=1e-12), cone
         assert np.allclose(_from_frame(cone, T.adjoint_columns(Zf)), half, rtol=1e-12, atol=1e-12), cone
@@ -244,8 +234,8 @@ def test_anchor_scaling_is_the_quadratic_representation():
 def test_anchor_composition_adjoints_and_point():
     rng = np.random.default_rng(32)
     for cone in list(FAMILIES.values()) + [REPEATS]:
-        T = J.Anchor.scaling(J.Spectrum(random_interior(cone, rng)), np.sqrt)
-        S = J.Anchor.scaling(J.Spectrum(random_element(cone, rng)), np.exp)
+        T = J.ConeAutomorphism.scaling(J.Spectrum(random_interior(cone, rng)), np.sqrt)
+        S = J.ConeAutomorphism.scaling(J.Spectrum(random_element(cone, rng)), np.exp)
         TS = T.then(S)
         X = _to_frame(cone, rng.standard_normal((cone.dim, 2)))
         Y = _to_frame(cone, rng.standard_normal((cone.dim, 2)))
@@ -408,7 +398,7 @@ def test_automorphism_examples():
         assert_elem_close(J.apply_automorphism(T, J.identity(cone)), J.identity(cone), 1e-12, "Te = e")
 
     p = J.from_blocks(PSD2, [np.diag([2.0, 1.0])])
-    T = J.ConeAutomorphism(PSD2, (J.PsdMap(np.eye(2)),), scaling=p)
+    T = J.ConeAutomorphism.polar(PSD2, (np.eye(2),), p)
     img = J.apply_automorphism(T, J.identity(PSD2))
     assert np.allclose(J.to_blocks(img)[0], np.diag([4.0, 1.0]))
 
@@ -434,16 +424,16 @@ def test_automorphism_adjoint_inverse_consistency():
 
 def test_block_maps_must_be_orthogonal_and_scaling_interior():
     with pytest.raises(ValueError):
-        J.PsdMap(np.diag([2.0, 1.0]))
+        J.ConeAutomorphism.polar(PSD2, (np.diag([2.0, 1.0]),))
     with pytest.raises(ValueError):
-        J.SecondOrderMap(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    maps = (J.PsdMap(np.eye(2)),)
+        J.ConeAutomorphism.polar(SOC3, (np.array([[1.0, 1.0], [0.0, 1.0]]),))
+    maps = (np.eye(2),)
     with pytest.raises(DomainError):
-        J.ConeAutomorphism(PSD2, maps, scaling=J.from_blocks(PSD2, [np.diag([1.0, 0.0])]))
+        J.ConeAutomorphism.polar(PSD2, maps, J.from_blocks(PSD2, [np.diag([1.0, 0.0])]))
     with pytest.raises(DomainError):
-        J.ConeAutomorphism(SOC3, (J.SecondOrderMap(np.eye(2)),), scaling=J.element(SOC3, [1.0, 1.0, 0.0]))
+        J.ConeAutomorphism.polar(SOC3, (np.eye(2),), J.element(SOC3, [1.0, 1.0, 0.0]))
     with pytest.raises(ConeMismatchError):
-        J.ConeAutomorphism(PSD2, maps, scaling=J.identity(SOC3))
+        J.ConeAutomorphism.polar(PSD2, maps, J.identity(SOC3))
 
 
 def _orthogonal(k, rng):
@@ -452,7 +442,7 @@ def _orthogonal(k, rng):
 
 def _boost_cone_and_map(rng):
     """A mixed cone with two second-order blocks, each boosted along a
-    random axis with rapidity 0.9, then rotated."""
+    random axis with rapidity 0.9, then rotated; with the scaling point p."""
     cone = J.ConeDescriptor((J.SecondOrder(4), J.Orthant(2), J.SecondOrder(3)))
     parts = []
     for blk in cone.blocks:
@@ -462,19 +452,15 @@ def _boost_cone_and_map(rng):
         else:
             parts.append(np.zeros(blk.dim))
     p = J.exp(J.from_blocks(cone, parts))
-    maps = (
-        J.SecondOrderMap(_orthogonal(3, rng)),
-        J.OrthantMap([1, 0]),
-        J.SecondOrderMap(_orthogonal(2, rng)),
-    )
-    return cone, J.ConeAutomorphism(cone, maps, scaling=p)
+    maps = (_orthogonal(3, rng), [1, 0], _orthogonal(2, rng))
+    return cone, J.ConeAutomorphism.polar(cone, maps, p), p
 
 
 def test_second_order_boost_is_an_automorphism():
     rng = np.random.default_rng(12)
-    cone, T = _boost_cone_and_map(rng)
+    cone, T, p = _boost_cone_and_map(rng)
     # a boost: the scaling has a nonzero vector part, so Q(p) mixes x0 into x1
-    assert np.linalg.norm(T.scaling.coords[1:4]) > 0.4
+    assert np.linalg.norm(p.coords[1:4]) > 0.4
     for _ in range(5):
         x = random_element(cone, rng)
         y = random_element(cone, rng)
@@ -495,7 +481,7 @@ def test_second_order_boost_is_an_automorphism():
         assert J.is_interior(J.apply_automorphism(T, w))
         assert J.is_interior(J.apply_inverse(T, w))
     # Te = p^2, which is not a multiple of e on a boosted block
-    assert_elem_close(J.apply_automorphism(T, J.identity(cone)), J.power(T.scaling, 2), 1e-12, "Te")
+    assert_elem_close(J.apply_automorphism(T, J.identity(cone)), J.power(p, 2), 1e-12, "Te")
 
 
 def test_automorphism_reproduces_scalar_and_congruence_maps():
@@ -512,7 +498,7 @@ def test_automorphism_reproduces_scalar_and_congruence_maps():
     O, P = scipy.linalg.polar(G, side="left")
     Gi = np.linalg.inv(G)
     p = J.from_blocks(cone, [np.sqrt(s_orth), [math.sqrt(s_soc), 0.0, 0.0, 0.0], P])
-    T = J.ConeAutomorphism(cone, (J.OrthantMap(perm), J.SecondOrderMap(U), J.PsdMap(O)), scaling=p)
+    T = J.ConeAutomorphism.polar(cone, (perm, U, O), p)
 
     def reference(x, mode):
         xo, xs, X = J.to_blocks(x)
@@ -535,16 +521,80 @@ def test_automorphism_reproduces_scalar_and_congruence_maps():
             psd = Gi.T @ X @ Gi
         return J.from_blocks(cone, [orth, soc, psd])
 
-    applies = {
-        "apply": J.apply_automorphism,
-        "adjoint": J.apply_adjoint,
-        "inverse": J.apply_inverse,
-        "inverse_adjoint": J.apply_inverse_adjoint,
-    }
     for _ in range(5):
         x = random_element(cone, rng)
-        for mode, apply in applies.items():
+        for mode, apply in APPLIES.items():
             assert_elem_close(apply(T, x), reference(x, mode), 1e-12, mode)
+
+
+APPLIES = {
+    "apply": J.apply_automorphism,
+    "adjoint": J.apply_adjoint,
+    "inverse": J.apply_inverse,
+    "inverse_adjoint": J.apply_inverse_adjoint,
+}
+
+
+def _k_reference(ks, x, transpose):
+    """k (or k^T) applied block by block from the per-block maps ``ks``."""
+    parts = []
+    for blk, part, km in zip(x.cone.blocks, J.to_blocks(x), ks):
+        if isinstance(blk, J.Orthant):
+            if transpose:
+                out = np.empty_like(part)
+                out[km] = part
+            else:
+                out = part[km]
+        elif isinstance(blk, J.SecondOrder):
+            U = km.T if transpose else km
+            out = np.concatenate((part[:1], U @ part[1:]))
+        else:
+            O = km.T if transpose else km
+            out = O @ part @ O.T
+        parts.append(out)
+    return J.from_blocks(x.cone, parts)
+
+
+def test_permutations_inside_a_merged_orthant_run():
+    """REPEATS merges Orthant(3) and Orthant(2) into one run; each block
+    carries its own permutation.  T = Q(p) k with a non-orthogonal p matches
+    a per-block reference in all four maps, and its compositions with a step
+    scaling (whose orthant run has no index), in both orders, and with a
+    k whose permutations do not commute with these compose the per-run
+    maps."""
+    rng = np.random.default_rng(14)
+    ks = [np.array([2, 0, 1]), np.array([1, 0])]
+    for blk in REPEATS.blocks[2:]:
+        ks.append(_orthogonal(blk.dim - 1 if isinstance(blk, J.SecondOrder) else blk.side, rng))
+    p = random_interior(REPEATS, rng)
+    p_inv = J.inverse(p)
+    T = J.ConeAutomorphism.polar(REPEATS, ks, p)
+
+    def reference(x, mode):
+        if mode == "apply":
+            return J.quad_rep(p, _k_reference(ks, x, False))
+        if mode == "adjoint":
+            return _k_reference(ks, J.quad_rep(p, x), True)
+        if mode == "inverse":
+            return _k_reference(ks, J.quad_rep(p_inv, x), True)
+        return J.quad_rep(p_inv, _k_reference(ks, x, False))
+
+    for _ in range(3):
+        x = _repeats_element(rng)
+        for mode, apply in APPLIES.items():
+            assert_elem_close(apply(T, x), reference(x, mode), 1e-12, mode)
+
+    S = J.ConeAutomorphism.scaling(J.Spectrum(random_element(REPEATS, rng)), lambda lam: np.exp(0.35 * lam))
+    X = _to_frame(REPEATS, rng.standard_normal((REPEATS.dim, 3)))
+    K = J.ConeAutomorphism.polar(REPEATS, [np.array([1, 0, 2]), np.array([1, 0])] + ks[2:])
+    close = functools.partial(np.testing.assert_allclose, rtol=1e-12, atol=1e-12)
+    for outer, inner in ((T, S), (S, T), (T, K)):
+        C = outer.then(inner)
+        close(C.columns(X), outer.columns(inner.columns(X)))
+        close(C.adjoint_columns(X), inner.adjoint_columns(outer.adjoint_columns(X)))
+        close(C.inverse_columns(X), inner.inverse_columns(outer.inverse_columns(X)))
+        close(C.inverse_adjoint_columns(X), outer.inverse_adjoint_columns(inner.inverse_adjoint_columns(X)))
+        assert_elem_close(C.point(), J.pack(REPEATS, outer.columns(inner.columns(REPEATS.frame_identity))), 1e-12, "C e")
 
 
 def test_q_of_automorphism_image():

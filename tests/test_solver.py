@@ -188,6 +188,21 @@ def test_longstep_params_validation():
         V.LongStepParams(beta=1.0, alpha=10.0)
     with pytest.raises(ParameterError):
         V.LongStepParams(gamma=1.5)
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            V.LongStepParams(beta=beta)
+
+
+@pytest.mark.parametrize("beta", [1e200, 1e308])
+def test_longstep_with_huge_beta(beta):
+    rng = np.random.default_rng(3)
+    prob = random_basis_problem(PSD6, 3, rng)
+    mu_f = 1.0 / 256.0
+    state, trace = V.longstep(prob, J.identity(prob.cone), 1.0, mu_f, V.LongStepParams(beta=beta))
+    assert 0.0 < state.mu <= mu_f
+    assert state.frame.newton(state.mu).h_ub <= 1e-4
+    outer_mus = [snap.mu for snap in trace.snapshots]
+    assert all(m1 > m2 for m1, m2 in zip(outer_mus, outer_mus[1:]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

@@ -162,10 +162,13 @@ def test_stepped_frame_matches_the_frame_of_the_stepped_point(case):
 
 @pytest.mark.parametrize("form", ["basis", "operator"])
 @pytest.mark.parametrize("full", [False, True], ids=["dim-L-0", "dim-L-N"])
-def test_trivial_subspaces(form, full):
+def test_trivial_subspaces(form, full, capfd):
     """dim L = 0 fixes x = x0 and dim L = N fixes s = s0, so the centered
-    point is x0/sqrt(mu) or sqrt(mu) s0^{-1}; the frame spans nothing."""
+    point is x0/sqrt(mu) or sqrt(mu) s0^{-1}; the frame spans nothing, and
+    the steps of both trackers, which have no basis to orthonormalize, write
+    nothing (LAPACK would reject an empty factor with a message)."""
     rng = np.random.default_rng(43)
+    capfd.readouterr()
     mu, mu_f = 0.6, 1.0 / 128.0
     for cone in FAMILIES.values():
         prob = random_basis_problem(cone, cone.dim if full else 0, rng)
@@ -185,6 +188,10 @@ def test_trivial_subspaces(form, full):
         x, s = S.feasible_point(prob, state.w, state.mu, nd=nd)
         rp, rd = S.affine_residuals(prob, x, s)
         assert rp <= 1e-12 * J.norm2(x) and rd <= 1e-12 * J.norm2(s)
+        params = V.shortstep_params(0.5, 1e-4, cone.rank)
+        _, trace = V.shortstep(prob, V.oracle_center(prob, 1.0), 1.0, mu_f, params)
+        assert trace.newton_steps > 0
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("case", SIDE_CASES.values(), ids=SIDE_CASES.keys())
@@ -424,12 +431,14 @@ def test_mu_candidates_monotone_and_pole_clamp():
     frame = S.ScaledFrame(prob, w)
     mu_b = S.mu_candidates(frame, mu0, 100.0)
     assert mu_b < mu0
-    # huge beta clamps at the pole where the bound's denominator vanishes
-    mu_inf = S.mu_candidates(frame, mu0, 1e18)
+    # huge beta clamps at the pole where the bound's denominator vanishes, also
+    # where the quadratics' coefficients overflow
     lam_max = float(J.eigenvalues(frame.g_w).max())
     mu_pole = lam_max ** 2 / 4.0
-    assert mu_inf == pytest.approx(mu_pole, rel=1e-6)
-    assert mu_inf <= mu_b
+    for beta in (1e18, 1e200, 1e308):
+        mu_inf = S.mu_candidates(frame, mu0, beta)
+        assert mu_inf == pytest.approx(mu_pole, rel=1e-6)
+        assert mu_inf <= mu_b
 
 
 def test_feasible_point_and_gap():

@@ -1,4 +1,4 @@
-"""Work per Newton step: eigensolver calls, Q(w) kernel calls and anchor maps.
+"""Work per Newton step: eigensolver calls and automorphism maps.
 
 The kernels make one pass over the runs of equal blocks, with one stacked
 LAPACK call per run of PSD blocks, so the counts below hold for one psd
@@ -14,11 +14,11 @@ step reads its spectrum: that ``eigh`` gives ||d||_inf, t_max, the step map
 Q(exp(t d/2)) and the reset representatives, so a call that only tests
 h_ub takes none.  So a step costs 1 ``eigh`` and 1 ``eigvalsh``.
 
-A step maps the basis once, by the ``jordan.Anchor`` of Q(exp(t d/2)), and
-calls ``quad_rep_columns`` not at all.  It works in frame coordinates (PSD
-blocks as full matrices), so it gathers no svec coordinates: ``_smat`` and
-``_svec`` run only where an element enters or leaves a run.  The basis spans the smaller of L and
-L-perp, whichever form states the problem.  A fresh frame makes two anchor
+A step maps the basis once, by the ``jordan.ConeAutomorphism`` of
+Q(exp(t d/2)).  It works in frame coordinates (PSD blocks as full
+matrices), so it gathers no svec coordinates: ``_smat`` and ``_svec`` run
+only where an element enters or leaves a run.  The basis spans the smaller
+of L and L-perp, whichever form states the problem.  A fresh frame makes two anchor
 maps (T^{-1} on the basis of L with x0, T* on s0, or T* on L-perp with s0
 and T^{-1} on x0), and so does the feasible pair (T and (T^{-1})*).  A frame
 projects once for g_w; a Newton call projects once more only when its d is
@@ -50,8 +50,8 @@ MU_F = MU0 / 1024.0
 
 
 LAPACK = ((np.linalg, "eigh"), (np.linalg, "eigvalsh"))
-# LAPACK, the Q(w) kernel, the anchor maps and the interior test of a scaling point
-KERNELS = LAPACK + ((J, "quad_rep_columns"), (J.Anchor, "_columns"), (J.Spectrum, "require_interior"))
+# LAPACK, the automorphism maps and the interior test of a scaling point
+KERNELS = LAPACK + ((J.ConeAutomorphism, "_columns"), (J.Spectrum, "require_interior"))
 # the svec gathers between element coordinates and PSD matrices
 SVEC = ((J, "_smat"), (J, "_svec"))
 
@@ -94,8 +94,7 @@ def test_shortstep_one_eigh_one_eigvalsh_per_step(problem, multi_problem, monkey
         # the start: the eigh and interior test of w0 and two anchor maps; each
         # step: the eigvalsh of g_w, the eigh of d and one anchor map of the basis
         assert calls == {
-            "eigh": 1 + steps, "eigvalsh": steps, "quad_rep_columns": 0,
-            "_columns": 2 + steps, "require_interior": 1,
+            "eigh": 1 + steps, "eigvalsh": steps, "_columns": 2 + steps, "require_interior": 1,
         }, prob.cone
         (_, trace), gathers = _counted(
             monkeypatch, lambda: V.shortstep(prob, w0, MU0, MU_F, params), SVEC
@@ -115,8 +114,7 @@ def test_longstep_decomposes_only_the_start(problem, multi_problem, monkeypatch)
         # iterate, shared by every Newton call and mu_candidates call there
         # (17 steps on the psd(6) instance)
         assert calls == {
-            "eigh": 1 + steps, "eigvalsh": 1 + steps, "quad_rep_columns": 0,
-            "_columns": 2 + steps, "require_interior": 1,
+            "eigh": 1 + steps, "eigvalsh": 1 + steps, "_columns": 2 + steps, "require_interior": 1,
         }, prob.cone
 
 
@@ -167,9 +165,7 @@ def test_solve_reads_the_last_frame_of_longstep(problem, tmp_path, monkeypatch):
     # beyond the tracker: the eigh of the final d (||d||_inf and the pair) and
     # the anchor maps T and (T^{-1})* for x and s; h_ub is read off the last frame
     extra = {name: cli_calls[name] - calls[name] for name in calls}
-    assert extra == {
-        "eigh": 1, "eigvalsh": 0, "quad_rep_columns": 0, "_columns": 2, "require_interior": 0,
-    }
+    assert extra == {"eigh": 1, "eigvalsh": 0, "_columns": 2, "require_interior": 0}
 
 
 def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
@@ -178,7 +174,7 @@ def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
             monkeypatch, lambda: S.ScaledFrame(prob, J.identity(prob.cone)).newton(0.7), KERNELS
         )
         # T^{-1} and T* once each, one of them on the whole spanning set
-        assert calls["_columns"] == 2 and calls["quad_rep_columns"] == 0, type(prob.form).__name__
+        assert calls["_columns"] == 2, type(prob.form).__name__
 
 
 def test_frame_spans_the_smaller_side_whatever_the_form():
