@@ -159,17 +159,22 @@ def problem_to_dict(problem: ConicProblem) -> dict:
     return doc
 
 
-def load_problem(path) -> ConicProblem:
-    """Parse a problem file; raises ProblemFormatError on any defect."""
+def _read_json(path, what: str):
+    """The parsed JSON document of a file; ProblemFormatError when it cannot
+    be read or parsed, or holds NaN or Infinity."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ProblemFormatError(f"cannot read problem file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemFormatError(f"cannot read {what}: {exc}") from exc
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}") from exc
-    return problem_from_dict(doc)
+
+
+def load_problem(path) -> ConicProblem:
+    """Parse a problem file; raises ProblemFormatError on any defect."""
+    return problem_from_dict(_read_json(path, "problem file"))
 
 
 def save_problem(problem: ConicProblem, path) -> None:
@@ -189,7 +194,15 @@ def write_csv(path, header: str, rows) -> None:
 
 
 def read_feasible_pair(path, cone: ConeDescriptor):
-    doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    x = jordan.element(cone, _finite_array(doc["x"], "x", cone.dim))
-    s = jordan.element(cone, _finite_array(doc["s"], "s", cone.dim))
-    return x, s, float(doc["mu"]), float(doc["gap"])
+    """(x, s, mu, gap) from a feasible-pair file; raises ProblemFormatError on any defect."""
+    doc = _read_json(path, "feasible-pair file")
+    if not isinstance(doc, dict):
+        raise ProblemFormatError("feasible-pair document must be a JSON object")
+    try:
+        x = jordan.element(cone, _finite_array(doc["x"], "x", cone.dim))
+        s = jordan.element(cone, _finite_array(doc["s"], "s", cone.dim))
+        return x, s, require_real(doc["mu"], "mu"), require_real(doc["gap"], "gap")
+    except KeyError as exc:
+        raise ProblemFormatError(f"feasible-pair document has no field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"malformed feasible-pair document: {exc}") from exc

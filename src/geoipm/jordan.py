@@ -539,7 +539,9 @@ def quad_rep(w: AlgebraElement, z: AlgebraElement) -> AlgebraElement:
     _same_cone(w, z)
     zf = unpack(z)
     out = np.empty(zf.shape)
-    for fr, (run, W) in zip(w.cone.frame_runs, _frame_blocks(w.cone, unpack(w))):
+    wf = unpack(w)
+    for fr in w.cone.frame_runs:
+        run, W = fr.run, _frame_block(fr, wf)
         Z, O = fr.view(zf), fr.view(out)
         if isinstance(run.block, Orthant):
             O[...] = W * W * Z
@@ -571,7 +573,9 @@ def _run_spectrum(run: Run, X: np.ndarray, vectors: bool) -> tuple:
     if isinstance(blk, SecondOrder):
         x0, x1 = X[:, 0], X[:, 1:]
         r = np.sqrt(_row_dots(x1, x1))
-        lam = np.stack((x0 + r, x0 - r), axis=1)
+        lam = np.empty((len(r), 2))
+        np.add(x0, r, out=lam[:, 0])
+        np.subtract(x0, r, out=lam[:, 1])
         if not vectors:
             return lam, None
         # eigenvalues coincide when the vector part vanishes; any unit axis is a valid
@@ -583,13 +587,12 @@ def _run_spectrum(run: Run, X: np.ndarray, vectors: bool) -> tuple:
     return _eigh(X) if vectors else (_eigvalsh(X), None)
 
 
-def _frame_blocks(cone: ConeDescriptor, f: np.ndarray):
-    """Per run, the blocks of frame coordinates ``f`` in the form
+def _frame_block(fr: FrameRun, f: np.ndarray) -> np.ndarray:
+    """The blocks of one run of frame coordinates ``f`` in the form
     ``_run_spectrum`` reads: raw second-order coordinates and the PSD
     matrices in place."""
-    for fr in cone.frame_runs:
-        X = fr.view(f)
-        yield fr.run, (X / _SQRT2 if isinstance(fr.run.block, SecondOrder) else X)
+    X = fr.view(f)
+    return X / _SQRT2 if isinstance(fr.run.block, SecondOrder) else X
 
 
 class Spectrum:
@@ -603,7 +606,8 @@ class Spectrum:
     the unit axes of the vector parts (second-order) or None (orthant).
     ``eigenvalues`` concatenates them in block order; ``frame``, built on
     first read, holds the primitive idempotents e_i in that order.  ``map``
-    gives frame coordinates.
+    gives frame coordinates, and ``scale_and_map`` also a scaling Q(y) from
+    the same pass.
     """
 
     def __init__(self, x: AlgebraElement):
@@ -618,8 +622,13 @@ class Spectrum:
 
     def _decompose(self, cone: ConeDescriptor, f: np.ndarray) -> None:
         self.cone = cone
-        self.runs = tuple((run, *_run_spectrum(run, X, vectors=True)) for run, X in _frame_blocks(cone, f))
-        self.eigenvalues = _concat([lam for _, lam, _ in self.runs])
+        runs, lams = [], []
+        for fr in cone.frame_runs:
+            lam, data = _run_spectrum(fr.run, _frame_block(fr, f), vectors=True)
+            runs.append((fr.run, lam, data))
+            lams.append(lam)
+        self.runs = tuple(runs)
+        self.eigenvalues = _concat(lams)
 
     @functools.cached_property
     def frame(self) -> tuple:
@@ -644,22 +653,44 @@ class Spectrum:
         """Frame coordinates of sum_i f(lambda_i) e_i for each f in ``fns``; f
         acts elementwise on an ndarray of eigenvalues (one run's, shaped
         (count, rank))."""
+        return self.scale_and_map(None, *fns)[1]
+
+    def scale_and_map(self, fn, *fns) -> tuple:
+        """(Q(y), ``map(*fns)``) from one pass over the runs, for
+        y = sum_i fn(lambda_i) e_i with fn positive; Q(y) is a
+        ``ConeAutomorphism`` (see ``ConeAutomorphism.scaling``), None when fn
+        is None."""
+        lead = 0 if fn is None else 2
         out = np.empty((len(fns), self.cone.frame_dim))
+        maps = []
         for fr, (run, lam, data) in zip(self.cone.frame_runs, self.runs):
-            # (len(fns), count, rank): every function at once, one product per run
-            f = np.empty((len(fns),) + lam.shape)
-            for i, fn in enumerate(fns):
-                f[i] = fn(lam)
+            # every value at once, f and 1/f ahead of the maps: one product per run
+            v = np.empty((lead + len(fns),) + lam.shape)
+            if lead:
+                v[0] = fn(lam)
+                np.divide(1.0, v[0], out=v[1])
+            for i, h in enumerate(fns, lead):
+                v[i] = h(lam)
             rows = fr.view(out)
             if isinstance(run.block, Orthant):
-                rows[...] = f
+                rows[...] = v[lead:]
+                if lead:
+                    square = v[0] * v[0]
+                    maps.append((square, 1.0 / square, None))
             elif isinstance(run.block, SecondOrder):
-                fp, fm = f[..., 0], f[..., 1]
-                rows[..., 0] = _HALF_SQRT2 * (fp + fm)
-                rows[..., 1:] = (_HALF_SQRT2 * (fp - fm))[..., None] * data
+                vp, vm = v[lead:, ..., 0], v[lead:, ..., 1]
+                rows[..., 0] = _HALF_SQRT2 * (vp + vm)
+                rows[..., 1:] = (_HALF_SQRT2 * (vp - vm))[..., None] * data
+                if lead:
+                    both = _soc_quad_matrices(v[:2], data)
+                    maps.append((both[0], both[1], None))
             else:
-                np.matmul(data * f[..., None, :], data.transpose(0, 2, 1), out=rows)
-        return tuple(out)
+                # V f V^T for every f; the first two are the factors of Q(y) and Q(y^{-1})
+                prod = (data * v[..., None, :]) @ np.ascontiguousarray(data.transpose(0, 2, 1))
+                rows[...] = prod[lead:]
+                if lead:
+                    maps.append((prod[0], prod[1], None))
+        return (ConeAutomorphism(self.cone, maps) if lead else None), tuple(out)
 
     def require_interior(self, message: str) -> "Spectrum":
         """This spectrum if it passes the interior test, else DomainError."""
@@ -693,7 +724,10 @@ def eigenvalues(x: AlgebraElement) -> np.ndarray:
 
 def frame_eigenvalues(cone: ConeDescriptor, f: np.ndarray) -> np.ndarray:
     """All eigenvalues of the element with frame coordinates ``f``."""
-    return _concat([_run_spectrum(run, X, vectors=False)[0] for run, X in _frame_blocks(cone, f)])
+    lams = []
+    for fr in cone.frame_runs:
+        lams.append(_run_spectrum(fr.run, _frame_block(fr, f), vectors=False)[0])
+    return _concat(lams)
 
 
 def min_eigenvalue(x: AlgebraElement) -> float:
@@ -827,18 +861,7 @@ class ConeAutomorphism:
     def scaling(cls, spec: Spectrum, fn: Callable[[np.ndarray], np.ndarray]) -> "ConeAutomorphism":
         """Q(y) for y = sum_i f(lambda_i) e_i on the spectrum of x; f must be
         positive.  T^{-1} = Q(y^{-1}) maps 1/f on the same spectrum."""
-        maps = []
-        for run, lam, data in spec.runs:
-            f = np.asarray(fn(lam), dtype=float)
-            if isinstance(run.block, Orthant):
-                maps.append((f * f, 1.0 / (f * f), None))
-            elif isinstance(run.block, SecondOrder):
-                both = _soc_quad_matrices(np.stack((f, 1.0 / f)), data)
-                maps.append((both[0], both[1], None))
-            else:
-                vt = data.transpose(0, 2, 1)
-                maps.append(((data * f[:, None, :]) @ vt, (data / f[:, None, :]) @ vt, None))
-        return cls(spec.cone, maps)
+        return spec.scale_and_map(fn)[0]
 
     @classmethod
     def polar(cls, cone: ConeDescriptor, ks, p: AlgebraElement | None = None) -> "ConeAutomorphism":
@@ -922,8 +945,10 @@ class ConeAutomorphism:
             else:
                 # P Z P^T is symmetric but its rounding is not; without the
                 # symmetrization, an antisymmetric part, which no map or
-                # projection removes, drifts up from the rounding level step by step
-                Y = A @ Zr @ A.transpose(0, 2, 1)
+                # projection removes, drifts up from the rounding level step by step.
+                # (numpy's stacked matmul is slower on transposed views, hence the copies)
+                A = np.ascontiguousarray(A)
+                Y = A @ Zr @ np.ascontiguousarray(A.transpose(0, 2, 1))
                 np.add(Y, Y.swapaxes(-1, -2), out=O)
                 O *= 0.5
         return out.T.reshape(Z.shape)
@@ -1005,15 +1030,17 @@ def _soc_quad_matrices(f: np.ndarray, axis: np.ndarray) -> np.ndarray:
     scale f-^2 exact where 2 y y^T - det(y) R would cancel.
     """
     fp, fm = f[..., 0], f[..., 1]
-    a = 0.5 * (fp * fp + fm * fm)
-    b = 0.5 * (fp * fp - fm * fm)
+    fp2, fm2 = fp * fp, fm * fm
+    a = 0.5 * (fp2 + fm2)
+    b = 0.5 * (fp2 - fm2)
     g = fp * fm
     m = axis.shape[1]
     out = np.empty(f.shape[:-1] + (m + 1, m + 1))
     out[..., 0, 0] = a
     out[..., 0, 1:] = out[..., 1:, 0] = b[..., None] * axis
     out[..., 1:, 1:] = (a - g)[..., None, None] * (axis[:, :, None] * axis[:, None, :])
-    out[..., 1:, 1:] += g[..., None, None] * np.eye(m)
+    diag = np.arange(1, m + 1)
+    out[..., diag, diag] += g[..., None]
     return out
 
 

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import jordan
 from .errors import (
@@ -208,7 +207,7 @@ class ConicProblem:
             return self._basis_mc
         span = self._columns_mc
         if f.B.size:
-            span = span @ scipy.linalg.null_space(f.B)
+            span = span @ _null_space(f.B)
         return _orthonormalize(span)
 
     @functools.cached_property
@@ -313,13 +312,12 @@ def _complement(cols: np.ndarray) -> np.ndarray:
     return q[:, k:]
 
 
-def _projections(basis: np.ndarray, on_l: bool, zm: np.ndarray) -> tuple:
-    """(P_L zm, P_L-perp zm) for an orthonormal ``basis`` of L (``on_l``)
-    or of L-perp, in coordinates where the dot product is the trace inner
-    product."""
+def _project(basis: np.ndarray, on_l: bool, zm: np.ndarray, onto_l: bool) -> np.ndarray:
+    """P_L zm (``onto_l``) or P_L-perp zm, for an orthonormal ``basis`` of L
+    (``on_l``) or of L-perp, in coordinates where the dot product is the
+    trace inner product."""
     inside = basis @ (basis.T @ zm)
-    rest = zm - inside
-    return (inside, rest) if on_l else (rest, inside)
+    return inside if onto_l == on_l else zm - inside
 
 
 def _map_side(anchor: jordan.ConeAutomorphism, on_l: bool, Z: np.ndarray) -> np.ndarray:
@@ -348,17 +346,28 @@ def _cholesky_qr(cols: np.ndarray) -> np.ndarray:
     Orthogonality is lost as cond(cols)^2 times the rounding unit, so this
     serves the image of an orthonormal basis under a step map, whose
     condition number exp(t (lambda_max - lambda_min)) stays small.  Like
-    ``cols`` from an anchor map, the basis is Fortran-ordered.
+    ``cols`` from an anchor map, the basis is Fortran-ordered.  The basis is
+    ``cols L^{-T}`` for the Cholesky factor L of the k x k Gram matrix,
+    formed through the inverse of L: numpy has no triangular solve, and
+    ``np.linalg.solve`` with the D right-hand sides costs several times more.
     """
     if cols.shape[1] == 0:
-        # LAPACK rejects an empty factor, and says so on stdout
         return cols
     rows = cols.T
-    chol, info = scipy.linalg.lapack.dpotrf(rows @ cols, lower=1)
-    if info != 0:
-        raise IllConditionedBasisError("rank loss while stepping the scaled subspace basis")
-    chol_inv, _ = scipy.linalg.lapack.dtrtri(chol, lower=1)
-    return (chol_inv @ rows).T
+    try:
+        chol = np.linalg.cholesky(rows @ cols)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedBasisError("rank loss while stepping the scaled subspace basis") from exc
+    return (np.linalg.inv(chol) @ rows).T
+
+
+def _null_space(B: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker B: the right singular vectors past the
+    numerical rank, which counts the singular values above
+    ``s_max * eps * max(B.shape)``."""
+    _, sv, vh = np.linalg.svd(B)
+    tol = sv.max(initial=0.0) * np.finfo(float).eps * max(B.shape)
+    return vh[np.count_nonzero(sv > tol) :].T
 
 
 class ScaledFrame:
@@ -422,34 +431,33 @@ class ScaledFrame:
         one spectral map of d.
         """
         t = float(t)
-        spec = nd.d_spectrum
-        move = jordan.ConeAutomorphism.scaling(spec, lambda lam: np.exp(0.5 * t * lam))
-        span = _map_side(move, self.problem._representation.on_l, self.basis)
         r = math.sqrt(nd.mu)
-        u_p, u_d = spec.map(
+        move, (u_p, u_d) = nd.d_spectrum.scale_and_map(
+            lambda lam: np.exp(0.5 * t * lam),
             lambda lam: r * (1.0 + lam) * np.exp(-t * lam),
             lambda lam: r * (1.0 - lam) * np.exp(t * lam),
         )
+        span = _map_side(move, self.problem._representation.on_l, self.basis)
         frame = ScaledFrame.__new__(ScaledFrame)
         frame._set(self.problem, self.anchor.then(move), _cholesky_qr(span), u_p, u_d)
         return frame
 
-    def _split(self, z: np.ndarray) -> tuple:
-        """(P_{L_w} z, P_{L_w_perp} z), frame coordinates."""
-        return _projections(self.basis, self.problem._representation.on_l, z)
+    def _project(self, z: np.ndarray, onto_lw: bool) -> np.ndarray:
+        """P_{L_w} z (``onto_lw``) or P_{L_w_perp} z, frame coordinates."""
+        return _project(self.basis, self.problem._representation.on_l, z, onto_lw)
 
     def onto_lw(self, z: AlgebraElement) -> AlgebraElement:
         """Orthogonal projection onto L_w."""
-        return jordan.pack(z.cone, self._split(jordan.unpack(z))[0])
+        return jordan.pack(z.cone, self._project(jordan.unpack(z), True))
 
     def onto_lw_perp(self, z: AlgebraElement) -> AlgebraElement:
         """Orthogonal projection onto L_w_perp."""
-        return jordan.pack(z.cone, self._split(jordan.unpack(z))[1])
+        return jordan.pack(z.cone, self._project(jordan.unpack(z), False))
 
     @functools.cached_property
     def g_f(self) -> np.ndarray:
         """``P_{L_w_perp} u_p + P_{L_w} u_d``, written as ``u_p + P_{L_w}(u_d - u_p)``."""
-        return self.u_p + self._split(self.u_d - self.u_p)[0]
+        return self.u_p + self._project(self.u_d - self.u_p, True)
 
     @property
     def g_w(self) -> AlgebraElement:
@@ -486,7 +494,7 @@ class ScaledFrame:
         return NewtonData(s_f=s, norm_d=norm_d, sum_inf=sum_inf, h_lb=h_lb, h_ub=h_ub, frame=self, mu=mu)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class NewtonData:
     """Newton direction with its orthogonal summands and derived bounds.
 
@@ -515,7 +523,7 @@ class NewtonData:
 
     @functools.cached_property
     def d_f(self) -> np.ndarray:
-        d2 = self.frame._split(self.s_f)[0]
+        d2 = self.frame._project(self.s_f, True)
         return (self.s_f - d2) - d2
 
     def _pack(self, f: np.ndarray) -> AlgebraElement:
@@ -713,6 +721,6 @@ def affine_residuals(problem: ConicProblem, x: AlgebraElement, s: AlgebraElement
     """Distances of x to x0 + L and of s to s0 + L-perp (unscaled projections)."""
     x0, s0, on_l, _ = problem._representation
     basis = problem._orthonormal_span
-    rp = _projections(basis, on_l, problem._mc(x - x0))[1]
-    rd = _projections(basis, on_l, problem._mc(s - s0))[0]
+    rp = _project(basis, on_l, problem._mc(x - x0), False)
+    rd = _project(basis, on_l, problem._mc(s - s0), True)
     return float(np.linalg.norm(rp)), float(np.linalg.norm(rd))

@@ -242,3 +242,64 @@ def test_module_forms_run_the_cli(module):
     doc = json.loads(out.stdout)
     assert doc["form"] == "basis"
     assert doc["cone"] == [{"type": "psd", "size": 3}]
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None  # from here on, every scipy import raises ImportError
+
+import numpy as np
+
+import geoipm
+import geoipm.harness.cli
+from geoipm import jordan as J
+from geoipm import solver as V
+from geoipm import subspace as S
+from geoipm.harness import generate_random_sdp
+
+
+def converged(state, trace, eps):
+    assert trace.status == V.CONVERGED
+    assert state.frame.newton(state.mu).h_ub <= eps
+
+
+problem = generate_random_sdp(6, 3, 0)
+params = V.LongStepParams()
+state, trace = V.longstep(problem, J.identity(problem.cone), 1.0, 1e-3, params)
+converged(state, trace, params.eps)
+short = V.shortstep_params(0.5, 1e-4, problem.cone.rank)
+state, trace = V.shortstep(problem, V.oracle_center(problem, 1.0), 1.0, 1e-3, short)
+converged(state, trace, short.eps)
+
+# an operator form with one row of B: {c - Ay : By = g} and
+# {x : A*x + B*z = b}, strictly feasible at (x0, s0)
+cone = J.ConeDescriptor((J.Orthant(3), J.SecondOrder(3), J.Psd(2)))
+rng = np.random.default_rng(7)
+x0 = J.exp(J.element(cone, 0.3 * rng.standard_normal(cone.dim)))
+s0 = J.exp(J.element(cone, 0.3 * rng.standard_normal(cone.dim)))
+columns = [J.element(cone, rng.standard_normal(cone.dim)) for _ in range(4)]
+B = np.array([[1.0, -1.0, 0.5, 2.0]])
+y0, z0 = rng.standard_normal(4), np.array([0.5])
+c = s0 + J.element(cone, sum(y * a.coords for y, a in zip(y0, columns)))
+b = np.array([J.inner(a, x0) for a in columns]) + B.T @ z0
+problem = S.ConicProblem(cone, S.OperatorForm(columns=columns, B=B, b=b, c=c, g=B @ y0))
+state, trace = V.longstep(problem, J.identity(cone), 1.0, 1e-3, params)
+converged(state, trace, params.eps)
+
+loaded = sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None)
+assert not loaded, loaded
+print("ok")
+"""
+
+
+def test_runs_without_scipy():
+    """The solver needs numpy alone: with every scipy import made to fail,
+    the package and its CLI import, and both trackers solve a basis-form
+    SDP and an operator form with a row of B."""
+    env = dict(os.environ, PYTHONPATH=str(Path(geoipm.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"

@@ -195,3 +195,35 @@ def test_feasible_pair_file_roundtrip(tmp_path):
     assert J.min_eigenvalue(x2) >= -1e-10
     assert J.min_eigenvalue(s2) >= -1e-10
     assert gap == pytest.approx(S.duality_gap(x2, s2), rel=1e-12)
+
+
+# each case edits the document of a good feasible-pair file into a defective file content
+PAIR_DEFECTS = {
+    "mu_not_a_number": lambda d: json.dumps({**d, "mu": "abc"}),
+    "mu_missing": lambda d: json.dumps({k: v for k, v in d.items() if k != "mu"}),
+    "gap_is_a_bool": lambda d: json.dumps({**d, "gap": True}),
+    "gap_is_nan": lambda d: json.dumps({**d, "gap": math.nan}),
+    "x_missing": lambda d: json.dumps({k: v for k, v in d.items() if k != "x"}),
+    "s_not_numeric": lambda d: json.dumps({**d, "s": ["abc"] * len(d["s"])}),
+    "x_too_short": lambda d: json.dumps({**d, "x": d["x"][:-1]}),
+    "not_an_object": lambda d: json.dumps([d]),
+    "invalid_json": lambda d: json.dumps(d)[:-2],
+    "not_utf8": lambda d: b"\xff" + json.dumps(d).encode(),
+}
+
+
+@pytest.mark.parametrize("defect", PAIR_DEFECTS.values(), ids=PAIR_DEFECTS.keys())
+def test_malformed_feasible_pair_file(tmp_path, defect):
+    cone = J.ConeDescriptor((J.Psd(3),))
+    e = J.identity(cone)
+    path = tmp_path / "feas.json"
+    io.write_feasible_pair(path, e, e, 1.0, 3.0)
+    text = defect(json.loads(path.read_text()))
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(ProblemFormatError):
+        io.read_feasible_pair(path, cone)
+    with pytest.raises(ProblemFormatError):
+        io.read_feasible_pair(tmp_path / "missing.json", cone)

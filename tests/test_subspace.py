@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from geoipm import geometry as G
@@ -166,7 +167,7 @@ def test_trivial_subspaces(form, full, capfd):
     """dim L = 0 fixes x = x0 and dim L = N fixes s = s0, so the centered
     point is x0/sqrt(mu) or sqrt(mu) s0^{-1}; the frame spans nothing, and
     the steps of both trackers, which have no basis to orthonormalize, write
-    nothing (LAPACK would reject an empty factor with a message)."""
+    nothing."""
     rng = np.random.default_rng(43)
     capfd.readouterr()
     mu, mu_f = 0.6, 1.0 / 128.0
@@ -191,6 +192,54 @@ def test_trivial_subspaces(form, full, capfd):
         params = V.shortstep_params(0.5, 1e-4, cone.rank)
         _, trace = V.shortstep(prob, V.oracle_center(prob, 1.0), 1.0, mu_f, params)
         assert trace.newton_steps > 0
+    assert capfd.readouterr() == ("", "")
+
+
+def _null_space_cases():
+    rng = np.random.default_rng(45)
+    full = rng.standard_normal((3, 7))
+    return {
+        "full_row_rank": full,
+        "repeated_row": np.vstack((full, full[1])),
+        "single_row": rng.standard_normal((1, 5)),
+        "more_rows_than_columns": rng.standard_normal((6, 4)),
+    }
+
+
+NULL_SPACE_CASES = _null_space_cases()
+
+
+@pytest.mark.parametrize("B", NULL_SPACE_CASES.values(), ids=NULL_SPACE_CASES.keys())
+def test_null_space_matches_the_reference(B):
+    """The kernel of B that an operator form with B rows projects on: the
+    same subspace as ``scipy.linalg.null_space``, with an orthonormal basis."""
+    ref = scipy.linalg.null_space(B)
+    got = S._null_space(B)
+    assert got.shape == ref.shape
+    assert np.abs(got.T @ got - np.eye(got.shape[1])).max(initial=0.0) <= 1e-12
+    assert np.abs(got @ got.T - ref @ ref.T).max() <= 1e-12
+    assert np.abs(B @ got).max(initial=0.0) <= 1e-12 * np.abs(B).max()
+
+
+def test_cholesky_qr_matches_the_triangular_inverse_reference(capfd):
+    """The step's orthonormalization against LAPACK's Cholesky factor and
+    triangular inverse; it rejects dependent columns and hands back an
+    empty basis untouched."""
+    rng = np.random.default_rng(46)
+    cols = np.asfortranarray(rng.standard_normal((40, 6)))
+    chol, _ = scipy.linalg.lapack.dpotrf(cols.T @ cols, lower=1)
+    chol_inv, _ = scipy.linalg.lapack.dtrtri(chol, lower=1)
+    q = S._cholesky_qr(cols)
+    assert q.flags.f_contiguous
+    assert np.abs(q - cols @ chol_inv.T).max() <= 1e-13
+    # the third column is the sum of the first two; the Gram matrix of these
+    # integer columns is exact, so its last Cholesky pivot is exactly zero
+    c1, c2 = np.array([1.0, 2.0, 2.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(IllConditionedBasisError):
+        S._cholesky_qr(np.asfortranarray(np.column_stack((c1, c2, c1 + c2))))
+    empty = np.zeros((40, 0), order="F")
+    capfd.readouterr()
+    assert S._cholesky_qr(empty) is empty
     assert capfd.readouterr() == ("", "")
 
 

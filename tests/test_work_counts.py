@@ -201,11 +201,11 @@ def test_operator_form_complement_spans_symmetric_directions():
 def test_one_projection_per_newton_call(problem, monkeypatch):
     calls = []
 
-    def counted(self, z, _fn=S.ScaledFrame._split):
+    def counted(self, z, onto_lw, _fn=S.ScaledFrame._project):
         calls.append(1)
-        return _fn(self, z)
+        return _fn(self, z, onto_lw)
 
-    monkeypatch.setattr(S.ScaledFrame, "_split", counted)
+    monkeypatch.setattr(S.ScaledFrame, "_project", counted)
     frame = S.ScaledFrame(problem, J.identity(problem.cone))
     nd = frame.newton(0.7)
     frame.newton(0.5).h_ub
