@@ -30,11 +30,12 @@ class NumericalFailureError(GeoipmError):
 
 
 class IllConditionedBasisError(GeoipmError):
-    """Rank loss while orthonormalizing a subspace basis."""
+    """Rank loss in the spanning set of a problem's subspace or of a frame's."""
 
 
 class DegenerateConstraintsError(GeoipmError):
-    """The constraint data is inconsistent (an empty primal or dual affine set)."""
+    """An operator form's dual affine set is empty (By = g has no solution);
+    its primal set cannot be once its spanning set passes the rank test."""
 
 
 class ParameterError(GeoipmError):

@@ -8,16 +8,15 @@ A conic problem pairs a cone with affine data in one of two forms:
   ``s0 + L-perp = {c - Ay : By = g}`` and
   ``x0 + L = {x : A*x + B*z = b for some z}``.
 
-The forms are how problems are stated and stored; on first use both reduce
-to one representation: representatives (x0, s0), a side flag, and a
-spanning set of whichever of L and L-perp is smaller.  The set the form
-gives (the basis of L, or the image of ker B under A, which spans L-perp)
-serves as it is unless it is the larger side; then one complete QR gives
-an orthonormal basis of the other side.  So the cost of a Newton step
-follows min(dim L, dim L-perp), not the form.  The method is primal-dual
-symmetric, and ``ConicProblem.dual`` states the dual problem (x0 <-> s0,
-L <-> L-perp) in the other form by handing over the representation with
-the side flipped.
+The forms are how problems are stated and stored; both reduce to one
+representation: representatives (x0, s0), a side flag, and an orthonormal
+basis of whichever of L and L-perp is smaller, all from one QR of the
+spanning set the form gives (the basis of L, or the image of ker B under A,
+which spans L-perp), complete when that set is the larger side.  So the
+cost of a Newton step follows min(dim L, dim L-perp), not the form.  The
+method is primal-dual symmetric, and ``ConicProblem.dual`` states the dual
+problem (x0 <-> s0, L <-> L-perp) in the other form by handing over the
+factor and the representation with the side flipped.
 
 The Newton machinery works in the frame of the iterate w, where w is e: a
 ``ScaledFrame`` carries an anchor, a cone automorphism T with T e = w, and
@@ -46,7 +45,7 @@ product and the anchor maps are plain products, so a step gathers no
 coordinates and builds no ``AlgebraElement``; elements are packed only
 where they are read.  The problem's own representation stays in the
 N-dimensional coordinates in which the dot product is the trace inner
-product (``ConicProblem._mc``): its complete-QR complement must span only
+product (``ConicProblem._mc``): the complement of its factor must span only
 symmetric directions.
 """
 
@@ -84,7 +83,7 @@ __all__ = [
     "affine_residuals",
 ]
 
-# relative tolerance of the load-time basis rank check
+# rank test of a problem's spanning set: sigma_min/sigma_max of its QR factor R
 _BASIS_RANK_TOL = 1e-10
 # rank-loss threshold of the orthonormalization of scaled spanning sets
 _RANK_TOL = 1e-12
@@ -104,7 +103,8 @@ class BasisForm:
 
 @dataclass(frozen=True, eq=False)
 class OperatorForm:
-    """Affine data (A, B, b, c, g); A is stored as a tuple of columns in J."""
+    """Affine data (A, B, b, c, g); A is stored as a tuple of columns in J,
+    and B = ``[]`` as a (0, m) array, with no rows."""
 
     columns: tuple
     B: np.ndarray
@@ -114,7 +114,9 @@ class OperatorForm:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "B", np.atleast_2d(np.asarray(self.B, dtype=float)))
+        B = np.asarray(self.B, dtype=float)
+        B = B.reshape(0, len(self.columns)) if B.ndim == 1 and not B.size else np.atleast_2d(B)
+        object.__setattr__(self, "B", B)
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(-1))
         object.__setattr__(self, "g", np.asarray(self.g, dtype=float).reshape(-1))
 
@@ -135,7 +137,7 @@ class ConicProblem:
             for l in f.basis:
                 if l.cone != self.cone:
                     raise ProblemFormatError("subspace basis element does not match the cone")
-            self._check_basis_rank()
+            self._factor  # the rank test runs at load
         elif isinstance(self.form, OperatorForm):
             f = self.form
             m = len(f.columns)
@@ -144,32 +146,16 @@ class ConicProblem:
                     raise ProblemFormatError("operator column does not match the cone")
             if f.c.cone != self.cone:
                 raise ProblemFormatError("c does not match the declared cone")
-            if f.B.size and f.B.shape[1] != m:
+            if f.B.shape[1] != m:
                 raise ProblemFormatError("B must have one column per operator column")
             if f.b.shape[0] != m:
                 raise ProblemFormatError("b must have one entry per operator column")
-            d = f.B.shape[0] if f.B.size else 0
-            if f.g.shape[0] != d:
+            if f.g.shape[0] != f.B.shape[0]:
                 raise ProblemFormatError("g length must match the row count of B")
         else:
             raise ProblemFormatError(f"unsupported problem form: {type(self.form).__name__}")
 
     # ------------------------------------------------------------------
-    def _check_basis_rank(self) -> None:
-        mat = self._basis_mc
-        n, k = mat.shape
-        if k > n:
-            raise IllConditionedBasisError(
-                f"subspace basis has {k} elements in a cone of dimension {n}, so they are dependent"
-            )
-        if k == 0:
-            return
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= _BASIS_RANK_TOL * sv[0]:
-            raise IllConditionedBasisError(
-                f"subspace basis is numerically dependent (sigma_min/sigma_max = {sv[-1] / sv[0]:.3g})"
-            )
-
     @functools.cached_property
     def _sqrt_metric(self) -> np.ndarray:
         return np.sqrt(jordan.metric_diag(self.cone))
@@ -181,70 +167,57 @@ class ConicProblem:
     def _from_mc(self, v: np.ndarray) -> AlgebraElement:
         return jordan._mk(self.cone, v / self._sqrt_metric)
 
-    @functools.cached_property
-    def _basis_mc(self) -> np.ndarray:
-        """Metric coordinates of the basis of L (basis form), N x dim(L)."""
-        f = self.form
-        if not f.basis:
-            return np.zeros((self.cone.dim, 0))
-        return np.column_stack([self._mc(l) for l in f.basis])
-
-    @functools.cached_property
-    def _columns_mc(self) -> np.ndarray:
-        """Metric coordinates of the operator columns, N x m."""
-        f = self.form
-        if not f.columns:
-            return np.zeros((self.cone.dim, 0))
-        return np.column_stack([self._mc(a) for a in f.columns])
-
-    @functools.cached_property
     def _given_mc(self) -> np.ndarray:
-        """Spanning set, in metric coordinates, of the side the form states:
-        the basis of L as given, or the image of ker(B) under A, which spans
-        L-perp, orthonormalized."""
+        """Metric coordinates of the elements the form gives, N x k: the
+        basis of L, or the operator columns (not kept: the factor is)."""
         f = self.form
-        if isinstance(f, BasisForm):
-            return self._basis_mc
-        span = self._columns_mc
-        if f.B.size:
-            span = span @ _null_space(f.B)
-        return _orthonormalize(span)
+        elems = f.basis if isinstance(f, BasisForm) else f.columns
+        if not elems:
+            return np.zeros((self.cone.dim, 0))
+        return np.column_stack([self._mc(x) for x in elems])
 
     @functools.cached_property
-    def _representatives(self):
-        """(x0, s0) representatives; direct for basis form, least-norm solves otherwise."""
-        f = self.form
-        if isinstance(f, BasisForm):
-            return f.x0, f.s0
-        m = len(f.columns)
-        d = f.B.shape[0] if f.B.size else 0
-        # A* x + B* z = b with unknown (x in metric coords, z)
-        lhs = np.hstack([self._columns_mc.T, f.B.T.reshape(m, d)])
-        sol, res, rank, _ = np.linalg.lstsq(lhs, f.b, rcond=None)
-        if not np.allclose(lhs @ sol, f.b, atol=1e-8 * max(1.0, float(np.linalg.norm(f.b)))):
-            raise DegenerateConstraintsError("primal affine set is empty (A*x + B*z = b unsolvable)")
-        x0 = self._from_mc(sol[: self.cone.dim])
-        if d:
-            y, *_ = np.linalg.lstsq(f.B, f.g, rcond=None)
-            if not np.allclose(f.B @ y, f.g, atol=1e-8 * max(1.0, float(np.linalg.norm(f.g)))):
-                raise DegenerateConstraintsError("dual affine set is empty (By = g unsolvable)")
-        else:
-            y = np.zeros(m)
-        s0 = f.c - self._from_mc(self._columns_mc @ y)
-        return x0, s0
+    def _kernel_b(self) -> np.ndarray | None:
+        """Orthonormal basis N_B of ker B; None when B has no rows."""
+        return _null_space(self.form.B) if self.form.B.shape[0] else None
+
+    @functools.cached_property
+    def _factor(self) -> tuple:
+        """The one factorization of the problem, ``(Q, R)`` of the basis of
+        L or of M = A N_B, which spans L-perp; complete exactly when that
+        set is the larger side, whose complement the representation spans."""
+        cols = self._given_mc()
+        if isinstance(self.form, OperatorForm) and self._kernel_b is not None:
+            cols = cols @ self._kernel_b
+        return _factorize(cols, complete=2 * cols.shape[1] > cols.shape[0])
 
     @functools.cached_property
     def _representation(self) -> "_Representation":
-        """The one representation every projection reads: the representatives
-        and a spanning set of the smaller of L and L-perp.  The side the form
-        states serves as it is unless it is the larger; then one complete QR
-        gives an orthonormal basis of the other side."""
-        x0, s0 = self._representatives
-        span = self._given_mc
-        on_l = isinstance(self.form, BasisForm)
-        if 2 * span.shape[1] > span.shape[0]:
-            span, on_l = _complement(span), not on_l
-        return _Representation(x0, s0, on_l, span)
+        """The one representation every projection reads: the
+        representatives and the factor's span or, when the form gives the
+        larger side, its complement.
+
+        An operator form's A*x + B*z = b reads M* x = N_B^T b, so with
+        M = Q R its least-norm x0 is Q R^{-T} N_B^T b; s0 is c - A y for the
+        least-squares solution y of By = g, which must solve it.
+        """
+        f, (q, r) = self.form, self._factor
+        k = r.shape[0]
+        if isinstance(f, BasisForm):
+            x0, s0, on_l = f.x0, f.s0, True
+        else:
+            nb, on_l = self._kernel_b, False
+            rhs = f.b if nb is None else nb.T @ f.b
+            x0 = self._from_mc(q[:, :k] @ np.linalg.solve(r.T, rhs))
+            s0 = f.c
+            if nb is not None:
+                y, *_ = np.linalg.lstsq(f.B, f.g, rcond=None)
+                if not np.allclose(f.B @ y, f.g, atol=1e-8 * max(1.0, float(np.linalg.norm(f.g)))):
+                    raise DegenerateConstraintsError("dual affine set is empty (By = g unsolvable)")
+                s0 = f.c - self._from_mc(self._given_mc() @ y)
+        if 2 * k > self.cone.dim:
+            return _Representation(x0, s0, not on_l, q[:, k:])
+        return _Representation(x0, s0, on_l, q[:, :k])
 
     @functools.cached_property
     def _frame_span(self) -> np.ndarray:
@@ -252,18 +225,13 @@ class ConicProblem:
         span = self._representation.span
         return jordan._unpack(self.cone, span.T / self._sqrt_metric).T
 
-    @functools.cached_property
-    def _orthonormal_span(self) -> np.ndarray:
-        """Orthonormal basis, metric coordinates, of the representation's side."""
-        return _orthonormalize(self._representation.span)
-
     @property
     def x0(self) -> AlgebraElement:
-        return self._representatives[0]
+        return self._representation.x0
 
     @property
     def s0(self) -> AlgebraElement:
-        return self._representatives[1]
+        return self._representation.s0
 
     def dual(self) -> "ConicProblem":
         """The dual problem, whose primal set is s0 + L-perp and whose dual
@@ -271,30 +239,32 @@ class ConicProblem:
 
         Basis form (x0, s0, basis of L) gives the operator form with A the
         basis, b = (<l_i, s0>), c = x0 and no B; an operator form gives the
-        basis form (s0, x0, the orthonormalized image of ker(B) under A).
-        The dual takes over this problem's representation with x0 and s0
-        swapped and the side flipped, so its subspace is not factorized
-        again; a basis-form dual still takes the load-time rank check.
+        basis form (s0, x0, the orthonormal span Q of the image of ker(B)
+        under A).  The dual takes over this problem's factor, with R = I for
+        Q, and its representation with x0 and s0 swapped and the side
+        flipped, so nothing is factorized again.
         """
-        f = self.form
+        f, (q, r) = self.form, self._factor
         x0, s0, on_l, span = self._representation
         if isinstance(f, BasisForm):
             b = np.array([jordan.inner(l, f.s0) for l in f.basis])
             B = np.zeros((0, len(f.basis)))
             form = OperatorForm(columns=f.basis, B=B, b=b, c=f.x0, g=np.zeros(0))
         else:
-            basis = [self._from_mc(col) for col in self._given_mc.T]
+            basis = [self._from_mc(col) for col in q[:, : r.shape[0]].T]
             form = BasisForm(x0=s0, s0=x0, basis=basis)
-        dual = ConicProblem(self.cone, form)
-        # seed the caches that the lazy derivation would fill
-        dual.__dict__["_representatives"] = (s0, x0)
-        dual.__dict__["_representation"] = _Representation(s0, x0, not on_l, span)
+            r = np.eye(len(basis))
+        dual = ConicProblem.__new__(ConicProblem)
+        # seed the caches that the lazy derivation would fill, before the
+        # load-time rank test reads the factor
+        dual.__dict__.update(_factor=(q, r), _representation=_Representation(s0, x0, not on_l, span))
+        dual.__init__(self.cone, form)
         return dual
 
 
 class _Representation(NamedTuple):
-    """Representatives x0, s0 and the spanning set, metric coordinates, of L
-    (``on_l``) or of L-perp, whichever is the smaller."""
+    """Representatives x0, s0 and an orthonormal basis, metric coordinates,
+    of L (``on_l``) or of L-perp, whichever is the smaller."""
 
     x0: AlgebraElement
     s0: AlgebraElement
@@ -302,14 +272,28 @@ class _Representation(NamedTuple):
     span: np.ndarray
 
 
-def _complement(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the span of
-    full-rank ``cols``, from one complete QR."""
+def _factorize(cols: np.ndarray, complete: bool) -> tuple:
+    """``(Q, R)``, one QR of the spanning set ``cols`` (metric coordinates,
+    N x k): the first k columns of Q span ``cols`` orthonormally and, when
+    ``complete``, the last N - k its complement; R is k x k.
+
+    Rank loss raises: sigma_min/sigma_max <= ``_BASIS_RANK_TOL`` on the
+    singular values of R, which are those of ``cols`` up to rounding.
+    """
     n, k = cols.shape
-    if k == 0:
-        return np.eye(n)
-    q, _ = np.linalg.qr(cols, mode="complete")
-    return q[:, k:]
+    if k > n:
+        raise IllConditionedBasisError(
+            f"subspace basis has {k} elements in a cone of dimension {n}, so they are dependent"
+        )
+    q, r = np.linalg.qr(cols, mode="complete" if complete else "reduced")
+    r = r[:k]
+    if k:
+        sv = np.linalg.svd(r, compute_uv=False)
+        if sv[-1] <= _BASIS_RANK_TOL * sv[0]:
+            raise IllConditionedBasisError(
+                f"subspace basis is numerically dependent (sigma_min = {sv[-1]:.3g}, sigma_max = {sv[0]:.3g})"
+            )
+    return q, r
 
 
 def _project(basis: np.ndarray, on_l: bool, zm: np.ndarray, onto_l: bool) -> np.ndarray:
@@ -330,12 +314,13 @@ def _orthonormalize(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the span of ``cols`` (QR); rank loss raises.
 
     |R_jj| is the norm of column j after removing its components along the
-    columns before it, so the rank test is the one Gram-Schmidt makes.
+    columns before it, so the rank test is the one Gram-Schmidt makes.  It
+    serves a frame's mapped span, which carries cond(w), up to about 1e11
+    at mu = 1e-6 on fig3: the problem's ratio test would reject it.
     The basis is Fortran-ordered, so each column is contiguous.
     """
-    n, k = cols.shape
     q, r = np.linalg.qr(cols)
-    if k > n or np.any(np.abs(np.diag(r)) <= _RANK_TOL * np.maximum(np.linalg.norm(cols, axis=0), 1.0)):
+    if np.any(np.abs(np.diag(r)) <= _RANK_TOL * np.maximum(np.linalg.norm(cols, axis=0), 1.0)):
         raise IllConditionedBasisError("rank loss while orthonormalizing the scaled subspace basis")
     return np.asfortranarray(q)
 
@@ -677,12 +662,16 @@ def duality_gap(x: AlgebraElement, s: AlgebraElement) -> float:
 def as_operator_form(problem: ConicProblem) -> ConicProblem:
     """Convert a basis-form problem to the equivalent operator form.
 
-    A's columns are an orthonormal basis of L-perp (full-space complement of
-    the stacked basis, via QR), c = s0, b = A* x0, and B/g are empty.
+    A's columns are an orthonormal basis of L-perp, from the problem's
+    factor when it is complete, else from a complete QR of the basis;
+    c = s0, b = A* x0, and B/g are empty.
     """
     if not isinstance(problem.form, BasisForm):
         return problem
-    lperp = _complement(problem._basis_mc)
+    q, r = problem._factor
+    if q.shape[1] < problem.cone.dim:
+        q, r = _factorize(problem._given_mc(), complete=True)
+    lperp = q[:, r.shape[0] :]
     cols = tuple(problem._from_mc(lperp[:, j]) for j in range(lperp.shape[1]))
     b = np.array([jordan.inner(a, problem.form.x0) for a in cols])
     form = OperatorForm(
@@ -719,8 +708,7 @@ def _map_columns(fn, elems: tuple) -> list:
 
 def affine_residuals(problem: ConicProblem, x: AlgebraElement, s: AlgebraElement):
     """Distances of x to x0 + L and of s to s0 + L-perp (unscaled projections)."""
-    x0, s0, on_l, _ = problem._representation
-    basis = problem._orthonormal_span
+    x0, s0, on_l, basis = problem._representation
     rp = _project(basis, on_l, problem._mc(x - x0), False)
     rd = _project(basis, on_l, problem._mc(s - s0), True)
     return float(np.linalg.norm(rp)), float(np.linalg.norm(rd))

@@ -169,6 +169,19 @@ def test_basis_longer_than_the_cone_dimension_exit_3(tmp_path, capsys):
     assert "dimension 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("g, exit_code", [([0.0], 0), ([1.0], 4), ([], 3)], ids=["g=0", "g=1", "no-g"])
+def test_b_with_a_row_and_no_columns(tmp_path, g, exit_code):
+    """With no operator columns, ``"B": [[]]`` is one row of zero columns:
+    By = g reads 0 = g, which g = [0] solves and g = [1] leaves empty, and
+    a missing g does not match B's row count."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "cone": [{"type": "orthant", "size": 2}], "form": "operator",
+        "A": [], "b": [], "B": [[]], "g": g, "c": [1.0, 2.0],
+    }))
+    assert cli.solve_cli(["solve", "--input", str(path)]) == exit_code
+
+
 def test_numerical_failure_exit_4(tmp_path):
     rng = np.random.default_rng(2)
     prob = random_basis_problem(ORTH6, 2, rng)

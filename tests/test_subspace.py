@@ -11,7 +11,12 @@ from geoipm import geometry as G
 from geoipm import jordan as J
 from geoipm import solver as V
 from geoipm import subspace as S
-from geoipm.errors import DegenerateConstraintsError, DomainError, IllConditionedBasisError
+from geoipm.errors import (
+    DegenerateConstraintsError,
+    DomainError,
+    IllConditionedBasisError,
+    ProblemFormatError,
+)
 
 from util import (
     FAMILIES,
@@ -28,6 +33,28 @@ from util import (
 
 ORTH1 = J.ConeDescriptor((J.Orthant(1),))
 ORTH6 = J.ConeDescriptor((J.Orthant(6),))
+SMALL_MIXED = J.ConeDescriptor((J.Orthant(3), J.SecondOrder(3), J.Psd(2)))
+
+
+def _scaled_columns(scales):
+    """Three random elements of orthant(3) + soc(3) + psd(2), scaled one by one."""
+    rng = np.random.default_rng(0)
+    return tuple(s * random_element(SMALL_MIXED, rng) for s in scales)
+
+
+def _no_b_operator_problem(cone, cols, b=None):
+    b = np.zeros(len(cols)) if b is None else b
+    form = S.OperatorForm(columns=cols, B=[], b=b, c=J.identity(cone), g=[])
+    return S.ConicProblem(cone, form)
+
+
+def assert_x0_meets_the_primal_constraints(prob):
+    """The operator form's x0 solves A*x + B*z = b, that is N_B^T (b - A* x0) = 0
+    for an orthonormal basis N_B of ker B, to 1e-12 relative."""
+    f = prob.form
+    ax0 = np.array([J.inner(a, prob.x0) for a in f.columns])
+    nb = scipy.linalg.null_space(f.B) if f.B.shape[0] else np.eye(len(f.columns))
+    assert np.linalg.norm(nb.T @ (f.b - ax0)) <= 1e-12 * max(1.0, np.linalg.norm(f.b))
 
 
 def scalar_problem(a=2.0, b=5.0):
@@ -47,6 +74,10 @@ def test_basis_rank_check_at_load():
                 x0=J.identity(ORTH6), s0=J.identity(ORTH6), basis=(l1, 2.0 * l1)
             ),
         )
+    # sigma_min/sigma_max = 3.8e-12: independent, but below the rank test's 1e-10
+    e = J.identity(SMALL_MIXED)
+    with pytest.raises(IllConditionedBasisError, match="numerically dependent"):
+        S.ConicProblem(SMALL_MIXED, S.BasisForm(x0=e, s0=e, basis=_scaled_columns((1.0, 1.0, 1e-11))))
 
 
 def test_scaled_projection_properties():
@@ -84,6 +115,41 @@ def test_rank_loss_in_operator_columns():
     prob = S.ConicProblem(ORTH6, form)
     with pytest.raises(IllConditionedBasisError):
         S.ScaledFrame(prob, J.identity(ORTH6))
+    # operator columns take the rank test of a basis, at first use: the
+    # columns that a basis form rejects at load (test_basis_rank_check_at_load)
+    prob = _no_b_operator_problem(SMALL_MIXED, _scaled_columns((1.0, 1.0, 1e-11)))
+    with pytest.raises(IllConditionedBasisError, match="numerically dependent"):
+        S.ScaledFrame(prob, J.identity(SMALL_MIXED))
+
+
+def test_rank_test_ignores_the_scale_of_the_columns():
+    """Columns of norm about 1e-13 span the same L-perp as the unscaled
+    ones: they pass the rank test in both forms, and the operator form takes
+    the same Newton direction."""
+    e = J.identity(SMALL_MIXED)
+    tiny = _scaled_columns((1e-13,) * 3)
+    S.ConicProblem(SMALL_MIXED, S.BasisForm(x0=e, s0=e, basis=tiny))
+    x0 = J.exp(random_element(SMALL_MIXED, np.random.default_rng(1), 0.5))
+    w = random_interior(SMALL_MIXED, np.random.default_rng(2))
+    directions = []
+    for cols in (_scaled_columns((1.0,) * 3), tiny):
+        prob = _no_b_operator_problem(SMALL_MIXED, cols, np.array([J.inner(a, x0) for a in cols]))
+        assert_x0_meets_the_primal_constraints(prob)
+        directions.append(S.newton_direction(prob, w, 0.7).d)
+    assert_elem_close(directions[1], directions[0], 1e-10, "tiny columns")
+
+
+def test_operator_form_row_count_of_b():
+    """``[]`` states no B: (0, m), whatever m.  ``[[]]`` is one row of no
+    columns, and zero rows of the wrong column count are rejected."""
+    cols = _scaled_columns((1.0,) * 3)
+    assert _no_b_operator_problem(SMALL_MIXED, cols).form.B.shape == (0, 3)
+    e = J.identity(SMALL_MIXED)
+    one_row = S.OperatorForm(columns=(), B=[[]], b=[], c=e, g=[0.0])
+    assert S.ConicProblem(SMALL_MIXED, one_row).form.B.shape == (1, 0)
+    bad = S.OperatorForm(columns=cols, B=np.zeros((0, 5)), b=np.zeros(3), c=e, g=[])
+    with pytest.raises(ProblemFormatError, match="one column per operator column"):
+        S.ConicProblem(SMALL_MIXED, bad)
 
 
 def test_rank_loss_more_columns_than_dimension():
@@ -262,6 +328,8 @@ def test_dual_swaps_the_affine_sets(case):
             assert_elem_close(at_e[1].onto_lw(z), at_e[0].onto_lw_perp(z), 1e-10, "L of the dual")
             assert_elem_close(at_e[2].onto_lw(z), at_e[0].onto_lw(z), 1e-10, "L of the dual's dual")
             assert_elem_close(at_e[3].onto_lw(z), at_e[0].onto_lw_perp(z), 1e-10, "L restated")
+        if case[0] == "operator":
+            assert_x0_meets_the_primal_constraints(prob)
         for p, x0, s0 in (
             (dual, prob.s0, prob.x0),
             (restated, prob.s0, prob.x0),
@@ -361,6 +429,7 @@ def test_operator_form_with_constrained_coefficients():
     b = np.concatenate([op.form.b, [J.inner(extra[0], prob.form.x0), J.inner(extra[1], prob.form.x0)]])
     form = S.OperatorForm(columns=base_cols + extra, B=B, b=b, c=op.form.c, g=np.zeros(2))
     op2 = S.ConicProblem(ORTH6, form)
+    assert_x0_meets_the_primal_constraints(op2)
     w = random_interior(ORTH6, rng)
     mu = 0.8
     nd_b = S.newton_direction(prob, w, mu)
@@ -383,9 +452,15 @@ def test_redundant_constraint_rows():
     B[0, 0] = 1.0
     B[1, 0] = 1.0  # duplicated row
     w = random_interior(ORTH6, rng)
-    nd_dup = S.newton_direction(with_rows(B, np.zeros(2)), w, 0.7)
-    nd_one = S.newton_direction(with_rows(B[:1], np.zeros(1)), w, 0.7)
+    dup, one = with_rows(B, np.zeros(2)), with_rows(B[:1], np.zeros(1))
+    nd_dup = S.newton_direction(dup, w, 0.7)
+    nd_one = S.newton_direction(one, w, 0.7)
     assert_elem_close(nd_dup.d, nd_one.d, 1e-8, "redundant row of B")
+    # ker B = {0} leaves x free: L is the whole space and x0 solves nothing
+    free = with_rows(np.eye(m), np.ones(m))
+    assert S.ScaledFrame(free, w).basis.shape[1] == 0
+    for prob in (dup, one, free):
+        assert_x0_meets_the_primal_constraints(prob)
     # the same rows with g = [0, 1] ask y_0 = 0 and y_0 = 1: the dual set is empty
     with pytest.raises(DegenerateConstraintsError):
         S.newton_direction(with_rows(B, np.array([0.0, 1.0])), w, 0.7)

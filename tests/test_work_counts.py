@@ -216,6 +216,31 @@ def test_one_projection_per_newton_call(problem, monkeypatch):
     assert len(calls) == 2
 
 
+def test_one_factorization_per_problem(monkeypatch):
+    """A problem factors its N-row spanning set once, with one QR: the basis
+    form at load, the operator form at first use.  The representation, the
+    affine residuals, the dual and frames at e read that factor; a frame's
+    own QR of its mapped span has D = 400 rows (fig3 psd(20), N = 210)."""
+    problem = _fig3_instance(20)
+    n = problem.cone.dim
+    e = J.identity(problem.cone)
+    calls = []
+    for name in ("qr", "svd", "lstsq"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if n in np.shape(a):
+                calls.append(_name)
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for form in (problem.form, S.as_operator_form(problem).form):
+        calls.clear()
+        prob = S.ConicProblem(problem.cone, form)
+        S.ScaledFrame(prob, e)
+        S.affine_residuals(prob, prob.x0, prob.s0)
+        S.ScaledFrame(prob.dual(), e)
+        assert calls == ["qr"], type(form).__name__
+
+
 def _fig3_instance(n):
     return generate.generate_random_sdp(n, 10, trial_seed(0, n, 0))
 
