@@ -3,7 +3,10 @@
 Subcommands: ``gen`` (random instance -> problem file), ``solve`` (run the
 short- or long-step algorithm on a problem file), ``bench`` (experiment
 drivers).  Exit codes: 0 converged, 2 iteration cap, 3 parse/parameter
-error, 4 numerical failure; one-line diagnostics go to stderr.
+error or a path that cannot be read or written (a missing directory, a
+directory given for a file), 4 numerical failure; one-line diagnostics go
+to stderr.  ``solve`` prints its status line before it writes the files
+it is asked for, so a path that fails there follows the status line.
 """
 
 from __future__ import annotations
@@ -160,6 +163,9 @@ def solve_cli(argv=None) -> int:
         return EXIT_ITERATION_CAP
     except (ProblemFormatError, ParameterError, ValueError) as exc:
         print(f"geoipm: invalid input: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        print(f"geoipm: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (GeoipmError, np.linalg.LinAlgError) as exc:
         print(f"geoipm: numerical failure: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ pack their results once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Union
@@ -197,19 +198,24 @@ class ConeDescriptor:
         """The blocks as runs: maximal stretches of consecutive equal blocks.
 
         Consecutive orthant blocks of any size form one run of a single
-        orthant block.  A run's coordinates are one contiguous slice, so its
-        blocks are the rows of a free reshape (``Run.rows``), in block order.
+        orthant block.  A run's element coordinates, frame coordinates and
+        eigenvalues are one contiguous slice each, so its blocks are the
+        rows of a free reshape (``Run.rows``, ``Run.view``, ``Run.values``),
+        in block order.
         """
         out = []
-        for blk, start, stop in self.spans:
-            prev = out[-1] if out else None
-            if prev is not None and isinstance(blk, Orthant) and isinstance(prev.block, Orthant):
-                size = prev.block.size + blk.size
-                out[-1] = Run(Orthant(size), 1, prev.start, stop, (1, size))
-            elif prev is not None and blk == prev.block:
-                out[-1] = Run(blk, prev.count + 1, prev.start, stop, (prev.count + 1, blk.dim))
+        start = pos = eig = 0
+        for key, group in itertools.groupby(self.blocks, lambda blk: Orthant if isinstance(blk, Orthant) else blk):
+            group = list(group)
+            if key is Orthant:
+                blk, count = Orthant(sum(g.size for g in group)), 1
             else:
-                out.append(Run(blk, 1, start, stop, (1, blk.dim)))
+                blk, count = key, len(group)
+            frame_shape = (count, blk.side, blk.side) if isinstance(blk, Psd) else (count, blk.dim)
+            stop, size, rank = start + count * blk.dim, math.prod(frame_shape), count * blk.rank
+            out.append(Run(blk, count, start, stop, (count, blk.dim),
+                           slice(pos, pos + size), frame_shape, slice(eig, eig + rank)))
+            start, pos, eig = stop, pos + size, eig + rank
         return tuple(out)
 
     @functools.cached_property
@@ -237,24 +243,9 @@ class ConeDescriptor:
         return _mk(self, c)
 
     @functools.cached_property
-    def frame_runs(self) -> tuple:
-        """The runs with their places in frame coordinates, one ``FrameRun`` each."""
-        out = []
-        pos = 0
-        for run in self.runs:
-            if isinstance(run.block, Psd):
-                shape = (run.count, run.block.side, run.block.side)
-            else:
-                shape = run.shape
-            size = math.prod(shape)
-            out.append(FrameRun(run, pos, pos + size, shape))
-            pos += size
-        return tuple(out)
-
-    @functools.cached_property
     def frame_dim(self) -> int:
         """Length D of the frame coordinates (a PSD block of side k takes k^2)."""
-        return self.frame_runs[-1].stop
+        return self.runs[-1].frame.stop
 
     @functools.cached_property
     def frame_identity(self) -> np.ndarray:
@@ -265,37 +256,36 @@ class ConeDescriptor:
 
 
 class Run(NamedTuple):
-    """``count`` consecutive copies of ``block`` over coordinates
-    ``start:stop``; ``shape`` is (count, block dimension)."""
+    """``count`` consecutive copies of ``block``, one block per row in each
+    layout: element coordinates ``start:stop`` of ``shape`` (count, block
+    dimension); frame coordinates ``frame`` of ``frame_shape``, (count, dim)
+    or (count, k, k) for PSD blocks; and the eigenvalues ``lam`` of the
+    cone's eigenvalue vector, (count, block rank).  Each method reads the
+    last axis of an array and returns a view where that axis is contiguous."""
 
     block: BlockKind
     count: int
     start: int
     stop: int
     shape: tuple
+    frame: slice
+    frame_shape: tuple
+    lam: slice
 
     def rows(self, coords: np.ndarray) -> np.ndarray:
-        """The run's slice of ``coords`` (N or N x m) with one block per row:
-        shape (count, dim) or (count, dim, m).  A view when ``coords`` is
-        contiguous."""
-        return coords[self.start : self.stop].reshape(self.shape + coords.shape[1:])
-
-
-class FrameRun(NamedTuple):
-    """A run in frame coordinates: its blocks fill ``start:stop``, one per
-    row of ``shape``: (1, size) for the orthant, (count, dim) for
-    second-order and (count, k, k) for PSD blocks."""
-
-    run: Run
-    start: int
-    stop: int
-    shape: tuple
+        """The run's part of element coordinates ``coords`` (..., N): shape
+        (..., *shape)."""
+        return coords[..., self.start : self.stop].reshape(coords.shape[:-1] + self.shape)
 
     def view(self, f: np.ndarray) -> np.ndarray:
-        """The run's part of frame coordinates ``f`` of shape (..., D), one
-        block per row: shape (..., *shape).  A view when the last axis of
-        ``f`` is contiguous."""
-        return f[..., self.start : self.stop].reshape(f.shape[:-1] + self.shape)
+        """The run's part of frame coordinates ``f`` (..., D): shape
+        (..., *frame_shape)."""
+        return f[..., self.frame].reshape(f.shape[:-1] + self.frame_shape)
+
+    def values(self, lam: np.ndarray) -> np.ndarray:
+        """The run's part of eigenvalues ``lam`` (..., rank): shape
+        (..., count, block rank)."""
+        return lam[..., self.lam].reshape(lam.shape[:-1] + (self.count, self.block.rank))
 
 
 def metric_diag(cone: ConeDescriptor) -> np.ndarray:
@@ -415,12 +405,9 @@ def pack(cone: ConeDescriptor, f: np.ndarray) -> AlgebraElement:
 
 def _unpack(cone: ConeDescriptor, coords: np.ndarray) -> np.ndarray:
     """Frame coordinates of each row of ``coords`` (..., N): shape (..., D)."""
-    lead = coords.shape[:-1]
-    out = np.empty(lead + (cone.frame_dim,))
-    for fr in cone.frame_runs:
-        run = fr.run
-        part = coords[..., run.start : run.stop].reshape(lead + run.shape)
-        rows = fr.view(out)
+    out = np.empty(coords.shape[:-1] + (cone.frame_dim,))
+    for run in cone.runs:
+        part, rows = run.rows(coords), run.view(out)
         if isinstance(run.block, Orthant):
             rows[...] = part
         elif isinstance(run.block, SecondOrder):
@@ -432,12 +419,9 @@ def _unpack(cone: ConeDescriptor, coords: np.ndarray) -> np.ndarray:
 
 def _pack(cone: ConeDescriptor, f: np.ndarray) -> np.ndarray:
     """Element coordinates of each row of frame coordinates ``f`` (..., D)."""
-    lead = f.shape[:-1]
-    out = np.empty(lead + (cone.dim,))
-    for fr in cone.frame_runs:
-        run = fr.run
-        part = fr.view(f)
-        rows = out[..., run.start : run.stop].reshape(lead + run.shape)
+    out = np.empty(f.shape[:-1] + (cone.dim,))
+    for run in cone.runs:
+        part, rows = run.view(f), run.rows(out)
         if isinstance(run.block, Orthant):
             rows[...] = part
         elif isinstance(run.block, SecondOrder):
@@ -540,9 +524,8 @@ def quad_rep(w: AlgebraElement, z: AlgebraElement) -> AlgebraElement:
     zf = unpack(z)
     out = np.empty(zf.shape)
     wf = unpack(w)
-    for fr in w.cone.frame_runs:
-        run, W = fr.run, _frame_block(fr, wf)
-        Z, O = fr.view(zf), fr.view(out)
+    for run in w.cone.runs:
+        W, Z, O = _frame_block(run, wf), run.view(zf), run.view(out)
         if isinstance(run.block, Orthant):
             O[...] = W * W * Z
         elif isinstance(run.block, SecondOrder):
@@ -587,12 +570,22 @@ def _run_spectrum(run: Run, X: np.ndarray, vectors: bool) -> tuple:
     return _eigh(X) if vectors else (_eigvalsh(X), None)
 
 
-def _frame_block(fr: FrameRun, f: np.ndarray) -> np.ndarray:
+def _frame_block(run: Run, f: np.ndarray) -> np.ndarray:
     """The blocks of one run of frame coordinates ``f`` in the form
     ``_run_spectrum`` reads: raw second-order coordinates and the PSD
     matrices in place."""
-    X = fr.view(f)
-    return X / _SQRT2 if isinstance(fr.run.block, SecondOrder) else X
+    X = run.view(f)
+    return X / _SQRT2 if isinstance(run.block, SecondOrder) else X
+
+
+def _spectrum(cone: ConeDescriptor, f: np.ndarray, vectors: bool) -> tuple:
+    """The eigenvalues of the element with frame coordinates ``f``, one
+    vector in block order, and per run the frame data of ``_run_spectrum``.
+    On a one-run cone the vector is the run's own array: numpy's
+    eigensolvers write into no given array, so only several runs are copied."""
+    parts = [_run_spectrum(run, _frame_block(run, f), vectors) for run in cone.runs]
+    lams = [values.ravel() for values, _ in parts]
+    return (lams[0] if len(lams) == 1 else np.concatenate(lams)), tuple(data for _, data in parts)
 
 
 class Spectrum:
@@ -601,13 +594,13 @@ class Spectrum:
 
     ``Spectrum(x)`` decomposes an element and ``Spectrum.of_frame(cone, f)``
     the element with frame coordinates f; both read the frame coordinates.
-    ``runs`` holds per run of equal blocks (run, eigenvalues, data): the
-    (count, rank) eigenvalues and the stacked eigenvector matrices (PSD),
-    the unit axes of the vector parts (second-order) or None (orthant).
-    ``eigenvalues`` concatenates them in block order; ``frame``, built on
-    first read, holds the primitive idempotents e_i in that order.  ``map``
-    gives frame coordinates, and ``scale_and_map`` also a scaling Q(y) from
-    the same pass.
+    ``eigenvalues`` holds every eigenvalue, one vector in block order whose
+    part of a run ``Run.values`` reads; ``runs`` holds per run of equal
+    blocks the frame data: the stacked eigenvector matrices (PSD), the unit
+    axes of the vector parts (second-order) or None (orthant).  ``frame``,
+    built on first read, holds the primitive idempotents e_i in eigenvalue
+    order.  ``map`` gives frame coordinates, and ``scale_and_map`` also a
+    scaling Q(y) from the same pass.
     """
 
     def __init__(self, x: AlgebraElement):
@@ -622,21 +615,15 @@ class Spectrum:
 
     def _decompose(self, cone: ConeDescriptor, f: np.ndarray) -> None:
         self.cone = cone
-        runs, lams = [], []
-        for fr in cone.frame_runs:
-            lam, data = _run_spectrum(fr.run, _frame_block(fr, f), vectors=True)
-            runs.append((fr.run, lam, data))
-            lams.append(lam)
-        self.runs = tuple(runs)
-        self.eigenvalues = _concat(lams)
+        self.eigenvalues, self.runs = _spectrum(cone, f, vectors=True)
 
     @functools.cached_property
     def frame(self) -> tuple:
         """The primitive idempotents e_i, in ``eigenvalues`` order."""
         frame = []
-        for run, lam, data in self.runs:
+        for run, data in zip(self.cone.runs, self.runs):
             for i in range(run.count):
-                for j in range(lam.shape[1]):
+                for j in range(run.block.rank):
                     f = np.zeros(self.cone.dim)
                     block = run.rows(f)[i]
                     if isinstance(run.block, Orthant):
@@ -651,42 +638,42 @@ class Spectrum:
 
     def map(self, *fns) -> tuple:
         """Frame coordinates of sum_i f(lambda_i) e_i for each f in ``fns``; f
-        acts elementwise on an ndarray of eigenvalues (one run's, shaped
-        (count, rank))."""
+        acts elementwise on the ndarray of eigenvalues."""
         return self.scale_and_map(None, *fns)[1]
 
     def scale_and_map(self, fn, *fns) -> tuple:
         """(Q(y), ``map(*fns)``) from one pass over the runs, for
         y = sum_i fn(lambda_i) e_i with fn positive; Q(y) is a
         ``ConeAutomorphism`` (see ``ConeAutomorphism.scaling``), None when fn
-        is None."""
+        is None.  Each function is evaluated once, on the eigenvalue vector."""
+        lam = self.eigenvalues
         lead = 0 if fn is None else 2
+        # every value at once, f and 1/f ahead of the maps: one product per run
+        v = np.empty((lead + len(fns), lam.shape[0]))
+        if lead:
+            v[0] = fn(lam)
+            np.divide(1.0, v[0], out=v[1])
+        for i, h in enumerate(fns, lead):
+            v[i] = h(lam)
         out = np.empty((len(fns), self.cone.frame_dim))
         maps = []
-        for fr, (run, lam, data) in zip(self.cone.frame_runs, self.runs):
-            # every value at once, f and 1/f ahead of the maps: one product per run
-            v = np.empty((lead + len(fns),) + lam.shape)
-            if lead:
-                v[0] = fn(lam)
-                np.divide(1.0, v[0], out=v[1])
-            for i, h in enumerate(fns, lead):
-                v[i] = h(lam)
-            rows = fr.view(out)
+        for run, data in zip(self.cone.runs, self.runs):
+            vr, rows = run.values(v), run.view(out)
             if isinstance(run.block, Orthant):
-                rows[...] = v[lead:]
+                rows[...] = vr[lead:]
                 if lead:
-                    square = v[0] * v[0]
+                    square = vr[0] * vr[0]
                     maps.append((square, 1.0 / square, None))
             elif isinstance(run.block, SecondOrder):
-                vp, vm = v[lead:, ..., 0], v[lead:, ..., 1]
+                vp, vm = vr[lead:, ..., 0], vr[lead:, ..., 1]
                 rows[..., 0] = _HALF_SQRT2 * (vp + vm)
                 rows[..., 1:] = (_HALF_SQRT2 * (vp - vm))[..., None] * data
                 if lead:
-                    both = _soc_quad_matrices(v[:2], data)
+                    both = _soc_quad_matrices(vr[:2], data)
                     maps.append((both[0], both[1], None))
             else:
                 # V f V^T for every f; the first two are the factors of Q(y) and Q(y^{-1})
-                prod = (data * v[..., None, :]) @ np.ascontiguousarray(data.transpose(0, 2, 1))
+                prod = (data * vr[..., None, :]) @ np.ascontiguousarray(data.transpose(0, 2, 1))
                 rows[...] = prod[lead:]
                 if lead:
                     maps.append((prod[0], prod[1], None))
@@ -712,11 +699,6 @@ def spectral(x: AlgebraElement) -> Spectrum:
     return Spectrum(x)
 
 
-def _concat(lams: list) -> np.ndarray:
-    """The per-run eigenvalue arrays, flattened in block order."""
-    return lams[0].ravel() if len(lams) == 1 else np.concatenate([lam.ravel() for lam in lams])
-
-
 def eigenvalues(x: AlgebraElement) -> np.ndarray:
     """All eigenvalues, concatenated blockwise (length = rank)."""
     return frame_eigenvalues(x.cone, unpack(x))
@@ -724,10 +706,7 @@ def eigenvalues(x: AlgebraElement) -> np.ndarray:
 
 def frame_eigenvalues(cone: ConeDescriptor, f: np.ndarray) -> np.ndarray:
     """All eigenvalues of the element with frame coordinates ``f``."""
-    lams = []
-    for fr in cone.frame_runs:
-        lams.append(_run_spectrum(fr.run, _frame_block(fr, f), vectors=False)[0])
-    return _concat(lams)
+    return _spectrum(cone, f, vectors=False)[0]
 
 
 def min_eigenvalue(x: AlgebraElement) -> float:
@@ -927,9 +906,9 @@ class ConeAutomorphism:
         # D x m array; the result is laid out alike
         R = Z.T.reshape(-1, D)
         out = np.empty(R.shape)
-        for fr, (t, t_inv, index) in zip(self.cone.frame_runs, self.maps):
-            A, Zr, O = (t_inv if inverse else t), fr.view(R), fr.view(out)
-            if isinstance(fr.run.block, Orthant):
+        for run, (t, t_inv, index) in zip(self.cone.runs, self.maps):
+            A, Zr, O = (t_inv if inverse else t), run.view(R), run.view(out)
+            if isinstance(run.block, Orthant):
                 if index is None:
                     O[...] = A * Zr
                 elif inverse == adjoint:  # T and (T^{-1})* gather, T* and T^{-1} scatter
@@ -939,7 +918,7 @@ class ConeAutomorphism:
                 continue
             if adjoint:
                 A = A.transpose(0, 2, 1)
-            if isinstance(fr.run.block, SecondOrder):
+            if isinstance(run.block, SecondOrder):
                 # M z for every element: the elements side by side, one product per block
                 O[...] = (A @ Zr.transpose(1, 2, 0)).transpose(2, 0, 1)
             else:

@@ -60,6 +60,7 @@ import numpy as np
 
 from . import jordan
 from .errors import (
+    ConeMismatchError,
     DegenerateConstraintsError,
     DomainError,
     IllConditionedBasisError,
@@ -85,6 +86,10 @@ __all__ = [
 
 # rank test of a problem's spanning set: sigma_min/sigma_max of its QR factor R
 _BASIS_RANK_TOL = 1e-10
+# how far the cheap lower bound on that ratio must clear the tolerance to
+# accept without the SVD: the rounding of R^{-1} grows with cond(R), which
+# the bound caps at k/b, far below 1/eps there
+_RANK_MARGIN = 100.0
 # rank-loss threshold of the orthonormalization of scaled spanning sets
 _RANK_TOL = 1e-12
 
@@ -278,7 +283,10 @@ def _factorize(cols: np.ndarray, complete: bool) -> tuple:
     ``complete``, the last N - k its complement; R is k x k.
 
     Rank loss raises: sigma_min/sigma_max <= ``_BASIS_RANK_TOL`` on the
-    singular values of R, which are those of ``cols`` up to rounding.
+    singular values of R, which are those of ``cols`` up to rounding.  The
+    bound ``b = 1/(||R||_F ||R^{-1}||_F)`` satisfies
+    ``b <= sigma_min/sigma_max <= k b``, so a b well above the tolerance
+    accepts without the SVD (see ``_ratio_bound``).
     """
     n, k = cols.shape
     if k > n:
@@ -287,13 +295,24 @@ def _factorize(cols: np.ndarray, complete: bool) -> tuple:
         )
     q, r = np.linalg.qr(cols, mode="complete" if complete else "reduced")
     r = r[:k]
-    if k:
+    if k and not _ratio_bound(r) > _RANK_MARGIN * _BASIS_RANK_TOL:
         sv = np.linalg.svd(r, compute_uv=False)
         if sv[-1] <= _BASIS_RANK_TOL * sv[0]:
             raise IllConditionedBasisError(
                 f"subspace basis is numerically dependent (sigma_min = {sv[-1]:.3g}, sigma_max = {sv[0]:.3g})"
             )
     return q, r
+
+
+def _ratio_bound(r: np.ndarray) -> float:
+    """``1/(||R||_F ||R^{-1}||_F)``, a lower bound on sigma_min/sigma_max of
+    the square R; 0.0 when R is singular to working precision."""
+    try:
+        inv = np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        return 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(1.0 / (np.linalg.norm(r) * np.linalg.norm(inv)))
 
 
 def _project(basis: np.ndarray, on_l: bool, zm: np.ndarray, onto_l: bool) -> np.ndarray:
@@ -376,12 +395,15 @@ class ScaledFrame:
     ``onto_lw_perp(z)`` are packed when read.
 
     ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
-    decomposition of the given w, which must be interior.  ``step`` moves
+    decomposition of the given w, which must be an interior point of the
+    problem's cone.  ``step`` moves
     the frame along a geodesic without decomposing the new iterate: only d
     is decomposed, and w = T e is formed only when ``w`` is read.
     """
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
+        if w.cone != problem.cone:
+            raise ConeMismatchError("the scaling point lives on a different cone than the problem")
         spec = jordan.Spectrum(w).require_interior("scaling point must be interior")
         anchor = jordan.ConeAutomorphism.scaling(spec, np.sqrt)
         x0, s0, on_l, _ = problem._representation
@@ -689,6 +711,8 @@ def transform_problem(problem: ConicProblem, T: jordan.ConeAutomorphism) -> Coni
 
     The primal set maps through T and the dual set through (T^{-1})*.
     """
+    if T.cone != problem.cone:
+        raise ConeMismatchError("the automorphism lives on a different cone than the problem")
     f = problem.form
     if isinstance(f, BasisForm):
         x0, *basis = _map_columns(T.columns, (f.x0, *f.basis))

@@ -98,6 +98,27 @@ def test_muf_above_mu0_single_center(tmp_path, capsys):
     assert "mu=1.0" in out
 
 
+@pytest.mark.parametrize("case", ["solve --trace", "solve --feasible-out", "gen --out", "bench --outdir"])
+def test_unwritable_output_path_exit_3(tmp_path, capsys, case):
+    """A directory given for an output file, a file for the output
+    directory, or a missing parent directory: exit 3 and one stderr line."""
+    problem_file = tmp_path / "p.json"
+    cli.solve_cli(["gen", "--n", "4", "--dim-l", "2", "--seed", "1", "--out", str(problem_file)])
+    missing = str(tmp_path / "missing" / "x.json")
+    argv = {
+        "solve --trace": ["solve", "--input", str(problem_file), "--trace", str(tmp_path)],
+        "solve --feasible-out": ["solve", "--input", str(problem_file), "--feasible-out", missing],
+        "gen --out": ["gen", "--n", "4", "--dim-l", "3", "--out", missing],
+        "bench --outdir": ["bench", "--experiment", "fig4", "--outdir", str(problem_file)],
+    }[case]
+    capsys.readouterr()
+    assert cli.solve_cli(argv) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("geoipm: cannot write output: ") and err.count("\n") == 1, err
+    # the solve reports its result before it writes the files it was asked for
+    assert out.startswith("status=converged") == case.startswith("solve")
+
+
 def test_iteration_cap_exit_2(tmp_path):
     problem_file = tmp_path / "p.json"
     cli.solve_cli(["gen", "--n", "4", "--dim-l", "2", "--seed", "6", "--out", str(problem_file)])

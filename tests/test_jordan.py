@@ -109,14 +109,17 @@ REPEATS = J.ConeDescriptor(
 
 
 def test_descriptor_runs():
+    # element coordinates and shape, frame coordinates and shape, eigenvalues
     assert list(REPEATS.runs) == [
-        (J.Orthant(5), 1, 0, 5, (1, 5)),
-        (J.SecondOrder(4), 3, 5, 17, (3, 4)),
-        (J.Psd(3), 2, 17, 29, (2, 6)),
-        (J.Psd(1), 2, 29, 31, (2, 1)),
-        (J.SecondOrder(4), 1, 31, 35, (1, 4)),
+        (J.Orthant(5), 1, 0, 5, (1, 5), slice(0, 5), (1, 5), slice(0, 5)),
+        (J.SecondOrder(4), 3, 5, 17, (3, 4), slice(5, 17), (3, 4), slice(5, 11)),
+        (J.Psd(3), 2, 17, 29, (2, 6), slice(17, 35), (2, 3, 3), slice(11, 17)),
+        (J.Psd(1), 2, 29, 31, (2, 1), slice(35, 37), (2, 1, 1), slice(17, 19)),
+        (J.SecondOrder(4), 1, 31, 35, (1, 4), slice(37, 41), (1, 4), slice(19, 21)),
     ]
     assert REPEATS.runs[-1].stop == REPEATS.dim
+    assert REPEATS.runs[-1].frame.stop == REPEATS.frame_dim
+    assert REPEATS.runs[-1].lam.stop == REPEATS.rank
 
 
 def test_pack_unpack_round_trip_and_inner_product():
@@ -202,6 +205,39 @@ def test_run_kernels_match_blockwise_references():
                 total = total + f
             assert_elem_close(recon, x, 1e-12, "frame in eigenvalues order")
             assert_elem_close(total, J.identity(REPEATS), 1e-12, "frame sums to e")
+            _assert_maps_match_blockwise(x, Z, rng)
+
+
+def _assert_maps_match_blockwise(x, Z, rng):
+    """``scale_and_map`` with a geodesic step's three functions matches, to
+    1e-14, the same call on each block of x taken as its own cone: the three
+    maps, and Q(y) and Q(y^{-1}) on the columns of Z.  Each function is
+    called once per spectrum, on all the eigenvalues."""
+    t, r = rng.uniform(0.2, 0.8), rng.uniform(0.5, 2.0)
+    calls = []
+
+    def counted(fn):
+        return lambda lam: calls.append(lam.shape) or fn(lam)
+
+    step = (
+        counted(lambda lam: np.exp(0.5 * t * lam)),
+        counted(lambda lam: r * (1.0 + lam) * np.exp(-t * lam)),
+        counted(lambda lam: r * (1.0 - lam) * np.exp(t * lam)),
+    )
+
+    def images(cone, x_coords, Z):
+        """The three maps, Q(y) Z and Q(y^{-1}) Z in element coordinates."""
+        T, maps = J.Spectrum(J.element(cone, x_coords)).scale_and_map(*step)
+        Zf = _to_frame(cone, Z)
+        return [_from_frame(cone, F) for F in (np.column_stack(maps), T.columns(Zf), T.inverse_columns(Zf))]
+
+    got = images(REPEATS, x.coords, Z)
+    assert calls == [(REPEATS.rank,)] * 3
+    for blk, a, b in REPEATS.spans:
+        want = images(J.ConeDescriptor((blk,)), x.coords[a:b], Z[a:b])
+        for g, w, what in zip(got, want, ("maps", "Q(y)", "Q(y^-1)")):
+            tol = 1e-14 * max(1.0, np.abs(w).max())
+            np.testing.assert_allclose(g[a:b], w, rtol=0, atol=tol, err_msg=f"{what} on {blk}")
 
 
 def _to_frame(cone, Z):

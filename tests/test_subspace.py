@@ -11,7 +11,9 @@ from geoipm import geometry as G
 from geoipm import jordan as J
 from geoipm import solver as V
 from geoipm import subspace as S
+from geoipm.harness import generate
 from geoipm.errors import (
+    ConeMismatchError,
     DegenerateConstraintsError,
     DomainError,
     IllConditionedBasisError,
@@ -107,6 +109,44 @@ def test_scaled_projections_rejects_boundary_w():
         S.ScaledFrame(prob, w)
 
 
+# every entry point that builds a frame of a problem at a given point; the
+# problem is psd(3) (dimension 6, rank 3)
+FRAME_ENTRIES = {
+    "ScaledFrame": lambda p, w: S.ScaledFrame(p, w),
+    "newton_direction": lambda p, w: S.newton_direction(p, w, 1.0),
+    "feasible_point": lambda p, w: S.feasible_point(p, w, 10.0),
+    "longstep": lambda p, w: V.longstep(p, w, 1.0, 0.5),
+    "shortstep": lambda p, w: V.shortstep(p, w, 1.0, 0.5, V.shortstep_params(0.5, 1e-4, 3)),
+    "center": lambda p, w: V.center(p, w, 1.0, 1e-4),
+    "oracle_center": lambda p, w: V.oracle_center(p, 1.0, warm=w),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FRAME_ENTRIES))
+@pytest.mark.parametrize("size", [6, 9])
+def test_a_point_on_another_cone_is_rejected(entry, size):
+    """A point of orthant(6), whose frame coordinates have the length of
+    psd(3)'s element coordinates, or of orthant(9), whose frame coordinates
+    have the length of psd(3)'s, raises ConeMismatchError; an interior
+    orthant(9) point must not yield Newton data or a feasible pair."""
+    prob = generate.generate_random_sdp(3, 2, 0)
+    other = J.ConeDescriptor((J.Orthant(size),))
+    w = J.element(other, np.exp(0.3 * np.random.default_rng(5).standard_normal(size)))
+    with pytest.raises(ConeMismatchError):
+        FRAME_ENTRIES[entry](prob, w)
+
+
+@pytest.mark.parametrize("size", [6, 9])
+def test_transform_problem_rejects_a_map_on_another_cone(size):
+    prob = generate.generate_random_sdp(3, 2, 0)
+    other = J.ConeDescriptor((J.Orthant(size),))
+    T = J.random_automorphism(other, np.random.default_rng(6))
+    with pytest.raises(ConeMismatchError):
+        S.transform_problem(prob, T)
+    with pytest.raises(ConeMismatchError):
+        S.transform_problem(S.as_operator_form(prob), T)
+
+
 def test_rank_loss_in_operator_columns():
     col = J.element(ORTH6, [1.0, 0, 0, 0, 0, 0])
     form = S.OperatorForm(
@@ -120,6 +160,21 @@ def test_rank_loss_in_operator_columns():
     prob = _no_b_operator_problem(SMALL_MIXED, _scaled_columns((1.0, 1.0, 1e-11)))
     with pytest.raises(IllConditionedBasisError, match="numerically dependent"):
         S.ScaledFrame(prob, J.identity(SMALL_MIXED))
+
+
+def test_rank_test_takes_the_svd_only_when_the_bound_is_inconclusive(monkeypatch):
+    """1/(||R||_F ||R^{-1}||_F) <= sigma_min/sigma_max decides a
+    well-conditioned spanning set; a ratio near the tolerance takes the SVD."""
+    well = S.as_operator_form(random_basis_problem(PSD6, 3, np.random.default_rng(3)))
+    near = _no_b_operator_problem(SMALL_MIXED, _scaled_columns((1.0, 1.0, 1e-9)))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    S.ScaledFrame(S.ConicProblem(well.cone, well.form), J.identity(well.cone))
+    assert calls == []
+    # sigma_min/sigma_max is about 3.8e-10: independent, within a factor 4 of the tolerance
+    S.ScaledFrame(near, J.identity(SMALL_MIXED))
+    assert calls == [1]
 
 
 def test_rank_test_ignores_the_scale_of_the_columns():
