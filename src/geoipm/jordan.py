@@ -581,11 +581,15 @@ def _frame_block(run: Run, f: np.ndarray) -> np.ndarray:
 def _spectrum(cone: ConeDescriptor, f: np.ndarray, vectors: bool) -> tuple:
     """The eigenvalues of the element with frame coordinates ``f``, one
     vector in block order, and per run the frame data of ``_run_spectrum``.
-    On a one-run cone the vector is the run's own array: numpy's
-    eigensolvers write into no given array, so only several runs are copied."""
-    parts = [_run_spectrum(run, _frame_block(run, f), vectors) for run in cone.runs]
-    lams = [values.ravel() for values, _ in parts]
-    return (lams[0] if len(lams) == 1 else np.concatenate(lams)), tuple(data for _, data in parts)
+    On a one-run cone the vector is that run's own array, not a copy (numpy's
+    eigensolvers cannot write into a given array); several runs are
+    concatenated."""
+    lams, datas = [], []
+    for run in cone.runs:
+        lam, data = _run_spectrum(run, _frame_block(run, f), vectors)
+        lams.append(lam.ravel())
+        datas.append(data)
+    return (lams[0] if len(lams) == 1 else np.concatenate(lams)), tuple(datas)
 
 
 class Spectrum:

@@ -86,9 +86,9 @@ __all__ = [
 
 # rank test of a problem's spanning set: sigma_min/sigma_max of its QR factor R
 _BASIS_RANK_TOL = 1e-10
-# how far the cheap lower bound on that ratio must clear the tolerance to
-# accept without the SVD: the rounding of R^{-1} grows with cond(R), which
-# the bound caps at k/b, far below 1/eps there
+# how far the lower bound b on that ratio must clear the tolerance to accept
+# without the SVD: b above it caps cond(R) at k/b <= k 1e8, so the rounding
+# of R^{-1} moves b by far less than this factor
 _RANK_MARGIN = 100.0
 # rank-loss threshold of the orthonormalization of scaled spanning sets
 _RANK_TOL = 1e-12
@@ -311,8 +311,8 @@ def _ratio_bound(r: np.ndarray) -> float:
         inv = np.linalg.inv(r)
     except np.linalg.LinAlgError:
         return 0.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return float(1.0 / (np.linalg.norm(r) * np.linalg.norm(inv)))
+    # Python floats: a product that overflows reads inf, so the bound reads 0.0
+    return 1.0 / (float(np.linalg.norm(r)) * float(np.linalg.norm(inv)))
 
 
 def _project(basis: np.ndarray, on_l: bool, zm: np.ndarray, onto_l: bool) -> np.ndarray:
@@ -396,9 +396,9 @@ class ScaledFrame:
 
     ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
     decomposition of the given w, which must be an interior point of the
-    problem's cone.  ``step`` moves
-    the frame along a geodesic without decomposing the new iterate: only d
-    is decomposed, and w = T e is formed only when ``w`` is read.
+    problem's cone.  ``step`` moves the frame along a geodesic without
+    decomposing the new iterate: only d is decomposed, and w = T e is
+    formed only when ``w`` is read.
     """
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
