@@ -47,7 +47,6 @@ from .jordan import (
     spectral_map,
 )
 from .solver import (
-    IterateState,
     LongStepParams,
     ShortStepParams,
     SolverTrace,

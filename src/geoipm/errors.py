@@ -43,7 +43,8 @@ class ParameterError(GeoipmError):
 
 
 class IterationLimitError(GeoipmError):
-    """An iteration cap was exceeded; carries the partial trace and iterate."""
+    """An iteration cap was exceeded; carries the partial trace and, as
+    ``iterate``, the ``NewtonData`` at the (w, mu) the run stopped on."""
 
     def __init__(self, message: str, trace=None, iterate=None):
         super().__init__(message)

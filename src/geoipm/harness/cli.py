@@ -114,15 +114,14 @@ def _cmd_solve(args) -> int:
             max_newton=args.max_newton, max_outer=args.max_outer,
         )
         state, trace = solver.longstep(problem, w0, mu0, mu_f, params)
-    nd = state.frame.newton(state.mu)
     print(
         f"status={trace.status} algo={args.algo} newton_steps={trace.newton_steps} "
-        f"mu={state.mu!r} h_ub={nd.h_ub!r}"
+        f"mu={state.mu!r} h_ub={state.h_ub!r}"
     )
     if args.trace is not None:
         io.write_csv(args.trace, ",".join(TRACE_FIELDS), map(dataclasses.astuple, trace.records))
     if args.feasible_out is not None:
-        pair = subspace.feasible_point(problem, state.w, state.mu, nd=nd)
+        pair = subspace.feasible_point(problem, state.w, state.mu, nd=state)
         if pair is None:
             print("feasible pair unavailable (||d||_inf > 1); nothing written", file=sys.stderr)
         else:

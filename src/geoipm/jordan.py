@@ -967,7 +967,7 @@ def _block_map(blk: BlockKind, data) -> np.ndarray:
     k = blk.dim - 1 if isinstance(blk, SecondOrder) else blk.side
     if U.shape != (k, k):
         raise ValueError(f"block map of shape {U.shape} incompatible with block {blk!r}")
-    if not np.allclose(U.T @ U, np.eye(k), atol=1e-10):
+    if not np.allclose(U.T @ U, np.eye(k), rtol=0.0, atol=1e-10):
         raise ValueError(f"block map of {blk!r} must be orthogonal")
     if isinstance(blk, Psd):
         return U

@@ -18,8 +18,9 @@ Each tracker decomposes its start once, to build the ``ScaledFrame`` of
 w0, and then steps frames (``ScaledFrame.step``): the problem is carried
 in the frame of the current iterate, which is e there, so no stepped
 iterate is decomposed or tested for interiority, and w = T e is formed only
-for the snapshots, the observer and the returned ``IterateState``, whose
-``frame`` is the last frame.
+for the snapshots and the observer.  ``shortstep`` and ``longstep`` return
+the ``NewtonData`` at the (w, mu) they stop on, whose ``frame`` is the last
+frame; for ``longstep`` it is the data whose h_ub passed the final test.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "ITERATION_CAP",
     "ShortStepParams",
     "LongStepParams",
-    "IterateState",
     "StepRecord",
     "OuterSnapshot",
     "SolverTrace",
@@ -141,23 +141,6 @@ def _require_cap(cap: int, name: str) -> None:
         raise ParameterError(f"{name} must be non-negative, got {cap}")
 
 
-@dataclass(frozen=True, eq=False)
-class IterateState:
-    """Centering parameter and the scaled frame of the current iterate.
-
-    ``frame`` is the last frame the tracker stepped to; ``w`` is read off
-    it.
-    """
-
-    mu: float
-    frame: subspace.ScaledFrame
-
-    @property
-    def w(self) -> AlgebraElement:
-        """The current interior scaling point."""
-        return self.frame.w
-
-
 @dataclass(frozen=True)
 class StepRecord:
     """One executed Newton step."""
@@ -207,7 +190,8 @@ def shortstep(
     """Short-step tracker: divide mu by k, then take m full Newton steps.
 
     The step-count guarantee assumes w0 is (near) the centered point at
-    mu0, e.g. the ``oracle_center`` of mu0.
+    mu0, e.g. the ``oracle_center`` of mu0.  Returns the Newton data at the
+    last iterate and the final mu, with the trace.
     """
     _require_mu("mu values must be positive and finite", mu0, mu_f)
     frame = subspace.ScaledFrame(problem, w0)
@@ -223,7 +207,7 @@ def shortstep(
             frame = frame.step(nd, 1.0)
             trace.records.append(_step_record(outer, mu, nd, 1.0, tic))
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=frame.w))
-    return IterateState(mu=mu, frame=frame), trace
+    return frame.newton(mu), trace
 
 
 def _step_record(outer: int, mu: float, nd: subspace.NewtonData, step: float, tic: float) -> StepRecord:
@@ -261,14 +245,15 @@ def center(
         raise ParameterError("gamma must lie in (0, 1)")
     _require_cap(cap, "cap")
     trace = SolverTrace()
-    frame = _center(subspace.ScaledFrame(problem, w0), mu, eps, gamma, cap, 0, trace, observer)
-    return frame.w, trace
+    nd = _center(subspace.ScaledFrame(problem, w0), mu, eps, gamma, cap, 0, trace, observer)
+    return nd.w, trace
 
 
 def _center(
     frame: subspace.ScaledFrame, mu, eps, gamma, cap, outer, trace, observer
-) -> subspace.ScaledFrame:
-    """The loop of ``center`` on scaled frames; returns the frame of the last iterate."""
+) -> subspace.NewtonData:
+    """The loop of ``center`` on scaled frames; returns the Newton data that
+    passed the test h_ub <= eps."""
     steps = 0
     while True:
         tic = time.perf_counter()
@@ -276,13 +261,13 @@ def _center(
         if observer is not None:
             observer(steps, frame.w, nd)
         if nd.h_ub <= eps:
-            return frame
+            return nd
         if steps >= cap:
             trace.status = ITERATION_CAP
             raise IterationLimitError(
                 f"centering did not reach h_ub <= {eps:g} within {cap} Newton steps",
                 trace=trace,
-                iterate=IterateState(mu=mu, frame=frame),
+                iterate=nd,
             )
         t = gamma * nd.t_max
         frame = frame.step(nd, t)
@@ -303,17 +288,19 @@ def longstep(
     allows (h_ub <= beta); finish with a centering pass at eps.  mu is
     strictly decreasing across outer iterations.  The frame of each
     re-centred point serves both mu-selection and the next centering pass.
+    Returns the Newton data that passed the final test, with the trace.
     """
     if params is None:
         params = LongStepParams()
     _require_mu("mu values must be positive and finite", mu0, mu_f)
     trace = SolverTrace()
-    frame, mu = _longstep(subspace.ScaledFrame(problem, w0), float(mu0), mu_f, params, trace)
-    return IterateState(mu=mu, frame=frame), trace
+    return _longstep(subspace.ScaledFrame(problem, w0), float(mu0), mu_f, params, trace), trace
 
 
-def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepParams, trace) -> tuple:
-    """The loop of ``longstep`` on scaled frames; returns the last frame and mu."""
+def _longstep(
+    frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepParams, trace
+) -> subspace.NewtonData:
+    """The loop of ``longstep`` on scaled frames; returns the final centering's data."""
     outer = 0
     while mu > mu_f:
         outer += 1
@@ -322,17 +309,17 @@ def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepPara
             raise IterationLimitError(
                 f"longstep exceeded {params.max_outer} outer iterations",
                 trace=trace,
-                iterate=IterateState(mu=mu, frame=frame),
+                iterate=frame.newton(mu),
             )
-        frame = _center(frame, mu, params.alpha, params.gamma, params.max_newton, outer, trace, None)
+        frame = _center(frame, mu, params.alpha, params.gamma, params.max_newton, outer, trace, None).frame
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=frame.w))
         mu_next = subspace.mu_candidates(frame, mu, params.beta)
         if params.clamp_mu_f:
             mu_next = max(mu_next, mu_f)
         mu = mu_next
-    frame = _center(frame, mu, params.eps, params.gamma, params.max_newton, outer + 1, trace, None)
-    trace.snapshots.append(OuterSnapshot(outer=outer + 1, mu=mu, w=frame.w))
-    return frame, mu
+    nd = _center(frame, mu, params.eps, params.gamma, params.max_newton, outer + 1, trace, None)
+    trace.snapshots.append(OuterSnapshot(outer=outer + 1, mu=mu, w=nd.w))
+    return nd
 
 
 def oracle_center(
@@ -367,9 +354,7 @@ def oracle_center(
     try:
         if far:
             params = LongStepParams(clamp_mu_f=True, max_newton=cap)
-            frame, _ = _longstep(frame, mu_star, mu, params, trace)
-            frame = subspace.ScaledFrame(problem, frame.w)
-        frame = _center(frame, mu, ORACLE_EPS, ORACLE_GAMMA, cap, 0, trace, None)
+            frame = subspace.ScaledFrame(problem, _longstep(frame, mu_star, mu, params, trace).w)
+        return _center(frame, mu, ORACLE_EPS, ORACLE_GAMMA, cap, 0, trace, None).w
     except IterationLimitError as exc:
         raise OracleFailureError(f"centering oracle failed at mu={mu:g}: {exc}") from exc
-    return frame.w

@@ -36,7 +36,7 @@ A geodesic step ``Q(w^{1/2}) exp(t d)`` is taken in the frame
 basis is mapped by it, and the representatives reset to the points
 ``sqrt(mu)(e +- d)`` mapped along, so the new iterate is never decomposed.
 Only the start of a run decomposes its w; the iterate w = T e is formed
-only where it is read (snapshots, observers, returned states).
+only where it is read (snapshots, observers, a tracker's final data).
 
 The frame holds its basis, representatives and Newton data in the frame
 coordinates of ``jordan`` (PSD blocks as full matrices, second-order
@@ -64,6 +64,7 @@ from .errors import (
     DegenerateConstraintsError,
     DomainError,
     IllConditionedBasisError,
+    ParameterError,
     ProblemFormatError,
 )
 from .jordan import AlgebraElement, ConeDescriptor
@@ -217,7 +218,8 @@ class ConicProblem:
             s0 = f.c
             if nb is not None:
                 y, *_ = np.linalg.lstsq(f.B, f.g, rcond=None)
-                if not np.allclose(f.B @ y, f.g, atol=1e-8 * max(1.0, float(np.linalg.norm(f.g)))):
+                tol = 1e-8 * max(1.0, float(np.linalg.norm(f.g)))
+                if not np.allclose(f.B @ y, f.g, rtol=0.0, atol=tol):
                     raise DegenerateConstraintsError("dual affine set is empty (By = g unsolvable)")
                 s0 = f.c - self._from_mc(self._given_mc() @ y)
         if 2 * k > self.cone.dim:
@@ -510,14 +512,14 @@ class NewtonData:
     s across L_w_perp, so ``norm_d`` is ||s||; ``sum_inf`` is ||s||_inf;
     ``h_lb``/``h_ub`` bound the divergence to the centered point (h_ub may
     be +inf); ``frame`` is the scaled frame of w the data was built from,
-    and ``mu`` the centering parameter.  The rest is derived on first read
-    and cached, so a centering test that takes no step projects nothing and
-    decomposes nothing: ``d_f``, the frame coordinates of d, from one
-    projection of s; ``d_spectrum``, the one decomposition of d, which the
-    geodesic step (``ScaledFrame.step``) maps on; ``norm_d_inf``; and
-    ``t_max``, the guaranteed-descent step bound.  The elements ``s``,
-    ``d``, ``d1`` and ``d2`` (half the sum and difference of s and d) are
-    packed when read.
+    ``w`` is read off it, and ``mu`` is the centering parameter.  The rest
+    is derived on first read and cached, so a centering test that takes no
+    step projects nothing and decomposes nothing: ``d_f``, the frame
+    coordinates of d, from one projection of s; ``d_spectrum``, the one
+    decomposition of d, which the geodesic step (``ScaledFrame.step``) maps
+    on; ``norm_d_inf``; and ``t_max``, the guaranteed-descent step bound.  The elements ``d``,
+    ``d1`` and ``d2`` (half the sum and difference of s and d) are packed
+    when read.
     """
 
     s_f: np.ndarray
@@ -533,12 +535,12 @@ class NewtonData:
         d2 = self.frame._project(self.s_f, True)
         return (self.s_f - d2) - d2
 
+    @property
+    def w(self) -> AlgebraElement:
+        return self.frame.w
+
     def _pack(self, f: np.ndarray) -> AlgebraElement:
         return jordan.pack(self.frame.problem.cone, f)
-
-    @property
-    def s(self) -> AlgebraElement:
-        return self._pack(self.s_f)
 
     @property
     def d(self) -> AlgebraElement:
@@ -563,11 +565,6 @@ class NewtonData:
     @functools.cached_property
     def t_max(self) -> float:
         return _t_max(self.norm_d, self.norm_d_inf, self.h_lb)
-
-    @property
-    def g_w(self) -> AlgebraElement:
-        """The scaling vector used for mu-selection."""
-        return self.frame.g_w
 
 
 def newton_direction(problem: ConicProblem, w: AlgebraElement, mu: float) -> NewtonData:
@@ -662,10 +659,13 @@ def feasible_point(problem: ConicProblem, w: AlgebraElement, mu: float, nd: Newt
     Available exactly when ||d||_inf <= 1; then with the anchor T of the
     frame (T e = w) x = sqrt(mu) T(e + d) and s = sqrt(mu) (T^{-1})*(e - d)
     are cone members lying in the primal/dual affine sets.  ``nd``, when
-    given, is the Newton data at (w, mu), and its frame supplies T.
+    given, is the Newton data at (w, mu), and its frame supplies T; data
+    built at another mu raise ParameterError.
     """
     if nd is None:
         nd = ScaledFrame(problem, w).newton(mu)
+    elif nd.mu != float(mu):
+        raise ParameterError(f"Newton data at mu={nd.mu!r} cannot give the pair at mu={mu!r}")
     if nd.norm_d_inf > 1.0:
         return None
     sqrt_mu = math.sqrt(float(mu))

@@ -38,9 +38,8 @@ def _oracle_start(name):
 
 def _check(problem, state, eps, mu_f):
     assert state.mu <= mu_f
-    nd = state.frame.newton(state.mu)
-    assert nd.h_ub <= eps
-    pair = S.feasible_point(problem, state.w, state.mu, nd=nd)
+    assert state.h_ub <= eps
+    pair = S.feasible_point(problem, state.w, state.mu, nd=state)
     assert pair is not None
     x, s = pair
     rp, rd = S.affine_residuals(problem, x, s)

@@ -459,8 +459,10 @@ def test_automorphism_adjoint_inverse_consistency():
 
 
 def test_block_maps_must_be_orthogonal_and_scaling_interior():
-    with pytest.raises(ValueError):
-        J.ConeAutomorphism.polar(PSD2, (np.diag([2.0, 1.0]),))
+    # a map off orthogonal by 4e-6 is rejected too: its transpose is not its inverse
+    for U in (np.diag([2.0, 1.0]), np.diag([1.0 + 4e-6, 1.0])):
+        with pytest.raises(ValueError):
+            J.ConeAutomorphism.polar(PSD2, (U,))
     with pytest.raises(ValueError):
         J.ConeAutomorphism.polar(SOC3, (np.array([[1.0, 1.0], [0.0, 1.0]]),))
     maps = (np.eye(2),)

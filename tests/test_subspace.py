@@ -17,6 +17,7 @@ from geoipm.errors import (
     DegenerateConstraintsError,
     DomainError,
     IllConditionedBasisError,
+    ParameterError,
     ProblemFormatError,
 )
 
@@ -304,10 +305,9 @@ def test_trivial_subspaces(form, full, capfd):
         assert frame.basis.shape[1] == 0
         assert frame.newton(mu).norm_d <= 1e-12
         state, _ = V.longstep(prob, J.identity(cone), 1.0, mu_f)
-        nd = state.frame.newton(state.mu)
-        assert state.mu <= mu_f and nd.h_ub <= 1e-4
+        assert state.mu <= mu_f and state.h_ub <= 1e-4
         assert_elem_close(state.w, center(state.mu), 1e-2, "near the centered point")
-        x, s = S.feasible_point(prob, state.w, state.mu, nd=nd)
+        x, s = S.feasible_point(prob, state.w, state.mu, nd=state)
         rp, rd = S.affine_residuals(prob, x, s)
         assert rp <= 1e-12 * J.norm2(x) and rd <= 1e-12 * J.norm2(s)
         params = V.shortstep_params(0.5, 1e-4, cone.rank)
@@ -424,7 +424,7 @@ def test_newton_data_invariants():
         nd = S.newton_direction(prob, w, mu)
         assert J.norm2(nd.d1 - nd.d2 - nd.d) <= 1e-10 * max(1.0, nd.norm_d)
         assert abs(J.inner(nd.d1, nd.d2)) <= 1e-10 * max(1.0, J.norm2(nd.d1) * J.norm2(nd.d2))
-        ident = nd.g_w / math.sqrt(mu) - J.identity(cone)
+        ident = nd.frame.g_w / math.sqrt(mu) - J.identity(cone)
         assert J.norm2((nd.d1 + nd.d2) - ident) <= 1e-10
         if math.isfinite(nd.h_ub):
             assert nd.h_lb <= nd.h_ub + 1e-15
@@ -516,9 +516,12 @@ def test_redundant_constraint_rows():
     assert S.ScaledFrame(free, w).basis.shape[1] == 0
     for prob in (dup, one, free):
         assert_x0_meets_the_primal_constraints(prob)
-    # the same rows with g = [0, 1] ask y_0 = 0 and y_0 = 1: the dual set is empty
-    with pytest.raises(DegenerateConstraintsError):
-        S.newton_direction(with_rows(B, np.array([0.0, 1.0])), w, 0.7)
+    # the same rows with g = [0, 1] ask y_0 = 0 and y_0 = 1: the dual set is
+    # empty; so it is with g = [1, 1 + 1e-6], whose least-squares residual
+    # 5e-7 is far above the tolerance 1e-8 ||g||
+    for g in ([0.0, 1.0], [1.0, 1.0 + 1e-6]):
+        with pytest.raises(DegenerateConstraintsError):
+            S.newton_direction(with_rows(B, np.array(g)), w, 0.7)
 
 
 def test_step_bound_examples():
@@ -560,11 +563,11 @@ def test_mu_candidates_closed_form_matches_h_ub():
         nd = S.newton_direction(prob, w, mu)
         if not math.isfinite(nd.h_ub):
             continue
-        lam = J.eigenvalues(nd.g_w) / math.sqrt(mu)
+        lam = J.eigenvalues(nd.frame.g_w) / math.sqrt(mu)
         k = min(lam.min(), 2.0 - lam.max())
         closed = (
-            J.inner(nd.g_w, nd.g_w) / mu
-            - 2.0 * J.trace(nd.g_w) / math.sqrt(mu)
+            J.inner(nd.frame.g_w, nd.frame.g_w) / mu
+            - 2.0 * J.trace(nd.frame.g_w) / math.sqrt(mu)
             + cone.rank
         ) / k
         assert closed == pytest.approx(nd.h_ub, rel=1e-9, abs=1e-9)
@@ -637,6 +640,18 @@ def test_feasible_point_and_gap():
     nd = S.newton_direction(prob, w_far, mu)
     assert nd.norm_d_inf > 1.0
     assert S.feasible_point(prob, w_far, mu, nd=nd) is None
+
+
+def test_feasible_point_takes_newton_data_at_its_mu():
+    # the pair at mu = 2 nd.mu with nd's direction would miss both affine
+    # sets, by 0.28 and 0.12 relative to x and s
+    prob = generate.generate_random_sdp(6, 3, 0)
+    nd, _ = V.longstep(prob, J.identity(prob.cone), 1.0, 1e-3)
+    with pytest.raises(ParameterError):
+        S.feasible_point(prob, nd.w, 2.0 * nd.mu, nd=nd)
+    x, s = S.feasible_point(prob, nd.w, nd.mu, nd=nd)
+    rp, rd = S.affine_residuals(prob, x, s)
+    assert rp <= 1e-8 * J.norm2(x) and rd <= 1e-8 * J.norm2(s)
 
 
 def test_feasible_point_residuals_near_center():

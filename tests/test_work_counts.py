@@ -23,8 +23,9 @@ maps (T^{-1} on the basis of L with x0, T* on s0, or T* on L-perp with s0
 and T^{-1} on x0), and so does the feasible pair (T and (T^{-1})*).  A frame
 projects once for g_w; a Newton call projects once more only when its d is
 read, and ``mu_candidates`` projects nothing.  Both trackers hand back the
-frame of their last iterate, so ``geoipm solve`` reads the final h_ub from
-it and decomposes only d for the feasible pair.  A geodesic ray decomposes
+Newton data at their last iterate, so ``geoipm solve`` reads the final h_ub
+off it and decomposes only d for the feasible pair; ``shortstep`` forms
+those data at its last frame, one more projection and ``eigvalsh``.  A geodesic ray decomposes
 its base and its direction once each, and its points decompose nothing; the
 divergence decomposes each argument once; a checked map such as ``sqrt``
 tests the eigenvalues of the ``eigh`` it maps.
@@ -92,9 +93,10 @@ def test_shortstep_one_eigh_one_eigvalsh_per_step(problem, multi_problem, monkey
         steps = trace.newton_steps
         assert steps > 0
         # the start: the eigh and interior test of w0 and two anchor maps; each
-        # step: the eigvalsh of g_w, the eigh of d and one anchor map of the basis
+        # step: the eigvalsh of g_w, the eigh of d and one anchor map of the
+        # basis; the returned Newton data: the eigvalsh of the last g_w
         assert calls == {
-            "eigh": 1 + steps, "eigvalsh": steps, "_columns": 2 + steps, "require_interior": 1,
+            "eigh": 1 + steps, "eigvalsh": 1 + steps, "_columns": 2 + steps, "require_interior": 1,
         }, prob.cone
         (_, trace), gathers = _counted(
             monkeypatch, lambda: V.shortstep(prob, w0, MU0, MU_F, params), SVEC
@@ -142,11 +144,10 @@ def test_geometry_and_checked_maps_decompose_once(monkeypatch):
 
 
 def test_feasible_point_reuses_the_frame(problem, monkeypatch):
-    state, _ = V.longstep(problem, J.identity(problem.cone), MU0, MU_F)
-    nd = S.newton_direction(problem, state.w, state.mu)
+    nd, _ = V.longstep(problem, J.identity(problem.cone), MU0, MU_F)
     nd.norm_d_inf  # decompose d before counting, as a step taken from nd would
     pair, calls = _counted(
-        monkeypatch, lambda: S.feasible_point(problem, state.w, state.mu, nd=nd)
+        monkeypatch, lambda: S.feasible_point(problem, nd.w, nd.mu, nd=nd)
     )
     assert pair is not None
     assert calls["eigh"] == 0
@@ -155,17 +156,23 @@ def test_feasible_point_reuses_the_frame(problem, monkeypatch):
 def test_solve_reads_the_last_frame_of_longstep(problem, tmp_path, monkeypatch):
     path = tmp_path / "p.json"
     io.save_problem(problem, path)
-    argv = ["solve", "--input", str(path), "--feasible-out", str(tmp_path / "pair.json")]
-    rc, cli_calls = _counted(monkeypatch, lambda: cli.solve_cli(argv), KERNELS)
-    assert rc == 0
     loaded = io.load_problem(path)
-    _, calls = _counted(
-        monkeypatch, lambda: V.longstep(loaded, J.identity(loaded.cone), MU0, MU_F), KERNELS
-    )
-    # beyond the tracker: the eigh of the final d (||d||_inf and the pair) and
-    # the anchor maps T and (T^{-1})* for x and s; h_ub is read off the last frame
-    extra = {name: cli_calls[name] - calls[name] for name in calls}
-    assert extra == {"eigh": 1, "eigvalsh": 0, "_columns": 2, "require_interior": 0}
+    trackers = {
+        "long": lambda: V.longstep(loaded, J.identity(loaded.cone), MU0, MU_F),
+        "short": lambda: V.shortstep(
+            loaded, V.oracle_center(loaded, MU0), MU0, MU_F, V.shortstep_params(0.5, 1e-4, loaded.cone.rank)
+        ),
+    }
+    for algo, tracker in trackers.items():
+        argv = ["solve", "--input", str(path), "--algo", algo, "--feasible-out", str(tmp_path / "pair.json")]
+        rc, cli_calls = _counted(monkeypatch, lambda: cli.solve_cli(argv), KERNELS)
+        assert rc == 0
+        _, calls = _counted(monkeypatch, tracker, KERNELS)
+        # beyond the tracker (with the oracle's centering for short steps): the
+        # eigh of the final d (||d||_inf and the pair) and the anchor maps T and
+        # (T^{-1})* for x and s; h_ub is read off the returned Newton data
+        extra = {name: cli_calls[name] - calls[name] for name in calls}
+        assert extra == {"eigh": 1, "eigvalsh": 0, "_columns": 2, "require_interior": 0}, algo
 
 
 def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
