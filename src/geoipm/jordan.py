@@ -69,6 +69,7 @@ __all__ = [
     "spectral_map_multi",
     "eigenvalues",
     "frame_eigenvalues",
+    "geodesic_step",
     "min_eigenvalue",
     "is_interior",
     "inner",
@@ -280,12 +281,17 @@ class Run(NamedTuple):
     def view(self, f: np.ndarray) -> np.ndarray:
         """The run's part of frame coordinates ``f`` (..., D): shape
         (..., *frame_shape)."""
+        if self.frame.stop - self.frame.start == f.shape[-1]:
+            return f.reshape(f.shape[:-1] + self.frame_shape)
         return f[..., self.frame].reshape(f.shape[:-1] + self.frame_shape)
 
     def values(self, lam: np.ndarray) -> np.ndarray:
         """The run's part of eigenvalues ``lam`` (..., rank): shape
-        (..., count, block rank)."""
-        return lam[..., self.lam].reshape(lam.shape[:-1] + (self.count, self.block.rank))
+        (..., count, block rank); all of ``lam`` when the run spans it."""
+        shape = lam.shape[:-1] + (self.count, self.block.rank)
+        if self.lam.stop - self.lam.start == lam.shape[-1]:
+            return lam.reshape(shape)
+        return lam[..., self.lam].reshape(shape)
 
 
 def metric_diag(cone: ConeDescriptor) -> np.ndarray:
@@ -660,27 +666,8 @@ class Spectrum:
         for i, h in enumerate(fns, lead):
             v[i] = h(lam)
         out = np.empty((len(fns), self.cone.frame_dim))
-        maps = []
-        for run, data in zip(self.cone.runs, self.runs):
-            vr, rows = run.values(v), run.view(out)
-            if isinstance(run.block, Orthant):
-                rows[...] = vr[lead:]
-                if lead:
-                    square = vr[0] * vr[0]
-                    maps.append((square, 1.0 / square, None))
-            elif isinstance(run.block, SecondOrder):
-                vp, vm = vr[lead:, ..., 0], vr[lead:, ..., 1]
-                rows[..., 0] = _HALF_SQRT2 * (vp + vm)
-                rows[..., 1:] = (_HALF_SQRT2 * (vp - vm))[..., None] * data
-                if lead:
-                    both = _soc_quad_matrices(vr[:2], data)
-                    maps.append((both[0], both[1], None))
-            else:
-                # V f V^T for every f; the first two are the factors of Q(y) and Q(y^{-1})
-                prod = (data * vr[..., None, :]) @ np.ascontiguousarray(data.transpose(0, 2, 1))
-                rows[...] = prod[lead:]
-                if lead:
-                    maps.append((prod[0], prod[1], None))
+        maps = [_run_maps(run, data, run.values(v), lead, run.view(out))
+                for run, data in zip(self.cone.runs, self.runs)]
         return (ConeAutomorphism(self.cone, maps) if lead else None), tuple(out)
 
     def require_interior(self, message: str) -> "Spectrum":
@@ -696,6 +683,57 @@ class Spectrum:
         if bad.any():
             raise DomainError(f"{name} undefined for this element", eigenvalue=float(lam[bad][0]))
         return self
+
+
+def _run_maps(run: Run, data, vr: np.ndarray, lead: int, rows: np.ndarray):
+    """One run of ``Spectrum.scale_and_map``: writes sum_i f(lambda_i) e_i
+    for the values ``vr[lead:]`` of each f into ``rows`` and, with ``lead``
+    (2), returns the run's maps (Q(y), Q(y^{-1}), None) for the values
+    ``vr[0]`` of y and ``vr[1]`` of 1/y; else None."""
+    if isinstance(run.block, Orthant):
+        rows[...] = vr[lead:]
+        if lead:
+            square = vr[0] * vr[0]
+            return square, 1.0 / square, None
+    elif isinstance(run.block, SecondOrder):
+        vp, vm = vr[lead:, ..., 0], vr[lead:, ..., 1]
+        rows[..., 0] = _HALF_SQRT2 * (vp + vm)
+        rows[..., 1:] = (_HALF_SQRT2 * (vp - vm))[..., None] * data
+        if lead:
+            both = _soc_quad_matrices(vr[:2], data)
+            return both[0], both[1], None
+    else:
+        # V f V^T for every f; the first two are the factors of Q(y) and Q(y^{-1})
+        prod = (data * vr[..., None, :]) @ np.ascontiguousarray(data.transpose(0, 2, 1))
+        rows[...] = prod[lead:]
+        if lead:
+            return prod[0], prod[1], None
+    return None
+
+
+def geodesic_step(anchor: "ConeAutomorphism", spec: Spectrum, t: float, r: float,
+                  basis: np.ndarray, inverse: bool) -> tuple:
+    """The maps of one geodesic step from the frame of ``anchor`` T, in one
+    pass over the runs, for S = Q(exp(t d/2)) on the spectrum ``spec`` of d:
+    ``(T S, Z', u_p, u_d)`` with Z' the columns of ``basis`` (D x m) mapped
+    by S^{-1} (``inverse``) or S*, and the frame coordinates of
+    ``u_p = r (e + d) o exp(-t d)`` and ``u_d = r (e - d) o exp(t d)``.  The
+    arithmetic is that of ``scale_and_map``, ``_columns`` and ``then``."""
+    cone, lam = anchor.cone, spec.eigenvalues
+    v = np.empty((4, lam.shape[0]))
+    v[0] = np.exp(0.5 * t * lam)
+    np.divide(1.0, v[0], out=v[1])
+    v[2] = r * (1.0 + lam) * np.exp(-t * lam)
+    v[3] = r * (1.0 - lam) * np.exp(t * lam)
+    reset = np.empty((2, cone.frame_dim))
+    rows = basis.T
+    mapped = np.empty(rows.shape)
+    maps = []
+    for run, data, a in zip(cone.runs, spec.runs, anchor.maps):
+        s = _run_maps(run, data, run.values(v), 2, run.view(reset))
+        _map_run(run.block, s, run.view(rows), run.view(mapped), inverse, not inverse)
+        maps.append(_compose(run.block, a, s))
+    return ConeAutomorphism(cone, maps), mapped.T, reset[0], reset[1]
 
 
 def spectral(x: AlgebraElement) -> Spectrum:
@@ -877,16 +915,7 @@ class ConeAutomorphism:
 
     def then(self, other: "ConeAutomorphism") -> "ConeAutomorphism":
         """The composition T S of this map T with ``other`` S applied first."""
-        maps = []
-        for run, (t, t_inv, i_t), (s, s_inv, i_s) in zip(self.cone.runs, self.maps, other.maps):
-            if not isinstance(run.block, Orthant):
-                maps.append((t @ s, s_inv @ t_inv, None))
-            elif i_t is None:
-                maps.append((t * s, s_inv * t_inv, i_s))
-            else:
-                # T S x = a_t a_s[i_t] x[i_s[i_t]]
-                i = i_t if i_s is None else i_s[i_t]
-                maps.append((t * s[..., i_t], s_inv[..., i_t] * t_inv, i))
+        maps = [_compose(run.block, t, s) for run, t, s in zip(self.cone.runs, self.maps, other.maps)]
         return ConeAutomorphism(self.cone, maps)
 
     def point(self) -> AlgebraElement:
@@ -910,30 +939,8 @@ class ConeAutomorphism:
         # D x m array; the result is laid out alike
         R = Z.T.reshape(-1, D)
         out = np.empty(R.shape)
-        for run, (t, t_inv, index) in zip(self.cone.runs, self.maps):
-            A, Zr, O = (t_inv if inverse else t), run.view(R), run.view(out)
-            if isinstance(run.block, Orthant):
-                if index is None:
-                    O[...] = A * Zr
-                elif inverse == adjoint:  # T and (T^{-1})* gather, T* and T^{-1} scatter
-                    O[...] = A * Zr[..., index]
-                else:
-                    O[..., index] = A * Zr
-                continue
-            if adjoint:
-                A = A.transpose(0, 2, 1)
-            if isinstance(run.block, SecondOrder):
-                # M z for every element: the elements side by side, one product per block
-                O[...] = (A @ Zr.transpose(1, 2, 0)).transpose(2, 0, 1)
-            else:
-                # P Z P^T is symmetric but its rounding is not; without the
-                # symmetrization, an antisymmetric part, which no map or
-                # projection removes, drifts up from the rounding level step by step.
-                # (numpy's stacked matmul is slower on transposed views, hence the copies)
-                A = np.ascontiguousarray(A)
-                Y = A @ Zr @ np.ascontiguousarray(A.transpose(0, 2, 1))
-                np.add(Y, Y.swapaxes(-1, -2), out=O)
-                O *= 0.5
+        for run, m in zip(self.cone.runs, self.maps):
+            _map_run(run.block, m, run.view(R), run.view(out), inverse, adjoint)
         return out.T.reshape(Z.shape)
 
     def columns(self, Z: np.ndarray) -> np.ndarray:
@@ -952,6 +959,48 @@ class ConeAutomorphism:
     def inverse_adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
         """(T^{-1})* applied to frame coordinates."""
         return self._columns(Z, True, True)
+
+
+def _compose(block: BlockKind, t_map: tuple, s_map: tuple) -> tuple:
+    """One run of ``ConeAutomorphism.then``: the maps of T S from those of
+    T and of S."""
+    (t, t_inv, i_t), (s, s_inv, i_s) = t_map, s_map
+    if not isinstance(block, Orthant):
+        return t @ s, s_inv @ t_inv, None
+    if i_t is None:
+        return t * s, s_inv * t_inv, i_s
+    # T S x = a_t a_s[i_t] x[i_s[i_t]]
+    return t * s[..., i_t], s_inv[..., i_t] * t_inv, (i_t if i_s is None else i_s[i_t])
+
+
+def _map_run(block: BlockKind, maps: tuple, Z: np.ndarray, O: np.ndarray, inverse: bool, adjoint: bool) -> None:
+    """One run of ``ConeAutomorphism._columns``: writes the run's map T,
+    T*, T^{-1} or (T^{-1})* of ``maps`` (T, T^{-1}, index) of the run's
+    elements ``Z``, one per leading row, into ``O``."""
+    t, t_inv, index = maps
+    A = t_inv if inverse else t
+    if isinstance(block, Orthant):
+        if index is None:
+            O[...] = A * Z
+        elif inverse == adjoint:  # T and (T^{-1})* gather, T* and T^{-1} scatter
+            O[...] = A * Z[..., index]
+        else:
+            O[..., index] = A * Z
+        return
+    if adjoint:
+        A = A.transpose(0, 2, 1)
+    if isinstance(block, SecondOrder):
+        # M z for every element: the elements side by side, one product per block
+        O[...] = (A @ Z.transpose(1, 2, 0)).transpose(2, 0, 1)
+    else:
+        # P Z P^T is symmetric but its rounding is not; without the
+        # symmetrization, an antisymmetric part, which no map or
+        # projection removes, drifts up from the rounding level step by step.
+        # (numpy's stacked matmul is slower on transposed views, hence the copies)
+        A = np.ascontiguousarray(A)
+        Y = A @ Z @ np.ascontiguousarray(A.transpose(0, 2, 1))
+        np.add(Y, Y.swapaxes(-1, -2), out=O)
+        O *= 0.5
 
 
 def _block_map(blk: BlockKind, data) -> np.ndarray:

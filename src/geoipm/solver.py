@@ -18,13 +18,16 @@ Each tracker decomposes its start once, to build the ``ScaledFrame`` of
 w0, and then steps frames (``ScaledFrame.step``): the problem is carried
 in the frame of the current iterate, which is e there, so no stepped
 iterate is decomposed or tested for interiority, and w = T e is formed only
-for the snapshots and the observer.  ``shortstep`` and ``longstep`` return
-the ``NewtonData`` at the (w, mu) they stop on, whose ``frame`` is the last
-frame; for ``longstep`` it is the data whose h_ub passed the final test.
+for the observer and where it is read: an ``OuterSnapshot`` keeps the
+anchor T of its frame and forms its ``w`` on first read.  ``shortstep``
+and ``longstep`` return the ``NewtonData`` at the (w, mu) they stop on,
+whose ``frame`` is the last frame; for ``longstep`` it is the data whose
+h_ub passed the final test.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -157,11 +160,16 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class OuterSnapshot:
-    """Iterate after a recentering pass (used for feasible-point extraction)."""
+    """Iterate after a recentering pass (used for feasible-point extraction),
+    held as the anchor T of its frame: ``w = T e`` is formed when first read."""
 
     outer: int
     mu: float
-    w: AlgebraElement
+    anchor: jordan.ConeAutomorphism = field(repr=False)
+
+    @functools.cached_property
+    def w(self) -> AlgebraElement:
+        return self.anchor.point()
 
 
 @dataclass(eq=False)
@@ -206,7 +214,7 @@ def shortstep(
             nd = frame.newton(mu)
             frame = frame.step(nd, 1.0)
             trace.records.append(_step_record(outer, mu, nd, 1.0, tic))
-        trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=frame.w))
+        trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, anchor=frame.anchor))
     return frame.newton(mu), trace
 
 
@@ -312,13 +320,13 @@ def _longstep(
                 iterate=frame.newton(mu),
             )
         frame = _center(frame, mu, params.alpha, params.gamma, params.max_newton, outer, trace, None).frame
-        trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, w=frame.w))
+        trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, anchor=frame.anchor))
         mu_next = subspace.mu_candidates(frame, mu, params.beta)
         if params.clamp_mu_f:
             mu_next = max(mu_next, mu_f)
         mu = mu_next
     nd = _center(frame, mu, params.eps, params.gamma, params.max_newton, outer + 1, trace, None)
-    trace.snapshots.append(OuterSnapshot(outer=outer + 1, mu=mu, w=nd.w))
+    trace.snapshots.append(OuterSnapshot(outer=outer + 1, mu=mu, anchor=nd.frame.anchor))
     return nd
 
 

@@ -34,9 +34,12 @@ t_max, and mu-selection in closed form.
 A geodesic step ``Q(w^{1/2}) exp(t d)`` is taken in the frame
 (``ScaledFrame.step``): the anchor takes on Q(exp(t d/2)), the subspace
 basis is mapped by it, and the representatives reset to the points
-``sqrt(mu)(e +- d)`` mapped along, so the new iterate is never decomposed.
-Only the start of a run decomposes its w; the iterate w = T e is formed
-only where it is read (snapshots, observers, a tracker's final data).
+``sqrt(mu)(e +- d)`` mapped along, all in one pass over the cone's runs
+(``jordan.geodesic_step``), so the new iterate is never decomposed.  Each
+frame builds g_w (its one projection) and the extreme eigenvalues of g_w
+(its one ``eigvalsh``) with itself; d is formed only when read.  Only the
+start of a run decomposes its w; the iterate w = T e is formed only where
+it is read (a snapshot's ``w``, observers, a tracker's final data).
 
 The frame holds its basis, representatives and Newton data in the frame
 coordinates of ``jordan`` (PSD blocks as full matrices, second-order
@@ -385,9 +388,10 @@ class ScaledFrame:
     anchored smaller side, L_w = T^{-1} L or its complement
     L_w_perp = T* L-perp as the side flag says, which gives the orthogonal
     projections onto L_w and L_w_perp; and the representatives ``u_p`` of
-    T^{-1}(x0 + L) and ``u_d`` of T*(s0 + L-perp).  From them come
-    ``g_f = P_{L_w_perp} u_p + P_{L_w} u_d``, from one projection, and
-    ``g_w_extremes``, its extreme eigenvalues, from one ``eigvalsh``.  The
+    T^{-1}(x0 + L) and ``u_d`` of T*(s0 + L-perp).  From them the frame
+    builds, with itself, ``g_f = P_{L_w_perp} u_p + P_{L_w} u_d``, written
+    as ``u_p + P_{L_w}(u_d - u_p)`` (one projection), and
+    ``g_w_extremes``, its extreme eigenvalues (one ``eigvalsh``).  The
     frame of the dual problem at w^{-1} holds the same subspace with the
     sides swapped, so it reads -d where this one reads d.  ``newton(mu)``
     reads h_ub from these alone and projects once more only when d is read;
@@ -399,7 +403,8 @@ class ScaledFrame:
     ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
     decomposition of the given w, which must be an interior point of the
     problem's cone.  ``step`` moves the frame along a geodesic without
-    decomposing the new iterate: only d is decomposed, and w = T e is
+    decomposing the new iterate: only d is decomposed, the step's maps come
+    from one pass over the runs (``jordan.geodesic_step``), and w = T e is
     formed only when ``w`` is read.
     """
 
@@ -420,6 +425,10 @@ class ScaledFrame:
 
     def _set(self, problem, anchor, basis, u_p, u_d) -> None:
         self.problem, self.anchor, self.basis, self.u_p, self.u_d = problem, anchor, basis, u_p, u_d
+        self._on_l = problem._representation.on_l
+        self.g_f = u_p + self._project(u_d - u_p, True)
+        lam = jordan.frame_eigenvalues(problem.cone, self.g_f)
+        self.g_w_extremes = (float(lam.min()), float(lam.max()))
 
     @functools.cached_property
     def w(self) -> AlgebraElement:
@@ -437,23 +446,20 @@ class ScaledFrame:
         to S^{-1} x and S* s for x = sqrt(mu)(e + d) and s = sqrt(mu)(e - d),
         which lie in the anchored affine sets for every d the frame gives:
         ``sqrt(mu)(e + d) o exp(-t d)`` and ``sqrt(mu)(e - d) o exp(t d)``,
-        one spectral map of d.
+        spectral maps of d.  ``jordan.geodesic_step`` forms all of this but
+        the orthonormalization in one pass over the runs; the new frame
+        then builds its g_w.
         """
-        t = float(t)
-        r = math.sqrt(nd.mu)
-        move, (u_p, u_d) = nd.d_spectrum.scale_and_map(
-            lambda lam: np.exp(0.5 * t * lam),
-            lambda lam: r * (1.0 + lam) * np.exp(-t * lam),
-            lambda lam: r * (1.0 - lam) * np.exp(t * lam),
+        anchor, span, u_p, u_d = jordan.geodesic_step(
+            self.anchor, nd.d_spectrum, float(t), math.sqrt(nd.mu), self.basis, self._on_l
         )
-        span = _map_side(move, self.problem._representation.on_l, self.basis)
         frame = ScaledFrame.__new__(ScaledFrame)
-        frame._set(self.problem, self.anchor.then(move), _cholesky_qr(span), u_p, u_d)
+        frame._set(self.problem, anchor, _cholesky_qr(span), u_p, u_d)
         return frame
 
     def _project(self, z: np.ndarray, onto_lw: bool) -> np.ndarray:
         """P_{L_w} z (``onto_lw``) or P_{L_w_perp} z, frame coordinates."""
-        return _project(self.basis, self.problem._representation.on_l, z, onto_lw)
+        return _project(self.basis, self._on_l, z, onto_lw)
 
     def onto_lw(self, z: AlgebraElement) -> AlgebraElement:
         """Orthogonal projection onto L_w."""
@@ -463,21 +469,10 @@ class ScaledFrame:
         """Orthogonal projection onto L_w_perp."""
         return jordan.pack(z.cone, self._project(jordan.unpack(z), False))
 
-    @functools.cached_property
-    def g_f(self) -> np.ndarray:
-        """``P_{L_w_perp} u_p + P_{L_w} u_d``, written as ``u_p + P_{L_w}(u_d - u_p)``."""
-        return self.u_p + self._project(self.u_d - self.u_p, True)
-
     @property
     def g_w(self) -> AlgebraElement:
         """The scaling vector g_f as an element."""
         return jordan.pack(self.problem.cone, self.g_f)
-
-    @functools.cached_property
-    def g_w_extremes(self) -> tuple:
-        """Smallest and largest eigenvalue of g_w."""
-        lam = jordan.frame_eigenvalues(self.problem.cone, self.g_f)
-        return float(lam.min()), float(lam.max())
 
     def newton(self, mu: float) -> "NewtonData":
         """Newton data at (w, mu); the bounds need no projection.
@@ -659,11 +654,17 @@ def feasible_point(problem: ConicProblem, w: AlgebraElement, mu: float, nd: Newt
     Available exactly when ||d||_inf <= 1; then with the anchor T of the
     frame (T e = w) x = sqrt(mu) T(e + d) and s = sqrt(mu) (T^{-1})*(e - d)
     are cone members lying in the primal/dual affine sets.  ``nd``, when
-    given, is the Newton data at (w, mu), and its frame supplies T; data
-    built at another mu raise ParameterError.
+    given, is the Newton data of this problem at (w, mu), and its frame
+    supplies T; data built for another problem, at another point (``w``
+    must be ``nd.w`` or have its coordinates) or at another mu raise
+    ParameterError.
     """
     if nd is None:
         nd = ScaledFrame(problem, w).newton(mu)
+    elif nd.frame.problem is not problem:
+        raise ParameterError("Newton data of another problem cannot give this problem's pair")
+    elif w is not nd.w and not np.array_equal(w.coords, nd.w.coords):
+        raise ParameterError("Newton data at another point cannot give the pair at w")
     elif nd.mu != float(mu):
         raise ParameterError(f"Newton data at mu={nd.mu!r} cannot give the pair at mu={mu!r}")
     if nd.norm_d_inf > 1.0:

@@ -250,6 +250,40 @@ def _from_frame(cone, F):
     return np.column_stack([J.pack(cone, f).coords for f in F.T])
 
 
+# runs: 3 psd(6), 2 soc(4), orthant(3)
+STEP_CONE = J.ConeDescriptor((J.Psd(6),) * 3 + (J.SecondOrder(4),) * 2 + (J.Orthant(3),))
+
+
+def test_geodesic_step_matches_its_parts_bitwise():
+    """The fused step routine gives bitwise what ``scale_and_map`` with the
+    step's functions, the basis map ``_columns`` and ``then`` give: the
+    anchor's maps (with a permutation on the orthant run), the mapped basis
+    on either side, and the reset representatives u_p and u_d; d has a
+    second-order block with a zero vector part."""
+    rng = np.random.default_rng(41)
+    anchor = J.random_automorphism(STEP_CONE, rng)
+    c = rng.standard_normal(STEP_CONE.dim)
+    c[64:67] = 0.0  # the vector part of the first soc(4) block
+    spec = J.Spectrum(J.element(STEP_CONE, c))
+    basis = J._unpack(STEP_CONE, rng.standard_normal((5, STEP_CONE.dim))).T
+    t, r = 0.37, 0.81
+    move, (u_p, u_d) = spec.scale_and_map(
+        lambda lam: np.exp(0.5 * t * lam),
+        lambda lam: r * (1.0 + lam) * np.exp(-t * lam),
+        lambda lam: r * (1.0 - lam) * np.exp(t * lam),
+    )
+    composed = anchor.then(move)
+    assert anchor.maps[-1][2] is not None
+    for inverse in (True, False):
+        got_anchor, got_basis, got_p, got_d = J.geodesic_step(anchor, spec, t, r, basis, inverse)
+        assert np.array_equal(got_basis, move._columns(basis, inverse, not inverse)), inverse
+        assert np.array_equal(got_p, u_p) and np.array_equal(got_d, u_d)
+        for got, want in zip(got_anchor.maps, composed.maps):
+            assert all(np.array_equal(g, w) for g, w in zip(got[:2], want[:2]))
+            assert (got[2] is None) == (want[2] is None)
+            assert want[2] is None or np.array_equal(got[2], want[2])
+
+
 def test_anchor_scaling_is_the_quadratic_representation():
     rng = np.random.default_rng(31)
     cones = list(FAMILIES.values()) + [REPEATS]

@@ -644,14 +644,21 @@ def test_feasible_point_and_gap():
 
 def test_feasible_point_takes_newton_data_at_its_mu():
     # the pair at mu = 2 nd.mu with nd's direction would miss both affine
-    # sets, by 0.28 and 0.12 relative to x and s
+    # sets, by 0.28 and 0.12 relative to x and s; the pair of nd's own frame
+    # misses another problem's sets by 10.0 and 24.4, and is not the pair
+    # at another w
     prob = generate.generate_random_sdp(6, 3, 0)
     nd, _ = V.longstep(prob, J.identity(prob.cone), 1.0, 1e-3)
     with pytest.raises(ParameterError):
         S.feasible_point(prob, nd.w, 2.0 * nd.mu, nd=nd)
-    x, s = S.feasible_point(prob, nd.w, nd.mu, nd=nd)
-    rp, rd = S.affine_residuals(prob, x, s)
-    assert rp <= 1e-8 * J.norm2(x) and rd <= 1e-8 * J.norm2(s)
+    with pytest.raises(ParameterError):
+        S.feasible_point(generate.generate_random_sdp(6, 3, 1), nd.w, nd.mu, nd=nd)
+    with pytest.raises(ParameterError):
+        S.feasible_point(prob, J.identity(prob.cone), nd.mu, nd=nd)
+    for w in (nd.w, J.element(prob.cone, nd.w.coords)):
+        x, s = S.feasible_point(prob, w, nd.mu, nd=nd)
+        rp, rd = S.affine_residuals(prob, x, s)
+        assert rp <= 1e-8 * J.norm2(x) and rd <= 1e-8 * J.norm2(s)
 
 
 def test_feasible_point_residuals_near_center():

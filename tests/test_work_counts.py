@@ -1,4 +1,4 @@
-"""Work per Newton step: eigensolver calls and automorphism maps.
+"""Work per Newton step: eigensolver calls, automorphism maps, projections.
 
 The kernels make one pass over the runs of equal blocks, with one stacked
 LAPACK call per run of PSD blocks, so the counts below hold for one psd
@@ -6,26 +6,30 @@ block and for a cone of several.  Each element is decomposed once per use.
 
 A tracker decomposes its start w once (``ScaledFrame(problem, w)``: one
 ``eigh``, which gives the anchor T = Q(w^{1/2}) and the interior test) and
-never decomposes or tests a stepped iterate.  A frame takes one ``eigvalsh``
-of g_w, from which every Newton call at that iterate reads ||d1 + d2||_inf;
-with ||d|| = ||d1 + d2|| that gives h_ub, and ``mu_candidates`` reads the
-same extreme eigenvalues.  d is decomposed, by one ``eigh``, only when a
-step reads its spectrum: that ``eigh`` gives ||d||_inf, t_max, the step map
+never decomposes or tests a stepped iterate.  Every frame, when it is
+built, projects once for g_w and takes one ``eigvalsh`` of it, from which
+every Newton call at that iterate reads ||d1 + d2||_inf; with
+||d|| = ||d1 + d2|| that gives h_ub, and ``mu_candidates`` reads the same
+extreme eigenvalues.  d is decomposed, by one ``eigh``, only when a step
+reads its spectrum: that ``eigh`` gives ||d||_inf, t_max, the step map
 Q(exp(t d/2)) and the reset representatives, so a call that only tests
 h_ub takes none.  So a step costs 1 ``eigh`` and 1 ``eigvalsh``.
 
-A step maps the basis once, by the ``jordan.ConeAutomorphism`` of
-Q(exp(t d/2)).  It works in frame coordinates (PSD blocks as full
-matrices), so it gathers no svec coordinates: ``_smat`` and ``_svec`` run
-only where an element enters or leaves a run.  The basis spans the smaller
-of L and L-perp, whichever form states the problem.  A fresh frame makes two anchor
-maps (T^{-1} on the basis of L with x0, T* on s0, or T* on L-perp with s0
-and T^{-1} on x0), and so does the feasible pair (T and (T^{-1})*).  A frame
-projects once for g_w; a Newton call projects once more only when its d is
-read, and ``mu_candidates`` projects nothing.  Both trackers hand back the
-Newton data at their last iterate, so ``geoipm solve`` reads the final h_ub
-off it and decomposes only d for the feasible pair; ``shortstep`` forms
-those data at its last frame, one more projection and ``eigvalsh``.  A geodesic ray decomposes
+A step maps the basis once, by Q(exp(t d/2)), in the same pass over the
+runs that forms the map and composes the anchor (``jordan.geodesic_step``);
+every automorphism map, the step's and ``ConeAutomorphism._columns``, is
+one ``jordan._map_run`` per run, which is what the tests count.  It works
+in frame coordinates (PSD blocks as full matrices), so it gathers no svec
+coordinates: ``_smat`` and ``_svec`` run only where an element enters or
+leaves a run.  The basis spans the smaller of L and L-perp, whichever form
+states the problem.  A fresh frame makes two anchor maps (T^{-1} on the
+basis of L with x0, T* on s0, or T* on L-perp with s0 and T^{-1} on x0),
+and so does the feasible pair (T and (T^{-1})*).  A Newton call projects
+once more only when its d is read, and ``mu_candidates`` projects nothing.
+Both trackers hand back the Newton data at their last iterate, so
+``geoipm solve`` reads the final h_ub off it and decomposes only d for the
+feasible pair.  No tracker forms an iterate T e: an outer snapshot keeps
+its frame's anchor and forms ``w`` when read.  A geodesic ray decomposes
 its base and its direction once each, and its points decompose nothing; the
 divergence decomposes each argument once; a checked map such as ``sqrt``
 tests the eigenvalues of the ``eigh`` it maps.
@@ -51,8 +55,9 @@ MU_F = MU0 / 1024.0
 
 
 LAPACK = ((np.linalg, "eigh"), (np.linalg, "eigvalsh"))
-# LAPACK, the automorphism maps and the interior test of a scaling point
-KERNELS = LAPACK + ((J.ConeAutomorphism, "_columns"), (J.Spectrum, "require_interior"))
+# LAPACK, the automorphism maps (one ``_map_run`` per run of equal blocks
+# each) and the interior test of a scaling point
+KERNELS = LAPACK + ((J, "_map_run"), (J.Spectrum, "require_interior"))
 # the svec gathers between element coordinates and PSD matrices
 SVEC = ((J, "_smat"), (J, "_svec"))
 
@@ -87,23 +92,43 @@ def test_shortstep_one_eigh_one_eigvalsh_per_step(problem, multi_problem, monkey
     for prob in (problem, multi_problem):
         w0 = V.oracle_center(prob, MU0)
         params = V.shortstep_params(0.5, 1e-4, prob.cone.rank)
+        runs = len(prob.cone.runs)
         (_, trace), calls = _counted(
-            monkeypatch, lambda: V.shortstep(prob, w0, MU0, MU_F, params), KERNELS
+            monkeypatch, lambda: V.shortstep(prob, w0, MU0, MU_F, params),
+            KERNELS + ((S.ScaledFrame, "_project"),),
         )
         steps = trace.newton_steps
         assert steps > 0
         # the start: the eigh and interior test of w0 and two anchor maps; each
-        # step: the eigvalsh of g_w, the eigh of d and one anchor map of the
-        # basis; the returned Newton data: the eigvalsh of the last g_w
+        # step: the eigh of d, one map of the basis and, for the new frame,
+        # the projection and eigvalsh of its g_w; each step also projects once
+        # for d; the returned Newton data are read off the last frame
         assert calls == {
-            "eigh": 1 + steps, "eigvalsh": 1 + steps, "_columns": 2 + steps, "require_interior": 1,
+            "eigh": 1 + steps, "eigvalsh": 1 + steps, "_map_run": (2 + steps) * runs,
+            "require_interior": 1, "_project": 1 + 2 * steps,
         }, prob.cone
         (_, trace), gathers = _counted(
             monkeypatch, lambda: V.shortstep(prob, w0, MU0, MU_F, params), SVEC
         )
-        # unpacking w0, x0 and s0 at the start, and packing w = T e for each
-        # outer snapshot; none per step
-        assert gathers == {"_smat": 3, "_svec": len(trace.snapshots)}, prob.cone
+        # unpacking w0, x0 and s0 at the start; none per step, and none for
+        # the outer snapshots, whose w is formed only when read
+        assert gathers == {"_smat": 3, "_svec": 0}, prob.cone
+        assert J.norm2(trace.snapshots[-1].w - trace.snapshots[-1].anchor.point()) == 0.0
+
+
+def test_trackers_form_no_iterate(problem, multi_problem, monkeypatch):
+    # the snapshots keep their frame's anchor, and the returned Newton data
+    # form w only when it is read, so a tracker never forms T e
+    for prob in (problem, multi_problem):
+        w0 = V.oracle_center(prob, MU0)
+        params = V.shortstep_params(0.5, 1e-4, prob.cone.rank)
+        trackers = (
+            lambda: V.shortstep(prob, w0, MU0, MU_F, params),
+            lambda: V.longstep(prob, J.identity(prob.cone), MU0, MU_F),
+        )
+        for tracker in trackers:
+            (_, trace), calls = _counted(monkeypatch, tracker, ((J.ConeAutomorphism, "point"),))
+            assert trace.snapshots and calls == {"point": 0}, prob.cone
 
 
 def test_longstep_decomposes_only_the_start(problem, multi_problem, monkeypatch):
@@ -116,7 +141,8 @@ def test_longstep_decomposes_only_the_start(problem, multi_problem, monkeypatch)
         # iterate, shared by every Newton call and mu_candidates call there
         # (17 steps on the psd(6) instance)
         assert calls == {
-            "eigh": 1 + steps, "eigvalsh": 1 + steps, "_columns": 2 + steps, "require_interior": 1,
+            "eigh": 1 + steps, "eigvalsh": 1 + steps, "_map_run": (2 + steps) * len(prob.cone.runs),
+            "require_interior": 1,
         }, prob.cone
 
 
@@ -172,7 +198,7 @@ def test_solve_reads_the_last_frame_of_longstep(problem, tmp_path, monkeypatch):
         # eigh of the final d (||d||_inf and the pair) and the anchor maps T and
         # (T^{-1})* for x and s; h_ub is read off the returned Newton data
         extra = {name: cli_calls[name] - calls[name] for name in calls}
-        assert extra == {"eigh": 1, "eigvalsh": 0, "_columns": 2, "require_interior": 0}, algo
+        assert extra == {"eigh": 1, "eigvalsh": 0, "_map_run": 2, "require_interior": 0}, algo
 
 
 def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
@@ -181,7 +207,7 @@ def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
             monkeypatch, lambda: S.ScaledFrame(prob, J.identity(prob.cone)).newton(0.7), KERNELS
         )
         # T^{-1} and T* once each, one of them on the whole spanning set
-        assert calls["_columns"] == 2, type(prob.form).__name__
+        assert calls["_map_run"] == 2, type(prob.form).__name__
 
 
 def test_frame_spans_the_smaller_side_whatever_the_form():
