@@ -1,10 +1,10 @@
 """Path-tracking algorithms driven by geodesic Newton updates.
 
-Three entry points:
+Every tracker is one Newton loop under a mu schedule and a step rule:
 
 * ``shortstep`` conservatively tracks the central path: each outer
-  iteration divides mu by a fixed factor k and re-centers with m full
-  Newton steps; (k, m) come from ``shortstep_params``.
+  iteration divides mu by a fixed factor k and takes m full Newton steps;
+  (k, m) come from ``shortstep_params``.
 * ``center`` is a globally convergent recentering loop at fixed mu using
   damped steps t = gamma * t_max.
 * ``longstep`` alternates recentering with aggressive mu decreases chosen
@@ -14,15 +14,13 @@ All algorithms store a single interior variable w; the primal-dual pair is
 implicitly (sqrt(mu) w, sqrt(mu) w^{-1}).  Convergence is always reported
 through the computable bound h_ub, never the (unknown) true divergence.
 
-Each tracker decomposes its start once, to build the ``ScaledFrame`` of
-w0, and then steps frames (``ScaledFrame.step``): the problem is carried
-in the frame of the current iterate, which is e there, so no stepped
-iterate is decomposed or tested for interiority, and w = T e is formed only
-for the observer and where it is read: an ``OuterSnapshot`` keeps the
-anchor T of its frame and forms its ``w`` on first read.  ``shortstep``
-and ``longstep`` return the ``NewtonData`` at the (w, mu) they stop on,
-whose ``frame`` is the last frame; for ``longstep`` it is the data whose
-h_ub passed the final test.
+The loop (``_steps``) carries the problem in the ``ScaledFrame`` of the
+current iterate, built once from the start, and steps frames
+(``ScaledFrame.step``), so no stepped iterate is decomposed; w = T e is
+formed only for the observer and where it is read (an ``OuterSnapshot``
+keeps its frame's anchor).  It alone builds the step records and
+snapshots.  ``shortstep`` and ``longstep`` return the ``NewtonData`` at
+the (w, mu) they stop on, whose ``frame`` is the last frame.
 """
 
 from __future__ import annotations
@@ -202,34 +200,72 @@ def shortstep(
     last iterate and the final mu, with the trace.
     """
     _require_mu("mu values must be positive and finite", mu0, mu_f)
-    frame = subspace.ScaledFrame(problem, w0)
     trace = SolverTrace()
     mu = float(mu0)
     outer = 0
+    nd = _steps(subspace.ScaledFrame(problem, w0), mu, outer, trace, _full(0))  # returned if mu0 <= mu_f
     while mu > mu_f:
         mu /= params.k
         outer += 1
-        for _ in range(params.m):
+        nd = _steps(nd.frame, mu, outer, trace, _full(params.m))
+    return nd, trace
+
+
+def _steps(frame: subspace.ScaledFrame, mu, outer: int, trace: SolverTrace, rule, observer=None):
+    """The Newton loop of every tracker: step ``frame`` at ``mu`` under ``rule``.
+
+    ``rule(nd, steps)`` reads the Newton data at the current frame and gives
+    the step length, None to stop on ``nd``, or raises IterationLimitError
+    at its cap.  Each step appends its ``StepRecord``; a pass of an outer
+    phase (``outer > 0``) ends on an ``OuterSnapshot``.  A cap leaves with
+    the trace, in status ITERATION_CAP, and the last Newton data built as
+    ``iterate``.  Returns the data stopped on.
+    """
+    steps, nd = 0, None
+    try:
+        while True:
             tic = time.perf_counter()
             nd = frame.newton(mu)
-            frame = frame.step(nd, 1.0)
-            trace.records.append(_step_record(outer, mu, nd, 1.0, tic))
+            if observer is not None:
+                observer(steps, frame.w, nd)
+            t = rule(nd, steps)
+            if t is None:
+                break
+            frame = frame.step(nd, t)
+            steps += 1
+            trace.records.append(
+                StepRecord(outer, mu, nd.h_ub, nd.h_lb, nd.norm_d, nd.norm_d_inf, t, time.perf_counter() - tic)
+            )
+    except IterationLimitError as exc:
+        trace.status = ITERATION_CAP
+        exc.trace, exc.iterate = trace, nd
+        raise
+    if outer:
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, anchor=frame.anchor))
-    return frame.newton(mu), trace
+    return nd
 
 
-def _step_record(outer: int, mu: float, nd: subspace.NewtonData, step: float, tic: float) -> StepRecord:
-    """The record of a Newton step taken with length ``step``, timed from ``tic``."""
-    return StepRecord(
-        outer=outer,
-        mu=mu,
-        h_ub=nd.h_ub,
-        h_lb=nd.h_lb,
-        norm_d=nd.norm_d,
-        norm_d_inf=nd.norm_d_inf,
-        step=step,
-        elapsed=time.perf_counter() - tic,
-    )
+def _full(m: int):
+    """The short-step rule: m full steps (t = 1); ``_full(0)`` takes none."""
+    return lambda nd, steps: 1.0 if steps < m else None
+
+
+def _damped(tol: float, gamma: float, cap: int):
+    """The centering rule: t = gamma * t_max until h_ub <= tol, at most ``cap`` steps."""
+    def rule(nd, steps):
+        if nd.h_ub <= tol:
+            return None
+        if steps >= cap:
+            raise IterationLimitError(f"centering did not reach h_ub <= {tol:g} within {cap} Newton steps")
+        return gamma * nd.t_max
+    return rule
+
+
+def _exceeded(message: str):
+    """A rule that stops the run at its first Newton data with IterationLimitError."""
+    def rule(nd, steps):
+        raise IterationLimitError(message)
+    return rule
 
 
 def center(
@@ -253,34 +289,8 @@ def center(
         raise ParameterError("gamma must lie in (0, 1)")
     _require_cap(cap, "cap")
     trace = SolverTrace()
-    nd = _center(subspace.ScaledFrame(problem, w0), mu, eps, gamma, cap, 0, trace, observer)
+    nd = _steps(subspace.ScaledFrame(problem, w0), mu, 0, trace, _damped(eps, gamma, cap), observer)
     return nd.w, trace
-
-
-def _center(
-    frame: subspace.ScaledFrame, mu, eps, gamma, cap, outer, trace, observer
-) -> subspace.NewtonData:
-    """The loop of ``center`` on scaled frames; returns the Newton data that
-    passed the test h_ub <= eps."""
-    steps = 0
-    while True:
-        tic = time.perf_counter()
-        nd = frame.newton(mu)
-        if observer is not None:
-            observer(steps, frame.w, nd)
-        if nd.h_ub <= eps:
-            return nd
-        if steps >= cap:
-            trace.status = ITERATION_CAP
-            raise IterationLimitError(
-                f"centering did not reach h_ub <= {eps:g} within {cap} Newton steps",
-                trace=trace,
-                iterate=nd,
-            )
-        t = gamma * nd.t_max
-        frame = frame.step(nd, t)
-        steps += 1
-        trace.records.append(_step_record(outer, mu, nd, t, tic))
 
 
 def longstep(
@@ -305,29 +315,19 @@ def longstep(
     return _longstep(subspace.ScaledFrame(problem, w0), float(mu0), mu_f, params, trace), trace
 
 
-def _longstep(
-    frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepParams, trace
-) -> subspace.NewtonData:
-    """The loop of ``longstep`` on scaled frames; returns the final centering's data."""
+def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params, trace) -> subspace.NewtonData:
+    """The mu schedule of ``longstep`` on scaled frames; returns the final centering's data."""
     outer = 0
     while mu > mu_f:
         outer += 1
+        rule = _damped(params.alpha, params.gamma, params.max_newton)
         if outer > params.max_outer:
-            trace.status = ITERATION_CAP
-            raise IterationLimitError(
-                f"longstep exceeded {params.max_outer} outer iterations",
-                trace=trace,
-                iterate=frame.newton(mu),
-            )
-        frame = _center(frame, mu, params.alpha, params.gamma, params.max_newton, outer, trace, None).frame
-        trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, anchor=frame.anchor))
-        mu_next = subspace.mu_candidates(frame, mu, params.beta)
+            rule = _exceeded(f"longstep exceeded {params.max_outer} outer iterations")
+        frame = _steps(frame, mu, outer, trace, rule).frame
+        mu = subspace.mu_candidates(frame, mu, params.beta)
         if params.clamp_mu_f:
-            mu_next = max(mu_next, mu_f)
-        mu = mu_next
-    nd = _center(frame, mu, params.eps, params.gamma, params.max_newton, outer + 1, trace, None)
-    trace.snapshots.append(OuterSnapshot(outer=outer + 1, mu=mu, anchor=nd.frame.anchor))
-    return nd
+            mu = max(mu, mu_f)
+    return _steps(frame, mu, outer + 1, trace, _damped(params.eps, params.gamma, params.max_newton))
 
 
 def oracle_center(
@@ -357,12 +357,11 @@ def oracle_center(
     start = warm if warm is not None else jordan.identity(problem.cone)
     frame = subspace.ScaledFrame(problem, start)
     mu_star = subspace.scale_matched_mu(frame)
-    far = mu < mu_star < math.inf and math.isinf(frame.newton(mu).h_ub)
     trace = SolverTrace()
     try:
-        if far:
+        if mu < mu_star < math.inf and math.isinf(_steps(frame, mu, 0, trace, _full(0)).h_ub):
             params = LongStepParams(clamp_mu_f=True, max_newton=cap)
             frame = subspace.ScaledFrame(problem, _longstep(frame, mu_star, mu, params, trace).w)
-        return _center(frame, mu, ORACLE_EPS, ORACLE_GAMMA, cap, 0, trace, None).w
+        return _steps(frame, mu, 0, trace, _damped(ORACLE_EPS, ORACLE_GAMMA, cap)).w
     except IterationLimitError as exc:
         raise OracleFailureError(f"centering oracle failed at mu={mu:g}: {exc}") from exc
