@@ -4,7 +4,17 @@ from __future__ import annotations
 
 
 class GeoipmError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error raised while a tracker steps (``solver``) carries ``trace``,
+    the partial ``SolverTrace``, and ``iterate``, the last ``NewtonData``
+    built, at the mu the run had reached; both are None otherwise.
+    """
+
+    def __init__(self, *args, trace=None, iterate=None):
+        super().__init__(*args)
+        self.trace = trace
+        self.iterate = iterate
 
 
 class ConeMismatchError(GeoipmError):
@@ -43,13 +53,8 @@ class ParameterError(GeoipmError):
 
 
 class IterationLimitError(GeoipmError):
-    """An iteration cap was exceeded; carries the partial trace and, as
-    ``iterate``, the ``NewtonData`` at the (w, mu) the run stopped on."""
-
-    def __init__(self, message: str, trace=None, iterate=None):
-        super().__init__(message)
-        self.trace = trace
-        self.iterate = iterate
+    """An iteration cap was exceeded; ``iterate`` is the ``NewtonData`` at
+    the (w, mu) the run stopped on."""
 
 
 class OracleFailureError(GeoipmError):

@@ -6,7 +6,9 @@ drivers).  Exit codes: 0 converged, 2 iteration cap, 3 parse/parameter
 error or a path that cannot be read or written (a missing directory, a
 directory given for a file), 4 numerical failure; one-line diagnostics go
 to stderr.  ``solve`` prints its status line before it writes the files
-it is asked for, so a path that fails there follows the status line.
+it is asked for, so a path that fails there follows the status line.  A
+tracker that fails (exit 2 or 4) prints no status line, but ``--trace``
+still gets the steps it recorded.
 """
 
 from __future__ import annotations
@@ -94,6 +96,10 @@ def _initial_point(problem, seed):
     return jordan.exp(jordan.element(problem.cone, 0.5 * rng.standard_normal(problem.cone.dim)))
 
 
+def _write_trace(path: Path, trace: solver.SolverTrace) -> None:
+    io.write_csv(path, ",".join(TRACE_FIELDS), map(dataclasses.astuple, trace.records))
+
+
 def _cmd_solve(args) -> int:
     problem = io.load_problem(args.input)
     mu0 = args.mu0
@@ -106,20 +112,28 @@ def _cmd_solve(args) -> int:
         params = solver.shortstep_params(beta, args.eps, problem.cone.rank)
         # the step-count guarantee assumes a centered start
         w0 = solver.oracle_center(problem, mu0, warm=w0, cap=args.max_newton)
-        state, trace = solver.shortstep(problem, w0, mu0, mu_f, params)
+        track = solver.shortstep
     else:
         beta = args.beta if args.beta is not None else 100.0
         params = solver.LongStepParams(
             beta=beta, alpha=args.alpha, eps=args.eps, gamma=args.gamma,
             max_newton=args.max_newton, max_outer=args.max_outer,
         )
-        state, trace = solver.longstep(problem, w0, mu0, mu_f, params)
+        track = solver.longstep
+    try:
+        state, trace = track(problem, w0, mu0, mu_f, params)
+    except GeoipmError as exc:
+        # a failed tracker still writes what it recorded; the oracle's
+        # failures above carry the oracle's trace and write none
+        if args.trace is not None and exc.trace is not None:
+            _write_trace(args.trace, exc.trace)
+        raise
     print(
         f"status={trace.status} algo={args.algo} newton_steps={trace.newton_steps} "
         f"mu={state.mu!r} h_ub={state.h_ub!r}"
     )
     if args.trace is not None:
-        io.write_csv(args.trace, ",".join(TRACE_FIELDS), map(dataclasses.astuple, trace.records))
+        _write_trace(args.trace, trace)
     if args.feasible_out is not None:
         pair = subspace.feasible_point(problem, state.w, state.mu, nd=state)
         if pair is None:

@@ -20,7 +20,11 @@ current iterate, built once from the start, and steps frames
 formed only for the observer and where it is read (an ``OuterSnapshot``
 keeps its frame's anchor).  It alone builds the step records and
 snapshots.  ``shortstep`` and ``longstep`` return the ``NewtonData`` at
-the (w, mu) they stop on, whose ``frame`` is the last frame.
+the (w, mu) they stop on, whose ``frame`` is the last frame.  A
+``GeoipmError`` raised while the loop steps, at a cap or by a numerical
+failure of the frame, carries the partial trace, whose status is
+ITERATION_CAP or NUMERICAL_FAILURE, and the last ``NewtonData`` built as
+``iterate``.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ import time
 from dataclasses import dataclass, field
 
 from . import geometry, jordan, subspace
-from .errors import IterationLimitError, OracleFailureError, ParameterError
+from .errors import GeoipmError, IterationLimitError, OracleFailureError, ParameterError
 from .jordan import AlgebraElement
 from .subspace import ConicProblem
 
 __all__ = [
     "CONVERGED",
     "ITERATION_CAP",
+    "NUMERICAL_FAILURE",
     "ShortStepParams",
     "LongStepParams",
     "StepRecord",
@@ -52,6 +57,7 @@ __all__ = [
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
+NUMERICAL_FAILURE = "numerical-failure"
 
 # configurable safety caps (see also LongStepParams)
 DEFAULT_CENTER_CAP = 10_000
@@ -217,9 +223,9 @@ def _steps(frame: subspace.ScaledFrame, mu, outer: int, trace: SolverTrace, rule
     ``rule(nd, steps)`` reads the Newton data at the current frame and gives
     the step length, None to stop on ``nd``, or raises IterationLimitError
     at its cap.  Each step appends its ``StepRecord``; a pass of an outer
-    phase (``outer > 0``) ends on an ``OuterSnapshot``.  A cap leaves with
-    the trace, in status ITERATION_CAP, and the last Newton data built as
-    ``iterate``.  Returns the data stopped on.
+    phase (``outer > 0``) ends on an ``OuterSnapshot``.  A GeoipmError from
+    the frame or the rule leaves with the trace, its status set, and the
+    last Newton data built as ``iterate``.  Returns the data stopped on.
     """
     steps, nd = 0, None
     try:
@@ -236,8 +242,8 @@ def _steps(frame: subspace.ScaledFrame, mu, outer: int, trace: SolverTrace, rule
             trace.records.append(
                 StepRecord(outer, mu, nd.h_ub, nd.h_lb, nd.norm_d, nd.norm_d_inf, t, time.perf_counter() - tic)
             )
-    except IterationLimitError as exc:
-        trace.status = ITERATION_CAP
+    except GeoipmError as exc:
+        trace.status = ITERATION_CAP if isinstance(exc, IterationLimitError) else NUMERICAL_FAILURE
         exc.trace, exc.iterate = trace, nd
         raise
     if outer:
@@ -315,7 +321,7 @@ def longstep(
     return _longstep(subspace.ScaledFrame(problem, w0), float(mu0), mu_f, params, trace), trace
 
 
-def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params, trace) -> subspace.NewtonData:
+def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepParams, trace) -> subspace.NewtonData:
     """The mu schedule of ``longstep`` on scaled frames; returns the final centering's data."""
     outer = 0
     while mu > mu_f:

@@ -1,5 +1,6 @@
 """CLI subcommands and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -126,6 +127,47 @@ def test_iteration_cap_exit_2(tmp_path):
         ["solve", "--input", str(problem_file), "--algo", "long", "--max-outer", "0"]
     )
     assert rc == 2
+
+
+def test_failed_solve_writes_its_partial_trace(tmp_path, capsys):
+    """A tracker that hits its cap still writes the steps it took to
+    ``--trace``, under the usual header; the oracle of ``--algo short``,
+    whose trace is not the solve's, writes nothing."""
+    problem_file = tmp_path / "p.json"
+    cli.solve_cli(["gen", "--n", "8", "--dim-l", "3", "--seed", "7", "--out", str(problem_file)])
+    trace_file = tmp_path / "trace.csv"
+    solve = ["solve", "--input", str(problem_file), "--max-newton", "2", "--trace", str(trace_file)]
+    capsys.readouterr()
+    assert cli.solve_cli(solve) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "geoipm: iteration cap exceeded: centering did not reach h_ub <= 10 within 2 Newton steps\n"
+    lines = trace_file.read_text().splitlines()
+    assert lines[0] == ",".join(cli.TRACE_FIELDS)
+    problem = io.load_problem(problem_file)
+    with pytest.raises(geoipm.IterationLimitError) as exc:
+        geoipm.longstep(problem, J.identity(problem.cone), 1.0, 1.0 / 1024.0, geoipm.LongStepParams(max_newton=2))
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == exc.value.trace.newton_steps == 2
+    for row, rec in zip(rows, exc.value.trace.records):
+        assert [float(v) for v in row[:-1]] == list(dataclasses.astuple(rec)[:-1])
+    trace_file.unlink()
+    assert cli.solve_cli([*solve, "--algo", "short"]) == 2
+    assert "centering oracle failed" in capsys.readouterr().err
+    assert not trace_file.exists()
+
+
+@pytest.mark.parametrize("algo", ["short", "long"])
+def test_solve_from_a_random_start(tmp_path, capsys, algo):
+    """``--seed`` starts at a random interior point; the short algorithm
+    centers it first (``oracle_center(warm=...)``)."""
+    problem_file = tmp_path / "p.json"
+    cli.solve_cli(["gen", "--n", "8", "--dim-l", "3", "--seed", "7", "--out", str(problem_file)])
+    capsys.readouterr()
+    assert cli.solve_cli(["solve", "--input", str(problem_file), "--algo", algo, "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"status=converged algo={algo} ")
+    assert float(out.split("h_ub=")[1]) <= 1e-4
 
 
 @pytest.mark.parametrize(

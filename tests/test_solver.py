@@ -1,5 +1,6 @@
 """Short-step, centering, and long-step algorithms plus the oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,14 @@ from geoipm import geometry as G
 from geoipm import jordan as J
 from geoipm import solver as V
 from geoipm import subspace as S
-from geoipm.errors import DomainError, IterationLimitError, OracleFailureError, ParameterError
+from geoipm.errors import (
+    DomainError,
+    IllConditionedBasisError,
+    IterationLimitError,
+    NumericalFailureError,
+    OracleFailureError,
+    ParameterError,
+)
 from geoipm.harness import generate
 from geoipm.harness.experiments import trial_seed
 
@@ -144,6 +152,71 @@ def test_center_cap_reports_trace():
     for gamma in (0.0, 1.0):
         with pytest.raises(ParameterError):
             V.center(prob, w0, 1.0, 1e-12, gamma=gamma, cap=2)
+
+
+def _tracker_runs():
+    """shortstep, center and longstep on one small SDP, each a call with no arguments."""
+    prob = random_basis_problem(PSD6, 3, np.random.default_rng(3))
+    centered = V.oracle_center(prob, 1.0)
+    far = random_interior(PSD6, np.random.default_rng(5))
+    params = V.shortstep_params(0.5, 1e-4, prob.cone.rank)
+    return {
+        "shortstep": lambda: V.shortstep(prob, centered, 1.0, 1.0 / 64.0, params),
+        "center": lambda: V.center(prob, far, 1.0, 1e-10),
+        "longstep": lambda: V.longstep(prob, J.identity(PSD6), 1.0, 1e-4),
+    }
+
+
+def _fields(record):
+    """A step record's fields but its wall time."""
+    return dataclasses.astuple(record)[:-1]
+
+
+@pytest.mark.parametrize("tracker", ["shortstep", "center", "longstep"])
+def test_failed_step_keeps_the_partial_trace(tracker, monkeypatch):
+    """A step that fails after k steps: the error keeps its type and message,
+    and carries the k records, the snapshots taken so far and the Newton
+    data the failed step was given, at the mu the run had reached."""
+    run = _tracker_runs()[tracker]
+    _, full = run()
+    k = full.newton_steps // 2
+    assert k >= 3
+    given = []
+    step = S.ScaledFrame.step
+
+    def failing_step(frame, nd, t):
+        given.append(nd)
+        if len(given) > k:
+            raise NumericalFailureError("injected")
+        return step(frame, nd, t)
+
+    monkeypatch.setattr(S.ScaledFrame, "step", failing_step)
+    with pytest.raises(NumericalFailureError, match="^injected$") as exc:
+        run()
+    trace, nd = exc.value.trace, exc.value.iterate
+    assert trace.status == V.NUMERICAL_FAILURE
+    assert [_fields(r) for r in trace.records] == [_fields(r) for r in full.records[:k]]
+    failed = full.records[k]
+    assert nd is given[k] and (nd.mu, nd.h_ub) == (failed.mu, failed.h_ub)
+    taken = [snap for snap in full.snapshots if snap.outer < failed.outer]
+    assert [(snap.outer, snap.mu) for snap in trace.snapshots] == [(snap.outer, snap.mu) for snap in taken]
+    for snap, ref in zip(trace.snapshots, taken):
+        np.testing.assert_array_equal(snap.w.coords, ref.w.coords)
+    assert bool(taken) == (tracker != "center")
+
+
+def test_shortstep_from_a_far_start_fails_with_its_trace():
+    """From e, fig3 psd(20) trial 0 is far from the path at mu0 = 1: the
+    first full step maps the basis to rank loss, and the error says how
+    far the run got (nowhere) and at which mu."""
+    problem = generate.generate_random_sdp(20, 10, trial_seed(0, 20, 0))
+    params = V.shortstep_params(0.5, 1e-4, 20)
+    with pytest.raises(IllConditionedBasisError) as exc:
+        V.shortstep(problem, J.identity(problem.cone), 1.0, 1.0 / 1024.0, params)
+    trace, nd = exc.value.trace, exc.value.iterate
+    assert trace.status == V.NUMERICAL_FAILURE
+    assert trace.records == [] and trace.snapshots == []
+    assert isinstance(nd, S.NewtonData) and nd.mu == 1.0 / params.k
 
 
 def test_longstep_single_center_when_mu_reached():
