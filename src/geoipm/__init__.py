@@ -48,6 +48,7 @@ from .jordan import (
 )
 from .solver import (
     LongStepParams,
+    Result,
     ShortStepParams,
     SolverTrace,
     center,
@@ -55,6 +56,7 @@ from .solver import (
     oracle_center,
     shortstep,
     shortstep_params,
+    solve,
 )
 from .subspace import (
     BasisForm,

@@ -7,7 +7,7 @@ error or a path that cannot be read or written (a missing directory, a
 directory given for a file), 4 numerical failure; one-line diagnostics go
 to stderr.  ``solve`` prints its status line before it writes the files
 it is asked for, so a path that fails there follows the status line.  A
-tracker that fails (exit 2 or 4) prints no status line, but ``--trace``
+solve that fails (exit 2 or 4) prints no status line, but ``--trace``
 still gets the steps it recorded.
 """
 
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import jordan, solver, subspace
+from .. import jordan, solver
 from ..errors import (
     GeoipmError,
     IterationLimitError,
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--max-outer", type=int, default=solver.DEFAULT_OUTER_CAP)
     p_solve.add_argument("--trace", type=Path, default=None, help="write per-step CSV here")
     p_solve.add_argument("--feasible-out", type=Path, default=None,
-                         help="write the extracted feasible (x, s) when available")
+                         help="write the extracted feasible (x, s)")
     p_solve.add_argument("--seed", type=int, default=None,
                          help="randomize the initial point (default: identity)")
 
@@ -112,35 +112,26 @@ def _cmd_solve(args) -> int:
         params = solver.shortstep_params(beta, args.eps, problem.cone.rank)
         # the step-count guarantee assumes a centered start
         w0 = solver.oracle_center(problem, mu0, warm=w0, cap=args.max_newton)
-        track = solver.shortstep
     else:
         beta = args.beta if args.beta is not None else 100.0
         params = solver.LongStepParams(
             beta=beta, alpha=args.alpha, eps=args.eps, gamma=args.gamma,
             max_newton=args.max_newton, max_outer=args.max_outer,
         )
-        track = solver.longstep
-    try:
-        state, trace = track(problem, w0, mu0, mu_f, params)
-    except GeoipmError as exc:
-        # a failed tracker still writes what it recorded; the oracle's
-        # failures above carry the oracle's trace and write none
-        if args.trace is not None and exc.trace is not None:
-            _write_trace(args.trace, exc.trace)
-        raise
-    print(
-        f"status={trace.status} algo={args.algo} newton_steps={trace.newton_steps} "
-        f"mu={state.mu!r} h_ub={state.h_ub!r}"
-    )
+    result = solver.solve(problem, w0, mu0, mu_f, params)
+    if result.error is None:
+        print(
+            f"status={result.status} algo={args.algo} newton_steps={result.trace.newton_steps} "
+            f"mu={result.nd.mu!r} h_ub={result.nd.h_ub!r}"
+        )
+    # a failed solve writes what it recorded; a failed oracle above writes none
     if args.trace is not None:
-        _write_trace(args.trace, trace)
+        _write_trace(args.trace, result.trace)
+    if result.error is not None:
+        raise result.error
     if args.feasible_out is not None:
-        pair = subspace.feasible_point(problem, state.w, state.mu, nd=state)
-        if pair is None:
-            print("feasible pair unavailable (||d||_inf > 1); nothing written", file=sys.stderr)
-        else:
-            x, s = pair
-            io.write_feasible_pair(args.feasible_out, x, s, state.mu, subspace.duality_gap(x, s))
+        x, s = result.pair
+        io.write_feasible_pair(args.feasible_out, x, s, result.nd.mu, result.gap)
     return EXIT_OK
 
 

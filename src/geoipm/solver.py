@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import geometry, jordan, subspace
-from .errors import GeoipmError, IterationLimitError, OracleFailureError, ParameterError
+from .errors import GeoipmError, IterationLimitError, NumericalFailureError, OracleFailureError, ParameterError
 from .jordan import AlgebraElement
 from .subspace import ConicProblem
 
@@ -48,10 +48,12 @@ __all__ = [
     "StepRecord",
     "OuterSnapshot",
     "SolverTrace",
+    "Result",
     "shortstep_params",
     "shortstep",
     "center",
     "longstep",
+    "solve",
     "oracle_center",
 ]
 
@@ -62,6 +64,8 @@ NUMERICAL_FAILURE = "numerical-failure"
 # configurable safety caps (see also LongStepParams)
 DEFAULT_CENTER_CAP = 10_000
 DEFAULT_OUTER_CAP = 1_000
+
+RESIDUAL_TOL = 1e-8  # the largest relative affine residual of a converged solve's pair
 
 # tolerance on h_ub and step fraction of the centering oracle
 ORACLE_EPS = 1e-12
@@ -334,6 +338,57 @@ def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepPara
         if params.clamp_mu_f:
             mu = max(mu, mu_f)
     return _steps(frame, mu, outer + 1, trace, _damped(params.eps, params.gamma, params.max_newton))
+
+
+@dataclass(frozen=True, eq=False)
+class Result:
+    """A checked ``solve``: the tracker's Newton data (on a failure, the error's
+    ``iterate``), ``nd.pair()`` with its gap <x, s> and relative affine residuals
+    (over max(1, ||x||) and max(1, ||s||)), and the error of a failed run or check."""
+
+    trace: SolverTrace
+    nd: subspace.NewtonData | None
+    pair: tuple | None = None
+    gap: float | None = None
+    residuals: tuple | None = None
+    error: GeoipmError | None = None
+
+    @property
+    def status(self) -> str:
+        return self.trace.status
+
+
+def solve(problem: ConicProblem, w0: AlgebraElement, mu0: float, mu_f: float, params) -> Result:
+    """Run the tracker of ``params`` (``shortstep`` or ``longstep``) and check it:
+    CONVERGED needs h_ub <= eps at the returned data and a pair within
+    ``RESIDUAL_TOL``, else NUMERICAL_FAILURE with an error naming the check.
+    A GeoipmError raised mid-run becomes a status; one raised before the loop raises."""
+    track = {ShortStepParams: shortstep, LongStepParams: longstep}.get(type(params))
+    if track is None:
+        raise ParameterError(f"params must be ShortStepParams or LongStepParams, got {params!r}")
+    try:
+        nd, trace = track(problem, w0, mu0, mu_f, params)
+    except GeoipmError as exc:
+        if exc.trace is None:
+            raise
+        return Result(exc.trace, exc.iterate, error=exc)
+    pair = nd.pair()
+    gap = residuals = failed = None
+    if pair is not None:
+        x, s = pair
+        gap = subspace.duality_gap(x, s)
+        rp, rd = subspace.affine_residuals(problem, x, s)
+        residuals = (rp / max(1.0, jordan.norm2(x)), rd / max(1.0, jordan.norm2(s)))
+    if not nd.h_ub <= params.eps:
+        failed = f"h_ub={nd.h_ub!r} above eps={params.eps!r} at the returned (w, mu)"
+    elif pair is None:
+        failed = f"no feasible pair at the returned (w, mu): ||d||_inf={nd.norm_d_inf!r} above 1"
+    elif not max(residuals) <= RESIDUAL_TOL:
+        failed = f"relative affine residuals {residuals[0]:.3e} / {residuals[1]:.3e} above {RESIDUAL_TOL:g}"
+    if failed is None:
+        return Result(trace, nd, pair, gap, residuals)
+    trace.status = NUMERICAL_FAILURE
+    return Result(trace, nd, pair, gap, residuals, NumericalFailureError(failed, trace=trace, iterate=nd))
 
 
 def oracle_center(

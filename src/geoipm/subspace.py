@@ -67,7 +67,6 @@ from .errors import (
     DegenerateConstraintsError,
     DomainError,
     IllConditionedBasisError,
-    ParameterError,
     ProblemFormatError,
 )
 from .jordan import AlgebraElement, ConeDescriptor
@@ -561,6 +560,17 @@ class NewtonData:
     def t_max(self) -> float:
         return _t_max(self.norm_d, self.norm_d_inf, self.h_lb)
 
+    def pair(self):
+        """Feasible (x, s), or None when ||d||_inf > 1: with the anchor T of
+        the frame, x = sqrt(mu) T(e + d) and s = sqrt(mu) (T^{-1})*(e - d)
+        are cone members in the primal and dual affine sets."""
+        if self.norm_d_inf > 1.0:
+            return None
+        r, e, anchor = math.sqrt(self.mu), self.frame.problem.cone.frame_identity, self.frame.anchor
+        x = anchor.columns(r * (e + self.d_f))
+        s = anchor.inverse_adjoint_columns(r * (e - self.d_f))
+        return self._pack(x), self._pack(s)
+
 
 def newton_direction(problem: ConicProblem, w: AlgebraElement, mu: float) -> NewtonData:
     """Newton direction at (w, mu) with bounds (see ``ScaledFrame.newton``)."""
@@ -648,33 +658,11 @@ def _larger_root(a: float, p: float, c: float) -> float:
     return 2.0 * c / (p - sq)
 
 
-def feasible_point(problem: ConicProblem, w: AlgebraElement, mu: float, nd: NewtonData | None = None):
-    """Feasible (x, s) built from the Newton direction, or None.
-
-    Available exactly when ||d||_inf <= 1; then with the anchor T of the
-    frame (T e = w) x = sqrt(mu) T(e + d) and s = sqrt(mu) (T^{-1})*(e - d)
-    are cone members lying in the primal/dual affine sets.  ``nd``, when
-    given, is the Newton data of this problem at (w, mu), and its frame
-    supplies T; data built for another problem, at another point (``w``
-    must be ``nd.w`` or have its coordinates) or at another mu raise
-    ParameterError.
-    """
-    if nd is None:
-        nd = ScaledFrame(problem, w).newton(mu)
-    elif nd.frame.problem is not problem:
-        raise ParameterError("Newton data of another problem cannot give this problem's pair")
-    elif w is not nd.w and not np.array_equal(w.coords, nd.w.coords):
-        raise ParameterError("Newton data at another point cannot give the pair at w")
-    elif nd.mu != float(mu):
-        raise ParameterError(f"Newton data at mu={nd.mu!r} cannot give the pair at mu={mu!r}")
-    if nd.norm_d_inf > 1.0:
-        return None
-    sqrt_mu = math.sqrt(float(mu))
-    e = problem.cone.frame_identity
-    anchor = nd.frame.anchor
-    x = anchor.columns(sqrt_mu * (e + nd.d_f))
-    s = anchor.inverse_adjoint_columns(sqrt_mu * (e - nd.d_f))
-    return jordan.pack(problem.cone, x), jordan.pack(problem.cone, s)
+def feasible_point(problem: ConicProblem, w: AlgebraElement, mu: float):
+    """``NewtonData.pair`` of a frame rebuilt from w.  Below about
+    mu = 1e-6 that frame is wrong, so after a tracker read ``nd.pair()`` of
+    the data it returns, as ``solver.solve`` does."""
+    return ScaledFrame(problem, w).newton(mu).pair()
 
 
 def duality_gap(x: AlgebraElement, s: AlgebraElement) -> float:

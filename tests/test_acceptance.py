@@ -253,7 +253,7 @@ def test_criterion_9_feasible_point_extraction():
         nd = S.newton_direction(prob, snap.w, snap.mu)
         if nd.norm_d_inf > 1.0:
             continue
-        pair = S.feasible_point(prob, snap.w, snap.mu, nd=nd)
+        pair = nd.pair()
         assert pair is not None
         x, s = pair
         rp, rd = S.affine_residuals(prob, x, s)

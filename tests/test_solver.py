@@ -12,6 +12,7 @@ from geoipm import solver as V
 from geoipm import subspace as S
 from geoipm.errors import (
     DomainError,
+    GeoipmError,
     IllConditionedBasisError,
     IterationLimitError,
     NumericalFailureError,
@@ -140,14 +141,19 @@ def test_center_cap_reports_trace():
     rng = np.random.default_rng(2)
     prob = random_basis_problem(PSD6, 3, rng)
     w0 = random_interior(PSD6, rng)
-    with pytest.raises(IterationLimitError) as exc:
-        V.center(prob, w0, 1.0, 1e-12, cap=2)
-    assert exc.value.trace is not None
-    assert exc.value.trace.newton_steps == 2
-    # the data at the iterate the cap stopped on, which failed the test
-    assert isinstance(exc.value.iterate, S.NewtonData)
-    assert exc.value.iterate.mu == 1.0 and exc.value.iterate.h_ub > 1e-12
-    assert exc.value.trace.status == V.ITERATION_CAP
+    # solve returns the cap of longstep's first centering pass as its status
+    runs = (
+        lambda: V.center(prob, w0, 1.0, 1e-12, cap=2),
+        lambda: V.solve(prob, w0, 1.0, 1e-4, V.LongStepParams(max_newton=2)),
+    )
+    for run in runs:
+        trace, nd, error = _outcome(run)
+        assert type(error) is IterationLimitError and error.trace is trace
+        assert trace.newton_steps == 2
+        # the data at the iterate the cap stopped on, which failed the test
+        assert isinstance(nd, S.NewtonData)
+        assert nd.mu == 1.0 and nd.h_ub > 1e-12
+        assert trace.status == V.ITERATION_CAP
     # gamma outside (0, 1) is rejected before any step (gamma = 0 never moves w)
     for gamma in (0.0, 1.0):
         with pytest.raises(ParameterError):
@@ -164,7 +170,24 @@ def _tracker_runs():
         "shortstep": lambda: V.shortstep(prob, centered, 1.0, 1.0 / 64.0, params),
         "center": lambda: V.center(prob, far, 1.0, 1e-10),
         "longstep": lambda: V.longstep(prob, J.identity(PSD6), 1.0, 1e-4),
+        "solve-shortstep": lambda: V.solve(prob, centered, 1.0, 1.0 / 64.0, params),
+        "solve-longstep": lambda: V.solve(prob, J.identity(PSD6), 1.0, 1e-4, V.LongStepParams()),
     }
+
+
+def _outcome(run):
+    """(trace, Newton data, error) of a run: the error a tracker raises and
+    what it carries, or the fields of the ``Result`` that ``solve`` returns,
+    whose data must be its error's iterate."""
+    try:
+        out = run()
+    except GeoipmError as exc:
+        return exc.trace, exc.iterate, exc
+    if isinstance(out, V.Result):
+        assert out.error is None or out.nd is out.error.iterate
+        assert out.status is out.trace.status
+        return out.trace, out.nd, out.error
+    return out[1], out[0], None
 
 
 def _fields(record):
@@ -172,13 +195,15 @@ def _fields(record):
     return dataclasses.astuple(record)[:-1]
 
 
-@pytest.mark.parametrize("tracker", ["shortstep", "center", "longstep"])
+@pytest.mark.parametrize("tracker", ["shortstep", "center", "longstep", "solve-shortstep", "solve-longstep"])
 def test_failed_step_keeps_the_partial_trace(tracker, monkeypatch):
     """A step that fails after k steps: the error keeps its type and message,
     and carries the k records, the snapshots taken so far and the Newton
-    data the failed step was given, at the mu the run had reached."""
+    data the failed step was given, at the mu the run had reached; ``solve``
+    returns them as its ``Result``."""
     run = _tracker_runs()[tracker]
-    _, full = run()
+    full, _, error = _outcome(run)
+    assert error is None and full.status == V.CONVERGED
     k = full.newton_steps // 2
     assert k >= 3
     given = []
@@ -191,9 +216,8 @@ def test_failed_step_keeps_the_partial_trace(tracker, monkeypatch):
         return step(frame, nd, t)
 
     monkeypatch.setattr(S.ScaledFrame, "step", failing_step)
-    with pytest.raises(NumericalFailureError, match="^injected$") as exc:
-        run()
-    trace, nd = exc.value.trace, exc.value.iterate
+    trace, nd, error = _outcome(run)
+    assert type(error) is NumericalFailureError and str(error) == "injected"
     assert trace.status == V.NUMERICAL_FAILURE
     assert [_fields(r) for r in trace.records] == [_fields(r) for r in full.records[:k]]
     failed = full.records[k]
@@ -208,15 +232,32 @@ def test_failed_step_keeps_the_partial_trace(tracker, monkeypatch):
 def test_shortstep_from_a_far_start_fails_with_its_trace():
     """From e, fig3 psd(20) trial 0 is far from the path at mu0 = 1: the
     first full step maps the basis to rank loss, and the error says how
-    far the run got (nowhere) and at which mu."""
+    far the run got (nowhere) and at which mu; ``solve`` returns the same."""
     problem = generate.generate_random_sdp(20, 10, trial_seed(0, 20, 0))
     params = V.shortstep_params(0.5, 1e-4, 20)
-    with pytest.raises(IllConditionedBasisError) as exc:
-        V.shortstep(problem, J.identity(problem.cone), 1.0, 1.0 / 1024.0, params)
-    trace, nd = exc.value.trace, exc.value.iterate
-    assert trace.status == V.NUMERICAL_FAILURE
-    assert trace.records == [] and trace.snapshots == []
-    assert isinstance(nd, S.NewtonData) and nd.mu == 1.0 / params.k
+    for run in (V.shortstep, V.solve):
+        trace, nd, error = _outcome(lambda: run(problem, J.identity(problem.cone), 1.0, 1.0 / 1024.0, params))
+        assert type(error) is IllConditionedBasisError
+        assert trace.status == V.NUMERICAL_FAILURE
+        assert trace.records == [] and trace.snapshots == []
+        assert isinstance(nd, S.NewtonData) and nd.mu == 1.0 / params.k
+
+
+def test_solve_checks_the_data_it_returns():
+    """``shortstep`` with mu0 <= mu_f returns its start untested, and e is
+    far from centered: h_ub fails eps.  A final eps of 9 stops ``longstep``
+    where ||d||_inf = 1.18 > 1 and no pair exists.  Both runs end without
+    an error raised, and ``solve`` reports each as the check it failed."""
+    prob = random_basis_problem(FAMILIES["orthant"], 2, np.random.default_rng(79))
+    e = J.identity(prob.cone)
+    short = V.solve(prob, e, 1.0, 2.0, V.shortstep_params(0.5, 1e-4, prob.cone.rank))
+    loose = V.solve(prob, e, 3.0, 3.0, V.LongStepParams(eps=9.0))
+    assert short.nd.h_ub > 1e-4
+    assert 1.0 < loose.nd.h_ub <= 9.0 and loose.pair is loose.residuals is None
+    for result, check in ((short, "h_ub="), (loose, "no feasible pair")):
+        assert result.status == V.NUMERICAL_FAILURE and result.trace.newton_steps == 0
+        assert type(result.error) is NumericalFailureError and str(result.error).startswith(check)
+        assert result.error.iterate is result.nd
 
 
 def test_longstep_single_center_when_mu_reached():
@@ -266,6 +307,10 @@ def test_longstep_params_validation():
     for beta in (math.inf, math.nan):
         with pytest.raises(ParameterError):
             V.LongStepParams(beta=beta)
+    # solve takes the parameters of one of its trackers
+    prob = scalar_problem()
+    with pytest.raises(ParameterError):
+        V.solve(prob, J.identity(ORTH1), 1.0, 0.5, None)
 
 
 @pytest.mark.parametrize("beta", [1e200, 1e308])

@@ -17,7 +17,6 @@ from geoipm.errors import (
     DegenerateConstraintsError,
     DomainError,
     IllConditionedBasisError,
-    ParameterError,
     ProblemFormatError,
 )
 
@@ -120,6 +119,7 @@ FRAME_ENTRIES = {
     "shortstep": lambda p, w: V.shortstep(p, w, 1.0, 0.5, V.shortstep_params(0.5, 1e-4, 3)),
     "center": lambda p, w: V.center(p, w, 1.0, 1e-4),
     "oracle_center": lambda p, w: V.oracle_center(p, 1.0, warm=w),
+    "solve": lambda p, w: V.solve(p, w, 1.0, 0.5, V.LongStepParams()),
 }
 
 
@@ -274,8 +274,7 @@ def test_stepped_frame_matches_the_frame_of_the_stepped_point(case):
             assert a.sum_inf == pytest.approx(b.sum_inf, rel=1e-8, abs=1e-12)
             assert a.norm_d_inf == pytest.approx(b.norm_d_inf, rel=1e-8, abs=1e-12)
             assert stepped.g_w_extremes == pytest.approx(fresh.g_w_extremes, rel=1e-10)
-            pair_a = S.feasible_point(prob, stepped.w, mu, nd=a)
-            pair_b = S.feasible_point(prob, w_next, mu, nd=b)
+            pair_a, pair_b = a.pair(), b.pair()
             assert pair_a is not None and pair_b is not None
             for p, q in zip(pair_a, pair_b):
                 assert_elem_close(p, q, 1e-9, "feasible pair")
@@ -307,7 +306,7 @@ def test_trivial_subspaces(form, full, capfd):
         state, _ = V.longstep(prob, J.identity(cone), 1.0, mu_f)
         assert state.mu <= mu_f and state.h_ub <= 1e-4
         assert_elem_close(state.w, center(state.mu), 1e-2, "near the centered point")
-        x, s = S.feasible_point(prob, state.w, state.mu, nd=state)
+        x, s = state.pair()
         rp, rd = S.affine_residuals(prob, x, s)
         assert rp <= 1e-12 * J.norm2(x) and rd <= 1e-12 * J.norm2(s)
         params = V.shortstep_params(0.5, 1e-4, cone.rank)
@@ -639,26 +638,7 @@ def test_feasible_point_and_gap():
     w_far = J.element(ORTH1, [0.01])
     nd = S.newton_direction(prob, w_far, mu)
     assert nd.norm_d_inf > 1.0
-    assert S.feasible_point(prob, w_far, mu, nd=nd) is None
-
-
-def test_feasible_point_takes_newton_data_at_its_mu():
-    # the pair at mu = 2 nd.mu with nd's direction would miss both affine
-    # sets, by 0.28 and 0.12 relative to x and s; the pair of nd's own frame
-    # misses another problem's sets by 10.0 and 24.4, and is not the pair
-    # at another w
-    prob = generate.generate_random_sdp(6, 3, 0)
-    nd, _ = V.longstep(prob, J.identity(prob.cone), 1.0, 1e-3)
-    with pytest.raises(ParameterError):
-        S.feasible_point(prob, nd.w, 2.0 * nd.mu, nd=nd)
-    with pytest.raises(ParameterError):
-        S.feasible_point(generate.generate_random_sdp(6, 3, 1), nd.w, nd.mu, nd=nd)
-    with pytest.raises(ParameterError):
-        S.feasible_point(prob, J.identity(prob.cone), nd.mu, nd=nd)
-    for w in (nd.w, J.element(prob.cone, nd.w.coords)):
-        x, s = S.feasible_point(prob, w, nd.mu, nd=nd)
-        rp, rd = S.affine_residuals(prob, x, s)
-        assert rp <= 1e-8 * J.norm2(x) and rd <= 1e-8 * J.norm2(s)
+    assert nd.pair() is None
 
 
 def test_feasible_point_residuals_near_center():

@@ -172,9 +172,7 @@ def test_geometry_and_checked_maps_decompose_once(monkeypatch):
 def test_feasible_point_reuses_the_frame(problem, monkeypatch):
     nd, _ = V.longstep(problem, J.identity(problem.cone), MU0, MU_F)
     nd.norm_d_inf  # decompose d before counting, as a step taken from nd would
-    pair, calls = _counted(
-        monkeypatch, lambda: S.feasible_point(problem, nd.w, nd.mu, nd=nd)
-    )
+    pair, calls = _counted(monkeypatch, nd.pair)
     assert pair is not None
     assert calls["eigh"] == 0
 
