@@ -23,7 +23,6 @@ from .errors import (
     IllConditionedBasisError,
     IterationLimitError,
     NumericalFailureError,
-    OracleFailureError,
     ParameterError,
     ProblemFormatError,
 )

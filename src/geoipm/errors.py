@@ -57,9 +57,5 @@ class IterationLimitError(GeoipmError):
     the (w, mu) the run stopped on."""
 
 
-class OracleFailureError(GeoipmError):
-    """The high-accuracy centering oracle failed to converge (test infrastructure)."""
-
-
 class ProblemFormatError(GeoipmError):
     """A problem file or problem description failed to parse or validate."""

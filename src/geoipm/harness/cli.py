@@ -26,7 +26,6 @@ from .. import jordan, solver
 from ..errors import (
     GeoipmError,
     IterationLimitError,
-    OracleFailureError,
     ParameterError,
     ProblemFormatError,
 )
@@ -81,11 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     problem = generate.generate_random_sdp(args.n, args.dim_l, args.seed)
-    doc = json.dumps(io.problem_to_dict(problem))
     if args.out is None:
-        print(doc)
+        print(json.dumps(io.problem_to_dict(problem)))
     else:
-        args.out.write_text(doc + "\n", encoding="utf-8")
+        io.save_problem(problem, args.out)
     return EXIT_OK
 
 
@@ -137,11 +135,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.config is not None:
-        try:
-            doc = json.loads(args.config.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ProblemFormatError(f"cannot read experiment config: {exc}") from exc
-        config = experiments.ExperimentConfig.from_dict(doc)
+        config = experiments.ExperimentConfig.from_dict(io._read_json(args.config, "experiment config"))
     else:
         config = experiments.ExperimentConfig()
     if args.experiment == "fig3":
@@ -161,8 +155,7 @@ def solve_cli(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_bench(args)
-    except (IterationLimitError, OracleFailureError) as exc:
-        # the centering oracle fails only by hitting its cap
+    except IterationLimitError as exc:
         print(f"geoipm: iteration cap exceeded: {exc}", file=sys.stderr)
         return EXIT_ITERATION_CAP
     except (ProblemFormatError, ParameterError, ValueError) as exc:

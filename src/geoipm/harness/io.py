@@ -41,7 +41,7 @@ __all__ = [
     "require_real",
 ]
 
-_BLOCK_NAMES = {"orthant": Orthant, "soc": SecondOrder, "psd": Psd}
+_BLOCK_NAMES = {"orthant": (Orthant, "size"), "soc": (SecondOrder, "dim"), "psd": (Psd, "side")}
 
 
 def require_int(value, what: str) -> int:
@@ -58,8 +58,8 @@ def require_real(value, what: str) -> float:
     return float(value)
 
 
-def _reject_constant(name: str):
-    raise ProblemFormatError(f"non-finite literal {name!r} in problem file")
+def _reject_constant(name: str, what: str):
+    raise ProblemFormatError(f"non-finite literal {name!r} in {what}")
 
 
 def _finite_array(data, what: str, length: int | None = None) -> np.ndarray:
@@ -77,7 +77,7 @@ def _cone_from_list(entries) -> ConeDescriptor:
     blocks = []
     for entry in entries:
         try:
-            kind = _BLOCK_NAMES[entry["type"]]
+            kind, _ = _BLOCK_NAMES[entry["type"]]
             size = entry["size"]
         except (KeyError, TypeError) as exc:
             raise ProblemFormatError(f"bad cone block entry {entry!r}") from exc
@@ -90,15 +90,8 @@ def _cone_from_list(entries) -> ConeDescriptor:
 
 
 def _cone_to_list(cone: ConeDescriptor) -> list:
-    out = []
-    for blk in cone.blocks:
-        if isinstance(blk, Orthant):
-            out.append({"type": "orthant", "size": blk.size})
-        elif isinstance(blk, SecondOrder):
-            out.append({"type": "soc", "size": blk.dim})
-        else:
-            out.append({"type": "psd", "size": blk.side})
-    return out
+    return [{"type": name, "size": getattr(blk, attr)}
+            for blk in cone.blocks for name, (kind, attr) in _BLOCK_NAMES.items() if isinstance(blk, kind)]
 
 
 def problem_from_dict(doc: dict) -> ConicProblem:
@@ -167,7 +160,7 @@ def _read_json(path, what: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"cannot read {what}: {exc}") from exc
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=lambda name: _reject_constant(name, what))
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}") from exc
 

@@ -630,21 +630,10 @@ class Spectrum:
     @functools.cached_property
     def frame(self) -> tuple:
         """The primitive idempotents e_i, in ``eigenvalues`` order."""
-        frame = []
+        out = np.empty((self.cone.rank, self.cone.frame_dim))
         for run, data in zip(self.cone.runs, self.runs):
-            for i in range(run.count):
-                for j in range(run.block.rank):
-                    f = np.zeros(self.cone.dim)
-                    block = run.rows(f)[i]
-                    if isinstance(run.block, Orthant):
-                        block[j] = 1.0
-                    elif isinstance(run.block, SecondOrder):
-                        block[0] = 0.5
-                        block[1:] = (0.5 if j == 0 else -0.5) * data[i]
-                    else:
-                        block[:] = _svec(np.outer(data[i, :, j], data[i, :, j]))
-                    frame.append(_mk(self.cone, f))
-        return tuple(frame)
+            _run_maps(run, data, run.values(np.eye(self.cone.rank)), 0, run.view(out))
+        return tuple(_mk(self.cone, c) for c in _pack(self.cone, out))
 
     def map(self, *fns) -> tuple:
         """Frame coordinates of sum_i f(lambda_i) e_i for each f in ``fns``; f
@@ -960,6 +949,13 @@ class ConeAutomorphism:
         """(T^{-1})* applied to frame coordinates."""
         return self._columns(Z, True, True)
 
+    def _apply(self, xs, inverse: bool, adjoint: bool) -> list:
+        """T, T*, T^{-1} or (T^{-1})* of each element of ``xs``, from one map call."""
+        if any(x.cone != self.cone for x in xs):
+            raise ConeMismatchError("automorphism and element live on different cones")
+        out = self._columns(_unpack(self.cone, np.stack([x.coords for x in xs])).T, inverse, adjoint)
+        return [_mk(self.cone, c) for c in _pack(self.cone, out.T)]
+
 
 def _compose(block: BlockKind, t_map: tuple, s_map: tuple) -> tuple:
     """One run of ``ConeAutomorphism.then``: the maps of T S from those of
@@ -1025,30 +1021,24 @@ def _block_map(blk: BlockKind, data) -> np.ndarray:
     return M
 
 
-def _apply(T: ConeAutomorphism, x: AlgebraElement, inverse: bool, adjoint: bool) -> AlgebraElement:
-    if T.cone != x.cone:
-        raise ConeMismatchError("automorphism and element live on different cones")
-    return pack(x.cone, T._columns(unpack(x), inverse, adjoint))
-
-
 def apply_automorphism(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
     """Apply T to x."""
-    return _apply(T, x, False, False)
+    return T._apply((x,), False, False)[0]
 
 
 def apply_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
     """Apply the adjoint T* (with respect to the trace inner product)."""
-    return _apply(T, x, False, True)
+    return T._apply((x,), False, True)[0]
 
 
 def apply_inverse(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
     """Apply T^{-1}."""
-    return _apply(T, x, True, False)
+    return T._apply((x,), True, False)[0]
 
 
 def apply_inverse_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
     """Apply (T^{-1})* = (T*)^{-1}."""
-    return _apply(T, x, True, True)
+    return T._apply((x,), True, True)[0]
 
 
 def _soc_quad_matrices(f: np.ndarray, axis: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import geometry, jordan, subspace
-from .errors import GeoipmError, IterationLimitError, NumericalFailureError, OracleFailureError, ParameterError
+from .errors import GeoipmError, IterationLimitError, NumericalFailureError, ParameterError
 from .jordan import AlgebraElement
 from .subspace import ConicProblem
 
@@ -411,7 +411,7 @@ def oracle_center(
     start then ends with ``center`` at mu with gamma ``ORACLE_GAMMA``, so
     any other start, such as a warm start near the path, is centered as by
     ``center`` alone.  ``cap`` bounds each centering pass; exceeding it
-    raises OracleFailureError.
+    raises IterationLimitError with the oracle's trace.
     """
     _require_mu("mu must be positive and finite", mu)
     _require_cap(cap, "cap")
@@ -425,4 +425,5 @@ def oracle_center(
             frame = subspace.ScaledFrame(problem, _longstep(frame, mu_star, mu, params, trace).w)
         return _steps(frame, mu, 0, trace, _damped(ORACLE_EPS, ORACLE_GAMMA, cap)).w
     except IterationLimitError as exc:
-        raise OracleFailureError(f"centering oracle failed at mu={mu:g}: {exc}") from exc
+        message = f"centering oracle failed at mu={mu:g}: {exc}"
+        raise IterationLimitError(message, trace=trace, iterate=exc.iterate) from exc

@@ -256,9 +256,7 @@ class ConicProblem:
         f, (q, r) = self.form, self._factor
         x0, s0, on_l, span = self._representation
         if isinstance(f, BasisForm):
-            b = np.array([jordan.inner(l, f.s0) for l in f.basis])
-            B = np.zeros((0, len(f.basis)))
-            form = OperatorForm(columns=f.basis, B=B, b=b, c=f.x0, g=np.zeros(0))
+            form = _operator_form(f.basis, f.s0, f.x0)
         else:
             basis = [self._from_mc(col) for col in q[:, : r.shape[0]].T]
             form = BasisForm(x0=s0, s0=x0, basis=basis)
@@ -684,15 +682,13 @@ def as_operator_form(problem: ConicProblem) -> ConicProblem:
         q, r = _factorize(problem._given_mc(), complete=True)
     lperp = q[:, r.shape[0] :]
     cols = tuple(problem._from_mc(lperp[:, j]) for j in range(lperp.shape[1]))
-    b = np.array([jordan.inner(a, problem.form.x0) for a in cols])
-    form = OperatorForm(
-        columns=cols,
-        B=np.zeros((0, len(cols))),
-        b=b,
-        c=problem.form.s0,
-        g=np.zeros(0),
-    )
-    return ConicProblem(problem.cone, form)
+    return ConicProblem(problem.cone, _operator_form(cols, problem.form.x0, problem.form.s0))
+
+
+def _operator_form(columns: tuple, x: AlgebraElement, c: AlgebraElement) -> OperatorForm:
+    """The operator form (A, no B, b = (<a_i, x>), c) with A the ``columns``."""
+    b = np.array([jordan.inner(a, x) for a in columns])
+    return OperatorForm(columns=columns, B=np.zeros((0, len(columns))), b=b, c=c, g=np.zeros(0))
 
 
 def transform_problem(problem: ConicProblem, T: jordan.ConeAutomorphism) -> ConicProblem:
@@ -700,23 +696,14 @@ def transform_problem(problem: ConicProblem, T: jordan.ConeAutomorphism) -> Coni
 
     The primal set maps through T and the dual set through (T^{-1})*.
     """
-    if T.cone != problem.cone:
-        raise ConeMismatchError("the automorphism lives on a different cone than the problem")
     f = problem.form
     if isinstance(f, BasisForm):
-        x0, *basis = _map_columns(T.columns, (f.x0, *f.basis))
-        form = BasisForm(x0=x0, s0=jordan.apply_inverse_adjoint(T, f.s0), basis=basis)
+        x0, *basis = T._apply((f.x0, *f.basis), False, False)
+        form = BasisForm(x0=x0, s0=T._apply((f.s0,), True, True)[0], basis=basis)
     else:
-        c, *columns = _map_columns(T.inverse_adjoint_columns, (f.c, *f.columns))
+        c, *columns = T._apply((f.c, *f.columns), True, True)
         form = OperatorForm(columns=columns, B=f.B.copy(), b=f.b.copy(), c=c, g=f.g.copy())
     return ConicProblem(problem.cone, form)
-
-
-def _map_columns(fn, elems: tuple) -> list:
-    """The images of ``elems`` under a frame-coordinate map ``fn``, from one call."""
-    cone = elems[0].cone
-    out = fn(jordan._unpack(cone, np.stack([x.coords for x in elems])).T)
-    return [jordan.pack(cone, f) for f in out.T]
 
 
 def affine_residuals(problem: ConicProblem, x: AlgebraElement, s: AlgebraElement):
