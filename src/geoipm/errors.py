@@ -6,9 +6,10 @@ from __future__ import annotations
 class GeoipmError(Exception):
     """Base class for all errors raised by this package.
 
-    An error raised while a tracker steps (``solver``) carries ``trace``,
-    the partial ``SolverTrace``, and ``iterate``, the last ``NewtonData``
-    built, at the mu the run had reached; both are None otherwise.
+    An error raised while a tracker or the centering oracle steps
+    (``solver``) carries ``trace``, the partial ``SolverTrace``, and
+    ``iterate``, the last ``NewtonData`` built, at the mu the run had
+    reached; both are None otherwise.
     """
 
     def __init__(self, *args, trace=None, iterate=None):
@@ -53,8 +54,9 @@ class ParameterError(GeoipmError):
 
 
 class IterationLimitError(GeoipmError):
-    """An iteration cap was exceeded; ``iterate`` is the ``NewtonData`` at
-    the (w, mu) the run stopped on."""
+    """An iteration cap was exceeded, by a tracker or by the centering
+    oracle (whose message starts ``centering oracle failed``); ``iterate``
+    is the ``NewtonData`` at the (w, mu) the run stopped on."""
 
 
 class ProblemFormatError(GeoipmError):

@@ -8,7 +8,11 @@ directory given for a file), 4 numerical failure; one-line diagnostics go
 to stderr.  ``solve`` prints its status line before it writes the files
 it is asked for, so a path that fails there follows the status line.  A
 solve that fails (exit 2 or 4) prints no status line, but ``--trace``
-still gets the steps it recorded.
+still gets the steps it recorded.  The centering oracle that ``--algo
+short`` starts from fails only at its cap: an IterationLimitError (exit 2)
+that carries the oracle's own trace, which ``--trace`` does not get.
+``bench --config`` is read like a problem file, so invalid JSON and the
+literals NaN and Infinity exit 3.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run an experiment driver")
     p_bench.add_argument("--experiment", choices=("fig3", "fig4"), required=True)
-    p_bench.add_argument("--config", type=Path, default=None, help="JSON experiment config")
+    p_bench.add_argument("--config", type=Path, default=None,
+                         help="JSON experiment config (NaN and Infinity are rejected)")
     p_bench.add_argument("--outdir", type=Path, default=Path("."))
     return parser
 

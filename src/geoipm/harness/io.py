@@ -46,7 +46,7 @@ _BLOCK_NAMES = {"orthant": (Orthant, "size"), "soc": (SecondOrder, "dim"), "psd"
 
 def require_int(value, what: str) -> int:
     """``value`` as an int; ProblemFormatError unless it is an integer (bools are not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not jordan._is_integer(value):
         raise ProblemFormatError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -111,8 +112,7 @@ class Orthant:
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("orthant block size must be >= 1")
+        object.__setattr__(self, "size", _block_size(self.size, 1, "orthant block size must be >= 1"))
 
     @property
     def rank(self) -> int:
@@ -130,8 +130,7 @@ class SecondOrder:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("second-order block needs ambient dimension >= 2")
+        object.__setattr__(self, "dim", _block_size(self.dim, 2, "second-order block needs ambient dimension >= 2"))
 
     @property
     def rank(self) -> int:
@@ -145,8 +144,7 @@ class Psd:
     side: int
 
     def __post_init__(self):
-        if self.side < 1:
-            raise ValueError("psd block side must be >= 1")
+        object.__setattr__(self, "side", _block_size(self.side, 1, "psd block side must be >= 1"))
 
     @property
     def rank(self) -> int:
@@ -158,6 +156,20 @@ class Psd:
 
 
 BlockKind = Union[Orthant, SecondOrder, Psd]
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: numpy integers are, bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _block_size(size, least: int, message: str) -> int:
+    """``size`` as an int; ValueError unless it is an integer of at least ``least``."""
+    if not _is_integer(size):
+        raise ValueError(f"block size must be an integer, got {size!r}")
+    if size < least:
+        raise ValueError(message)
+    return int(size)
 
 
 @dataclass(frozen=True)
@@ -351,10 +363,13 @@ def _mk(cone: ConeDescriptor, coords: np.ndarray) -> AlgebraElement:
 
 
 def element(cone: ConeDescriptor, coords) -> AlgebraElement:
-    """Build an element from a coordinate array (copied and validated)."""
+    """Build an element from a coordinate array (copied and validated:
+    ``cone.dim`` finite coordinates)."""
     arr = np.array(coords, dtype=float).reshape(-1)
     if arr.shape != (cone.dim,):
         raise ValueError(f"expected {cone.dim} coordinates, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise ValueError("element coordinates must be finite")
     return _mk(cone, arr)
 
 
@@ -629,7 +644,8 @@ class Spectrum:
 
     @functools.cached_property
     def frame(self) -> tuple:
-        """The primitive idempotents e_i, in ``eigenvalues`` order."""
+        """The primitive idempotents e_i, in ``eigenvalues`` order: the
+        spectral maps of the unit vectors of eigenvalues."""
         out = np.empty((self.cone.rank, self.cone.frame_dim))
         for run, data in zip(self.cone.runs, self.runs):
             _run_maps(run, data, run.values(np.eye(self.cone.rank)), 0, run.view(out))

@@ -107,8 +107,8 @@ def shortstep_params(beta: float, eps: float, n: int) -> ShortStepParams:
     qb = geometry.q_inv(beta)
     if not 0.0 < eps < qb:
         raise ParameterError("eps must lie in (0, q_inv(beta))")
-    if n < 1:
-        raise ParameterError("rank must be positive")
+    if not jordan._is_integer(n) or n < 1:
+        raise ParameterError(f"rank must be a positive integer, got {n!r}")
     m = 1
     while beta ** (2 ** m) > eps * eps:
         m += 1
@@ -148,6 +148,8 @@ def _require_mu(message: str, *values: float) -> None:
 
 
 def _require_cap(cap: int, name: str) -> None:
+    if not jordan._is_integer(cap):
+        raise ParameterError(f"{name} must be an integer, got {cap!r}")
     if cap < 0:
         raise ParameterError(f"{name} must be non-negative, got {cap}")
 
@@ -206,10 +208,13 @@ def shortstep(
     """Short-step tracker: divide mu by k, then take m full Newton steps.
 
     The step-count guarantee assumes w0 is (near) the centered point at
-    mu0, e.g. the ``oracle_center`` of mu0.  Returns the Newton data at the
+    mu0, e.g. the ``oracle_center`` of mu0, and ``params`` derived for the
+    cone's rank (ParameterError otherwise).  Returns the Newton data at the
     last iterate and the final mu, with the trace.
     """
     _require_mu("mu values must be positive and finite", mu0, mu_f)
+    if params.n != problem.cone.rank:
+        raise ParameterError(f"short-step parameters for rank {params.n} on a cone of rank {problem.cone.rank}")
     trace = SolverTrace()
     mu = float(mu0)
     outer = 0
@@ -411,7 +416,10 @@ def oracle_center(
     start then ends with ``center`` at mu with gamma ``ORACLE_GAMMA``, so
     any other start, such as a warm start near the path, is centered as by
     ``center`` alone.  ``cap`` bounds each centering pass; exceeding it
-    raises IterationLimitError with the oracle's trace.
+    raises IterationLimitError with the message ``centering oracle failed
+    at mu=...: ...``, carrying the oracle's partial trace (status
+    ITERATION_CAP, the steps of every pass) and, as ``iterate``, the last
+    ``NewtonData`` of the pass that hit the cap.
     """
     _require_mu("mu must be positive and finite", mu)
     _require_cap(cap, "cap")

@@ -87,6 +87,19 @@ def test_malformed_json_exit_3(tmp_path):
     assert cli.solve_cli(["solve", "--input", str(nan)]) == 3
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_bench_config_rejects_non_finite_literals(tmp_path, capsys, literal):
+    """The experiment config is read like a problem file: a non-finite
+    literal exits 3 with one line that names the config."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"trials": %s}' % literal)
+    rc = cli.solve_cli(["bench", "--experiment", "fig4", "--config", str(cfg), "--outdir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err == f"geoipm: invalid input: non-finite literal '{literal}' in experiment config\n"
+    assert not (tmp_path / "fig4_center.csv").exists()
+
+
 def test_muf_above_mu0_single_center(tmp_path, capsys):
     problem_file = tmp_path / "p.json"
     cli.solve_cli(["gen", "--n", "4", "--dim-l", "2", "--seed", "5", "--out", str(problem_file)])

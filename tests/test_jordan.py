@@ -39,9 +39,24 @@ def test_descriptor_validation():
         J.ConeDescriptor(())
 
 
+@pytest.mark.parametrize("kind", [J.Orthant, J.SecondOrder, J.Psd])
+def test_block_sizes_must_be_integers(kind):
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError):
+            kind(bad)
+    blk = kind(np.int64(3))
+    assert blk == kind(3) and type(blk.rank) is int and type(blk.dim) is int
+
+
 def test_element_validation():
     with pytest.raises(ValueError):
         J.element(ORTH3, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_element_coordinates_must_be_finite(bad):
+    with pytest.raises(ValueError):
+        J.element(ORTH3, [1.0, bad, 2.0])
 
 
 def test_circ_examples():

@@ -57,6 +57,26 @@ def test_shortstep_params_examples():
         V.shortstep_params(0.5, 0.0, 10)
 
 
+@pytest.mark.parametrize("n", [2.5, 20.0, True])
+def test_shortstep_rank_must_be_an_integer(n):
+    with pytest.raises(ParameterError):
+        V.shortstep_params(0.5, 1e-4, n)
+    assert V.shortstep_params(0.5, 1e-4, np.int64(20)).n == 20
+
+
+def test_shortstep_params_must_match_the_cone_rank():
+    """Parameters derived for another rank take other (k, m): for rank 20
+    on a rank-6 cone the run took 115 steps where rank-6 parameters take
+    65.  They are refused before the loop, also through ``solve``."""
+    prob = generate.generate_random_sdp(6, 3, 0)
+    w0 = V.oracle_center(prob, 1.0)
+    for run in (V.shortstep, V.solve):
+        with pytest.raises(ParameterError):
+            run(prob, w0, 1.0, 1.0 / 1024.0, V.shortstep_params(0.5, 1e-4, 20))
+    result = V.solve(prob, w0, 1.0, 1.0 / 1024.0, V.shortstep_params(0.5, 1e-4, prob.cone.rank))
+    assert result.status == V.CONVERGED
+
+
 def test_shortstep_noop_when_mu_reached():
     prob = scalar_problem()
     params = V.shortstep_params(0.5, 1e-4, 1)
@@ -360,6 +380,22 @@ def test_caps_must_be_non_negative():
     V.center(prob, V.oracle_center(prob, 1.0), 1.0, 1e-8, cap=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_caps_must_be_integers(bad):
+    prob = scalar_problem()
+    w0 = J.element(ORTH1, [1.0])
+    calls = (
+        lambda: V.LongStepParams(max_newton=bad),
+        lambda: V.LongStepParams(max_outer=bad),
+        lambda: V.center(prob, w0, 1.0, 1e-8, cap=bad),
+        lambda: V.oracle_center(prob, 1.0, cap=bad),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+    assert V.LongStepParams(max_newton=np.int64(5)).max_newton == 5
+
+
 def test_oracle_center_closed_forms():
     mu = 0.64
     # L = {0}: the path is x0 / sqrt(mu)
@@ -383,6 +419,21 @@ def test_oracle_failure_signal():
     prob = random_basis_problem(PSD6, 3, rng)
     with pytest.raises(IterationLimitError):
         V.oracle_center(prob, 1.0, warm=random_interior(PSD6, rng), cap=1)
+
+
+def test_oracle_cap_error_carries_its_trace():
+    """The oracle's cap is an IterationLimitError that names the oracle and
+    keeps the trace and iterate of the loop that hit it: from e this
+    instance takes the long-step route from mu* = 331.6 down to 1, whose
+    first centering pass stops after its one step."""
+    prob = generate.generate_random_sdp(6, 3, 0)
+    with pytest.raises(IterationLimitError) as info:
+        V.oracle_center(prob, 1.0, cap=1)
+    exc = info.value
+    assert str(exc).startswith("centering oracle failed at mu=1: centering did not reach")
+    assert exc.trace.status == V.ITERATION_CAP
+    assert len(exc.trace.records) == 1
+    assert isinstance(exc.iterate, S.NewtonData) and exc.iterate.mu > 1.0
 
 
 def _far_start_problems():
