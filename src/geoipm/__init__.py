@@ -42,7 +42,6 @@ from .jordan import (
     norms,
     quad_rep,
     random_automorphism,
-    spectral,
     spectral_map,
 )
 from .solver import (

@@ -112,7 +112,7 @@ def _cmd_solve(args) -> int:
     w0 = _initial_point(problem, args.seed)
     if args.algo == "short":
         beta = args.beta if args.beta is not None else 0.5
-        params = solver.shortstep_params(beta, args.eps, problem.cone.rank)
+        params = solver.ShortStepParams(beta, args.eps, problem.cone.rank)
         # the step-count guarantee assumes a centered start
         w0 = solver.oracle_center(problem, mu0, warm=w0, cap=args.max_newton)
     else:

@@ -72,7 +72,7 @@ class ExperimentConfig:
         if self.mu_ratio <= 1.0 or self.mu0 <= 0.0:
             raise ProblemFormatError("need mu_ratio > 1 and mu0 > 0")
         # ParameterError on a bad short-step (beta, eps); neither check depends on the rank
-        solver.shortstep_params(self.short_beta, self.short_eps, 1)
+        solver.ShortStepParams(self.short_beta, self.short_eps, 1)
         self.long_params()  # ParameterError on a bad (beta, alpha, eps, gamma)
 
     @classmethod
@@ -109,7 +109,7 @@ def _fig3_trial(config: ExperimentConfig, n: int, trial: int):
     try:
         problem = generate_random_sdp(n, config.dim_l, tseed)
         w0 = solver.oracle_center(problem, config.mu0)
-        params = solver.shortstep_params(config.short_beta, config.short_eps, n)
+        params = solver.ShortStepParams(config.short_beta, config.short_eps, n)
         _, strace = solver.shortstep(problem, w0, config.mu0, mu_f, params)
         out.append((n, "short", trial, strace.newton_steps, ""))
         _, ltrace = solver.longstep(problem, w0, config.mu0, mu_f, config.long_params())

@@ -11,13 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import jordan
-from ..errors import IllConditionedBasisError, NumericalFailureError
 from ..jordan import ConeDescriptor, Psd
 from ..subspace import BasisForm, ConicProblem
 
 __all__ = ["generate_random_sdp"]
-
-_MAX_RETRIES = 5
 
 
 def _sym_randn(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -26,25 +23,15 @@ def _sym_randn(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate_random_sdp(n: int, dim_l: int, seed: int) -> ConicProblem:
-    """Random PSD(n) instance with dim(L) = dim_l, deterministic under seed.
-
-    On (vanishingly rare) basis dependence the draw is retried with an
-    incremented sub-seed, at most five times.
-    """
+    """Random PSD(n) instance with dim(L) = dim_l, deterministic under seed;
+    a numerically dependent basis raises IllConditionedBasisError."""
     if n < 2:
         raise ValueError("matrix side must be >= 2")
     if not 1 <= dim_l < n * (n + 1) // 2:
         raise ValueError("need 1 <= dim_l < n(n+1)/2")
     cone = ConeDescriptor((Psd(n),))
-    for attempt in range(_MAX_RETRIES + 1):
-        rng = np.random.default_rng([int(seed), attempt])
-        x0 = jordan.exp(jordan.from_blocks(cone, [_sym_randn(n, rng)]))
-        s0 = jordan.exp(jordan.from_blocks(cone, [_sym_randn(n, rng)]))
-        basis = tuple(jordan.from_blocks(cone, [_sym_randn(n, rng)]) for _ in range(dim_l))
-        try:
-            return ConicProblem(cone, BasisForm(x0=x0, s0=s0, basis=basis))
-        except IllConditionedBasisError:
-            continue
-    raise NumericalFailureError(
-        f"could not draw an independent subspace basis after {_MAX_RETRIES} retries"
-    )
+    rng = np.random.default_rng([int(seed), 0])
+    x0 = jordan.exp(jordan.from_blocks(cone, [_sym_randn(n, rng)]))
+    s0 = jordan.exp(jordan.from_blocks(cone, [_sym_randn(n, rng)]))
+    basis = tuple(jordan.from_blocks(cone, [_sym_randn(n, rng)]) for _ in range(dim_l))
+    return ConicProblem(cone, BasisForm(x0=x0, s0=s0, basis=basis))

@@ -13,7 +13,7 @@ such blocks.  Elements are flat coordinate vectors:
 The algebra inner product is tr(x o y).  On orthant and PSD blocks this is
 the plain coordinate dot product; on second-order blocks it is twice the
 raw dot product, because the eigenvalues of (x0, x1) are x0 +- ||x1|| and
-hence tr x = 2 x0.  ``metric_diag`` exposes the diagonal weights relating
+hence tr x = 2 x0.  ``ConeDescriptor.metric_diag`` holds the weights relating
 the two, and all norms, projections and adjoints in this package are taken
 with respect to this inner product.
 
@@ -62,10 +62,8 @@ __all__ = [
     "to_blocks",
     "pack",
     "unpack",
-    "metric_diag",
     "circ",
     "quad_rep",
-    "spectral",
     "spectral_map",
     "spectral_map_multi",
     "eigenvalues",
@@ -293,22 +291,12 @@ class Run(NamedTuple):
     def view(self, f: np.ndarray) -> np.ndarray:
         """The run's part of frame coordinates ``f`` (..., D): shape
         (..., *frame_shape)."""
-        if self.frame.stop - self.frame.start == f.shape[-1]:
-            return f.reshape(f.shape[:-1] + self.frame_shape)
         return f[..., self.frame].reshape(f.shape[:-1] + self.frame_shape)
 
     def values(self, lam: np.ndarray) -> np.ndarray:
         """The run's part of eigenvalues ``lam`` (..., rank): shape
-        (..., count, block rank); all of ``lam`` when the run spans it."""
-        shape = lam.shape[:-1] + (self.count, self.block.rank)
-        if self.lam.stop - self.lam.start == lam.shape[-1]:
-            return lam.reshape(shape)
-        return lam[..., self.lam].reshape(shape)
-
-
-def metric_diag(cone: ConeDescriptor) -> np.ndarray:
-    """Diagonal weights making ``(x * w) @ y`` equal tr(x o y)."""
-    return cone.metric_diag
+        (..., count, block rank)."""
+        return lam[..., self.lam].reshape(lam.shape[:-1] + (self.count, self.block.rank))
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +306,8 @@ def metric_diag(cone: ConeDescriptor) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """An element of J in the coordinate convention documented above."""
+    """An element of J in the coordinate convention documented above; the
+    constructor checks for ``cone.dim`` finite coordinates (``_mk`` does not)."""
 
     cone: ConeDescriptor
     coords: np.ndarray
@@ -330,6 +319,8 @@ class AlgebraElement:
             raise ValueError(
                 f"coordinate length {coords.shape} does not match cone dimension {self.cone.dim}"
             )
+        if not np.isfinite(coords).all():
+            raise ValueError("element coordinates must be finite")
 
     # vector-space structure ------------------------------------------------
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -359,18 +350,17 @@ def _mk(cone: ConeDescriptor, coords: np.ndarray) -> AlgebraElement:
     # internal constructor: trusts the (freshly computed) array
     coords = np.asarray(coords, dtype=float)
     coords.setflags(write=False)
-    return AlgebraElement(cone, coords)
+    x = object.__new__(AlgebraElement)
+    object.__setattr__(x, "cone", cone)
+    object.__setattr__(x, "coords", coords)
+    return x
 
 
 def element(cone: ConeDescriptor, coords) -> AlgebraElement:
-    """Build an element from a coordinate array (copied and validated:
-    ``cone.dim`` finite coordinates)."""
+    """Build an element from a read-only copy of a coordinate array."""
     arr = np.array(coords, dtype=float).reshape(-1)
-    if arr.shape != (cone.dim,):
-        raise ValueError(f"expected {cone.dim} coordinates, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise ValueError("element coordinates must be finite")
-    return _mk(cone, arr)
+    arr.setflags(write=False)
+    return AlgebraElement(cone, arr)
 
 
 def zero(cone: ConeDescriptor) -> AlgebraElement:
@@ -399,7 +389,7 @@ def from_blocks(cone: ConeDescriptor, parts: Iterable) -> AlgebraElement:
             if vec.shape[0] != blk.dim:
                 raise ValueError(f"block part has length {vec.shape[0]}, expected {blk.dim}")
             c[a:b] = vec
-    return _mk(cone, c)
+    return element(cone, c)
 
 
 def to_blocks(x: AlgebraElement) -> list:
@@ -741,11 +731,6 @@ def geodesic_step(anchor: "ConeAutomorphism", spec: Spectrum, t: float, r: float
     return ConeAutomorphism(cone, maps), mapped.T, reset[0], reset[1]
 
 
-def spectral(x: AlgebraElement) -> Spectrum:
-    """Full spectral decomposition x = sum_i lambda_i e_i."""
-    return Spectrum(x)
-
-
 def eigenvalues(x: AlgebraElement) -> np.ndarray:
     """All eigenvalues, concatenated blockwise (length = rank)."""
     return frame_eigenvalues(x.cone, unpack(x))
@@ -821,7 +806,7 @@ def power(x: AlgebraElement, m: int) -> AlgebraElement:
 def inner(x: AlgebraElement, y: AlgebraElement) -> float:
     """Trace inner product tr(x o y)."""
     _same_cone(x, y)
-    return float(np.dot(x.coords * metric_diag(x.cone), y.coords))
+    return float(np.dot(x.coords * x.cone.metric_diag, y.coords))
 
 
 def trace(x: AlgebraElement) -> float:

@@ -4,7 +4,7 @@ Every tracker is one Newton loop under a mu schedule and a step rule:
 
 * ``shortstep`` conservatively tracks the central path: each outer
   iteration divides mu by a fixed factor k and takes m full Newton steps;
-  (k, m) come from ``shortstep_params``.
+  ``ShortStepParams`` derives (k, m) from (beta, eps, n).
 * ``center`` is a globally convergent recentering loop at fixed mu using
   damped steps t = gamma * t_max.
 * ``longstep`` alternates recentering with aggressive mu decreases chosen
@@ -74,50 +74,57 @@ ORACLE_GAMMA = 0.5
 
 @dataclass(frozen=True)
 class ShortStepParams:
-    """Derived short-step parameters: mu divisor k and inner step count m."""
+    """Short-step settings for rank n from a contraction target beta and
+    tolerance eps, which derive the rest.
+
+    Requires 0 < beta <= 1/2 and 0 < eps < q_inv(beta).  m is the smallest
+    integer with beta^(2^m) <= eps^2, at most 11 (beta^(2^11) underflows to
+    0); k solves (1/2) log k = q_inv(zeta^2 / n) with zeta = q_inv(beta) - eps;
+    c = 2 q_inv(zeta^2).
+    """
 
     beta: float
     eps: float
     n: int
-    m: int
-    k: float
-    zeta: float
-    c: float
+    m: int = field(init=False)
+    k: float = field(init=False)
+    zeta: float = field(init=False)
+    c: float = field(init=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.beta <= 0.5:
+            raise ParameterError("beta must lie in (0, 1/2]")
+        qb = geometry.q_inv(self.beta)
+        if not 0.0 < self.eps < qb:
+            raise ParameterError("eps must lie in (0, q_inv(beta))")
+        if not jordan._is_integer(self.n) or self.n < 1:
+            raise ParameterError(f"rank must be a positive integer, got {self.n!r}")
+        m = 1
+        while self.beta ** (2 ** m) > self.eps * self.eps:
+            m += 1
+        zeta = qb - self.eps
+        k = math.exp(2.0 * geometry.q_inv(zeta * zeta / self.n))
+        for name, value in (("m", m), ("k", k), ("zeta", zeta), ("c", 2.0 * geometry.q_inv(zeta * zeta))):
+            object.__setattr__(self, name, value)
+
+    def _schedule(self, mu0: float, mu_f: float):
+        """The mu of each outer phase: mu0 / k, divided by k again while above mu_f."""
+        mu = float(mu0)
+        while mu > mu_f:
+            mu /= self.k
+            yield mu
 
     def newton_step_budget(self, mu0: float, mu_f: float) -> int:
         """Worst-case Newton steps m * ceil(c^{-1} sqrt(n) log(mu0/mu_f))."""
         return self.m * math.ceil(math.sqrt(self.n) * math.log(mu0 / mu_f) / self.c)
 
     def outer_iterations(self, mu0: float, mu_f: float) -> int:
-        """Exact outer-loop count ceil(log(mu0/mu_f) / log k)."""
-        if mu0 <= mu_f:
-            return 0
-        return math.ceil(math.log(mu0 / mu_f) / math.log(self.k))
+        """The outer phases ``shortstep`` takes from mu0 down to mu_f."""
+        return sum(1 for _ in self._schedule(mu0, mu_f))
 
 
-def shortstep_params(beta: float, eps: float, n: int) -> ShortStepParams:
-    """Select (k, m) for rank n from a contraction target beta and tolerance eps.
-
-    Requires 0 < beta <= 1/2 and 0 < eps < q_inv(beta).  m is the smallest
-    integer with beta^(2^m) <= eps^2; k solves
-    (1/2) log k = q_inv(zeta^2 / n) with zeta = q_inv(beta) - eps.
-    """
-    if not 0.0 < beta <= 0.5:
-        raise ParameterError("beta must lie in (0, 1/2]")
-    qb = geometry.q_inv(beta)
-    if not 0.0 < eps < qb:
-        raise ParameterError("eps must lie in (0, q_inv(beta))")
-    if not jordan._is_integer(n) or n < 1:
-        raise ParameterError(f"rank must be a positive integer, got {n!r}")
-    m = 1
-    while beta ** (2 ** m) > eps * eps:
-        m += 1
-        if m > 64:  # pragma: no cover - unreachable for admissible inputs
-            raise ParameterError("no admissible inner step count")
-    zeta = qb - eps
-    k = math.exp(2.0 * geometry.q_inv(zeta * zeta / n))
-    c = 2.0 * geometry.q_inv(zeta * zeta)
-    return ShortStepParams(beta=beta, eps=eps, n=n, m=m, k=k, zeta=zeta, c=c)
+# the older name of the constructor, which the benchmark workloads still call
+shortstep_params = ShortStepParams
 
 
 @dataclass(frozen=True)
@@ -216,12 +223,8 @@ def shortstep(
     if params.n != problem.cone.rank:
         raise ParameterError(f"short-step parameters for rank {params.n} on a cone of rank {problem.cone.rank}")
     trace = SolverTrace()
-    mu = float(mu0)
-    outer = 0
-    nd = _steps(subspace.ScaledFrame(problem, w0), mu, outer, trace, _full(0))  # returned if mu0 <= mu_f
-    while mu > mu_f:
-        mu /= params.k
-        outer += 1
+    nd = _steps(subspace.ScaledFrame(problem, w0), float(mu0), 0, trace, _full(0))  # returned if mu0 <= mu_f
+    for outer, mu in enumerate(params._schedule(mu0, mu_f), 1):
         nd = _steps(nd.frame, mu, outer, trace, _full(params.m))
     return nd, trace
 

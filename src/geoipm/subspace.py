@@ -166,7 +166,7 @@ class ConicProblem:
     # ------------------------------------------------------------------
     @functools.cached_property
     def _sqrt_metric(self) -> np.ndarray:
-        return np.sqrt(jordan.metric_diag(self.cone))
+        return np.sqrt(self.cone.metric_diag)
 
     def _mc(self, x: AlgebraElement) -> np.ndarray:
         """Coordinates in which the dot product is the trace inner product."""
@@ -671,15 +671,12 @@ def duality_gap(x: AlgebraElement, s: AlgebraElement) -> float:
 def as_operator_form(problem: ConicProblem) -> ConicProblem:
     """Convert a basis-form problem to the equivalent operator form.
 
-    A's columns are an orthonormal basis of L-perp, from the problem's
-    factor when it is complete, else from a complete QR of the basis;
-    c = s0, b = A* x0, and B/g are empty.
+    A's columns are an orthonormal basis of L-perp, from a complete QR of
+    the basis; c = s0, b = A* x0, and B/g are empty.
     """
     if not isinstance(problem.form, BasisForm):
         return problem
-    q, r = problem._factor
-    if q.shape[1] < problem.cone.dim:
-        q, r = _factorize(problem._given_mc(), complete=True)
+    q, r = _factorize(problem._given_mc(), complete=True)
     lperp = q[:, r.shape[0] :]
     cols = tuple(problem._from_mc(lperp[:, j]) for j in range(lperp.shape[1]))
     return ConicProblem(problem.cone, _operator_form(cols, problem.form.x0, problem.form.s0))

@@ -75,7 +75,7 @@ def test_criterion_1_algebra_identity_suite():
 
             # orthogonal automorphisms: idempotents, spectra, exp all commute
             x = random_element(cone, rng)
-            sd = J.spectral(x)
+            sd = J.Spectrum(x)
             mx = J.apply_automorphism(M, x)
             recon = J.zero(cone)
             for lam, f in zip(sd.eigenvalues, sd.frame):

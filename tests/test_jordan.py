@@ -340,7 +340,7 @@ def test_spectral_examples():
     x = J.element(SOC3, [3.0, 0.0, 4.0])
     assert sorted(J.eigenvalues(x).tolist()) == [-1.0, 7.0]
 
-    sd = J.spectral(J.element(ORTH2, [5.0, 7.0]))
+    sd = J.Spectrum(J.element(ORTH2, [5.0, 7.0]))
     assert np.allclose(sd.eigenvalues, [5.0, 7.0])
     assert np.allclose(sd.frame[0].coords, [1.0, 0.0])
 
@@ -352,7 +352,7 @@ def test_spectral_frame_properties():
     rng = np.random.default_rng(4)
     for cone in FAMILIES.values():
         x = J.element(cone, rng.uniform(-10, 10, cone.dim))
-        sd = J.spectral(x)
+        sd = J.Spectrum(x)
         assert sd.eigenvalues.shape == (cone.rank,)
         recon = J.zero(cone)
         for lam, f in zip(sd.eigenvalues, sd.frame):
@@ -370,7 +370,7 @@ def test_spectral_frame_properties():
 
 def test_soc_degenerate_frame_is_deterministic():
     x = J.element(SOC3, [2.0, 0.0, 0.0])
-    sd = J.spectral(x)
+    sd = J.Spectrum(x)
     assert np.allclose(sd.frame[0].coords, [0.5, 0.5, 0.0])
     assert np.allclose(sd.frame[1].coords, [0.5, -0.5, 0.0])
 
@@ -708,7 +708,7 @@ def test_orthogonal_automorphism_commutes_with_exp():
             "exp(Mx) = M exp(x)",
         )
         # frames map to frames: images are idempotent and reconstruct Mx
-        sd = J.spectral(x)
+        sd = J.Spectrum(x)
         mx = J.apply_automorphism(M, x)
         recon = J.zero(cone)
         for lam, f in zip(sd.eigenvalues, sd.frame):
