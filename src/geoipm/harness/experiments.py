@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import geometry, jordan, solver
 from ..errors import GeoipmError, ProblemFormatError
-from .generate import generate_random_sdp
+from .generate import _size_error, generate_random_sdp
 from .io import require_int, require_real, write_csv
 
 __all__ = ["ExperimentConfig", "run_experiment_fig3", "run_experiment_fig4", "trial_seed"]
@@ -71,6 +71,11 @@ class ExperimentConfig:
             raise ProblemFormatError("experiment config needs positive counts")
         if self.mu_ratio <= 1.0 or self.mu0 <= 0.0:
             raise ProblemFormatError("need mu_ratio > 1 and mu0 > 0")
+        # every instance size, before any solve runs
+        for n in self.n_values + (self.fig4_n,):
+            error = _size_error(n, self.dim_l)
+            if error is not None:
+                raise ProblemFormatError(f"experiment size n={n}, dim_l={self.dim_l}: {error}")
         # ParameterError on a bad short-step (beta, eps); neither check depends on the rank
         solver.ShortStepParams(self.short_beta, self.short_eps, 1)
         self.long_params()  # ParameterError on a bad (beta, alpha, eps, gamma)

@@ -22,13 +22,21 @@ def _sym_randn(n: int, rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (X + X.T)
 
 
+def _size_error(n: int, dim_l: int) -> str | None:
+    """Why psd(n) with dim L = dim_l is no instance size, or None when it is one."""
+    if n < 2:
+        return "matrix side must be >= 2"
+    if not 1 <= dim_l < n * (n + 1) // 2:
+        return "need 1 <= dim_l < n(n+1)/2"
+    return None
+
+
 def generate_random_sdp(n: int, dim_l: int, seed: int) -> ConicProblem:
     """Random PSD(n) instance with dim(L) = dim_l, deterministic under seed;
     a numerically dependent basis raises IllConditionedBasisError."""
-    if n < 2:
-        raise ValueError("matrix side must be >= 2")
-    if not 1 <= dim_l < n * (n + 1) // 2:
-        raise ValueError("need 1 <= dim_l < n(n+1)/2")
+    error = _size_error(n, dim_l)
+    if error is not None:
+        raise ValueError(error)
     cone = ConeDescriptor((Psd(n),))
     rng = np.random.default_rng([int(seed), 0])
     x0 = jordan.exp(jordan.from_blocks(cone, [_sym_randn(n, rng)]))

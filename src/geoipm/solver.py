@@ -104,6 +104,8 @@ class ShortStepParams:
             m += 1
         zeta = qb - self.eps
         k = math.exp(2.0 * geometry.q_inv(zeta * zeta / self.n))
+        if not k > 1.0:
+            raise ParameterError(f"rank {self.n} too large: the mu divisor k rounds to 1")
         for name, value in (("m", m), ("k", k), ("zeta", zeta), ("c", 2.0 * geometry.q_inv(zeta * zeta))):
             object.__setattr__(self, name, value)
 
@@ -115,7 +117,9 @@ class ShortStepParams:
             yield mu
 
     def newton_step_budget(self, mu0: float, mu_f: float) -> int:
-        """Worst-case Newton steps m * ceil(c^{-1} sqrt(n) log(mu0/mu_f))."""
+        """Worst-case Newton steps m * ceil(c^{-1} sqrt(n) log(mu0/mu_f)); 0 when mu0 <= mu_f."""
+        if mu0 <= mu_f:
+            return 0
         return self.m * math.ceil(math.sqrt(self.n) * math.log(mu0 / mu_f) / self.c)
 
     def outer_iterations(self, mu0: float, mu_f: float) -> int:

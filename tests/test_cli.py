@@ -319,6 +319,17 @@ def test_bench_fig4(tmp_path):
         assert rc == 3, bad
 
 
+def test_bench_config_sizes_are_checked_before_any_solve(tmp_path, capsys):
+    """psd(4) cannot host dim L = 12; the psd(30) trials before it used to
+    run first."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_values": [30, 4], "dim_l": 12}')
+    rc = cli.solve_cli(["bench", "--experiment", "fig3", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "experiment size n=4, dim_l=12" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("module", ["geoipm", "geoipm.harness.cli"])
 def test_module_forms_run_the_cli(module):
     # the directory that holds the package, so the child imports this checkout

@@ -109,6 +109,12 @@ def test_experiment_config_validation():
         experiments.ExperimentConfig.from_dict({"bogus_key": 1})
     cfg = experiments.ExperimentConfig.from_dict({"seed": 9, "n_values": [4], "trials": 2, "dim_l": 3})
     assert cfg.n_values == (4,)
+    # instance sizes are checked before any solve: psd(n) needs n >= 2 and
+    # 1 <= dim_l < n(n+1)/2, for every fig3 size and for fig4
+    for sizes in (dict(n_values=(4, 1), dim_l=3), dict(n_values=(4,), dim_l=10),
+                  dict(n_values=(4,), dim_l=3, fig4_n=1), dict(n_values=(30, 4), dim_l=12)):
+        with pytest.raises(ProblemFormatError, match="experiment size"):
+            experiments.ExperimentConfig(**sizes)
     for key, value in (
         ("seed", 1.5), ("trials", 2.5), ("trials", True), ("dim_l", 3.0),
         ("fig4_n", "4"), ("n_values", [4.7]), ("n_values", [False]),

@@ -49,7 +49,7 @@ def test_block_sizes_must_be_integers(kind):
 
 
 def test_element_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match cone dimension 3"):
         J.element(ORTH3, [1.0, 2.0])
 
 
@@ -57,6 +57,16 @@ def test_element_validation():
 def test_element_coordinates_must_be_finite(bad):
     with pytest.raises(ValueError):
         J.element(ORTH3, [1.0, bad, 2.0])
+    with pytest.raises(ValueError):
+        J.AlgebraElement(ORTH3, np.array([1.0, bad, 2.0]))
+    with pytest.raises(ValueError):
+        J.from_blocks(PSD2, [np.diag([bad, 1.0])])
+
+
+def test_pack_trusts_its_frame_coordinates():
+    """Internal results are not checked: an overflowing map still packs."""
+    f = np.array([1.0, np.inf, np.nan])
+    assert np.array_equal(J.pack(ORTH3, f).coords, f, equal_nan=True)
 
 
 def test_circ_examples():

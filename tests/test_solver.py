@@ -57,6 +57,38 @@ def test_shortstep_params_examples():
         V.shortstep_params(0.5, 0.0, 10)
 
 
+def test_shortstep_settings_derive_their_schedule():
+    """(m, k, zeta, c) are derived, never given: a hand-built k = 1 never
+    ended, and m = 0 reported converged after no step."""
+    with pytest.raises(TypeError):
+        V.ShortStepParams(beta=0.5, eps=1e-4, n=3, m=1, k=1.0, zeta=0.1, c=0.1)
+    p = V.ShortStepParams(0.5, 1e-4, 3)
+    assert [f.name for f in dataclasses.fields(p) if f.init] == ["beta", "eps", "n"]
+    assert p == V.shortstep_params(0.5, 1e-4, 3)
+    with pytest.raises(ParameterError):
+        V.ShortStepParams(0.5, 1e-4, 10 ** 40)  # k rounds to 1
+
+
+def test_outer_iterations_count_the_phases_shortstep_takes():
+    """At mu_f = k^-j the log formula ceil(log(mu0/mu_f) / log k) missed
+    by one at 14 of these 30 rank-3 targets."""
+    prob = generate.generate_random_sdp(3, 2, 0)
+    params = V.shortstep_params(0.5, 1e-4, prob.cone.rank)
+    w0 = V.oracle_center(prob, 1.0)
+    for j in range(1, 31):
+        mu_f = params.k ** -j
+        _, trace = V.shortstep(prob, w0, 1.0, mu_f, params)
+        assert len(trace.snapshots) == params.outer_iterations(1.0, mu_f), j
+        assert trace.newton_steps == params.m * len(trace.snapshots)
+
+
+def test_newton_step_budget_is_zero_without_a_mu_decrease():
+    params = V.shortstep_params(0.5, 1e-4, 3)
+    assert params.newton_step_budget(1.0, 1e10) == 0
+    assert params.newton_step_budget(1.0, 1.0) == 0
+    assert params.newton_step_budget(1.0, 0.5) > 0
+
+
 @pytest.mark.parametrize("n", [2.5, 20.0, True])
 def test_shortstep_rank_must_be_an_integer(n):
     with pytest.raises(ParameterError):
