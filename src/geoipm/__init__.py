@@ -39,7 +39,6 @@ from .jordan import (
     element,
     from_blocks,
     identity,
-    norms,
     quad_rep,
     random_automorphism,
     spectral_map,

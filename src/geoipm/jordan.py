@@ -72,15 +72,10 @@ __all__ = [
     "min_eigenvalue",
     "is_interior",
     "inner",
-    "trace",
-    "norms",
     "norm2",
-    "norm_inf",
     "exp",
-    "log",
     "sqrt",
     "inverse",
-    "power",
     "apply_automorphism",
     "apply_adjoint",
     "apply_inverse",
@@ -713,7 +708,7 @@ def geodesic_step(anchor: "ConeAutomorphism", spec: Spectrum, t: float, r: float
     ``(T S, Z', u_p, u_d)`` with Z' the columns of ``basis`` (D x m) mapped
     by S^{-1} (``inverse``) or S*, and the frame coordinates of
     ``u_p = r (e + d) o exp(-t d)`` and ``u_d = r (e - d) o exp(t d)``.  The
-    arithmetic is that of ``scale_and_map``, ``_columns`` and ``then``."""
+    arithmetic is that of ``scale_and_map``, ``columns`` and ``then``."""
     cone, lam = anchor.cone, spec.eigenvalues
     v = np.empty((4, lam.shape[0]))
     v[0] = np.exp(0.5 * t * lam)
@@ -774,11 +769,6 @@ def exp(x: AlgebraElement) -> AlgebraElement:
     return spectral_map(x, np.exp)
 
 
-def log(x: AlgebraElement) -> AlgebraElement:
-    """Logarithm; requires x in int K."""
-    return pack(x.cone, Spectrum(x).require_domain("log", lower_open=True).map(np.log)[0])
-
-
 def sqrt(x: AlgebraElement) -> AlgebraElement:
     """Square root; requires x in K."""
     return pack(x.cone, Spectrum(x).require_domain("sqrt", lower_open=False).map(np.sqrt)[0])
@@ -788,14 +778,6 @@ def inverse(x: AlgebraElement) -> AlgebraElement:
     """Inverse; requires x in int K."""
     spec = Spectrum(x).require_domain("inverse", lower_open=True)
     return pack(x.cone, spec.map(lambda lam: 1.0 / lam)[0])
-
-
-def power(x: AlgebraElement, m: int) -> AlgebraElement:
-    """Integer power x^m (negative m requires x in int K)."""
-    spec = Spectrum(x)
-    if m < 0:
-        spec.require_domain("power", lower_open=True)
-    return pack(x.cone, spec.map(lambda lam: lam ** float(m))[0])
 
 
 # --------------------------------------------------------------------------
@@ -809,34 +791,8 @@ def inner(x: AlgebraElement, y: AlgebraElement) -> float:
     return float(np.dot(x.coords * x.cone.metric_diag, y.coords))
 
 
-def trace(x: AlgebraElement) -> float:
-    """Trace of x (= sum of eigenvalues = <x, e>)."""
-    return inner(x, identity(x.cone))
-
-
-class Norms(NamedTuple):
-    norm2: float
-    norm_inf: float
-    norm1: float
-
-
-def norms(x: AlgebraElement) -> Norms:
-    """(Frobenius-type, spectral-max, eigenvalue-absolute-sum) norms."""
-    lam = eigenvalues(x)
-    abs_lam = np.abs(lam)
-    return Norms(
-        norm2=math.sqrt(max(inner(x, x), 0.0)),
-        norm_inf=float(abs_lam.max()),
-        norm1=float(abs_lam.sum()),
-    )
-
-
 def norm2(x: AlgebraElement) -> float:
     return math.sqrt(max(inner(x, x), 0.0))
-
-
-def norm_inf(x: AlgebraElement) -> float:
-    return float(np.abs(eigenvalues(x)).max())
 
 
 # --------------------------------------------------------------------------
@@ -921,7 +877,9 @@ class ConeAutomorphism:
                 rows[:] = _svec(t @ t.transpose(0, 2, 1))
         return _mk(self.cone, out)
 
-    def _columns(self, Z: np.ndarray, inverse: bool, adjoint: bool) -> np.ndarray:
+    def columns(self, Z: np.ndarray, inverse: bool = False, adjoint: bool = False) -> np.ndarray:
+        """T, T*, T^{-1} or (T^{-1})* (``inverse``, ``adjoint``) applied to
+        frame coordinates: a vector (D,) or the columns of a (D, m) array."""
         D = self.cone.frame_dim
         if Z.shape[0] != D or Z.ndim > 2:
             raise ValueError(f"expected frame coordinates with {D} rows, got shape {Z.shape}")
@@ -933,28 +891,11 @@ class ConeAutomorphism:
             _map_run(run.block, m, run.view(R), run.view(out), inverse, adjoint)
         return out.T.reshape(Z.shape)
 
-    def columns(self, Z: np.ndarray) -> np.ndarray:
-        """T applied to frame coordinates: a vector (D,) or the columns of a
-        (D, m) array."""
-        return self._columns(Z, False, False)
-
-    def adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
-        """T* applied to frame coordinates."""
-        return self._columns(Z, False, True)
-
-    def inverse_columns(self, Z: np.ndarray) -> np.ndarray:
-        """T^{-1} applied to frame coordinates."""
-        return self._columns(Z, True, False)
-
-    def inverse_adjoint_columns(self, Z: np.ndarray) -> np.ndarray:
-        """(T^{-1})* applied to frame coordinates."""
-        return self._columns(Z, True, True)
-
     def _apply(self, xs, inverse: bool, adjoint: bool) -> list:
         """T, T*, T^{-1} or (T^{-1})* of each element of ``xs``, from one map call."""
         if any(x.cone != self.cone for x in xs):
             raise ConeMismatchError("automorphism and element live on different cones")
-        out = self._columns(_unpack(self.cone, np.stack([x.coords for x in xs])).T, inverse, adjoint)
+        out = self.columns(_unpack(self.cone, np.stack([x.coords for x in xs])).T, inverse, adjoint)
         return [_mk(self.cone, c) for c in _pack(self.cone, out.T)]
 
 
@@ -971,7 +912,7 @@ def _compose(block: BlockKind, t_map: tuple, s_map: tuple) -> tuple:
 
 
 def _map_run(block: BlockKind, maps: tuple, Z: np.ndarray, O: np.ndarray, inverse: bool, adjoint: bool) -> None:
-    """One run of ``ConeAutomorphism._columns``: writes the run's map T,
+    """One run of ``ConeAutomorphism.columns``: writes the run's map T,
     T*, T^{-1} or (T^{-1})* of ``maps`` (T, T^{-1}, index) of the run's
     elements ``Z``, one per leading row, into ``O``."""
     t, t_inv, index = maps

@@ -325,12 +325,6 @@ def _project(basis: np.ndarray, on_l: bool, zm: np.ndarray, onto_l: bool) -> np.
     return inside if onto_l == on_l else zm - inside
 
 
-def _map_side(anchor: jordan.ConeAutomorphism, on_l: bool, Z: np.ndarray) -> np.ndarray:
-    """The anchor's map of one side of the problem on the columns of Z:
-    T^{-1} for x0 + L (``on_l``), T* for s0 + L-perp."""
-    return anchor._columns(Z, on_l, not on_l)
-
-
 def _orthonormalize(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the span of ``cols`` (QR); rank loss raises.
 
@@ -411,11 +405,13 @@ class ScaledFrame:
         spec = jordan.Spectrum(w).require_interior("scaling point must be interior")
         anchor = jordan.ConeAutomorphism.scaling(spec, np.sqrt)
         x0, s0, on_l, _ = problem._representation
-        # the representative of the spanned side and the spanning set share one map call
+        # the anchor maps x0 + L by T^{-1} and s0 + L-perp by T*; the
+        # representative of the spanned side and the spanning set share one map call
         near, far = (x0, s0) if on_l else (s0, x0)
-        cols = _map_side(anchor, on_l, np.column_stack((jordan.unpack(near), problem._frame_span)))
+        cols = anchor.columns(np.column_stack((jordan.unpack(near), problem._frame_span)),
+                              inverse=on_l, adjoint=not on_l)
         u_near, span = cols[:, 0], cols[:, 1:]
-        u_far = _map_side(anchor, not on_l, jordan.unpack(far))
+        u_far = anchor.columns(jordan.unpack(far), inverse=not on_l, adjoint=on_l)
         u_p, u_d = (u_near, u_far) if on_l else (u_far, u_near)
         self._set(problem, anchor, _orthonormalize(span), u_p, u_d)
         self.w = w
@@ -566,7 +562,7 @@ class NewtonData:
             return None
         r, e, anchor = math.sqrt(self.mu), self.frame.problem.cone.frame_identity, self.frame.anchor
         x = anchor.columns(r * (e + self.d_f))
-        s = anchor.inverse_adjoint_columns(r * (e - self.d_f))
+        s = anchor.columns(r * (e - self.d_f), inverse=True, adjoint=True)
         return self._pack(x), self._pack(s)
 
 

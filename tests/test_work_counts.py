@@ -17,7 +17,7 @@ h_ub takes none.  So a step costs 1 ``eigh`` and 1 ``eigvalsh``.
 
 A step maps the basis once, by Q(exp(t d/2)), in the same pass over the
 runs that forms the map and composes the anchor (``jordan.geodesic_step``);
-every automorphism map, the step's and ``ConeAutomorphism._columns``, is
+every automorphism map, the step's and ``ConeAutomorphism.columns``, is
 one ``jordan._map_run`` per run, which is what the tests count.  It works
 in frame coordinates (PSD blocks as full matrices), so it gathers no svec
 coordinates: ``_smat`` and ``_svec`` run only where an element enters or
