@@ -61,11 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", choices=("short", "long"), default="long")
     p_solve.add_argument("--mu0", type=float, default=1.0)
     p_solve.add_argument("--muf", type=float, default=None, help="default mu0/1024")
-    p_solve.add_argument("--eps", type=float, default=1e-4, help="final tolerance")
+    p_solve.add_argument("--eps", type=float, default=solver.LongStepParams.eps, help="final tolerance")
     p_solve.add_argument("--beta", type=float, default=None,
                          help="divergence bound (long) / contraction target (short)")
-    p_solve.add_argument("--alpha", type=float, default=10.0, help="recentering tolerance (long)")
-    p_solve.add_argument("--gamma", type=float, default=0.5, help="step fraction of t_max")
+    p_solve.add_argument("--alpha", type=float, default=solver.LongStepParams.alpha,
+                         help="recentering tolerance (long)")
+    p_solve.add_argument("--gamma", type=float, default=solver.LongStepParams.gamma, help="step fraction of t_max")
     p_solve.add_argument("--max-newton", type=int, default=solver.DEFAULT_CENTER_CAP,
                          help="Newton steps per centering pass, the --algo short start included")
     p_solve.add_argument("--max-outer", type=int, default=solver.DEFAULT_OUTER_CAP)
@@ -116,7 +117,7 @@ def _cmd_solve(args) -> int:
         # the step-count guarantee assumes a centered start
         w0 = solver.oracle_center(problem, mu0, warm=w0, cap=args.max_newton)
     else:
-        beta = args.beta if args.beta is not None else 100.0
+        beta = args.beta if args.beta is not None else solver.LongStepParams.beta
         params = solver.LongStepParams(
             beta=beta, alpha=args.alpha, eps=args.eps, gamma=args.gamma,
             max_newton=args.max_newton, max_outer=args.max_outer,

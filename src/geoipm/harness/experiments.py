@@ -52,10 +52,10 @@ class ExperimentConfig:
     mu0: float = 1.0
     short_beta: float = 0.5
     short_eps: float = 1e-4
-    long_beta: float = 100.0
-    long_alpha: float = 10.0
-    long_eps: float = 1e-4
-    gamma: float = 0.5
+    long_beta: float = solver.LongStepParams.beta
+    long_alpha: float = solver.LongStepParams.alpha
+    long_eps: float = solver.LongStepParams.eps
+    gamma: float = solver.LongStepParams.gamma
     fig4_n: int = 10
     fig4_deltas: tuple = (0.5, 2.0, 5.0, 8.0)
     fig4_eps: float = 1e-10

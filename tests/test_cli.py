@@ -13,8 +13,9 @@ import pytest
 
 import geoipm
 from geoipm import jordan as J
+from geoipm import solver as V
 from geoipm import subspace as S
-from geoipm.harness import cli, io
+from geoipm.harness import cli, experiments, io
 
 from util import random_basis_problem
 
@@ -62,6 +63,24 @@ def test_solve_short_algo(tmp_path):
         ["solve", "--input", str(problem_file), "--algo", "short", "--muf", "0.125"]
     )
     assert rc == 0
+
+
+def test_long_step_defaults_are_long_step_params(tmp_path, monkeypatch):
+    """``geoipm solve`` without flags and the default experiment config run
+    ``LongStepParams()``."""
+    problem_file = tmp_path / "p.json"
+    cli.solve_cli(["gen", "--n", "4", "--dim-l", "2", "--seed", "1", "--out", str(problem_file)])
+    seen = []
+    real = V.solve
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(V, "solve", spy)
+    assert cli.solve_cli(["solve", "--input", str(problem_file)]) == 0
+    assert seen == [V.LongStepParams()]
+    assert experiments.ExperimentConfig().long_params() == V.LongStepParams()
 
 
 @pytest.mark.parametrize("beta", ["1e200", "1e308"])

@@ -82,6 +82,27 @@ def test_outer_iterations_count_the_phases_shortstep_takes():
         assert trace.newton_steps == params.m * len(trace.snapshots)
 
 
+def test_a_mu_f_out_of_reach_raises_before_any_step(monkeypatch):
+    """Below the smallest normal double, mu / k rounds back to mu for k near
+    1 (1e-323 at rank 24, 5.4e-323 at rank 1000), so the schedule stalled
+    and ``outer_iterations`` never returned.  On orthant(30), k = 1.29 <
+    4/3; ``shortstep`` and ``solve`` raise before they build a frame."""
+    with pytest.raises(ParameterError):
+        V.ShortStepParams(0.5, 1e-4, 1000).outer_iterations(1.0, 5e-324)
+    cone = J.ConeDescriptor((J.Orthant(30),))
+    prob = random_basis_problem(cone, 3, np.random.default_rng(3))
+    params = V.ShortStepParams(0.5, 1e-4, cone.rank)
+    assert params.k < 4.0 / 3.0
+
+    def no_frame(*args):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(S.ScaledFrame, "__init__", no_frame)
+    for run in (V.shortstep, V.solve):
+        with pytest.raises(ParameterError, match="out of reach"):
+            run(prob, J.identity(cone), 1.0, 5e-324, params)
+
+
 def test_newton_step_budget_is_zero_without_a_mu_decrease():
     params = V.shortstep_params(0.5, 1e-4, 3)
     assert params.newton_step_budget(1.0, 1e10) == 0
