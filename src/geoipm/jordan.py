@@ -78,8 +78,6 @@ __all__ = [
     "inverse",
     "apply_automorphism",
     "apply_adjoint",
-    "apply_inverse",
-    "apply_inverse_adjoint",
     "random_automorphism",
     "INTERIOR_EPS",
 ]
@@ -971,16 +969,6 @@ def apply_automorphism(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement
 def apply_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
     """Apply the adjoint T* (with respect to the trace inner product)."""
     return T._apply((x,), False, True)[0]
-
-
-def apply_inverse(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
-    """Apply T^{-1}."""
-    return T._apply((x,), True, False)[0]
-
-
-def apply_inverse_adjoint(T: ConeAutomorphism, x: AlgebraElement) -> AlgebraElement:
-    """Apply (T^{-1})* = (T*)^{-1}."""
-    return T._apply((x,), True, True)[0]
 
 
 def _soc_quad_matrices(f: np.ndarray, axis: np.ndarray) -> np.ndarray:

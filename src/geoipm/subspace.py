@@ -388,8 +388,7 @@ class ScaledFrame:
     reads h_ub from these alone and projects once more only when d is read;
     ``mu_candidates`` and ``scale_matched_mu`` read g_f and its extreme
     eigenvalues, which do not depend on which T with T e = w the frame
-    carries.  The elements ``w``, ``g_w``, ``onto_lw(z)`` and
-    ``onto_lw_perp(z)`` are packed when read.
+    carries.
 
     ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
     decomposition of the given w, which must be an interior point of the
@@ -441,7 +440,7 @@ class ScaledFrame:
         ``sqrt(mu)(e + d) o exp(-t d)`` and ``sqrt(mu)(e - d) o exp(t d)``,
         spectral maps of d.  ``jordan.geodesic_step`` forms all of this but
         the orthonormalization in one pass over the runs; the new frame
-        then builds its g_w.
+        then builds its g_f.
         """
         anchor, span, u_p, u_d = jordan.geodesic_step(
             self.anchor, nd.d_spectrum, float(t), math.sqrt(nd.mu), self.basis, self._on_l
@@ -453,19 +452,6 @@ class ScaledFrame:
     def _project(self, z: np.ndarray, onto_lw: bool) -> np.ndarray:
         """P_{L_w} z (``onto_lw``) or P_{L_w_perp} z, frame coordinates."""
         return _project(self.basis, self._on_l, z, onto_lw)
-
-    def onto_lw(self, z: AlgebraElement) -> AlgebraElement:
-        """Orthogonal projection onto L_w."""
-        return jordan.pack(z.cone, self._project(jordan.unpack(z), True))
-
-    def onto_lw_perp(self, z: AlgebraElement) -> AlgebraElement:
-        """Orthogonal projection onto L_w_perp."""
-        return jordan.pack(z.cone, self._project(jordan.unpack(z), False))
-
-    @property
-    def g_w(self) -> AlgebraElement:
-        """The scaling vector g_f as an element."""
-        return jordan.pack(self.problem.cone, self.g_f)
 
     def newton(self, mu: float) -> "NewtonData":
         """Newton data at (w, mu); the bounds need no projection.
@@ -505,9 +491,8 @@ class NewtonData:
     step projects nothing and decomposes nothing: ``d_f``, the frame
     coordinates of d, from one projection of s; ``d_spectrum``, the one
     decomposition of d, which the geodesic step (``ScaledFrame.step``) maps
-    on; ``norm_d_inf``; and ``t_max``, the guaranteed-descent step bound.  The elements ``d``,
-    ``d1`` and ``d2`` (half the sum and difference of s and d) are packed
-    when read.
+    on; ``norm_d_inf``; and ``t_max``, the guaranteed-descent step bound.  The
+    element ``d`` is packed when read.
     """
 
     s_f: np.ndarray
@@ -533,14 +518,6 @@ class NewtonData:
     @property
     def d(self) -> AlgebraElement:
         return self._pack(self.d_f)
-
-    @property
-    def d1(self) -> AlgebraElement:
-        return self._pack(0.5 * (self.s_f + self.d_f))
-
-    @property
-    def d2(self) -> AlgebraElement:
-        return self._pack(0.5 * (self.s_f - self.d_f))
 
     @functools.cached_property
     def d_spectrum(self) -> jordan.Spectrum:

@@ -11,7 +11,7 @@ import scipy.linalg
 from geoipm import jordan as J
 from geoipm.errors import ConeMismatchError, DomainError
 
-from util import FAMILIES, MIXED, assert_elem_close, random_element, random_interior
+from util import FAMILIES, MIXED, assert_elem_close, assert_frame_close, random_element, random_interior
 
 ORTH2 = J.ConeDescriptor((J.Orthant(2),))
 ORTH3 = J.ConeDescriptor((J.Orthant(3),))
@@ -492,14 +492,15 @@ def test_automorphism_adjoint_inverse_consistency():
         assert J.inner(J.apply_automorphism(T, x), y) == pytest.approx(
             J.inner(x, J.apply_adjoint(T, y)), rel=1e-10, abs=1e-10
         )
-        assert_elem_close(J.apply_inverse(T, J.apply_automorphism(T, x)), x, 1e-10, "T^-1 T")
-        assert_elem_close(
-            J.apply_inverse_adjoint(T, J.apply_adjoint(T, x)), x, 1e-10, "(T^-1)* T*"
+        X = J.unpack(x)
+        assert_frame_close(T.columns(T.columns(X), inverse=True), X, 1e-10, "T^-1 T")
+        assert_frame_close(
+            T.columns(T.columns(X, adjoint=True), inverse=True, adjoint=True), X, 1e-10, "(T^-1)* T*"
         )
         # maps the interior into the interior, invertibly
         w = random_interior(cone, rng)
         assert J.is_interior(J.apply_automorphism(T, w))
-        assert J.is_interior(J.apply_inverse(T, w))
+        assert J.is_interior(J.pack(cone, T.columns(J.unpack(w), inverse=True)))
 
 
 def test_block_maps_must_be_orthogonal_and_scaling_interior():
@@ -550,9 +551,10 @@ def test_second_order_boost_is_an_automorphism():
         assert J.inner(J.apply_automorphism(T, x), y) == pytest.approx(
             J.inner(x, J.apply_adjoint(T, y)), rel=1e-12, abs=1e-12
         )
-        assert_elem_close(J.apply_inverse(T, J.apply_automorphism(T, x)), x, 1e-12, "T^-1 T")
-        assert_elem_close(
-            J.apply_inverse_adjoint(T, J.apply_adjoint(T, x)), x, 1e-12, "(T^-1)* T*"
+        X = J.unpack(x)
+        assert_frame_close(T.columns(T.columns(X), inverse=True), X, 1e-12, "T^-1 T")
+        assert_frame_close(
+            T.columns(T.columns(X, adjoint=True), inverse=True, adjoint=True), X, 1e-12, "(T^-1)* T*"
         )
         assert_elem_close(
             J.quad_rep(J.apply_automorphism(T, w), y),
@@ -561,7 +563,7 @@ def test_second_order_boost_is_an_automorphism():
             "Q(Tw) = T Q(w) T*",
         )
         assert J.is_interior(J.apply_automorphism(T, w))
-        assert J.is_interior(J.apply_inverse(T, w))
+        assert J.is_interior(J.pack(cone, T.columns(J.unpack(w), inverse=True)))
     # Te = p^2, which is not a multiple of e on a boosted block
     assert_elem_close(J.apply_automorphism(T, J.identity(cone)), J.circ(p, p), 1e-12, "Te")
 
@@ -605,15 +607,18 @@ def test_automorphism_reproduces_scalar_and_congruence_maps():
 
     for _ in range(5):
         x = random_element(cone, rng)
-        for mode, apply in APPLIES.items():
-            assert_elem_close(apply(T, x), reference(x, mode), 1e-12, mode)
+        for mode, flags in APPLIES.items():
+            got = T.columns(J.unpack(x), *flags)
+            assert_frame_close(got, J.unpack(reference(x, mode)), 1e-12, mode)
 
 
+# the (inverse, adjoint) flags of ``ConeAutomorphism.columns`` for T, T*,
+# T^{-1} and (T^{-1})*
 APPLIES = {
-    "apply": J.apply_automorphism,
-    "adjoint": J.apply_adjoint,
-    "inverse": J.apply_inverse,
-    "inverse_adjoint": J.apply_inverse_adjoint,
+    "apply": (False, False),
+    "adjoint": (False, True),
+    "inverse": (True, False),
+    "inverse_adjoint": (True, True),
 }
 
 
@@ -663,8 +668,9 @@ def test_permutations_inside_a_merged_orthant_run():
 
     for _ in range(3):
         x = _repeats_element(rng)
-        for mode, apply in APPLIES.items():
-            assert_elem_close(apply(T, x), reference(x, mode), 1e-12, mode)
+        for mode, flags in APPLIES.items():
+            got = T.columns(J.unpack(x), *flags)
+            assert_frame_close(got, J.unpack(reference(x, mode)), 1e-12, mode)
 
     S = J.ConeAutomorphism.scaling(J.Spectrum(random_element(REPEATS, rng)), lambda lam: np.exp(0.35 * lam))
     X = _to_frame(REPEATS, rng.standard_normal((REPEATS.dim, 3)))

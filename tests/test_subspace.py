@@ -24,6 +24,7 @@ from util import (
     FAMILIES,
     PSD6,
     assert_elem_close,
+    assert_frame_close,
     lp_newton_oracle,
     m_map,
     perturb_to_distance,
@@ -88,17 +89,18 @@ def test_scaled_projection_properties():
         prob = random_basis_problem(cone, 3, rng)
         # w = e gives the projectors onto L and L-perp themselves
         proj = S.ScaledFrame(prob, J.identity(cone))
-        for l in prob.form.basis:
-            assert_elem_close(proj.onto_lw(l), l, 1e-10, "basis fixed by projector at e")
-            assert J.norm2(proj.onto_lw_perp(l)) <= 1e-10 * J.norm2(l)
+        for l in map(J.unpack, prob.form.basis):
+            assert_frame_close(proj._project(l, True), l, 1e-10, "basis fixed by projector at e")
+            assert np.linalg.norm(proj._project(l, False)) <= 1e-10 * np.linalg.norm(l)
         w = random_interior(cone, rng)
         proj = S.ScaledFrame(prob, w)
-        z = random_element(cone, rng)
-        z2 = random_element(cone, rng)
-        assert_elem_close(proj.onto_lw(z) + proj.onto_lw_perp(z), z, 1e-10, "complementary")
-        assert abs(J.inner(proj.onto_lw(z), proj.onto_lw_perp(z2))) <= 1e-10
+        z = J.unpack(random_element(cone, rng))
+        z2 = J.unpack(random_element(cone, rng))
+        onto_lw = proj._project(z, True)
+        assert_frame_close(onto_lw + proj._project(z, False), z, 1e-10, "complementary")
+        assert abs(onto_lw @ proj._project(z2, False)) <= 1e-10
         # idempotent
-        assert_elem_close(proj.onto_lw(proj.onto_lw(z)), proj.onto_lw(z), 1e-10, "idempotent")
+        assert_frame_close(proj._project(onto_lw, True), onto_lw, 1e-10, "idempotent")
 
 
 def test_scaled_projections_rejects_boundary_w():
@@ -378,10 +380,12 @@ def test_dual_swaps_the_affine_sets(case):
         assert type(dual.form) is not type(prob.form) and type(twice.form) is type(prob.form)
         at_e = [S.ScaledFrame(p, J.identity(cone)) for p in (prob, dual, twice, restated)]
         assert [f.basis.shape[1] for f in at_e] == [min(dim_l, cone.dim - dim_l)] * 4
-        for z in (random_element(cone, rng) for _ in range(3)):
-            assert_elem_close(at_e[1].onto_lw(z), at_e[0].onto_lw_perp(z), 1e-10, "L of the dual")
-            assert_elem_close(at_e[2].onto_lw(z), at_e[0].onto_lw(z), 1e-10, "L of the dual's dual")
-            assert_elem_close(at_e[3].onto_lw(z), at_e[0].onto_lw_perp(z), 1e-10, "L restated")
+        for z in (J.unpack(random_element(cone, rng)) for _ in range(3)):
+            onto_lw = [f._project(z, True) for f in at_e]
+            onto_lw_perp = at_e[0]._project(z, False)
+            assert_frame_close(onto_lw[1], onto_lw_perp, 1e-10, "L of the dual")
+            assert_frame_close(onto_lw[2], onto_lw[0], 1e-10, "L of the dual's dual")
+            assert_frame_close(onto_lw[3], onto_lw_perp, 1e-10, "L restated")
         if case[0] == "operator":
             assert_x0_meets_the_primal_constraints(prob)
         for p, x0, s0 in (
@@ -401,12 +405,12 @@ def test_dual_swaps_the_affine_sets(case):
 def test_newton_direction_scalar_closed_form():
     prob = scalar_problem(a=2.0)
     mu = 0.49
-    # L = {0}: d = Q(w^{-1/2}) x0 / sqrt(mu) - e, and d2 = 0
+    # L = {0}: d = Q(w^{-1/2}) x0 / sqrt(mu) - e, and d2 = 0, so d = s
     w = J.element(ORTH1, [1.3])
     nd = S.newton_direction(prob, w, mu)
     expect = 2.0 / (1.3 * math.sqrt(mu)) - 1.0
     assert nd.d.coords[0] == pytest.approx(expect, rel=1e-12)
-    assert J.norm2(nd.d2) == 0.0
+    np.testing.assert_array_equal(nd.d_f, nd.s_f)
     # at the centered point w = x0/sqrt(mu) the direction vanishes
     w_hat = J.element(ORTH1, [2.0 / math.sqrt(mu)])
     nd = S.newton_direction(prob, w_hat, mu)
@@ -421,12 +425,9 @@ def test_newton_data_invariants():
         w = random_interior(cone, rng)
         mu = float(rng.uniform(0.2, 3.0))
         nd = S.newton_direction(prob, w, mu)
-        assert J.norm2(nd.d1 - nd.d2 - nd.d) <= 1e-10 * max(1.0, nd.norm_d)
-        assert abs(J.inner(nd.d1, nd.d2)) <= 1e-10 * max(1.0, J.norm2(nd.d1) * J.norm2(nd.d2))
-        ident = nd.frame.g_w / math.sqrt(mu) - J.identity(cone)
-        assert J.norm2((nd.d1 + nd.d2) - ident) <= 1e-10
         if math.isfinite(nd.h_ub):
             assert nd.h_lb <= nd.h_ub + 1e-15
+        # ||s|| = ||d|| for s = d1 + d2 and d = d1 - d2: d1 and d2 are orthogonal
         assert nd.norm_d == pytest.approx(J.norm2(nd.d), rel=1e-12)
         assert nd.norm_d_inf == pytest.approx(np.abs(J.eigenvalues(nd.d)).max(), rel=1e-12)
 
@@ -452,9 +453,10 @@ def test_route_equivalence_example():
         mu = float(rng.uniform(0.2, 2.0))
         nd_b = S.newton_direction(prob, w, mu)
         nd_o = S.newton_direction(op, w, mu)
+        # both frames carry the anchor Q(w^{1/2}), so s and d, and with them
+        # d1 = (s + d)/2 and d2 = (s - d)/2, agree in frame coordinates
         assert_elem_close(nd_b.d, nd_o.d, 1e-8, "route d")
-        assert_elem_close(nd_b.d1, nd_o.d1, 1e-8, "route d1")
-        assert_elem_close(nd_b.d2, nd_o.d2, 1e-8, "route d2")
+        assert_frame_close(nd_b.s_f, nd_o.s_f, 1e-8, "route s")
         assert nd_b.h_lb == pytest.approx(nd_o.h_lb, rel=1e-7, abs=1e-10)
 
 
@@ -562,13 +564,10 @@ def test_mu_candidates_closed_form_matches_h_ub():
         nd = S.newton_direction(prob, w, mu)
         if not math.isfinite(nd.h_ub):
             continue
-        lam = J.eigenvalues(nd.frame.g_w) / math.sqrt(mu)
+        g = nd.frame.g_f
+        lam = J.eigenvalues(J.pack(cone, g)) / math.sqrt(mu)
         k = min(lam.min(), 2.0 - lam.max())
-        closed = (
-            J.inner(nd.frame.g_w, nd.frame.g_w) / mu
-            - 2.0 * J.inner(nd.frame.g_w, J.identity(cone)) / math.sqrt(mu)
-            + cone.rank
-        ) / k
+        closed = (g @ g / mu - 2.0 * (g @ cone.frame_identity) / math.sqrt(mu) + cone.rank) / k
         assert closed == pytest.approx(nd.h_ub, rel=1e-9, abs=1e-9)
         # the selected mu sits on the boundary h_ub = beta
         mu_next = S.mu_candidates(nd.frame, mu, 100.0)
@@ -614,7 +613,7 @@ def test_mu_candidates_monotone_and_pole_clamp():
     assert mu_b < mu0
     # huge beta clamps at the pole where the bound's denominator vanishes, also
     # where the quadratics' coefficients overflow
-    lam_max = float(J.eigenvalues(frame.g_w).max())
+    lam_max = float(J.frame_eigenvalues(prob.cone, frame.g_f).max())
     mu_pole = lam_max ** 2 / 4.0
     for beta in (1e18, 1e200, 1e308):
         mu_inf = S.mu_candidates(frame, mu0, beta)
@@ -697,9 +696,9 @@ def test_direction_scale_invariance():
         tw = J.apply_automorphism(T, w)
         nd_t = S.newton_direction(prob_t, tw, mu)
         M = m_map(T, w)
+        # with s and d, d1 = (s + d)/2 and d2 = (s - d)/2 transform by M
         assert_elem_close(nd_t.d, M(nd.d), 1e-8, "d transforms by M")
-        assert_elem_close(nd_t.d1, M(nd.d1), 1e-8, "d1 transforms by M")
-        assert_elem_close(nd_t.d2, M(nd.d2), 1e-8, "d2 transforms by M")
+        assert_elem_close(J.pack(cone, nd_t.s_f), M(J.pack(cone, nd.s_f)), 1e-8, "s transforms by M")
         assert nd_t.h_lb == pytest.approx(nd.h_lb, rel=1e-8, abs=1e-12)
         if math.isfinite(nd.h_ub):
             assert nd_t.h_ub == pytest.approx(nd.h_ub, rel=1e-8, abs=1e-12)

@@ -243,7 +243,7 @@ def test_one_projection_per_newton_call(problem, monkeypatch):
     S.mu_candidates(frame, 0.5, 100.0)
     # g_w's projection only: the bounds and mu-selection project nothing
     assert len(calls) == 1
-    nd.d, nd.d1, nd.d2
+    nd.d_f, nd.d
     assert len(calls) == 2
 
 

@@ -40,6 +40,14 @@ def assert_elem_close(a, b, rtol, what=""):
     assert err <= rtol * ref, f"{what}: |a-b| = {err:.3e} > {rtol:.1e} * {ref:.3e}"
 
 
+def assert_frame_close(a, b, rtol, what=""):
+    """``assert_elem_close`` for frame coordinates, whose dot product is the
+    trace inner product."""
+    err = float(np.linalg.norm(a - b))
+    ref = max(1.0, float(np.linalg.norm(b)))
+    assert err <= rtol * ref, f"{what}: |a-b| = {err:.3e} > {rtol:.1e} * {ref:.3e}"
+
+
 def rel_err(a, b):
     return jordan.norm2(a - b) / max(1.0, jordan.norm2(b))
 
