@@ -5,7 +5,11 @@ short- or long-step algorithm on a problem file), ``bench`` (experiment
 drivers).  Exit codes: 0 converged, 2 iteration cap, 3 parse/parameter
 error or a path that cannot be read or written (a missing directory, a
 directory given for a file), 4 numerical failure; one-line diagnostics go
-to stderr.  ``solve`` prints its status line before it writes the files
+to stderr.  A problem file of either form gets its rank test, and an
+operator form its By = g test, when it is read, so a defect there exits 3
+before any solve starts.  ``--algo short`` reads its whole mu schedule
+before it centres the start, so a ``--muf`` the schedule cannot reach
+exits 3 without running the centering oracle.  ``solve`` prints its status line before it writes the files
 it is asked for, so a path that fails there follows the status line.  A
 solve that fails (exit 2 or 4) prints no status line, but ``--trace``
 still gets the steps it recorded.  The centering oracle that ``--algo
@@ -114,6 +118,8 @@ def _cmd_solve(args) -> int:
     if args.algo == "short":
         beta = args.beta if args.beta is not None else 0.5
         params = solver.ShortStepParams(beta, args.eps, problem.cone.rank)
+        # a mu_f the schedule cannot reach fails here, before the centering
+        params.outer_iterations(mu0, mu_f)
         # the step-count guarantee assumes a centered start
         w0 = solver.oracle_center(problem, mu0, warm=w0, cap=args.max_newton)
     else:

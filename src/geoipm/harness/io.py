@@ -11,9 +11,10 @@ Problem document::
 or, with ``"form": "operator"``, the fields ``A`` (list of columns, each a
 coordinate array), ``B`` (d x m rows), ``b``, ``c``, ``g``.  Coordinate
 arrays use the package's flat convention (PSD blocks svec'd with sqrt(2)
-off-diagonals).  Parsing rejects NaN/Inf, inconsistent lengths and
-non-integer block sizes.  ``write_csv`` is the one CSV writer of the
-package (experiment drivers and the CLI trace).
+off-diagonals).  Parsing rejects NaN/Inf, inconsistent lengths,
+non-integer block sizes, a basis of L or set of operator columns that
+fails the rank test, and an unsolvable By = g.  ``write_csv`` is the one
+CSV writer of the package (experiment drivers and the CLI trace).
 """
 
 from __future__ import annotations
@@ -123,8 +124,11 @@ def problem_from_dict(doc: dict) -> ConicProblem:
                 B = np.vstack([_finite_array(row, "B row", m) for row in rows])
             else:
                 B = np.zeros((0, m))
-            form = OperatorForm(columns=cols, B=B, b=b, c=c, g=g)
-            return ConicProblem(cone, form)
+            problem = ConicProblem(cone, OperatorForm(columns=cols, B=B, b=b, c=c, g=g))
+            # a file gets the rank and By = g tests at load, as a basis form
+            # gets its rank test; operator forms built in memory stay lazy
+            problem._representation
+            return problem
     except ProblemFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -15,6 +15,7 @@ import geoipm
 from geoipm import jordan as J
 from geoipm import solver as V
 from geoipm import subspace as S
+from geoipm.errors import DegenerateConstraintsError, IllConditionedBasisError, NumericalFailureError
 from geoipm.harness import cli, experiments, io
 
 from util import random_basis_problem
@@ -264,11 +265,12 @@ def test_basis_longer_than_the_cone_dimension_exit_3(tmp_path, capsys):
     assert "dimension 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("g, exit_code", [([0.0], 0), ([1.0], 4), ([], 3)], ids=["g=0", "g=1", "no-g"])
+@pytest.mark.parametrize("g, exit_code", [([0.0], 0), ([1.0], 3), ([], 3)], ids=["g=0", "g=1", "no-g"])
 def test_b_with_a_row_and_no_columns(tmp_path, g, exit_code):
     """With no operator columns, ``"B": [[]]`` is one row of zero columns:
-    By = g reads 0 = g, which g = [0] solves and g = [1] leaves empty, and
-    a missing g does not match B's row count."""
+    By = g reads 0 = g, which g = [0] solves and g = [1] leaves empty (a
+    file with an empty dual set is rejected at load), and a missing g does
+    not match B's row count."""
     path = tmp_path / "p.json"
     path.write_text(json.dumps({
         "cone": [{"type": "orthant", "size": 2}], "form": "operator",
@@ -277,22 +279,67 @@ def test_b_with_a_row_and_no_columns(tmp_path, g, exit_code):
     assert cli.solve_cli(["solve", "--input", str(path)]) == exit_code
 
 
-def test_numerical_failure_exit_4(tmp_path):
-    rng = np.random.default_rng(2)
-    prob = random_basis_problem(ORTH6, 2, rng)
-    op = S.as_operator_form(prob)
-    m = len(op.form.columns)
-    B = np.zeros((2, m))
-    B[0, 0] = 1.0
-    B[1, 0] = 1.0
-    # By = g asks y_0 = 0 and y_0 = 1: the dual affine set is empty
-    bad = S.ConicProblem(
-        ORTH6,
-        S.OperatorForm(columns=op.form.columns, B=B, b=op.form.b, c=op.form.c, g=np.array([0.0, 1.0])),
-    )
-    path = tmp_path / "inconsistent.json"
-    io.save_problem(bad, path)
-    assert cli.solve_cli(["solve", "--input", str(path)]) == 4
+def _defective_operator_form(defect):
+    op = S.as_operator_form(random_basis_problem(ORTH6, 2, np.random.default_rng(2))).form
+    m = len(op.columns)
+    if defect == "empty dual set":
+        # By = g asks y_0 = 0 and y_0 = 1
+        B = np.zeros((2, m))
+        B[:, 0] = 1.0
+        return S.OperatorForm(columns=op.columns, B=B, b=op.b, c=op.c, g=[0.0, 1.0]), DegenerateConstraintsError
+    # the first column twice
+    columns, b = op.columns + op.columns[:1], np.append(op.b, op.b[0])
+    return S.OperatorForm(columns=columns, B=[], b=b, c=op.c, g=[]), IllConditionedBasisError
+
+
+@pytest.mark.parametrize("defect", ["empty dual set", "dependent columns"])
+def test_defective_operator_file_exit_3(tmp_path, capsys, defect):
+    """An operator-form file gets its rank test and its By = g test when it
+    is read, as a basis form gets its rank test: the defect exits 3 with one
+    stderr line and no status line.  Built in memory, the same problem
+    takes the tests at first use."""
+    form, error = _defective_operator_form(defect)
+    problem = S.ConicProblem(ORTH6, form)
+    with pytest.raises(error):
+        problem.x0
+    path = tmp_path / "p.json"
+    io.save_problem(problem, path)
+    assert cli.solve_cli(["solve", "--input", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("geoipm: invalid input: invalid problem data: ") and err.count("\n") == 1, err
+
+
+def test_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
+    """A numerical failure mid-run exits 4 with one stderr line and no status line."""
+    problem_file = tmp_path / "p.json"
+    cli.solve_cli(["gen", "--n", "4", "--dim-l", "2", "--seed", "1", "--out", str(problem_file)])
+
+    def step(self, nd, t):
+        raise NumericalFailureError("step failed")
+
+    monkeypatch.setattr(S.ScaledFrame, "step", step)
+    capsys.readouterr()
+    assert cli.solve_cli(["solve", "--input", str(problem_file)]) == 4
+    assert capsys.readouterr() == ("", "geoipm: numerical failure: step failed\n")
+
+
+def test_short_schedule_is_read_before_the_centering(tmp_path, capsys, monkeypatch):
+    """At rank 30, mu / k rounds back to mu before the schedule reaches
+    mu_f = 5e-324: ``--algo short`` exits 3 without running the oracle."""
+    cone = J.ConeDescriptor((J.Orthant(30),))
+    path = tmp_path / "p.json"
+    io.save_problem(random_basis_problem(cone, 5, np.random.default_rng(0)), path)
+
+    def oracle_center(*args, **kwargs):
+        raise AssertionError("the centering oracle ran")
+
+    monkeypatch.setattr(V, "oracle_center", oracle_center)
+    argv = ["solve", "--input", str(path), "--algo", "short", "--muf", "5e-324", "--max-newton", "1"]
+    assert cli.solve_cli(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("geoipm: invalid input: mu_f=5e-324 is out of reach") and err.count("\n") == 1, err
 
 
 def test_bench_fig4(tmp_path):

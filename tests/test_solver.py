@@ -516,6 +516,28 @@ def test_oracle_center_from_far_start_matches_center(prob, mu):
     assert J.norm2(w - w_ref) <= 1e-6 * J.norm2(w_ref)
 
 
+def test_oracle_center_without_a_scale_matched_mu(monkeypatch):
+    """orthant(2) with x0 = (0.01, 0.01), s0 = (10, 1) and L = span(1, -2):
+    at e, g = P_{L-perp} x0 + P_L s0 = (1.612, -3.194) has trace -1.582, so
+    ||d|| falls as mu grows and mu* = inf.  The oracle centres at mu
+    without the long-step far phase."""
+    cone = J.ConeDescriptor((J.Orthant(2),))
+    form = S.BasisForm(
+        x0=J.element(cone, [0.01, 0.01]), s0=J.element(cone, [10.0, 1.0]), basis=(J.element(cone, [1.0, -2.0]),)
+    )
+    prob = S.ConicProblem(cone, form)
+    frame = S.ScaledFrame(prob, J.identity(cone))
+    assert float(frame.g_f @ cone.frame_identity) == pytest.approx(-1.582, rel=1e-12)
+    assert S.scale_matched_mu(frame) == math.inf
+
+    def far_phase(*args):
+        raise AssertionError("oracle_center took the far phase")
+
+    monkeypatch.setattr(V, "_longstep", far_phase)
+    w = V.oracle_center(prob, 1.0)
+    assert S.newton_direction(prob, w, 1.0).h_ub <= V.ORACLE_EPS
+
+
 def test_central_path_divergence_identity_quick():
     rng = np.random.default_rng(6)
     prob = random_basis_problem(PSD6, 3, rng)
