@@ -9,12 +9,13 @@ to stderr.  A problem file of either form gets its rank test, and an
 operator form its By = g test, when it is read, so a defect there exits 3
 before any solve starts.  ``--algo short`` reads its whole mu schedule
 before it centres the start, so a ``--muf`` the schedule cannot reach
-exits 3 without running the centering oracle.  ``solve`` prints its status line before it writes the files
-it is asked for, so a path that fails there follows the status line.  A
-solve that fails (exit 2 or 4) prints no status line, but ``--trace``
-still gets the steps it recorded.  The centering oracle that ``--algo
-short`` starts from fails only at its cap: an IterationLimitError (exit 2)
-that carries the oracle's own trace, which ``--trace`` does not get.
+exits 3 without running the centering oracle.  ``solve`` prints its
+status line before it writes the files it is asked for, so a path that
+fails there follows the status line.  A solve that fails (exit 2 or 4)
+prints no status line, but ``--trace`` still gets the steps it recorded.
+The centering oracle that ``--algo short`` starts from fails only at its
+cap: an IterationLimitError (exit 2) that carries the oracle's own trace,
+which ``--trace`` does not get.
 ``bench --config`` is read like a problem file, so invalid JSON and the
 literals NaN and Infinity exit 3.
 """
