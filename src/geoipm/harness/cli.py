@@ -117,7 +117,7 @@ def _cmd_solve(args) -> int:
         raise ParameterError("mu0 and muf must be positive and finite")
     w0 = _initial_point(problem, args.seed)
     if args.algo == "short":
-        beta = args.beta if args.beta is not None else 0.5
+        beta = args.beta if args.beta is not None else solver.SHORT_BETA
         params = solver.ShortStepParams(beta, args.eps, problem.cone.rank)
         # a mu_f the schedule cannot reach fails here, before the centering
         params.outer_iterations(mu0, mu_f)

@@ -6,6 +6,11 @@ Both drivers emit plain CSV (data only, no plotting) with pinned headers:
 * ``fig3_mu_trace.csv``: ``step,mu`` for a representative long-step run;
 * ``fig4_center.csv``: ``init_id,iter,delta,h_ub`` per centering iteration.
 
+Both experiments run ``geoipm solve``'s default settings from mu0 = ``MU0``:
+fig3 runs ``LongStepParams()`` and ``ShortStepParams(SHORT_BETA,
+LongStepParams.eps, n)``, and fig4 runs ``center`` with its default step
+fraction.  ``ExperimentConfig`` holds only the experiment's sizes.
+
 Aggregation is sorted by (n, algo, trial), so output is deterministic
 under the seed.
 """
@@ -28,20 +33,18 @@ FIG3_STEPS_HEADER = "n,algo,trial,steps,errors"
 FIG3_MU_HEADER = "step,mu"
 FIG4_HEADER = "init_id,iter,delta,h_ub"
 
-
-# the float fields of ExperimentConfig besides the tuple fig4_deltas
-_REAL_FIELDS = (
-    "mu_ratio", "mu0", "short_beta", "short_eps", "long_beta", "long_alpha", "long_eps", "gamma", "fig4_eps",
-)
+# fig3 and fig4 start and center at mu0 = 1, as geoipm solve does
+MU0 = 1.0
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for the experiment drivers (defaults match the reported study).
+    """Sizes of the experiments (defaults match the reported study).
 
-    ``mu0`` defaults to 1 and the centering runs both start and measure at
-    it; fig4's initial points sit at the exact distances ``fig4_deltas``
-    from the centered point (geodesic perturbations preserve length).
+    fig3 tracks each instance from ``MU0`` down to ``MU0 / mu_ratio``.
+    fig4's initial points sit at the exact distances ``fig4_deltas`` from
+    the point centered at ``MU0`` (geodesic perturbations preserve
+    length), and each centering stops at ``h_ub <= fig4_eps``.
     """
 
     seed: int = 0
@@ -49,13 +52,6 @@ class ExperimentConfig:
     trials: int = 20
     dim_l: int = 10
     mu_ratio: float = 1024.0
-    mu0: float = 1.0
-    short_beta: float = 0.5
-    short_eps: float = 1e-4
-    long_beta: float = solver.LongStepParams.beta
-    long_alpha: float = solver.LongStepParams.alpha
-    long_eps: float = solver.LongStepParams.eps
-    gamma: float = solver.LongStepParams.gamma
     fig4_n: int = 10
     fig4_deltas: tuple = (0.5, 2.0, 5.0, 8.0)
     fig4_eps: float = 1e-10
@@ -64,21 +60,18 @@ class ExperimentConfig:
         for name in ("seed", "trials", "dim_l", "fig4_n"):
             require_int(getattr(self, name), name)
         object.__setattr__(self, "n_values", tuple(require_int(v, "n_values") for v in self.n_values))
-        for name in _REAL_FIELDS:
+        for name in ("mu_ratio", "fig4_eps"):
             object.__setattr__(self, name, require_real(getattr(self, name), name))
         object.__setattr__(self, "fig4_deltas", tuple(require_real(v, "fig4_deltas") for v in self.fig4_deltas))
         if self.trials < 1 or self.dim_l < 1 or not self.n_values:
             raise ProblemFormatError("experiment config needs positive counts")
-        if self.mu_ratio <= 1.0 or self.mu0 <= 0.0:
-            raise ProblemFormatError("need mu_ratio > 1 and mu0 > 0")
+        if self.mu_ratio <= 1.0:
+            raise ProblemFormatError("need mu_ratio > 1")
         # every instance size, before any solve runs
         for n in self.n_values + (self.fig4_n,):
             error = _size_error(n, self.dim_l)
             if error is not None:
                 raise ProblemFormatError(f"experiment size n={n}, dim_l={self.dim_l}: {error}")
-        # ParameterError on a bad short-step (beta, eps); neither check depends on the rank
-        solver.ShortStepParams(self.short_beta, self.short_eps, 1)
-        self.long_params()  # ParameterError on a bad (beta, alpha, eps, gamma)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -93,11 +86,6 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ProblemFormatError(f"bad experiment config value: {exc}") from exc
 
-    def long_params(self) -> solver.LongStepParams:
-        return solver.LongStepParams(
-            beta=self.long_beta, alpha=self.long_alpha, eps=self.long_eps, gamma=self.gamma
-        )
-
 
 def trial_seed(seed: int, n: int, trial: int) -> int:
     """Stable 64-bit per-trial seed derived from (seed, n, trial)."""
@@ -106,28 +94,28 @@ def trial_seed(seed: int, n: int, trial: int) -> int:
 
 
 def _fig3_trial(config: ExperimentConfig, n: int, trial: int):
-    """One instance: oracle-center at mu0, run both algorithms down mu_ratio."""
+    """One instance: oracle-center at MU0, run both algorithms down mu_ratio."""
     tseed = trial_seed(config.seed, n, trial)
-    mu_f = config.mu0 / config.mu_ratio
+    mu_f = MU0 / config.mu_ratio
     out = []
     trace_rows = None
     try:
         problem = generate_random_sdp(n, config.dim_l, tseed)
-        w0 = solver.oracle_center(problem, config.mu0)
-        params = solver.ShortStepParams(config.short_beta, config.short_eps, n)
-        _, strace = solver.shortstep(problem, w0, config.mu0, mu_f, params)
+        w0 = solver.oracle_center(problem, MU0)
+        params = solver.ShortStepParams(solver.SHORT_BETA, solver.LongStepParams.eps, n)
+        _, strace = solver.shortstep(problem, w0, MU0, mu_f, params)
         out.append((n, "short", trial, strace.newton_steps, ""))
-        _, ltrace = solver.longstep(problem, w0, config.mu0, mu_f, config.long_params())
+        _, ltrace = solver.longstep(problem, w0, MU0, mu_f, solver.LongStepParams())
         out.append((n, "long", trial, ltrace.newton_steps, ""))
-        trace_rows = _mu_trace_rows(ltrace, config.mu0)
+        trace_rows = _mu_trace_rows(ltrace)
     except GeoipmError as exc:
         out.append((n, "failed", trial, "", str(exc).replace(",", ";")))
     return out, trace_rows
 
 
-def _mu_trace_rows(trace: solver.SolverTrace, mu0: float):
-    rows = [(0, float(mu0))]
-    last = float(mu0)
+def _mu_trace_rows(trace: solver.SolverTrace):
+    rows = [(0, MU0)]
+    last = MU0
     for i, rec in enumerate(trace.records):
         if rec.mu != last:
             rows.append((i, rec.mu))
@@ -183,7 +171,7 @@ def run_experiment_fig4(config: ExperimentConfig, outdir) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     tseed = trial_seed(config.seed, config.fig4_n, 0)
     problem = generate_random_sdp(config.fig4_n, config.dim_l, tseed)
-    w_hat = solver.oracle_center(problem, config.mu0)
+    w_hat = solver.oracle_center(problem, MU0)
     rng = np.random.default_rng([int(config.seed), 13])
     rows = []
     for init_id, delta in enumerate(config.fig4_deltas):
@@ -194,8 +182,7 @@ def run_experiment_fig4(config: ExperimentConfig, outdir) -> Path:
         def observe(step, w, nd, _rows=rows, _id=init_id):
             _rows.append((_id, step, geometry.geodesic_distance(w, w_hat), nd.h_ub))
 
-        solver.center(problem, w0, config.mu0, config.fig4_eps,
-                      gamma=config.gamma, observer=observe)
+        solver.center(problem, w0, MU0, config.fig4_eps, observer=observe)
     path = outdir / "fig4_center.csv"
     write_csv(path, FIG4_HEADER, rows)
     return path

@@ -71,6 +71,9 @@ RESIDUAL_TOL = 1e-8  # the largest relative affine residual of a converged solve
 ORACLE_EPS = 1e-12
 ORACLE_GAMMA = 0.5
 
+# the short-step contraction target that geoipm solve --algo short and fig3 run
+SHORT_BETA = 0.5
+
 
 @dataclass(frozen=True)
 class ShortStepParams:

@@ -194,10 +194,12 @@ class ConicProblem:
         """The one factorization of the problem, ``(Q, R)`` of the basis of
         L or of M = A N_B, which spans L-perp; complete exactly when that
         set is the larger side, whose complement the representation spans."""
-        cols = self._given_mc()
-        if isinstance(self.form, OperatorForm) and self._kernel_b is not None:
-            cols = cols @ self._kernel_b
-        return _factorize(cols, complete=2 * cols.shape[1] > cols.shape[0])
+        cols, what = self._given_mc(), "the basis vectors of L"
+        if isinstance(self.form, OperatorForm):
+            what = "the operator columns"
+            if self._kernel_b is not None:
+                cols, what = cols @ self._kernel_b, "the operator columns on ker B"
+        return _factorize(cols, complete=2 * cols.shape[1] > cols.shape[0], what=what)
 
     @functools.cached_property
     def _representation(self) -> "_Representation":
@@ -279,29 +281,27 @@ class _Representation(NamedTuple):
     span: np.ndarray
 
 
-def _factorize(cols: np.ndarray, complete: bool) -> tuple:
+def _factorize(cols: np.ndarray, complete: bool, what: str) -> tuple:
     """``(Q, R)``, one QR of the spanning set ``cols`` (metric coordinates,
     N x k): the first k columns of Q span ``cols`` orthonormally and, when
     ``complete``, the last N - k its complement; R is k x k.
 
-    Rank loss raises: sigma_min/sigma_max <= ``_BASIS_RANK_TOL`` on the
-    singular values of R, which are those of ``cols`` up to rounding.  The
-    bound ``b = 1/(||R||_F ||R^{-1}||_F)`` satisfies
-    ``b <= sigma_min/sigma_max <= k b``, so a b well above the tolerance
-    accepts without the SVD (see ``_ratio_bound``).
+    Rank loss raises, naming the set as ``what``: sigma_min/sigma_max <=
+    ``_BASIS_RANK_TOL`` on the singular values of R, which are those of
+    ``cols`` up to rounding.  The bound ``b = 1/(||R||_F ||R^{-1}||_F)``
+    satisfies ``b <= sigma_min/sigma_max <= k b``, so a b well above the
+    tolerance accepts without the SVD (see ``_ratio_bound``).
     """
     n, k = cols.shape
     if k > n:
-        raise IllConditionedBasisError(
-            f"subspace basis has {k} elements in a cone of dimension {n}, so they are dependent"
-        )
+        raise IllConditionedBasisError(f"{what} are dependent: {k} vectors in a cone of dimension {n}")
     q, r = np.linalg.qr(cols, mode="complete" if complete else "reduced")
     r = r[:k]
     if k and not _ratio_bound(r) > _RANK_MARGIN * _BASIS_RANK_TOL:
         sv = np.linalg.svd(r, compute_uv=False)
         if sv[-1] <= _BASIS_RANK_TOL * sv[0]:
             raise IllConditionedBasisError(
-                f"subspace basis is numerically dependent (sigma_min = {sv[-1]:.3g}, sigma_max = {sv[0]:.3g})"
+                f"{what} are numerically dependent (sigma_min = {sv[-1]:.3g}, sigma_max = {sv[0]:.3g})"
             )
     return q, r
 
@@ -649,7 +649,7 @@ def as_operator_form(problem: ConicProblem) -> ConicProblem:
     """
     if not isinstance(problem.form, BasisForm):
         return problem
-    q, r = _factorize(problem._given_mc(), complete=True)
+    q, r = _factorize(problem._given_mc(), complete=True, what="the basis vectors of L")
     lperp = q[:, r.shape[0] :]
     cols = tuple(problem._from_mc(lperp[:, j]) for j in range(lperp.shape[1]))
     return ConicProblem(problem.cone, _operator_form(cols, problem.form.x0, problem.form.s0))

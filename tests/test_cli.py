@@ -67,21 +67,30 @@ def test_solve_short_algo(tmp_path):
 
 
 def test_long_step_defaults_are_long_step_params(tmp_path, monkeypatch):
-    """``geoipm solve`` without flags and the default experiment config run
-    ``LongStepParams()``."""
+    """``geoipm solve`` without flags runs ``LongStepParams()``, and fig3
+    runs it and ``geoipm solve --algo short``'s ``ShortStepParams(0.5,
+    1e-4, n)``."""
     problem_file = tmp_path / "p.json"
     cli.solve_cli(["gen", "--n", "4", "--dim-l", "2", "--seed", "1", "--out", str(problem_file)])
     seen = []
-    real = V.solve
 
-    def spy(*args):
-        seen.append(args[-1])
-        return real(*args)
+    def spy(name):
+        real = getattr(V, name)
 
-    monkeypatch.setattr(V, "solve", spy)
+        def record(*args):
+            seen.append((name, args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(V, name, record)
+
+    for name in ("solve", "shortstep", "longstep"):
+        spy(name)
     assert cli.solve_cli(["solve", "--input", str(problem_file)]) == 0
-    assert seen == [V.LongStepParams()]
-    assert experiments.ExperimentConfig().long_params() == V.LongStepParams()
+    assert seen == [("solve", V.LongStepParams()), ("longstep", V.LongStepParams())]
+    seen.clear()
+    config = experiments.ExperimentConfig(n_values=(4,), trials=1, dim_l=2)
+    experiments.run_experiment_fig3(config, tmp_path / "fig3")
+    assert seen == [("shortstep", V.ShortStepParams(0.5, 1e-4, 4)), ("longstep", V.LongStepParams())]
 
 
 @pytest.mark.parametrize("beta", ["1e200", "1e308"])
@@ -265,6 +274,21 @@ def test_basis_longer_than_the_cone_dimension_exit_3(tmp_path, capsys):
     assert "dimension 3" in capsys.readouterr().err
 
 
+def test_dependent_operator_columns_are_named(tmp_path, capsys):
+    """The rank test of an operator form names the operator columns, not a
+    basis of L."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "cone": [{"type": "orthant", "size": 2}], "form": "operator",
+        "A": [[1.0, 0.0], [1.0, 0.0]], "b": [1.0, 1.0], "B": [], "c": [1.0, 2.0], "g": [],
+    }))
+    assert cli.solve_cli(["solve", "--input", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("geoipm: invalid input: invalid problem data: the operator columns are numerically dependent")
+    assert err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("g, exit_code", [([0.0], 0), ([1.0], 3), ([], 3)], ids=["g=0", "g=1", "no-g"])
 def test_b_with_a_row_and_no_columns(tmp_path, g, exit_code):
     """With no operator columns, ``"B": [[]]`` is one row of zero columns:
@@ -375,6 +399,7 @@ def test_bench_fig4(tmp_path):
         ("fig4", '{"fig4_eps": true, %s}' % small),
         ("fig4", '{"n_values": [4], "trials": 1, "dim_l": 3, "fig4_n": 4, "fig4_deltas": [true]}'),
         ("fig3", '{"mu_ratio": true, %s}' % small),
+        ("fig3", '{"mu_ratio": 1.0, %s}' % small),
         ("fig3", '{"gamma": "0.5", %s}' % small),
         ("fig3", '{"long_eps": null, %s}' % small),
     ):

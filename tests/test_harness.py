@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from geoipm import jordan as J
+from geoipm import solver as V
 from geoipm import subspace as S
-from geoipm.errors import ProblemFormatError
+from geoipm.errors import IterationLimitError, ProblemFormatError
 from geoipm.harness import experiments, generate, io
 
 from util import random_basis_problem
@@ -93,6 +94,23 @@ def test_problem_file_rejects_bad_documents(tmp_path):
     with pytest.raises(ProblemFormatError):
         io.load_problem(path)
 
+    good = {"cone": [{"type": "orthant", "size": 2}], "form": "basis",
+            "x0": [1.0, 1.0], "s0": [1.0, 1.0], "basis_L": []}
+    path.write_text(json.dumps(good))
+    io.load_problem(path)
+    for text, message in (
+        ("[1, 2]", "must be a JSON object"),
+        (json.dumps(dict(good, cone=[{"size": 2}])), "bad cone block entry"),
+        (json.dumps(dict(good, cone=[{"type": "cube", "size": 2}])), "bad cone block entry"),
+        (json.dumps(dict(good, cone=[{"type": "orthant", "size": 0}])), "size must be >= 1"),
+        (json.dumps({k: v for k, v in good.items() if k != "x0"}), "malformed problem document"),
+        # json reads 1e400 as inf, not through its NaN/Infinity hook
+        (json.dumps(good).replace('"x0": [1.0', '"x0": [1e400'), "x0 contains non-finite values"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ProblemFormatError, match=message):
+            io.load_problem(path)
+
     # block sizes must be integers: 2.5 is not psd(2), true is not psd(1)
     doc = {"form": "basis", "x0": [1.0], "s0": [1.0], "basis_L": []}
     for size in (2.5, 1.0, True, "1", None):
@@ -143,9 +161,36 @@ def test_fig3_outputs(tmp_path):
     mu_lines = (tmp_path / "fig3_mu_trace.csv").read_text().splitlines()
     assert mu_lines[0] == "step,mu"
     mus = [float(line.split(",")[1]) for line in mu_lines[1:]]
-    assert mus[0] == cfg.mu0
+    assert mus[0] == experiments.MU0
     assert all(a > b for a, b in zip(mus, mus[1:]))
-    assert mus[-1] <= cfg.mu0 / cfg.mu_ratio
+    assert mus[-1] <= experiments.MU0 / cfg.mu_ratio
+
+
+def test_fig3_failed_trial(tmp_path, monkeypatch):
+    """A trial whose solve fails writes one failed row, commas in its message
+    read as semicolons, and the mu trace falls back to the next trial."""
+    cfg = experiments.ExperimentConfig(**TINY)
+    trial1_rows, trial1_trace = experiments._fig3_trial(cfg, 4, 1)
+    real = V.oracle_center
+    calls = []
+
+    def oracle_center(problem, mu, *args, **kwargs):
+        calls.append(mu)
+        if len(calls) == 1:  # trial 0 runs first
+            raise IterationLimitError("cap, hit")
+        return real(problem, mu, *args, **kwargs)
+
+    monkeypatch.setattr(V, "oracle_center", oracle_center)
+    experiments.run_experiment_fig3(cfg, tmp_path)
+    steps = {algo: count for _, algo, _, count, _ in trial1_rows}
+    assert (tmp_path / "fig3_steps.csv").read_text().splitlines() == [
+        "n,algo,trial,steps,errors",
+        "4,failed,0,,cap; hit",
+        f"4,long,1,{steps['long']},",
+        f"4,short,1,{steps['short']},",
+    ]
+    mu_lines = (tmp_path / "fig3_mu_trace.csv").read_text().splitlines()
+    assert [(int(i), float(mu)) for i, mu in (line.split(",") for line in mu_lines[1:])] == trial1_trace
 
 
 def test_fig3_reproducible(tmp_path):

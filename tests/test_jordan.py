@@ -37,6 +37,8 @@ def test_descriptor_validation():
         J.Psd(0)
     with pytest.raises(ValueError):
         J.ConeDescriptor(())
+    with pytest.raises(TypeError, match="unsupported block kind"):
+        J.ConeDescriptor((J.Orthant(2), 3))
 
 
 @pytest.mark.parametrize("kind", [J.Orthant, J.SecondOrder, J.Psd])
@@ -51,6 +53,13 @@ def test_block_sizes_must_be_integers(kind):
 def test_element_validation():
     with pytest.raises(ValueError, match="does not match cone dimension 3"):
         J.element(ORTH3, [1.0, 2.0])
+    for cone, parts, message in (
+        (MIXED, [np.ones(3), np.ones(4)], "expected 3 block parts, got 2"),
+        (PSD2, [np.eye(3)], "must be a 2x2 matrix"),
+        (SOC3, [np.ones(2)], "has length 2, expected 3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            J.from_blocks(cone, parts)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -517,6 +526,20 @@ def test_block_maps_must_be_orthogonal_and_scaling_interior():
         J.ConeAutomorphism.polar(SOC3, (np.eye(2),), J.element(SOC3, [1.0, 1.0, 0.0]))
     with pytest.raises(ConeMismatchError):
         J.ConeAutomorphism.polar(PSD2, maps, J.identity(SOC3))
+
+
+def test_automorphism_shapes_are_checked():
+    for cone, ks, message in (
+        (ORTH3, (), "one block map per cone block"),
+        (ORTH3, ([0, 0, 2],), "must be a permutation"),
+        (PSD2, (np.eye(3),), "incompatible with block"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            J.ConeAutomorphism.polar(cone, ks)
+    T = J.ConeAutomorphism.polar(ORTH3, ([2, 0, 1],))
+    for Z in (np.ones(4), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="with 3 rows"):
+            T.columns(Z)
 
 
 def _orthogonal(k, rng):

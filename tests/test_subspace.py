@@ -210,6 +210,24 @@ def test_operator_form_row_count_of_b():
         S.ConicProblem(SMALL_MIXED, bad)
 
 
+def test_problem_parts_must_match_the_cone():
+    """A part on orthant(9), which has SMALL_MIXED's dimension, a b of the
+    wrong length, or a form of no supported type."""
+    e, other = J.identity(SMALL_MIXED), J.identity(J.ConeDescriptor((J.Orthant(9),)))
+    cols = _scaled_columns((1.0,) * 3)
+    for form, message in (
+        (S.BasisForm(x0=other, s0=other, basis=()), "x0 does not match"),
+        (S.BasisForm(x0=e, s0=e, basis=(other,)), "basis element does not match"),
+        (S.OperatorForm(columns=cols[:2] + (other,), B=[], b=np.zeros(3), c=e, g=[]),
+         "operator column does not match"),
+        (S.OperatorForm(columns=cols, B=[], b=np.zeros(3), c=other, g=[]), "c does not match"),
+        (S.OperatorForm(columns=cols, B=[], b=np.zeros(2), c=e, g=[]), "one entry per operator column"),
+        ((e, e, cols), "unsupported problem form"),
+    ):
+        with pytest.raises(ProblemFormatError, match=message):
+            S.ConicProblem(SMALL_MIXED, form)
+
+
 def test_rank_loss_more_columns_than_dimension():
     # seven columns in a six-dimensional space are dependent whatever their values
     rng = np.random.default_rng(18)
