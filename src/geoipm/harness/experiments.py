@@ -44,7 +44,9 @@ class ExperimentConfig:
     fig3 tracks each instance from ``MU0`` down to ``MU0 / mu_ratio``.
     fig4's initial points sit at the exact distances ``fig4_deltas`` from
     the point centered at ``MU0`` (geodesic perturbations preserve
-    length), and each centering stops at ``h_ub <= fig4_eps``.
+    length), and each centering stops at ``h_ub <= fig4_eps``.  The sizes,
+    ``fig4_eps > 0`` and ``fig4_deltas >= 0`` are checked here, before any
+    solve.
     """
 
     seed: int = 0
@@ -67,6 +69,9 @@ class ExperimentConfig:
             raise ProblemFormatError("experiment config needs positive counts")
         if self.mu_ratio <= 1.0:
             raise ProblemFormatError("need mu_ratio > 1")
+        # a distance of 0 starts at the centre itself
+        if self.fig4_eps <= 0.0 or min(self.fig4_deltas, default=0.0) < 0.0:
+            raise ProblemFormatError("need fig4_eps > 0 and fig4_deltas >= 0")
         # every instance size, before any solve runs
         for n in self.n_values + (self.fig4_n,):
             error = _size_error(n, self.dim_l)

@@ -89,11 +89,8 @@ __all__ = [
 
 # rank test of a problem's spanning set: sigma_min/sigma_max of its QR factor R
 _BASIS_RANK_TOL = 1e-10
-# how far the lower bound b on that ratio must clear the tolerance to accept
-# without the SVD: b above it caps cond(R) at k/b <= k 1e8, so the rounding
-# of R^{-1} moves b by far less than this factor
-_RANK_MARGIN = 100.0
-# rank-loss threshold of the orthonormalization of scaled spanning sets
+# the same test of a frame's mapped span, which carries cond(w): about 1e11
+# at mu = 1e-6 on fig3, which the problem's tolerance would reject
 _RANK_TOL = 1e-12
 
 
@@ -281,40 +278,30 @@ class _Representation(NamedTuple):
     span: np.ndarray
 
 
-def _factorize(cols: np.ndarray, complete: bool, what: str) -> tuple:
-    """``(Q, R)``, one QR of the spanning set ``cols`` (metric coordinates,
-    N x k): the first k columns of Q span ``cols`` orthonormally and, when
-    ``complete``, the last N - k its complement; R is k x k.
+def _factorize(cols: np.ndarray, complete: bool, what: str, tol: float = _BASIS_RANK_TOL) -> tuple:
+    """``(Q, R)``, one QR of the spanning set ``cols`` (N x k): the first k
+    columns of Q span ``cols`` orthonormally and, when ``complete``, the
+    last N - k its complement; R is k x k.  It serves a problem's spanning
+    set (metric coordinates, ``_BASIS_RANK_TOL``) and a new frame's mapped
+    span (frame coordinates, ``_RANK_TOL``).
 
     Rank loss raises, naming the set as ``what``: sigma_min/sigma_max <=
-    ``_BASIS_RANK_TOL`` on the singular values of R, which are those of
-    ``cols`` up to rounding.  The bound ``b = 1/(||R||_F ||R^{-1}||_F)``
-    satisfies ``b <= sigma_min/sigma_max <= k b``, so a b well above the
-    tolerance accepts without the SVD (see ``_ratio_bound``).
+    ``tol`` on the singular values of R, which are those of ``cols`` up to
+    rounding.  The rule is scale-free: scaling ``cols`` does not change
+    its outcome.
     """
     n, k = cols.shape
     if k > n:
         raise IllConditionedBasisError(f"{what} are dependent: {k} vectors in a cone of dimension {n}")
     q, r = np.linalg.qr(cols, mode="complete" if complete else "reduced")
     r = r[:k]
-    if k and not _ratio_bound(r) > _RANK_MARGIN * _BASIS_RANK_TOL:
+    if k:
         sv = np.linalg.svd(r, compute_uv=False)
-        if sv[-1] <= _BASIS_RANK_TOL * sv[0]:
+        if sv[-1] <= tol * sv[0]:
             raise IllConditionedBasisError(
                 f"{what} are numerically dependent (sigma_min = {sv[-1]:.3g}, sigma_max = {sv[0]:.3g})"
             )
     return q, r
-
-
-def _ratio_bound(r: np.ndarray) -> float:
-    """``1/(||R||_F ||R^{-1}||_F)``, a lower bound on sigma_min/sigma_max of
-    the square R; 0.0 when R is singular to working precision."""
-    try:
-        inv = np.linalg.inv(r)
-    except np.linalg.LinAlgError:
-        return 0.0
-    # Python floats: a product that overflows reads inf, so the bound reads 0.0
-    return 1.0 / (float(np.linalg.norm(r)) * float(np.linalg.norm(inv)))
 
 
 def _project(basis: np.ndarray, on_l: bool, zm: np.ndarray, onto_l: bool) -> np.ndarray:
@@ -323,21 +310,6 @@ def _project(basis: np.ndarray, on_l: bool, zm: np.ndarray, onto_l: bool) -> np.
     trace inner product."""
     inside = basis @ (basis.T @ zm)
     return inside if onto_l == on_l else zm - inside
-
-
-def _orthonormalize(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of ``cols`` (QR); rank loss raises.
-
-    |R_jj| is the norm of column j after removing its components along the
-    columns before it, so the rank test is the one Gram-Schmidt makes.  It
-    serves a frame's mapped span, which carries cond(w), up to about 1e11
-    at mu = 1e-6 on fig3: the problem's ratio test would reject it.
-    The basis is Fortran-ordered, so each column is contiguous.
-    """
-    q, r = np.linalg.qr(cols)
-    if np.any(np.abs(np.diag(r)) <= _RANK_TOL * np.maximum(np.linalg.norm(cols, axis=0), 1.0)):
-        raise IllConditionedBasisError("rank loss while orthonormalizing the scaled subspace basis")
-    return np.asfortranarray(q)
 
 
 def _cholesky_qr(cols: np.ndarray) -> np.ndarray:
@@ -392,7 +364,10 @@ class ScaledFrame:
 
     ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
     decomposition of the given w, which must be an interior point of the
-    problem's cone.  ``step`` moves the frame along a geodesic without
+    problem's cone.  It orthonormalizes the mapped span with the problem's
+    QR and rank rule (``_factorize``), which rejects sigma_min/sigma_max <=
+    1e-12 here: the rule is scale-free, so a frame at c w passes it exactly
+    when the frame at w does.  ``step`` moves the frame along a geodesic without
     decomposing the new iterate: only d is decomposed, the step's maps come
     from one pass over the runs (``jordan.geodesic_step``), and w = T e is
     formed only when ``w`` is read.
@@ -412,7 +387,8 @@ class ScaledFrame:
         u_near, span = cols[:, 0], cols[:, 1:]
         u_far = anchor.columns(jordan.unpack(far), inverse=not on_l, adjoint=on_l)
         u_p, u_d = (u_near, u_far) if on_l else (u_far, u_near)
-        self._set(problem, anchor, _orthonormalize(span), u_p, u_d)
+        q, _ = _factorize(span, complete=False, what="the scaled subspace basis vectors", tol=_RANK_TOL)
+        self._set(problem, anchor, np.asfortranarray(q), u_p, u_d)
         self.w = w
 
     def _set(self, problem, anchor, basis, u_p, u_d) -> None:

@@ -421,6 +421,51 @@ def test_bench_config_sizes_are_checked_before_any_solve(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", ['{"fig4_eps": 0}', '{"fig4_deltas": [-1.0]}'], ids=["eps-0", "negative-delta"])
+def test_bench_fig4_settings_are_checked_before_any_solve(tmp_path, capsys, monkeypatch, bad):
+    """A zero tolerance or a negative distance exits 3 before the oracle
+    centres the fig4 instance, and no CSV is written."""
+
+    def oracle_center(*args, **kwargs):
+        raise AssertionError("the centering oracle ran")
+
+    monkeypatch.setattr(V, "oracle_center", oracle_center)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(bad)
+    out = tmp_path / "out"
+    rc = cli.solve_cli(["bench", "--experiment", "fig4", "--config", str(cfg), "--outdir", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("geoipm: invalid input:") and captured.err.count("\n") == 1, captured.err
+    assert not (out / "fig4_center.csv").exists()
+
+
+def test_bench_fig3_writes_one_row_per_algorithm(tmp_path, capsys):
+    """``bench --experiment fig3`` on one psd(4) trial: the header, a short
+    row and a long row, each with a step count and no error."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_values": [4], "trials": 1, "dim_l": 2}')
+    rc = cli.solve_cli(["bench", "--experiment", "fig3", "--config", str(cfg), "--outdir", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "fig3_steps.csv").read_text().splitlines()
+    assert lines[0] == experiments.FIG3_STEPS_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:3] for row in rows] == [["4", "long", "0"], ["4", "short", "0"]]
+    assert all(int(row[3]) > 0 and row[4] == "" for row in rows)
+    assert "fig3: n=4 short" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, status", [(["gen", "--n", "3", "--dim-l", "1"], 0), (["gen", "--n", "1"], 3)], ids=["gen", "bad-size"]
+)
+def test_main_exits_with_the_cli_status(monkeypatch, capsys, argv, status):
+    monkeypatch.setattr(sys, "argv", ["geoipm", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == status
+
+
 @pytest.mark.parametrize("module", ["geoipm", "geoipm.harness.cli"])
 def test_module_forms_run_the_cli(module):
     # the directory that holds the package, so the child imports this checkout
@@ -433,6 +478,8 @@ def test_module_forms_run_the_cli(module):
     doc = json.loads(out.stdout)
     assert doc["form"] == "basis"
     assert doc["cone"] == [{"type": "psd", "size": 3}]
+    problem = io.problem_from_dict(doc)
+    assert problem.cone.dim == 6 and len(problem.form.basis) == 1
 
 
 _WITHOUT_SCIPY = """

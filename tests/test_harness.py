@@ -133,6 +133,11 @@ def test_experiment_config_validation():
                   dict(n_values=(4,), dim_l=3, fig4_n=1), dict(n_values=(30, 4), dim_l=12)):
         with pytest.raises(ProblemFormatError, match="experiment size"):
             experiments.ExperimentConfig(**sizes)
+    # fig4's tolerance and distances, also before any solve; a distance of 0 is the centre
+    for fig4 in (dict(fig4_eps=0.0), dict(fig4_eps=-1e-9), dict(fig4_deltas=(0.5, -1.0))):
+        with pytest.raises(ProblemFormatError, match="fig4_eps > 0 and fig4_deltas >= 0"):
+            experiments.ExperimentConfig(**fig4)
+    assert experiments.ExperimentConfig(fig4_deltas=(0.0, 2.0)).fig4_deltas == (0.0, 2.0)
     for key, value in (
         ("seed", 1.5), ("trials", 2.5), ("trials", True), ("dim_l", 3.0),
         ("fig4_n", "4"), ("n_values", [4.7]), ("n_values", [False]),

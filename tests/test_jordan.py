@@ -26,6 +26,8 @@ def test_descriptor_rank_and_dim():
     assert PSD2.rank == 2 and PSD2.dim == 3
     assert MIXED.rank == 3 + 2 + 3
     assert MIXED.dim == 3 + 4 + 6
+    # an element names its cone's rank and dimension and its norm, sqrt(2) for e
+    assert repr(J.identity(PSD2)) == "AlgebraElement(n=2, N=3, |x|=1.414)"
 
 
 def test_descriptor_validation():

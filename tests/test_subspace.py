@@ -163,21 +163,41 @@ def test_rank_loss_in_operator_columns():
     prob = _no_b_operator_problem(SMALL_MIXED, _scaled_columns((1.0, 1.0, 1e-11)))
     with pytest.raises(IllConditionedBasisError, match="numerically dependent"):
         S.ScaledFrame(prob, J.identity(SMALL_MIXED))
-
-
-def test_rank_test_takes_the_svd_only_when_the_bound_is_inconclusive(monkeypatch):
-    """1/(||R||_F ||R^{-1}||_F) <= sigma_min/sigma_max decides a
-    well-conditioned spanning set; a ratio near the tolerance takes the SVD."""
-    well = S.as_operator_form(random_basis_problem(PSD6, 3, np.random.default_rng(3)))
+    # sigma_min/sigma_max is about 3.8e-10: independent, within a factor 4 of
+    # the tolerance, so the columns build a frame
     near = _no_b_operator_problem(SMALL_MIXED, _scaled_columns((1.0, 1.0, 1e-9)))
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
-    S.ScaledFrame(S.ConicProblem(well.cone, well.form), J.identity(well.cone))
-    assert calls == []
-    # sigma_min/sigma_max is about 3.8e-10: independent, within a factor 4 of the tolerance
     S.ScaledFrame(near, J.identity(SMALL_MIXED))
-    assert calls == [1]
+
+
+def test_one_rank_rule_at_two_tolerances():
+    """``_factorize`` tests sigma_min/sigma_max of R against its ``tol``: a
+    ratio of 1e-11 passes the frame's 1e-12 and fails the problem's 1e-10,
+    whatever the scale of the columns."""
+    rng = np.random.default_rng(4)
+    left, _ = np.linalg.qr(rng.standard_normal((9, 3)))
+    right, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    cols = left @ np.diag([1.0, 0.5, 1e-11]) @ right
+    for scale in (1.0, 1e-14, 1e14):
+        q, r = S._factorize(scale * cols, False, "the columns", tol=S._RANK_TOL)
+        assert q.shape == (9, 3) and r.shape == (3, 3)
+        sv = np.linalg.svd(r, compute_uv=False)
+        assert sv[-1] / sv[0] == pytest.approx(1e-11, rel=1e-3)
+        with pytest.raises(IllConditionedBasisError, match="the columns are numerically dependent"):
+            S._factorize(scale * cols, False, "the columns", tol=S._BASIS_RANK_TOL)
+
+
+@pytest.mark.parametrize("form", ["basis", "operator"])
+@pytest.mark.parametrize("c", [1e12, 1e15], ids=["1e12", "1e15"])
+def test_newton_direction_is_scale_invariant(form, c):
+    """The problem mapped by T_c = c I, solved at c e, takes the Newton
+    direction of the problem at e: a frame's rank test reads no scale."""
+    prob = generate.generate_random_sdp(6, 3, 0)
+    prob = S.as_operator_form(prob) if form == "operator" else prob
+    e = J.identity(prob.cone)
+    t_c = J.ConeAutomorphism.polar(prob.cone, [np.eye(6)], math.sqrt(c) * e)
+    d_c = S.newton_direction(S.transform_problem(prob, t_c), c * e, 0.7).d
+    d = S.newton_direction(prob, e, 0.7).d
+    assert J.norm2(d_c - d) <= 1e-12 * J.norm2(d)
 
 
 def test_rank_test_ignores_the_scale_of_the_columns():
@@ -466,6 +486,8 @@ def test_route_equivalence_example():
     rng = np.random.default_rng(5)
     prob = random_basis_problem(PSD6, 3, rng)
     op = S.as_operator_form(prob)
+    # an operator form is returned as it is
+    assert S.as_operator_form(op) is op
     for _ in range(3):
         w = random_interior(PSD6, rng)
         mu = float(rng.uniform(0.2, 2.0))
