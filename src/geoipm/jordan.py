@@ -82,7 +82,8 @@ __all__ = [
     "INTERIOR_EPS",
 ]
 
-# Scale-relative strictness of the interior membership test.
+# The interior test: lambda_min > INTERIOR_EPS * max|lambda|, one ratio at
+# every scale: x and c x (c > 0) pass or fail alike, up to rounding.
 INTERIOR_EPS = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
@@ -659,7 +660,7 @@ class Spectrum:
         return (ConeAutomorphism(self.cone, maps) if lead else None), tuple(out)
 
     def require_interior(self, message: str) -> "Spectrum":
-        """This spectrum if it passes the interior test, else DomainError."""
+        """This spectrum if it passes the interior test (``INTERIOR_EPS``), else DomainError."""
         if not _interior_spectrum(self.eigenvalues):
             raise DomainError(message, eigenvalue=float(self.eigenvalues.min()))
         return self
@@ -739,13 +740,13 @@ def min_eigenvalue(x: AlgebraElement) -> float:
 
 
 def is_interior(x: AlgebraElement) -> bool:
-    """Scale-relative strict positivity of all eigenvalues."""
+    """Strict positivity of all eigenvalues relative to the largest
+    magnitude (``INTERIOR_EPS``), with no absolute floor."""
     return _interior_spectrum(eigenvalues(x))
 
 
 def _interior_spectrum(lam: np.ndarray) -> bool:
-    lam_max = np.abs(lam).max() if lam.size else 0.0
-    return bool(lam.min() > INTERIOR_EPS * max(1.0, lam_max))
+    return bool(lam.min() > INTERIOR_EPS * np.abs(lam).max())
 
 
 def spectral_map(x: AlgebraElement, fn: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:

@@ -363,8 +363,8 @@ class ScaledFrame:
     carries.
 
     ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
-    decomposition of the given w, which must be an interior point of the
-    problem's cone.  It orthonormalizes the mapped span with the problem's
+    decomposition of the given w, which must pass the cone's interior test,
+    a ratio of eigenvalues that no scaling of w changes.  It orthonormalizes the mapped span with the problem's
     QR and rank rule (``_factorize``), which rejects sigma_min/sigma_max <=
     1e-12 here: the rule is scale-free, so a frame at c w passes it exactly
     when the frame at w does.  ``step`` moves the frame along a geodesic without
@@ -547,38 +547,29 @@ def mu_candidates(frame: ScaledFrame, mu_cur: float, beta: float) -> float:
     form an interval.  When r = 1 lies in it, its upper end is the smaller
     of the two larger roots.  The second quadratic equals
     ``||r a - e||^2 > 0`` at the pole r = 2/lmax, so that root lies below
-    the pole.  Only g_w of the frame and its cached extreme eigenvalues are
-    read, so no Newton system is solved and nothing is decomposed.
+    the pole.  For beta >= 1, written beta = m 2^e with m in [1/2, 1), both
+    quadratics are multiplied by 2^-e: a power of two commutes exactly with
+    every product, sum, square root and quotient below, so the roots are
+    those of the unscaled quadratics, and with beta 2^-e below 1 no
+    coefficient overflows for any finite beta.  (Scaling up a beta below 1
+    would overflow p^2 instead.)  Only g_w of the frame and its cached
+    extreme eigenvalues are read, so no Newton system is solved and nothing
+    is decomposed.
     """
     mu_cur = float(mu_cur)
     sqrt_mu = math.sqrt(mu_cur)
     cone = frame.problem.cone
     a = frame.g_f / sqrt_mu
     gmin, gmax = frame.g_w_extremes
-    data = (float(a @ a), float(a @ cone.frame_identity), cone.rank, gmin / sqrt_mu, gmax / sqrt_mu, beta)
-    r = _upper_ratio(*data, 1.0)
-    if math.isnan(r):
-        # from about beta = 1e150 the coefficients overflow; divided by beta
-        # the quadratics keep their roots
-        r = _upper_ratio(*data, 1.0 / beta)
+    lmin, lmax = gmin / sqrt_mu, gmax / sqrt_mu
+    scale = math.ldexp(1.0, -math.frexp(beta)[1]) if beta >= 1.0 else 1.0
+    aa, ta, n, b = float(a @ a) * scale, float(a @ cone.frame_identity) * scale, cone.rank * scale, beta * scale
+    # both quadratics read aa r^2 - p r + c
+    quadratics = ((2.0 * ta + b * lmin, n), (2.0 * ta - b * lmax, n - 2.0 * b))
+    if any(aa - p + c > 0.0 for p, c in quadratics):
+        return mu_cur
+    r = max(1.0, min(_larger_root(aa, p, c) for p, c in quadratics))
     return mu_cur / (r * r)
-
-
-def _upper_ratio(aa: float, ta: float, n: int, lmin: float, lmax: float, beta: float, scale: float) -> float:
-    """The upper end r >= 1 of the interval where h_ub <= beta, from the
-    quadratics of ``mu_candidates`` multiplied by ``scale``; 1.0 when r = 1
-    lies outside it, and NaN when a coefficient overflows."""
-    a, b = aa * scale, beta * scale
-    # both quadratics read a r^2 - p r + c
-    quadratics = (
-        (2.0 * ta * scale + b * lmin, n * scale),
-        (2.0 * ta * scale - b * lmax, n * scale - 2.0 * b),
-    )
-    if not all(math.isfinite(p * p - 4.0 * a * c) for p, c in quadratics):
-        return math.nan
-    if any(a - p + c > 0.0 for p, c in quadratics):
-        return 1.0
-    return max(1.0, min(_larger_root(a, p, c) for p, c in quadratics))
 
 
 def scale_matched_mu(frame: ScaledFrame) -> float:

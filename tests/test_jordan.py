@@ -475,6 +475,10 @@ def test_interior_test_is_scale_relative():
     assert J.is_interior(J.element(ORTH2, [1e-6, 1.0]))
     assert not J.is_interior(J.element(ORTH2, [0.0, 1.0]))
     assert not J.is_interior(J.element(ORTH2, [-1e-3, 1.0]))
+    # the test is one ratio, with no absolute floor below small elements
+    assert J.is_interior(J.element(ORTH2, [1e-14, 1e-13]))
+    assert not J.is_interior(J.element(ORTH2, [1e-26, 1e-13]))
+    assert not J.is_interior(J.element(ORTH2, [0.0, 1e-13]))
 
 
 def test_automorphism_examples():

@@ -588,3 +588,17 @@ def test_longstep_scale_invariance_quick():
     assert state_t.mu == pytest.approx(state.mu, rel=1e-9)
     expected = J.apply_automorphism(T, state.w)
     assert J.norm2(state_t.w - expected) <= 1e-6 * max(1.0, J.norm2(expected))
+
+
+def test_longstep_at_a_tiny_scale_takes_the_unscaled_steps():
+    """The problem mapped by T_c = c I with c = 1e-12, tracked from c e,
+    takes the steps of the problem tracked from e: the interior test of
+    the start has no absolute floor."""
+    prob = generate.generate_random_sdp(6, 3, 0)
+    e = J.identity(prob.cone)
+    c = 1e-12
+    t_c = J.ConeAutomorphism.polar(prob.cone, [np.eye(6)], math.sqrt(c) * e)
+    state, trace = V.longstep(prob, e, 1.0, 1.0 / 64.0)
+    state_c, trace_c = V.longstep(S.transform_problem(prob, t_c), c * e, 1.0, 1.0 / 64.0)
+    assert trace_c.newton_steps == trace.newton_steps == 28
+    assert state_c.mu == pytest.approx(state.mu, rel=1e-12)

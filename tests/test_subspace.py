@@ -1,6 +1,7 @@
 """Constraint model, scaled projections, Newton directions, bounds, mu-selection."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -187,10 +188,11 @@ def test_one_rank_rule_at_two_tolerances():
 
 
 @pytest.mark.parametrize("form", ["basis", "operator"])
-@pytest.mark.parametrize("c", [1e12, 1e15], ids=["1e12", "1e15"])
+@pytest.mark.parametrize("c", [1e-15, 1e-12, 1e12, 1e15], ids=["1e-15", "1e-12", "1e12", "1e15"])
 def test_newton_direction_is_scale_invariant(form, c):
     """The problem mapped by T_c = c I, solved at c e, takes the Newton
-    direction of the problem at e: a frame's rank test reads no scale."""
+    direction of the problem at e: neither the interior test of w nor a
+    frame's rank test reads a scale."""
     prob = generate.generate_random_sdp(6, 3, 0)
     prob = S.as_operator_form(prob) if form == "operator" else prob
     e = J.identity(prob.cone)
@@ -655,10 +657,14 @@ def test_mu_candidates_monotone_and_pole_clamp():
     # where the quadratics' coefficients overflow
     lam_max = float(J.frame_eigenvalues(prob.cone, frame.g_f).max())
     mu_pole = lam_max ** 2 / 4.0
-    for beta in (1e18, 1e200, 1e308):
+    for beta in (1e18, 1e200, 1e308, sys.float_info.max):
         mu_inf = S.mu_candidates(frame, mu0, beta)
         assert mu_inf == pytest.approx(mu_pole, rel=1e-6)
         assert mu_inf <= mu_b
+    # a beta below 1 is not prescaled: its quadratics stay finite
+    for beta in (0.5, 1e-300):
+        mu_small = S.mu_candidates(frame, mu0, beta)
+        assert math.isfinite(mu_small) and mu_b < mu_small <= mu0
 
 
 def test_feasible_point_and_gap():
