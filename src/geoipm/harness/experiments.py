@@ -139,14 +139,12 @@ def run_experiment_fig3(config: ExperimentConfig, outdir) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     results = {(n, t): _fig3_trial(config, n, t) for n in config.n_values for t in range(config.trials)}
 
-    rows = []
-    for key in sorted(results):
-        rows.extend(results[key][0])
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    # (n, algo, trial) is unique per row
+    rows = sorted((row for out, _ in results.values() for row in out), key=lambda r: r[:3])
     write_csv(outdir / "fig3_steps.csv", FIG3_STEPS_HEADER, rows)
 
     representative = (max(config.n_values), 0)
-    trace_rows = results.get(representative, (None, None))[1]
+    trace_rows = results[representative][1]
     if trace_rows is None:
         for key in sorted(results):
             if results[key][1] is not None:

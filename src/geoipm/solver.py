@@ -20,7 +20,10 @@ current iterate, built once from the start, and steps frames
 formed only for the observer and where it is read (an ``OuterSnapshot``
 keeps its frame's anchor).  It alone builds the step records and
 snapshots.  ``shortstep`` and ``longstep`` return the ``NewtonData`` at
-the (w, mu) they stop on, whose ``frame`` is the last frame.  A
+the (w, mu) they stop on, whose ``frame`` is the last frame.  The loop
+runs with numpy's overflow, invalid and divide-by-zero flags raised, so a
+floating-point failure, such as an anchor that overflows, is a
+``NumericalFailureError`` that names mu, not a warning.  A
 ``GeoipmError`` raised while the loop steps, at a cap or by a numerical
 failure of the frame, carries the partial trace, whose status is
 ITERATION_CAP or NUMERICAL_FAILURE, and the last ``NewtonData`` built as
@@ -33,6 +36,8 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import geometry, jordan, subspace
 from .errors import GeoipmError, IterationLimitError, NumericalFailureError, ParameterError
@@ -251,25 +256,32 @@ def _steps(frame: subspace.ScaledFrame, mu, outer: int, trace: SolverTrace, rule
     ``rule(nd, steps)`` reads the Newton data at the current frame and gives
     the step length, None to stop on ``nd``, or raises IterationLimitError
     at its cap.  Each step appends its ``StepRecord``; a pass of an outer
-    phase (``outer > 0``) ends on an ``OuterSnapshot``.  A GeoipmError from
-    the frame or the rule leaves with the trace, its status set, and the
-    last Newton data built as ``iterate``.  Returns the data stopped on.
+    phase (``outer > 0``) ends on an ``OuterSnapshot``.  The loop runs with
+    numpy's overflow, invalid and divide-by-zero flags raised, and such a
+    floating-point failure becomes a NumericalFailureError naming ``mu``.
+    A GeoipmError from the frame or the rule leaves with the trace, its
+    status set, and the last Newton data built as ``iterate``.  Returns the
+    data stopped on.
     """
     steps, nd = 0, None
     try:
-        while True:
-            tic = time.perf_counter()
-            nd = frame.newton(mu)
-            if observer is not None:
-                observer(steps, frame.w, nd)
-            t = rule(nd, steps)
-            if t is None:
-                break
-            frame = frame.step(nd, t)
-            steps += 1
-            trace.records.append(
-                StepRecord(outer, mu, nd.h_ub, nd.h_lb, nd.norm_d, nd.norm_d_inf, t, time.perf_counter() - tic)
-            )
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            while True:
+                tic = time.perf_counter()
+                nd = frame.newton(mu)
+                if observer is not None:
+                    observer(steps, frame.w, nd)
+                t = rule(nd, steps)
+                if t is None:
+                    break
+                frame = frame.step(nd, t)
+                steps += 1
+                trace.records.append(
+                    StepRecord(outer, mu, nd.h_ub, nd.h_lb, nd.norm_d, nd.norm_d_inf, t, time.perf_counter() - tic)
+                )
+    except FloatingPointError as exc:
+        trace.status = NUMERICAL_FAILURE
+        raise NumericalFailureError(f"{exc} at mu={mu!r}", trace=trace, iterate=nd) from exc
     except GeoipmError as exc:
         trace.status = ITERATION_CAP if isinstance(exc, IterationLimitError) else NUMERICAL_FAILURE
         exc.trace, exc.iterate = trace, nd

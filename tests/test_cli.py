@@ -18,7 +18,7 @@ from geoipm import subspace as S
 from geoipm.errors import DegenerateConstraintsError, IllConditionedBasisError, NumericalFailureError
 from geoipm.harness import cli, experiments, io
 
-from util import random_basis_problem
+from util import no_interior_psd3, random_basis_problem
 
 ORTH6 = J.ConeDescriptor((J.Orthant(6),))
 
@@ -346,6 +346,25 @@ def test_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert cli.solve_cli(["solve", "--input", str(problem_file)]) == 4
     assert capsys.readouterr() == ("", "geoipm: numerical failure: step failed\n")
+
+
+def test_overflow_exits_4_under_runtime_warning_errors(tmp_path):
+    """An input whose anchor overflows (no interior) exits 4 with one
+    stderr line, also when numpy's RuntimeWarnings are errors, and
+    ``--trace`` gets the steps taken before the overflow."""
+    problem = no_interior_psd3()
+    path, trace_path = tmp_path / "p.json", tmp_path / "t.csv"
+    io.save_problem(problem, path)
+    env = dict(os.environ, PYTHONPATH=str(Path(geoipm.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "geoipm", "solve", "--input", str(path),
+         "--trace", str(trace_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (out.returncode, out.stdout) == (4, "")
+    assert out.stderr.startswith("geoipm: numerical failure: ") and out.stderr.count("\n") == 1, out.stderr
+    steps = V.solve(problem, J.identity(problem.cone), 1.0, 1.0 / 1024.0, V.LongStepParams()).trace.newton_steps
+    assert len(trace_path.read_text().splitlines()) == 1 + steps
 
 
 def test_short_schedule_is_read_before_the_centering(tmp_path, capsys, monkeypatch):

@@ -25,6 +25,7 @@ from util import (
     FAMILIES,
     PSD6,
     assert_elem_close,
+    no_interior_psd3,
     perturb_to_distance,
     perturb_to_divergence,
     random_basis_problem,
@@ -299,6 +300,19 @@ def test_failed_step_keeps_the_partial_trace(tracker, monkeypatch):
     for snap, ref in zip(trace.snapshots, taken):
         np.testing.assert_array_equal(snap.w.coords, ref.w.coords)
     assert bool(taken) == (tracker != "center")
+
+
+def test_overflow_in_the_loop_is_a_numerical_failure():
+    """A floating-point overflow while the loop steps ends the run as a
+    NumericalFailureError that names mu and carries the trace and the last
+    Newton data, not as a numpy warning or at the step cap."""
+    prob = no_interior_psd3()
+    result = V.solve(prob, J.identity(prob.cone), 1.0, 1.0 / 1024.0, V.LongStepParams())
+    assert result.status == V.NUMERICAL_FAILURE
+    assert isinstance(result.error, NumericalFailureError)
+    assert str(result.error).endswith("at mu=1.0")
+    assert 0 < result.trace.newton_steps < V.DEFAULT_CENTER_CAP
+    assert result.error.trace is result.trace and result.error.iterate is result.nd
 
 
 def test_shortstep_from_a_far_start_fails_with_its_trace():

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from geoipm import geometry, jordan
 from geoipm.jordan import ConeDescriptor, Orthant, Psd, SecondOrder
-from geoipm.subspace import BasisForm, ConicProblem
+from geoipm.subspace import BasisForm, ConicProblem, OperatorForm
 
 ORTHANT8 = ConeDescriptor((Orthant(8),))
 SOC6 = ConeDescriptor((SecondOrder(6),))
@@ -32,6 +32,18 @@ def random_basis_problem(cone, dim_l, rng, spread=0.7):
     s0 = jordan.exp(random_element(cone, rng, spread))
     basis = tuple(random_element(cone, rng) for _ in range(dim_l))
     return ConicProblem(cone, BasisForm(x0=x0, s0=s0, basis=basis))
+
+
+def no_interior_psd3():
+    """psd(3) in operator form with columns E_00 and I, b = (0, 1) and
+    c = diag(1, 2, 3): the primal set {X psd : X_00 = 0, tr X = 1} has no
+    interior, so damped steps at mu = 1 drive the frame's anchor to overflow."""
+    cone = ConeDescriptor((Psd(3),))
+    e00 = np.zeros((3, 3))
+    e00[0, 0] = 1.0
+    columns = (jordan.from_blocks(cone, [e00]), jordan.identity(cone))
+    c = jordan.from_blocks(cone, [np.diag([1.0, 2.0, 3.0])])
+    return ConicProblem(cone, OperatorForm(columns=columns, B=[], b=[0.0, 1.0], c=c, g=[]))
 
 
 def assert_elem_close(a, b, rtol, what=""):
