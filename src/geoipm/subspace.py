@@ -364,13 +364,14 @@ class ScaledFrame:
 
     ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
     decomposition of the given w, which must pass the cone's interior test,
-    a ratio of eigenvalues that no scaling of w changes.  It orthonormalizes the mapped span with the problem's
-    QR and rank rule (``_factorize``), which rejects sigma_min/sigma_max <=
-    1e-12 here: the rule is scale-free, so a frame at c w passes it exactly
-    when the frame at w does.  ``step`` moves the frame along a geodesic without
-    decomposing the new iterate: only d is decomposed, the step's maps come
-    from one pass over the runs (``jordan.geodesic_step``), and w = T e is
-    formed only when ``w`` is read.
+    a ratio of eigenvalues that no scaling of w changes.  It orthonormalizes
+    the mapped span with the problem's QR and rank rule (``_factorize``),
+    which rejects sigma_min/sigma_max <= 1e-12 here: the rule is scale-free,
+    so a frame at c w passes it exactly when the frame at w does.  ``step``
+    moves the frame along a geodesic without decomposing the new iterate:
+    only d is decomposed, the step's maps come from one pass over the runs
+    (``jordan.geodesic_step``), and w = T e is formed only when ``w`` is
+    read.
     """
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):

@@ -654,7 +654,7 @@ def test_mu_candidates_monotone_and_pole_clamp():
     mu_b = S.mu_candidates(frame, mu0, 100.0)
     assert mu_b < mu0
     # huge beta clamps at the pole where the bound's denominator vanishes, also
-    # where the quadratics' coefficients overflow
+    # at the largest float, where the unscaled quadratics' coefficients overflow
     lam_max = float(J.frame_eigenvalues(prob.cone, frame.g_f).max())
     mu_pole = lam_max ** 2 / 4.0
     for beta in (1e18, 1e200, 1e308, sys.float_info.max):
