@@ -182,7 +182,10 @@ def _require_cap(cap: int, name: str) -> None:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One executed Newton step."""
+    """One executed Newton step.  ``h_ub``/``h_lb`` are the exact bounds
+    when the step's rule read them (every damped step), else the norm
+    bounds of ``NewtonData.record_bounds`` (a full step, which reads none
+    and so decomposes no g_w)."""
 
     outer: int
     mu: float
@@ -277,7 +280,7 @@ def _steps(frame: subspace.ScaledFrame, mu, outer: int, trace: SolverTrace, rule
                 frame = frame.step(nd, t)
                 steps += 1
                 trace.records.append(
-                    StepRecord(outer, mu, nd.h_ub, nd.h_lb, nd.norm_d, nd.norm_d_inf, t, time.perf_counter() - tic)
+                    StepRecord(outer, mu, *nd.record_bounds(), nd.norm_d, nd.norm_d_inf, t, time.perf_counter() - tic)
                 )
     except FloatingPointError as exc:
         trace.status = NUMERICAL_FAILURE
@@ -398,7 +401,8 @@ def solve(problem: ConicProblem, w0: AlgebraElement, mu0: float, mu_f: float, pa
     """Run the tracker of ``params`` (``shortstep`` or ``longstep``) and check it:
     CONVERGED needs h_ub <= eps at the returned data and a pair within
     ``RESIDUAL_TOL``, else NUMERICAL_FAILURE with an error naming the check.
-    A GeoipmError raised mid-run becomes a status; one raised before the loop raises."""
+    A GeoipmError raised mid-run, or while the returned data are read,
+    becomes a status; one raised before the loop raises."""
     track = {ShortStepParams: shortstep, LongStepParams: longstep}.get(type(params))
     if track is None:
         raise ParameterError(f"params must be ShortStepParams or LongStepParams, got {params!r}")
@@ -408,15 +412,22 @@ def solve(problem: ConicProblem, w0: AlgebraElement, mu0: float, mu_f: float, pa
         if exc.trace is None:
             raise
         return Result(exc.trace, exc.iterate, error=exc)
-    pair = nd.pair()
+    try:
+        # the decompositions of g_w (a full step reads no bound) and of d
+        # (the last data took no step) may first run here
+        h_ub, pair = nd.h_ub, nd.pair()
+    except GeoipmError as exc:
+        trace.status = NUMERICAL_FAILURE
+        exc.trace, exc.iterate = trace, nd
+        return Result(trace, nd, error=exc)
     gap = residuals = failed = None
     if pair is not None:
         x, s = pair
         gap = subspace.duality_gap(x, s)
         rp, rd = subspace.affine_residuals(problem, x, s)
         residuals = (rp / max(1.0, jordan.norm2(x)), rd / max(1.0, jordan.norm2(s)))
-    if not nd.h_ub <= params.eps:
-        failed = f"h_ub={nd.h_ub!r} above eps={params.eps!r} at the returned (w, mu)"
+    if not h_ub <= params.eps:
+        failed = f"h_ub={h_ub!r} above eps={params.eps!r} at the returned (w, mu)"
     elif pair is None:
         failed = f"no feasible pair at the returned (w, mu): ||d||_inf={nd.norm_d_inf!r} above 1"
     elif not max(residuals) <= RESIDUAL_TOL:

@@ -36,8 +36,9 @@ A geodesic step ``Q(w^{1/2}) exp(t d)`` is taken in the frame
 basis is mapped by it, and the representatives reset to the points
 ``sqrt(mu)(e +- d)`` mapped along, all in one pass over the cone's runs
 (``jordan.geodesic_step``), so the new iterate is never decomposed.  Each
-frame builds g_w (its one projection) and the extreme eigenvalues of g_w
-(its one ``eigvalsh``) with itself; d is formed only when read.  Only the
+frame builds g_w (its one projection) with itself; the extreme eigenvalues
+of g_w (its one ``eigvalsh``) and d are formed only when read, so a full
+Newton step, whose rule reads no bound, decomposes d alone.  Only the
 start of a run decomposes its w; the iterate w = T e is formed only where
 it is read (a snapshot's ``w``, observers, a tracker's final data).
 
@@ -342,6 +343,25 @@ def _null_space(B: np.ndarray) -> np.ndarray:
     return vh[np.count_nonzero(sv > tol) :].T
 
 
+class _lazy:
+    """A cached attribute: the first read stores the value in the instance
+    dict, where every later read finds it.  ``functools.cached_property``
+    does the same but, before Python 3.12, takes a lock on every first read,
+    which the Newton step pays several times."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class ScaledFrame:
     """The problem in the frame of one interior point w, where w is e.
 
@@ -353,14 +373,15 @@ class ScaledFrame:
     projections onto L_w and L_w_perp; and the representatives ``u_p`` of
     T^{-1}(x0 + L) and ``u_d`` of T*(s0 + L-perp).  From them the frame
     builds, with itself, ``g_f = P_{L_w_perp} u_p + P_{L_w} u_d``, written
-    as ``u_p + P_{L_w}(u_d - u_p)`` (one projection), and
-    ``g_w_extremes``, its extreme eigenvalues (one ``eigvalsh``).  The
-    frame of the dual problem at w^{-1} holds the same subspace with the
-    sides swapped, so it reads -d where this one reads d.  ``newton(mu)``
-    reads h_ub from these alone and projects once more only when d is read;
-    ``mu_candidates`` and ``scale_matched_mu`` read g_f and its extreme
-    eigenvalues, which do not depend on which T with T e = w the frame
-    carries.
+    as ``u_p + P_{L_w}(u_d - u_p)`` (one projection); ``g_w_extremes``, its
+    extreme eigenvalues (one ``eigvalsh``), are formed on first read, which
+    a full Newton step never makes.  The frame of the dual problem at
+    w^{-1} holds the same subspace with the sides swapped, so it reads -d
+    where this one reads d.  ``newton(mu)`` reads ||d|| off g_f, h_ub off
+    g_f and its extreme eigenvalues, and projects once more only when d is
+    read; ``mu_candidates`` and ``scale_matched_mu`` read g_f and its
+    extreme eigenvalues, which do not depend on which T with T e = w the
+    frame carries.
 
     ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
     decomposition of the given w, which must pass the cone's interior test,
@@ -396,13 +417,17 @@ class ScaledFrame:
         self.problem, self.anchor, self.basis, self.u_p, self.u_d = problem, anchor, basis, u_p, u_d
         self._on_l = problem._representation.on_l
         self.g_f = u_p + self._project(u_d - u_p, True)
-        lam = jordan.frame_eigenvalues(problem.cone, self.g_f)
-        self.g_w_extremes = (float(lam.min()), float(lam.max()))
 
-    @functools.cached_property
+    @_lazy
     def w(self) -> AlgebraElement:
         """The iterate T e."""
         return self.anchor.point()
+
+    @_lazy
+    def g_w_extremes(self) -> tuple:
+        """The least and the largest eigenvalue of g_w (one ``eigvalsh``)."""
+        lam = jordan.frame_eigenvalues(self.problem.cone, self.g_f)
+        return float(lam.min()), float(lam.max())
 
     def step(self, nd: "NewtonData", t: float) -> "ScaledFrame":
         """The frame of the geodesic point T exp(t d), for the Newton data
@@ -435,23 +460,18 @@ class ScaledFrame:
 
         With ``s = g_w/sqrt(mu) - e``, d is the reflection of s across
         L_w_perp, so ``||d|| = ||s||``, and ``||d1 + d2||_inf = ||s||_inf``
-        is read off the extreme eigenvalues of g_w: h_lb and h_ub cost one
-        vector operation.  d takes one projection when first read, and is
-        decomposed only when its spectrum is read (see ``NewtonData``).
-        On either side ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
+        is read off the extreme eigenvalues of g_w, which the frame forms
+        on first read: h_lb and h_ub then cost a few scalar operations.  d
+        takes one projection when first read, and is decomposed only when
+        its spectrum is read (see ``NewtonData``).  On either side
+        ``d1 = P_{L_w_perp}(u_p/sqrt(mu) - e)`` and
         ``d2 = P_{L_w}(u_d/sqrt(mu) - e)``.
         """
         mu = float(mu)
         if not 0.0 < mu < math.inf:
             raise DomainError(f"mu must be positive and finite, got {mu!r}")
-        sqrt_mu = math.sqrt(mu)
-        s = self.g_f / sqrt_mu - self.problem.cone.frame_identity
-        norm_d = math.sqrt(float(s @ s))
-        lmin, lmax = self.g_w_extremes
-        sum_inf = max(lmax / sqrt_mu - 1.0, 1.0 - lmin / sqrt_mu)
-        h_lb = norm_d ** 2 / (1.0 + sum_inf)
-        h_ub = norm_d ** 2 / (1.0 - sum_inf) if sum_inf < 1.0 else math.inf
-        return NewtonData(s_f=s, norm_d=norm_d, sum_inf=sum_inf, h_lb=h_lb, h_ub=h_ub, frame=self, mu=mu)
+        s = self.g_f / math.sqrt(mu) - self.problem.cone.frame_identity
+        return NewtonData(s_f=s, norm_d=math.sqrt(float(s @ s)), frame=self, mu=mu)
 
 
 @dataclass(eq=False)
@@ -460,27 +480,51 @@ class NewtonData:
 
     ``s = d1 + d2 = g_w/sqrt(mu) - e``, held as frame coordinates ``s_f``;
     ``d = d1 - d2`` with d1 in L_w_perp and d2 in L_w is the reflection of
-    s across L_w_perp, so ``norm_d`` is ||s||; ``sum_inf`` is ||s||_inf;
-    ``h_lb``/``h_ub`` bound the divergence to the centered point (h_ub may
-    be +inf); ``frame`` is the scaled frame of w the data was built from,
-    ``w`` is read off it, and ``mu`` is the centering parameter.  The rest
-    is derived on first read and cached, so a centering test that takes no
-    step projects nothing and decomposes nothing: ``d_f``, the frame
-    coordinates of d, from one projection of s; ``d_spectrum``, the one
-    decomposition of d, which the geodesic step (``ScaledFrame.step``) maps
-    on; ``norm_d_inf``; and ``t_max``, the guaranteed-descent step bound.  The
-    element ``d`` is packed when read.
+    s across L_w_perp, so ``norm_d`` is ||s||; ``frame`` is the scaled
+    frame of w the data was built from, ``w`` is read off it, and ``mu`` is
+    the centering parameter.  The rest is derived on first read and cached,
+    so a centering test that takes no step projects nothing and decomposes
+    no direction, and a full step decomposes nothing but d:
+    ``sum_inf``, ||s||_inf, from the frame's extreme eigenvalues of g_w, and
+    from it ``h_lb``/``h_ub``, which bound the divergence to the centered
+    point (h_ub may be +inf); ``d_f``, the frame coordinates of d, from one
+    projection of s; ``d_spectrum``, the one decomposition of d, which the
+    geodesic step (``ScaledFrame.step``) maps on; ``norm_d_inf``; and
+    ``t_max``, the guaranteed-descent step bound.  The element ``d`` is
+    packed when read.  ``record_bounds`` gives a step record its bounds.
     """
 
     s_f: np.ndarray
     norm_d: float
-    sum_inf: float
-    h_lb: float
-    h_ub: float
     frame: ScaledFrame
     mu: float
 
-    @functools.cached_property
+    @_lazy
+    def sum_inf(self) -> float:
+        lmin, lmax = self.frame.g_w_extremes
+        sqrt_mu = math.sqrt(self.mu)
+        return max(lmax / sqrt_mu - 1.0, 1.0 - lmin / sqrt_mu)
+
+    @_lazy
+    def h_lb(self) -> float:
+        return self.norm_d ** 2 / (1.0 + self.sum_inf)
+
+    @_lazy
+    def h_ub(self) -> float:
+        return self.norm_d ** 2 / (1.0 - self.sum_inf) if self.sum_inf < 1.0 else math.inf
+
+    def record_bounds(self) -> tuple:
+        """``(h_ub, h_lb)`` for a step record: the exact bounds once a reader
+        has formed them, else the norm bounds, which decompose nothing.
+        ``||s||_inf <= ||s|| = ||d||`` gives ``norm_d^2 / (1 - norm_d)``
+        (+inf when norm_d >= 1), never below the exact h_ub, and
+        ``norm_d^2 / (1 + norm_d)``, never above the exact h_lb."""
+        if "sum_inf" in self.__dict__:
+            return self.h_ub, self.h_lb
+        n2 = self.norm_d ** 2
+        return (n2 / (1.0 - self.norm_d) if self.norm_d < 1.0 else math.inf), n2 / (1.0 + self.norm_d)
+
+    @_lazy
     def d_f(self) -> np.ndarray:
         d2 = self.frame._project(self.s_f, True)
         return (self.s_f - d2) - d2
@@ -496,15 +540,15 @@ class NewtonData:
     def d(self) -> AlgebraElement:
         return self._pack(self.d_f)
 
-    @functools.cached_property
+    @_lazy
     def d_spectrum(self) -> jordan.Spectrum:
         return jordan.Spectrum.of_frame(self.frame.problem.cone, self.d_f)
 
-    @functools.cached_property
+    @_lazy
     def norm_d_inf(self) -> float:
         return float(np.abs(self.d_spectrum.eigenvalues).max())
 
-    @functools.cached_property
+    @_lazy
     def t_max(self) -> float:
         return _t_max(self.norm_d, self.norm_d_inf, self.h_lb)
 
@@ -553,9 +597,9 @@ def mu_candidates(frame: ScaledFrame, mu_cur: float, beta: float) -> float:
     every product, sum, square root and quotient below, so the roots are
     those of the unscaled quadratics, and with beta 2^-e below 1 no
     coefficient overflows for any finite beta.  (Scaling up a beta below 1
-    would overflow p^2 instead.)  Only g_w of the frame and its cached
-    extreme eigenvalues are read, so no Newton system is solved and nothing
-    is decomposed.
+    would overflow p^2 instead.)  Only g_w of the frame and its extreme
+    eigenvalues, formed once per frame on first read, are read, so no Newton
+    system is solved and no direction is decomposed.
     """
     mu_cur = float(mu_cur)
     sqrt_mu = math.sqrt(mu_cur)

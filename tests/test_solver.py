@@ -294,12 +294,65 @@ def test_failed_step_keeps_the_partial_trace(tracker, monkeypatch):
     assert trace.status == V.NUMERICAL_FAILURE
     assert [_fields(r) for r in trace.records] == [_fields(r) for r in full.records[:k]]
     failed = full.records[k]
-    assert nd is given[k] and (nd.mu, nd.h_ub) == (failed.mu, failed.h_ub)
+    assert nd is given[k] and nd.mu == failed.mu
+    assert (failed.h_ub, failed.h_lb) == _recorded_bounds(tracker, nd)
     taken = [snap for snap in full.snapshots if snap.outer < failed.outer]
     assert [(snap.outer, snap.mu) for snap in trace.snapshots] == [(snap.outer, snap.mu) for snap in taken]
     for snap, ref in zip(trace.snapshots, taken):
         np.testing.assert_array_equal(snap.w.coords, ref.w.coords)
     assert bool(taken) == (tracker != "center")
+
+
+def _recorded_bounds(tracker, nd):
+    """The (h_ub, h_lb) a step record of ``tracker`` holds for its data: the
+    norm bounds of a full step, whose rule reads no bound, else the exact
+    bounds that the damped rule read."""
+    if "shortstep" not in tracker:
+        return nd.h_ub, nd.h_lb
+    n = nd.norm_d
+    return (n ** 2 / (1.0 - n) if n < 1.0 else math.inf), n ** 2 / (1.0 + n)
+
+
+@pytest.mark.parametrize("tracker", ["shortstep", "center", "longstep"])
+def test_step_records_bracket_the_exact_bounds(tracker, monkeypatch):
+    """A full step records the norm bounds of its data, which bracket the
+    exact bounds (||s||_inf <= ||s|| = ||d||); a damped step records the
+    exact bounds, bitwise."""
+    run = _tracker_runs()[tracker]
+    given = []
+    step = S.ScaledFrame.step
+
+    def recording_step(frame, nd, t):
+        given.append(nd)
+        return step(frame, nd, t)
+
+    monkeypatch.setattr(S.ScaledFrame, "step", recording_step)
+    trace = _outcome(run)[0]
+    assert len(given) == trace.newton_steps > 0
+    for rec, nd in zip(trace.records, given):
+        assert (rec.h_ub, rec.h_lb) == _recorded_bounds(tracker, nd)
+        assert rec.h_ub >= nd.h_ub and rec.h_lb <= nd.h_lb
+    if tracker == "shortstep":
+        assert any(rec.h_ub > nd.h_ub for rec, nd in zip(trace.records, given))
+
+
+def test_a_failure_reading_the_returned_bound_keeps_the_trace(monkeypatch):
+    """A short-step run reads no bound, so ``solve`` first decomposes the
+    last frame's g_w when it reads h_ub; a failure there comes back as the
+    ``Result`` of a numerical failure with the whole trace, not as a raise."""
+    run = _tracker_runs()["solve-shortstep"]
+    full = _outcome(run)[0]
+
+    def failing(cone, f):
+        raise NumericalFailureError("injected")
+
+    monkeypatch.setattr(J, "frame_eigenvalues", failing)
+    trace, nd, error = _outcome(run)
+    assert type(error) is NumericalFailureError and str(error) == "injected"
+    assert trace.status == V.NUMERICAL_FAILURE and error.trace is trace
+    assert isinstance(nd, S.NewtonData) and nd.mu == full.records[-1].mu
+    assert [_fields(r) for r in trace.records] == [_fields(r) for r in full.records]
+    assert [(snap.outer, snap.mu) for snap in trace.snapshots] == [(snap.outer, snap.mu) for snap in full.snapshots]
 
 
 def test_overflow_in_the_loop_is_a_numerical_failure():

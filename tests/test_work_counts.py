@@ -7,13 +7,16 @@ block and for a cone of several.  Each element is decomposed once per use.
 A tracker decomposes its start w once (``ScaledFrame(problem, w)``: one
 ``eigh``, which gives the anchor T = Q(w^{1/2}) and the interior test) and
 never decomposes or tests a stepped iterate.  Every frame, when it is
-built, projects once for g_w and takes one ``eigvalsh`` of it, from which
-every Newton call at that iterate reads ||d1 + d2||_inf; with
-||d|| = ||d1 + d2|| that gives h_ub, and ``mu_candidates`` reads the same
-extreme eigenvalues.  d is decomposed, by one ``eigh``, only when a step
-reads its spectrum: that ``eigh`` gives ||d||_inf, t_max, the step map
-Q(exp(t d/2)) and the reset representatives, so a call that only tests
-h_ub takes none.  So a step costs 1 ``eigh`` and 1 ``eigvalsh``.
+built, projects once for g_w.  Its one ``eigvalsh`` of g_w runs when a
+bound is first read: every Newton call at that iterate reads
+||d1 + d2||_inf off it; with ||d|| = ||d1 + d2|| that gives h_ub, and
+``mu_candidates`` reads the same extreme eigenvalues.  d is decomposed, by
+one ``eigh``, only when a step reads its spectrum: that ``eigh`` gives
+||d||_inf, t_max, the step map Q(exp(t d/2)) and the reset
+representatives, so a call that only tests h_ub takes none.  So a full
+step, whose rule reads no bound and whose record holds the norm bounds,
+costs 1 ``eigh`` and no ``eigvalsh``; a damped step, whose rule reads h_ub
+and t_max, costs 1 of each.
 
 A step maps the basis once, by Q(exp(t d/2)), in the same pass over the
 runs that forms the map and composes the anchor (``jordan.geodesic_step``);
@@ -27,7 +30,8 @@ basis of L with x0, T* on s0, or T* on L-perp with s0 and T^{-1} on x0),
 and so does the feasible pair (T and (T^{-1})*).  A Newton call projects
 once more only when its d is read, and ``mu_candidates`` projects nothing.
 Both trackers hand back the Newton data at their last iterate, so
-``geoipm solve`` reads the final h_ub off it and decomposes only d for the
+``geoipm solve`` reads the final h_ub off it, which after full steps takes
+the one ``eigvalsh`` of the last g_w, and decomposes only d for the
 feasible pair.  No tracker forms an iterate T e: an outer snapshot keeps
 its frame's anchor and forms ``w`` when read.  A geodesic ray decomposes
 its base and its direction once each, and its points decompose nothing; the
@@ -88,7 +92,7 @@ def multi_problem():
     return random_basis_problem(MULTI, 3, np.random.default_rng(17))
 
 
-def test_shortstep_one_eigh_one_eigvalsh_per_step(problem, multi_problem, monkeypatch):
+def test_shortstep_one_eigh_no_eigvalsh_per_step(problem, multi_problem, monkeypatch):
     for prob in (problem, multi_problem):
         w0 = V.oracle_center(prob, MU0)
         params = V.shortstep_params(0.5, 1e-4, prob.cone.rank)
@@ -101,10 +105,11 @@ def test_shortstep_one_eigh_one_eigvalsh_per_step(problem, multi_problem, monkey
         assert steps > 0
         # the start: the eigh and interior test of w0 and two anchor maps; each
         # step: the eigh of d, one map of the basis and, for the new frame,
-        # the projection and eigvalsh of its g_w; each step also projects once
-        # for d; the returned Newton data are read off the last frame
+        # the projection of its g_w; each step also projects once for d; the
+        # returned Newton data are read off the last frame, and no bound is
+        # read, so no g_w is decomposed
         assert calls == {
-            "eigh": 1 + steps, "eigvalsh": 1 + steps, "_map_run": (2 + steps) * runs,
+            "eigh": 1 + steps, "eigvalsh": 0, "_map_run": (2 + steps) * runs,
             "require_interior": 1, "_project": 1 + 2 * steps,
         }, prob.cone
         (_, trace), gathers = _counted(
@@ -194,9 +199,12 @@ def test_solve_reads_the_last_frame_of_longstep(problem, tmp_path, monkeypatch):
         _, calls = _counted(monkeypatch, tracker, KERNELS)
         # beyond the tracker (with the oracle's centering for short steps): the
         # eigh of the final d (||d||_inf and the pair) and the anchor maps T and
-        # (T^{-1})* for x and s; h_ub is read off the returned Newton data
+        # (T^{-1})* for x and s; h_ub is read off the returned Newton data,
+        # whose g_w the last damped test of a long-step run has decomposed and
+        # a short-step run, which reads no bound, has not
         extra = {name: cli_calls[name] - calls[name] for name in calls}
-        assert extra == {"eigh": 1, "eigvalsh": 0, "_map_run": 2, "require_interior": 0}, algo
+        eigvalsh = {"long": 0, "short": 1}[algo]
+        assert extra == {"eigh": 1, "eigvalsh": eigvalsh, "_map_run": 2, "require_interior": 0}, algo
 
 
 def test_operator_form_newton_quad_rep_calls(problem, monkeypatch):
