@@ -1,0 +1,92 @@
+"""Step-by-step trace pin: the records of three small seeded solves.
+
+A refactor that keeps the arithmetic keeps these records.  The test solves
+each case again and compares its step count exactly and every
+``StepRecord`` field but ``elapsed`` within ``1e-9 max(1, |x|)`` of the
+committed file ``data/trace_pin.json``:
+
+* fig3 ``psd(6)`` trial 0 by ``shortstep`` from the oracle centre;
+* a basis-form problem on 3 psd(6) + 2 soc(4) + orthant(3) (four runs) by
+  ``longstep`` from e;
+* the operator form of that problem by ``longstep`` from e.
+
+A change that moves a trace on purpose rewrites the file and says so::
+
+    PYTHONPATH=src python tests/test_trace_pin.py --write
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from geoipm import jordan as J
+from geoipm import solver as V
+from geoipm import subspace as S
+from geoipm.harness.experiments import MU0, trial_seed
+from geoipm.harness.generate import generate_random_sdp
+
+from util import random_basis_problem
+
+PIN = Path(__file__).with_name("data") / "trace_pin.json"
+FIELDS = tuple(f.name for f in dataclasses.fields(V.StepRecord) if f.name != "elapsed")
+RTOL = 1e-9
+MU_F = MU0 / 1024.0
+MULTI = J.ConeDescriptor((J.Psd(6),) * 3 + (J.SecondOrder(4),) * 2 + (J.Orthant(3),))
+
+
+def _fig3_short():
+    problem = generate_random_sdp(6, 10, trial_seed(0, 6, 0))
+    params = V.ShortStepParams(V.SHORT_BETA, V.LongStepParams.eps, problem.cone.rank)
+    return V.solve(problem, V.oracle_center(problem, MU0), MU0, MU_F, params)
+
+
+def _multi_basis():
+    return random_basis_problem(MULTI, 10, np.random.default_rng(17))
+
+
+def _multi_long(problem):
+    return V.solve(problem, J.identity(problem.cone), MU0, MU_F, V.LongStepParams())
+
+
+CASES = {
+    "fig3_psd6_short": _fig3_short,
+    "multi_basis_long": lambda: _multi_long(_multi_basis()),
+    "multi_operator_long": lambda: _multi_long(S.as_operator_form(_multi_basis())),
+}
+
+
+def _records(result) -> list:
+    assert result.status == V.CONVERGED, result.error
+    return [[getattr(rec, name) for name in FIELDS] for rec in result.trace.records]
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(PIN.read_text())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_trace_matches_pin(case, pinned):
+    expected, got = pinned[case], _records(CASES[case]())
+    assert len(got) == len(expected), f"{case}: {len(got)} steps, pinned {len(expected)}"
+    for i, (row, ref) in enumerate(zip(got, expected)):
+        for name, x, y in zip(FIELDS, row, ref):
+            same = x == y or abs(x - y) <= RTOL * max(1.0, abs(y))
+            assert same, f"{case} step {i}: {name} = {x!r}, pinned {y!r}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    data = {case: _records(run()) for case, run in CASES.items()}
+    PIN.parent.mkdir(exist_ok=True)
+    # one record a line; json writes inf as Infinity, which it reads back
+    cases = (f"{json.dumps(case)}: [\n" + ",\n".join(map(json.dumps, rows)) + "\n]" for case, rows in data.items())
+    PIN.write_text("{\n" + ",\n".join(cases) + "\n}\n")
+    print({case: len(rows) for case, rows in data.items()}, "steps written to", PIN)
