@@ -164,6 +164,27 @@ def _block_size(size, least: int, message: str) -> int:
     return int(size)
 
 
+class _lazy:
+    """The package's cached attribute: the first read stores the value in
+    the instance dict under the attribute's name, which every later read
+    finds.  Callers rely on that: ``ConicProblem.dual`` seeds the dict, and
+    ``NewtonData.record_bounds`` tests it for a formed value.
+    The standard library's ``cached_property`` also takes a lock on every
+    first read before Python 3.12, which the Newton step pays several times."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ConeDescriptor:
     """Ordered direct sum of cone blocks defining the algebra J."""
@@ -178,17 +199,17 @@ class ConeDescriptor:
             if not isinstance(blk, (Orthant, SecondOrder, Psd)):
                 raise TypeError(f"unsupported block kind: {blk!r}")
 
-    @functools.cached_property
+    @_lazy
     def rank(self) -> int:
         """Number of eigenvalues of an element (n)."""
         return sum(blk.rank for blk in self.blocks)
 
-    @functools.cached_property
+    @_lazy
     def dim(self) -> int:
         """Vector-space dimension of the coordinate representation (N)."""
         return sum(blk.dim for blk in self.blocks)
 
-    @functools.cached_property
+    @_lazy
     def spans(self) -> tuple:
         """Per-block (block, start, stop) coordinate spans."""
         out = []
@@ -198,7 +219,7 @@ class ConeDescriptor:
             pos += blk.dim
         return tuple(out)
 
-    @functools.cached_property
+    @_lazy
     def runs(self) -> tuple:
         """The blocks as runs: maximal stretches of consecutive equal blocks.
 
@@ -223,7 +244,7 @@ class ConeDescriptor:
             start, pos, eig = stop, pos + size, eig + rank
         return tuple(out)
 
-    @functools.cached_property
+    @_lazy
     def metric_diag(self) -> np.ndarray:
         """Diagonal weights making ``(x * w) @ y`` equal tr(x o y)."""
         w = np.ones(self.dim)
@@ -233,7 +254,7 @@ class ConeDescriptor:
         w.setflags(write=False)
         return w
 
-    @functools.cached_property
+    @_lazy
     def identity(self) -> "AlgebraElement":
         """The algebra identity e (ones / (1, 0) / identity matrix per block)."""
         c = np.zeros(self.dim)
@@ -247,12 +268,12 @@ class ConeDescriptor:
                 rows[:] = _svec(np.eye(run.block.side))
         return _mk(self, c)
 
-    @functools.cached_property
+    @_lazy
     def frame_dim(self) -> int:
         """Length D of the frame coordinates (a PSD block of side k takes k^2)."""
         return self.runs[-1].frame.stop
 
-    @functools.cached_property
+    @_lazy
     def frame_identity(self) -> np.ndarray:
         """Frame coordinates of the identity e."""
         f = unpack(self.identity)
@@ -474,20 +495,6 @@ def _smat(vec: np.ndarray, k: int) -> np.ndarray:
     return (vec[..., full] / full_scale).reshape(vec.shape[:-1] + (k, k))
 
 
-def _eigh(mat: np.ndarray):
-    try:
-        return np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalFailureError(f"symmetric eigendecomposition failed: {exc}") from exc
-
-
-def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalFailureError(f"symmetric eigenvalue solve failed: {exc}") from exc
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row of a with the same row of b (a stacked matmul,
     which sums as ``a[i] @ b[i]`` does)."""
@@ -549,49 +556,43 @@ def quad_rep(w: AlgebraElement, z: AlgebraElement) -> AlgebraElement:
 # --------------------------------------------------------------------------
 
 
-def _run_spectrum(run: Run, X: np.ndarray, vectors: bool) -> tuple:
-    """Eigenvalues of the blocks of a run as a (count, rank) array, and with
-    ``vectors`` the frame data: the eigenvector matrices (PSD, one stacked
-    ``eigh``) or the unit axes of the vector parts (second-order); else
-    None.  ``X`` holds one block per row: raw coordinates (orthant,
-    second-order) or the k x k matrix (PSD)."""
-    blk = run.block
-    if isinstance(blk, Orthant):
-        return X, None
-    if isinstance(blk, SecondOrder):
-        x0, x1 = X[:, 0], X[:, 1:]
-        r = np.sqrt(_row_dots(x1, x1))
-        lam = np.empty((len(r), 2))
-        np.add(x0, r, out=lam[:, 0])
-        np.subtract(x0, r, out=lam[:, 1])
-        if not vectors:
-            return lam, None
-        # eigenvalues coincide when the vector part vanishes; any unit axis is a valid
-        # frame direction, so fix the first coordinate axis deterministically
-        axis = np.zeros_like(x1)
-        axis[:, 0] = 1.0
-        np.divide(x1, r[:, None], out=axis, where=r[:, None] > 0.0)
-        return lam, axis
-    return _eigh(X) if vectors else (_eigvalsh(X), None)
-
-
 def _frame_block(run: Run, f: np.ndarray) -> np.ndarray:
-    """The blocks of one run of frame coordinates ``f`` in the form
-    ``_run_spectrum`` reads: raw second-order coordinates and the PSD
-    matrices in place."""
+    """The blocks of one run of frame coordinates ``f``, one per row: raw
+    coordinates (orthant, second-order) or the k x k matrix in place (PSD)."""
     X = run.view(f)
     return X / _SQRT2 if isinstance(run.block, SecondOrder) else X
 
 
 def _spectrum(cone: ConeDescriptor, f: np.ndarray, vectors: bool) -> tuple:
     """The eigenvalues of the element with frame coordinates ``f``, one
-    vector in block order, and per run the frame data of ``_run_spectrum``.
-    On a one-run cone the vector is that run's own array, not a copy (numpy's
-    eigensolvers cannot write into a given array); several runs are
-    concatenated."""
+    vector in block order, and per run, with ``vectors``, the frame data:
+    the eigenvector matrices (PSD, one stacked ``eigh``; else ``eigvalsh``)
+    or the unit axes of the vector parts (second-order), else None.  A
+    LAPACK failure raises NumericalFailureError.  On a one-run cone the
+    vector is that run's own array, not a copy (numpy's eigensolvers cannot
+    write into a given array); several runs are concatenated."""
     lams, datas = [], []
     for run in cone.runs:
-        lam, data = _run_spectrum(run, _frame_block(run, f), vectors)
+        X, data = _frame_block(run, f), None
+        if isinstance(run.block, Orthant):
+            lam = X
+        elif isinstance(run.block, SecondOrder):
+            x0, x1 = X[:, 0], X[:, 1:]
+            r = np.sqrt(_row_dots(x1, x1))
+            lam = np.empty((len(r), 2))
+            np.add(x0, r, out=lam[:, 0])
+            np.subtract(x0, r, out=lam[:, 1])
+            if vectors:
+                # with no vector part the eigenvalues coincide and any unit axis
+                # frames them: take the first coordinate axis
+                data = np.zeros_like(x1)
+                data[:, 0] = 1.0
+                np.divide(x1, r[:, None], out=data, where=r[:, None] > 0.0)
+        else:
+            try:
+                lam, data = np.linalg.eigh(X) if vectors else (np.linalg.eigvalsh(X), None)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailureError(f"symmetric eigensolver failed: {exc}") from exc
         lams.append(lam.ravel())
         datas.append(data)
     return (lams[0] if len(lams) == 1 else np.concatenate(lams)), tuple(datas)
@@ -613,20 +614,16 @@ class Spectrum:
     """
 
     def __init__(self, x: AlgebraElement):
-        self._decompose(x.cone, unpack(x))
+        self.cone, (self.eigenvalues, self.runs) = x.cone, _spectrum(x.cone, unpack(x), vectors=True)
 
     @classmethod
     def of_frame(cls, cone: ConeDescriptor, f: np.ndarray) -> "Spectrum":
         """The spectrum of the element with frame coordinates ``f``."""
         spec = cls.__new__(cls)
-        spec._decompose(cone, f)
+        spec.cone, (spec.eigenvalues, spec.runs) = cone, _spectrum(cone, f, vectors=True)
         return spec
 
-    def _decompose(self, cone: ConeDescriptor, f: np.ndarray) -> None:
-        self.cone = cone
-        self.eigenvalues, self.runs = _spectrum(cone, f, vectors=True)
-
-    @functools.cached_property
+    @_lazy
     def frame(self) -> tuple:
         """The primitive idempotents e_i, in ``eigenvalues`` order: the
         spectral maps of the unit vectors of eigenvalues."""

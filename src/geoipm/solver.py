@@ -32,7 +32,6 @@ ITERATION_CAP or NUMERICAL_FAILURE, and the last ``NewtonData`` built as
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -206,7 +205,7 @@ class OuterSnapshot:
     mu: float
     anchor: jordan.ConeAutomorphism = field(repr=False)
 
-    @functools.cached_property
+    @jordan._lazy
     def w(self) -> AlgebraElement:
         return self.anchor.point()
 

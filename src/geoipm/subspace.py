@@ -55,7 +55,6 @@ symmetric directions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -70,7 +69,7 @@ from .errors import (
     IllConditionedBasisError,
     ProblemFormatError,
 )
-from .jordan import AlgebraElement, ConeDescriptor
+from .jordan import AlgebraElement, ConeDescriptor, _lazy
 
 __all__ = [
     "BasisForm",
@@ -162,7 +161,7 @@ class ConicProblem:
             raise ProblemFormatError(f"unsupported problem form: {type(self.form).__name__}")
 
     # ------------------------------------------------------------------
-    @functools.cached_property
+    @_lazy
     def _sqrt_metric(self) -> np.ndarray:
         return np.sqrt(self.cone.metric_diag)
 
@@ -182,12 +181,12 @@ class ConicProblem:
             return np.zeros((self.cone.dim, 0))
         return np.column_stack([self._mc(x) for x in elems])
 
-    @functools.cached_property
+    @_lazy
     def _kernel_b(self) -> np.ndarray | None:
         """Orthonormal basis N_B of ker B; None when B has no rows."""
         return _null_space(self.form.B) if self.form.B.shape[0] else None
 
-    @functools.cached_property
+    @_lazy
     def _factor(self) -> tuple:
         """The one factorization of the problem, ``(Q, R)`` of the basis of
         L or of M = A N_B, which spans L-perp; complete exactly when that
@@ -199,7 +198,7 @@ class ConicProblem:
                 cols, what = cols @ self._kernel_b, "the operator columns on ker B"
         return _factorize(cols, complete=2 * cols.shape[1] > cols.shape[0], what=what)
 
-    @functools.cached_property
+    @_lazy
     def _representation(self) -> "_Representation":
         """The one representation every projection reads: the
         representatives and the factor's span or, when the form gives the
@@ -228,7 +227,7 @@ class ConicProblem:
             return _Representation(x0, s0, not on_l, q[:, k:])
         return _Representation(x0, s0, on_l, q[:, :k])
 
-    @functools.cached_property
+    @_lazy
     def _frame_span(self) -> np.ndarray:
         """The representation's spanning set in frame coordinates, D x k."""
         span = self._representation.span
@@ -262,7 +261,7 @@ class ConicProblem:
             form = BasisForm(x0=s0, s0=x0, basis=basis)
             r = np.eye(len(basis))
         dual = ConicProblem.__new__(ConicProblem)
-        # seed the caches that the lazy derivation would fill, before the
+        # seed the ``_lazy`` caches in the instance dict, before the
         # load-time rank test reads the factor
         dual.__dict__.update(_factor=(q, r), _representation=_Representation(s0, x0, not on_l, span))
         dual.__init__(self.cone, form)
@@ -341,25 +340,6 @@ def _null_space(B: np.ndarray) -> np.ndarray:
     _, sv, vh = np.linalg.svd(B)
     tol = sv.max(initial=0.0) * np.finfo(float).eps * max(B.shape)
     return vh[np.count_nonzero(sv > tol) :].T
-
-
-class _lazy:
-    """A cached attribute: the first read stores the value in the instance
-    dict, where every later read finds it.  ``functools.cached_property``
-    does the same but, before Python 3.12, takes a lock on every first read,
-    which the Newton step pays several times."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 class ScaledFrame:
