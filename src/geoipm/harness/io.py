@@ -11,7 +11,9 @@ Problem document::
 or, with ``"form": "operator"``, the fields ``A`` (list of columns, each a
 coordinate array), ``B`` (d x m rows), ``b``, ``c``, ``g``.  Coordinate
 arrays use the package's flat convention (PSD blocks svec'd with sqrt(2)
-off-diagonals).  Parsing rejects NaN/Inf, inconsistent lengths,
+off-diagonals), in problem and feasible-pair files alike: each is one flat
+list of numbers, never a nested list, which would otherwise read as its
+flattening.  Parsing rejects NaN/Inf, inconsistent lengths,
 non-integer block sizes, a basis of L or set of operator columns that
 fails the rank test, and an unsolvable By = g.  ``write_csv`` is the one
 CSV writer of the package (experiment drivers and the CLI trace).
@@ -42,6 +44,7 @@ __all__ = [
     "require_real",
 ]
 
+_NUMBER_TYPES = frozenset((int, float))
 _BLOCK_NAMES = {"orthant": (Orthant, "size"), "soc": (SecondOrder, "dim"), "psd": (Psd, "side")}
 
 
@@ -64,7 +67,15 @@ def _reject_constant(name: str, what: str):
 
 
 def _finite_array(data, what: str, length: int | None = None) -> np.ndarray:
-    arr = np.asarray(data, dtype=float).reshape(-1)
+    """A coordinate array: ProblemFormatError unless ``data`` is one flat
+    list of finite numbers as json reads them, int or float (a bool is
+    neither), of ``length`` when given."""
+    if not isinstance(data, list) or not set(map(type, data)) <= _NUMBER_TYPES:
+        raise ProblemFormatError(f"{what} must be one flat list of numbers")
+    try:
+        arr = np.asarray(data, dtype=float)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ProblemFormatError(f"{what} contains non-finite values") from exc
     if not np.isfinite(arr).all():
         raise ProblemFormatError(f"{what} contains non-finite values")
     if length is not None and arr.shape[0] != length:

@@ -27,9 +27,9 @@ array of length ``ConeDescriptor.frame_dim`` per element, in which
 so the trace inner product is the plain dot product, the eigensolvers read
 the PSD matrices in place, and every cone automorphism is a plain product
 per run (``a * z``, gathered by a permutation where it has one, ``M z`` or
-``P Z P^T``).  ``unpack`` and ``pack``
-convert at the ``AlgebraElement`` boundary; ``Spectrum`` and
-``ConeAutomorphism`` work in frame coordinates, and the public functions
+``P Z P^T``).  ``unpack`` and ``pack`` convert at the ``AlgebraElement``
+boundary; ``Spectrum`` and ``ConeAutomorphism`` work in frame coordinates,
+every decomposition is one call of ``_spectrum``, and the public functions
 pack their results once.
 """
 
@@ -168,9 +168,9 @@ class _lazy:
     """The package's cached attribute: the first read stores the value in
     the instance dict under the attribute's name, which every later read
     finds.  Callers rely on that: ``ConicProblem.dual`` seeds the dict, and
-    ``NewtonData.record_bounds`` tests it for a formed value.
-    The standard library's ``cached_property`` also takes a lock on every
-    first read before Python 3.12, which the Newton step pays several times."""
+    ``NewtonData.record_bounds`` tests it for a formed value.  Python's
+    ``cached_property`` also takes a lock on every first read before 3.12,
+    which the Newton step pays several times."""
 
     def __init__(self, fn):
         self.fn, self.__doc__ = fn, fn.__doc__

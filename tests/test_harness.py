@@ -106,6 +106,10 @@ def test_problem_file_rejects_bad_documents(tmp_path):
         (json.dumps({k: v for k, v in good.items() if k != "x0"}), "malformed problem document"),
         # json reads 1e400 as inf, not through its NaN/Infinity hook
         (json.dumps(good).replace('"x0": [1.0', '"x0": [1e400'), "x0 contains non-finite values"),
+        # an integer literal beyond the float range
+        (json.dumps(good).replace('"x0": [1.0', '"x0": [1' + '0' * 400), "x0 contains non-finite values"),
+        # a nested array is not read as its flattening
+        (json.dumps(dict(good, x0=[[1.0], [1.0]])), "x0 must be one flat list of numbers"),
     ):
         path.write_text(text)
         with pytest.raises(ProblemFormatError, match=message):
@@ -262,6 +266,7 @@ PAIR_DEFECTS = {
     "x_missing": lambda d: json.dumps({k: v for k, v in d.items() if k != "x"}),
     "s_not_numeric": lambda d: json.dumps({**d, "s": ["abc"] * len(d["s"])}),
     "x_too_short": lambda d: json.dumps({**d, "x": d["x"][:-1]}),
+    "x_nested": lambda d: json.dumps({**d, "x": [d["x"][:3], d["x"][3:]]}),
     "not_an_object": lambda d: json.dumps([d]),
     "invalid_json": lambda d: json.dumps(d)[:-2],
     "not_utf8": lambda d: b"\xff" + json.dumps(d).encode(),

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from geoipm import jordan as J
-from geoipm.errors import ConeMismatchError, DomainError
+from geoipm.errors import ConeMismatchError, DomainError, NumericalFailureError
 
 from util import FAMILIES, MIXED, assert_elem_close, assert_frame_close, random_element, random_interior
 
@@ -446,6 +446,21 @@ def test_spectral_map_domain_errors():
             except DomainError:
                 continue
             assert np.isfinite(out.coords).all(), (fn.__name__, seed)
+
+
+def test_a_lapack_failure_is_a_numerical_failure(monkeypatch):
+    """numpy's LinAlgError from either symmetric eigensolver, on the PSD run
+    of a mixed cone, raises NumericalFailureError from the decomposition."""
+    def failing(a):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    x = J.identity(MIXED)
+    for decompose in (lambda: J.Spectrum(x), lambda: J.frame_eigenvalues(MIXED, J.unpack(x))):
+        with pytest.raises(NumericalFailureError, match="injected") as exc:
+            decompose()
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_inner_equals_trace_of_product():

@@ -355,6 +355,32 @@ def test_a_failure_reading_the_returned_bound_keeps_the_trace(monkeypatch):
     assert [(snap.outer, snap.mu) for snap in trace.snapshots] == [(snap.outer, snap.mu) for snap in full.snapshots]
 
 
+def test_a_lapack_failure_in_the_loop_keeps_the_trace(monkeypatch):
+    """numpy's eigh raising LinAlgError inside the loop ends a longstep
+    ``solve`` as a numerical failure whose ``Result`` holds every record up
+    to the failed step.  The start takes one eigh and each step one more (of
+    d), so failing the k-th call leaves k - 2 records."""
+    run = _tracker_runs()["solve-longstep"]
+    full = _outcome(run)[0]
+    k = full.newton_steps // 2
+    assert k >= 3
+    calls = []
+    eigh = np.linalg.eigh
+
+    def failing(a):
+        calls.append(a)
+        if len(calls) == k:
+            raise np.linalg.LinAlgError("injected")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    trace, nd, error = _outcome(run)
+    assert type(error) is NumericalFailureError and "injected" in str(error)
+    assert trace.status == V.NUMERICAL_FAILURE and error.trace is trace
+    assert len(calls) == k and isinstance(nd, S.NewtonData)
+    assert [_fields(r) for r in trace.records] == [_fields(r) for r in full.records[: k - 2]]
+
+
 def test_overflow_in_the_loop_is_a_numerical_failure():
     """A floating-point overflow while the loop steps ends the run as a
     NumericalFailureError that names mu and carries the trace and the last
