@@ -1,4 +1,4 @@
-"""Step-by-step trace pin: the records of three small seeded solves.
+"""Step-by-step trace pin: the records of four small seeded solves.
 
 A refactor that keeps the arithmetic keeps these records.  The test solves
 each case again and compares its step count exactly and every
@@ -8,7 +8,10 @@ committed file ``data/trace_pin.json``:
 * fig3 ``psd(6)`` trial 0 by ``shortstep`` from the oracle centre;
 * a basis-form problem on 3 psd(6) + 2 soc(4) + orthant(3) (four runs) by
   ``longstep`` from e;
-* the operator form of that problem by ``longstep`` from e.
+* the operator form of that problem by ``longstep`` from e;
+* an operator form with two rows of ``B`` on the same cone by ``longstep``
+  from e: 50 columns, so the representation spans the complement of the
+  image of ker B under A, and s0 comes from the solution of ``By = g``.
 
 A change that moves a trace on purpose rewrites the file and says so::
 
@@ -50,6 +53,20 @@ def _multi_basis():
     return random_basis_problem(MULTI, 10, np.random.default_rng(17))
 
 
+def _multi_operator_rows():
+    """Strictly feasible by construction: ``x0, s0 = exp(Gaussian)``,
+    ``c = s0 + A y0``, ``g = B y0`` and ``b = A* x0 + B^T z0``."""
+    cone, rng = MULTI, np.random.default_rng(17)
+    x0 = J.exp(J.element(cone, rng.standard_normal(cone.dim)))
+    s0 = J.exp(J.element(cone, rng.standard_normal(cone.dim)))
+    cols = tuple(J.element(cone, rng.standard_normal(cone.dim)) for _ in range(50))
+    B = rng.standard_normal((2, len(cols)))
+    y0, z0 = rng.standard_normal(len(cols)), rng.standard_normal(2)
+    c = s0 + J.element(cone, np.sum([y * a.coords for y, a in zip(y0, cols)], axis=0))
+    b = np.array([J.inner(a, x0) for a in cols]) + B.T @ z0
+    return S.ConicProblem(cone, S.OperatorForm(columns=cols, B=B, b=b, c=c, g=B @ y0))
+
+
 def _multi_long(problem):
     return V.solve(problem, J.identity(problem.cone), MU0, MU_F, V.LongStepParams())
 
@@ -58,6 +75,7 @@ CASES = {
     "fig3_psd6_short": _fig3_short,
     "multi_basis_long": lambda: _multi_long(_multi_basis()),
     "multi_operator_long": lambda: _multi_long(S.as_operator_form(_multi_basis())),
+    "multi_operator_rows_long": lambda: _multi_long(_multi_operator_rows()),
 }
 
 
