@@ -256,17 +256,8 @@ class ConeDescriptor:
 
     @_lazy
     def identity(self) -> "AlgebraElement":
-        """The algebra identity e (ones / (1, 0) / identity matrix per block)."""
-        c = np.zeros(self.dim)
-        for run in self.runs:
-            rows = run.rows(c)
-            if isinstance(run.block, Orthant):
-                rows[:] = 1.0
-            elif isinstance(run.block, SecondOrder):
-                rows[:, 0] = 1.0
-            else:
-                rows[:] = _svec(np.eye(run.block.side))
-        return _mk(self, c)
+        """The algebra identity e, packed from ``frame_identity``."""
+        return pack(self, self.frame_identity)
 
     @_lazy
     def frame_dim(self) -> int:
@@ -275,8 +266,16 @@ class ConeDescriptor:
 
     @_lazy
     def frame_identity(self) -> np.ndarray:
-        """Frame coordinates of the identity e."""
-        f = unpack(self.identity)
+        """Frame coordinates of the identity e (ones / (sqrt 2, 0) / identity matrix per run)."""
+        f = np.zeros(self.frame_dim)
+        for run in self.runs:
+            E = run.view(f)
+            if isinstance(run.block, Orthant):
+                E[:] = 1.0
+            elif isinstance(run.block, SecondOrder):
+                E[:, 0] = _SQRT2
+            else:
+                E[:] = np.eye(run.block.side)
         f.setflags(write=False)
         return f
 
@@ -507,22 +506,22 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def circ(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Jordan product x o y (commutative, generally non-associative)."""
+    """Jordan product x o y (commutative, generally non-associative), one
+    stacked operation per run on the frame coordinates of y, as ``quad_rep``:
+    x y (orthant), (x . y, x0 y1 + y0 x1) with x raw (second-order), (X Y + Y X)/2 (PSD)."""
     _same_cone(x, y)
-    out = np.empty(x.cone.dim)
-    for blk, a, b in x.cone.spans:
-        xc = x.coords[a:b]
-        yc = y.coords[a:b]
-        if isinstance(blk, Orthant):
-            out[a:b] = xc * yc
-        elif isinstance(blk, SecondOrder):
-            out[a] = xc @ yc
-            out[a + 1 : b] = xc[0] * yc[1:] + yc[0] * xc[1:]
+    xf, yf = unpack(x), unpack(y)
+    out = np.empty(yf.shape)
+    for run in x.cone.runs:
+        X, Y, O = _frame_block(run, xf), run.view(yf), run.view(out)
+        if isinstance(run.block, Orthant):
+            O[...] = X * Y
+        elif isinstance(run.block, SecondOrder):
+            O[:, 0] = _row_dots(X, Y)
+            O[:, 1:] = X[:, :1] * Y[:, 1:] + Y[:, :1] * X[:, 1:]
         else:
-            X = _smat(xc, blk.side)
-            Y = _smat(yc, blk.side)
-            out[a:b] = _svec(0.5 * (X @ Y + Y @ X))
-    return _mk(x.cone, out)
+            O[...] = 0.5 * (X @ Y + Y @ X)
+    return pack(x.cone, out)
 
 
 def quad_rep(w: AlgebraElement, z: AlgebraElement) -> AlgebraElement:

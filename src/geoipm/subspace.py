@@ -47,10 +47,12 @@ coordinates of ``jordan`` (PSD blocks as full matrices, second-order
 blocks scaled by sqrt(2)), where the trace inner product is the dot
 product and the anchor maps are plain products, so a step gathers no
 coordinates and builds no ``AlgebraElement``; elements are packed only
-where they are read.  The problem's own representation stays in the
-N-dimensional coordinates in which the dot product is the trace inner
-product (``ConicProblem._mc``): the complement of its factor must span only
-symmetric directions.
+where they are read.  The problem's representation holds its basis in
+frame coordinates too, converted once after the problem's QR, which every
+frame maps and ``affine_residuals`` projects onto.  The QR itself runs in
+the N-dimensional coordinates in which the dot product is the trace inner
+product (``ConicProblem._given_mc``), so that the complement of its factor
+spans only symmetric directions.
 """
 
 from __future__ import annotations
@@ -165,21 +167,18 @@ class ConicProblem:
     def _sqrt_metric(self) -> np.ndarray:
         return np.sqrt(self.cone.metric_diag)
 
-    def _mc(self, x: AlgebraElement) -> np.ndarray:
-        """Coordinates in which the dot product is the trace inner product."""
-        return x.coords * self._sqrt_metric
-
     def _from_mc(self, v: np.ndarray) -> AlgebraElement:
         return jordan._mk(self.cone, v / self._sqrt_metric)
 
     def _given_mc(self) -> np.ndarray:
-        """Metric coordinates of the elements the form gives, N x k: the
-        basis of L, or the operator columns (not kept: the factor is)."""
+        """Metric coordinates, in which the dot product is the trace inner
+        product, of the elements the form gives, N x k: the basis of L, or
+        the operator columns (not kept: the factor is)."""
         f = self.form
         elems = f.basis if isinstance(f, BasisForm) else f.columns
         if not elems:
             return np.zeros((self.cone.dim, 0))
-        return np.column_stack([self._mc(x) for x in elems])
+        return np.column_stack([x.coords * self._sqrt_metric for x in elems])
 
     @_lazy
     def _kernel_b(self) -> np.ndarray | None:
@@ -202,7 +201,7 @@ class ConicProblem:
     def _representation(self) -> "_Representation":
         """The one representation every projection reads: the
         representatives and the factor's span or, when the form gives the
-        larger side, its complement.
+        larger side, its complement, converted to frame coordinates.
 
         An operator form's A*x + B*z = b reads M* x = N_B^T b, so with
         M = Q R its least-norm x0 is Q R^{-T} N_B^T b; s0 is c - A y for the
@@ -223,15 +222,8 @@ class ConicProblem:
                 if not np.allclose(f.B @ y, f.g, rtol=0.0, atol=tol):
                     raise DegenerateConstraintsError("dual affine set is empty (By = g unsolvable)")
                 s0 = f.c - self._from_mc(self._given_mc() @ y)
-        if 2 * k > self.cone.dim:
-            return _Representation(x0, s0, not on_l, q[:, k:])
-        return _Representation(x0, s0, on_l, q[:, :k])
-
-    @_lazy
-    def _frame_span(self) -> np.ndarray:
-        """The representation's spanning set in frame coordinates, D x k."""
-        span = self._representation.span
-        return jordan._unpack(self.cone, span.T / self._sqrt_metric).T
+        on_l, span = (not on_l, q[:, k:]) if 2 * k > self.cone.dim else (on_l, q[:, :k])
+        return _Representation(x0, s0, on_l, jordan._unpack(self.cone, span.T / self._sqrt_metric).T)
 
     @property
     def x0(self) -> AlgebraElement:
@@ -269,8 +261,9 @@ class ConicProblem:
 
 
 class _Representation(NamedTuple):
-    """Representatives x0, s0 and an orthonormal basis, metric coordinates,
-    of L (``on_l``) or of L-perp, whichever is the smaller."""
+    """Representatives x0, s0 and an orthonormal basis ``span`` of L
+    (``on_l``) or of L-perp, whichever is the smaller, in frame coordinates
+    (D x k, Fortran-ordered): the basis every ``ScaledFrame`` maps."""
 
     x0: AlgebraElement
     s0: AlgebraElement
@@ -380,11 +373,11 @@ class ScaledFrame:
             raise ConeMismatchError("the scaling point lives on a different cone than the problem")
         spec = jordan.Spectrum(w).require_interior("scaling point must be interior")
         anchor = jordan.ConeAutomorphism.scaling(spec, np.sqrt)
-        x0, s0, on_l, _ = problem._representation
+        x0, s0, on_l, basis = problem._representation
         # the anchor maps x0 + L by T^{-1} and s0 + L-perp by T*; the
         # representative of the spanned side and the spanning set share one map call
         near, far = (x0, s0) if on_l else (s0, x0)
-        cols = anchor.columns(np.column_stack((jordan.unpack(near), problem._frame_span)),
+        cols = anchor.columns(np.column_stack((jordan.unpack(near), basis)),
                               inverse=on_l, adjoint=not on_l)
         u_near, span = cols[:, 0], cols[:, 1:]
         u_far = anchor.columns(jordan.unpack(far), inverse=not on_l, adjoint=on_l)
@@ -671,6 +664,6 @@ def transform_problem(problem: ConicProblem, T: jordan.ConeAutomorphism) -> Coni
 def affine_residuals(problem: ConicProblem, x: AlgebraElement, s: AlgebraElement):
     """Distances of x to x0 + L and of s to s0 + L-perp (unscaled projections)."""
     x0, s0, on_l, basis = problem._representation
-    rp = _project(basis, on_l, problem._mc(x - x0), False)
-    rd = _project(basis, on_l, problem._mc(s - s0), True)
+    rp = _project(basis, on_l, jordan.unpack(x - x0), False)
+    rd = _project(basis, on_l, jordan.unpack(s - s0), True)
     return float(np.linalg.norm(rp)), float(np.linalg.norm(rd))
