@@ -61,10 +61,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("seed", "trials", "dim_l", "fig4_n"):
             require_int(getattr(self, name), name)
-        object.__setattr__(self, "n_values", tuple(require_int(v, "n_values") for v in self.n_values))
         for name in ("mu_ratio", "fig4_eps"):
             object.__setattr__(self, name, require_real(getattr(self, name), name))
-        object.__setattr__(self, "fig4_deltas", tuple(require_real(v, "fig4_deltas") for v in self.fig4_deltas))
+        for name, require in (("n_values", require_int), ("fig4_deltas", require_real)):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ProblemFormatError(f"{name} must be a list, got {values!r}")
+            object.__setattr__(self, name, tuple(require(v, name) for v in values))
         if self.trials < 1 or self.dim_l < 1 or not self.n_values:
             raise ProblemFormatError("experiment config needs positive counts")
         if self.mu_ratio <= 1.0:

@@ -22,6 +22,7 @@ CSV writer of the package (experiment drivers and the CLI trace).
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from pathlib import Path
 
@@ -57,9 +58,15 @@ def require_int(value, what: str) -> int:
 
 def require_real(value, what: str) -> float:
     """``value`` as a float; ProblemFormatError unless it is a finite real number (bools are not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ProblemFormatError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ProblemFormatError(f"{what} must be a finite number, got an integer beyond the float range") from None
+    if not math.isfinite(number):
+        raise ProblemFormatError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def _reject_constant(name: str, what: str):

@@ -159,6 +159,9 @@ class ConicProblem:
                 raise ProblemFormatError("b must have one entry per operator column")
             if f.g.shape[0] != f.B.shape[0]:
                 raise ProblemFormatError("g length must match the row count of B")
+            for name in ("B", "b", "g"):
+                if not np.isfinite(getattr(f, name)).all():
+                    raise ProblemFormatError(f"{name} contains non-finite values")
         else:
             raise ProblemFormatError(f"unsupported problem form: {type(self.form).__name__}")
 

@@ -148,6 +148,14 @@ def test_experiment_config_validation():
     ):
         with pytest.raises(ProblemFormatError, match="integer"):
             experiments.ExperimentConfig.from_dict({key: value})
+    # a number beyond the float range, or a scalar where a list belongs, names its key
+    for doc, message in (
+        ({"mu_ratio": 10 ** 400}, "^mu_ratio must be a finite number"),
+        ({"n_values": 4}, "^n_values must be a list"),
+        ({"fig4_deltas": 0.5}, "^fig4_deltas must be a list"),
+    ):
+        with pytest.raises(ProblemFormatError, match=message):
+            experiments.ExperimentConfig.from_dict(doc)
 
 
 TINY = dict(seed=11, n_values=(4,), trials=2, dim_l=3, mu_ratio=64.0, fig4_n=4,
@@ -258,23 +266,25 @@ def test_feasible_pair_file_roundtrip(tmp_path):
 
 
 # each case edits the document of a good feasible-pair file into a defective file content
+# each defect with the message it must raise
 PAIR_DEFECTS = {
-    "mu_not_a_number": lambda d: json.dumps({**d, "mu": "abc"}),
-    "mu_missing": lambda d: json.dumps({k: v for k, v in d.items() if k != "mu"}),
-    "gap_is_a_bool": lambda d: json.dumps({**d, "gap": True}),
-    "gap_is_nan": lambda d: json.dumps({**d, "gap": math.nan}),
-    "x_missing": lambda d: json.dumps({k: v for k, v in d.items() if k != "x"}),
-    "s_not_numeric": lambda d: json.dumps({**d, "s": ["abc"] * len(d["s"])}),
-    "x_too_short": lambda d: json.dumps({**d, "x": d["x"][:-1]}),
-    "x_nested": lambda d: json.dumps({**d, "x": [d["x"][:3], d["x"][3:]]}),
-    "not_an_object": lambda d: json.dumps([d]),
-    "invalid_json": lambda d: json.dumps(d)[:-2],
-    "not_utf8": lambda d: b"\xff" + json.dumps(d).encode(),
+    "mu_not_a_number": (lambda d: json.dumps({**d, "mu": "abc"}), "mu must be a finite number"),
+    "mu_missing": (lambda d: json.dumps({k: v for k, v in d.items() if k != "mu"}), "no field 'mu'"),
+    "mu_beyond_the_float_range": (lambda d: json.dumps({**d, "mu": 10 ** 400}), "mu must be a finite number"),
+    "gap_is_a_bool": (lambda d: json.dumps({**d, "gap": True}), "gap must be a finite number"),
+    "gap_is_nan": (lambda d: json.dumps({**d, "gap": math.nan}), "non-finite literal 'NaN'"),
+    "x_missing": (lambda d: json.dumps({k: v for k, v in d.items() if k != "x"}), "no field 'x'"),
+    "s_not_numeric": (lambda d: json.dumps({**d, "s": ["abc"] * len(d["s"])}), "s must be one flat list"),
+    "x_too_short": (lambda d: json.dumps({**d, "x": d["x"][:-1]}), "x has length 5, expected 6"),
+    "x_nested": (lambda d: json.dumps({**d, "x": [d["x"][:3], d["x"][3:]]}), "x must be one flat list"),
+    "not_an_object": (lambda d: json.dumps([d]), "must be a JSON object"),
+    "invalid_json": (lambda d: json.dumps(d)[:-2], "invalid JSON"),
+    "not_utf8": (lambda d: b"\xff" + json.dumps(d).encode(), "cannot read feasible-pair file"),
 }
 
 
-@pytest.mark.parametrize("defect", PAIR_DEFECTS.values(), ids=PAIR_DEFECTS.keys())
-def test_malformed_feasible_pair_file(tmp_path, defect):
+@pytest.mark.parametrize("defect, message", PAIR_DEFECTS.values(), ids=PAIR_DEFECTS.keys())
+def test_malformed_feasible_pair_file(tmp_path, defect, message):
     cone = J.ConeDescriptor((J.Psd(3),))
     e = J.identity(cone)
     path = tmp_path / "feas.json"
@@ -284,7 +294,7 @@ def test_malformed_feasible_pair_file(tmp_path, defect):
         path.write_bytes(text)
     else:
         path.write_text(text)
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(ProblemFormatError, match=message):
         io.read_feasible_pair(path, cone)
     with pytest.raises(ProblemFormatError):
         io.read_feasible_pair(tmp_path / "missing.json", cone)

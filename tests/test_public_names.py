@@ -1,16 +1,21 @@
-"""Every public name resolves, and so does every package name the benchmark
-in ``perfbench/`` reads: a removed name there breaks every benchmark run,
-and the benchmark's own smoke test is not part of this suite."""
+"""Every public name resolves, and so does every package name that the
+benchmark in ``perfbench/`` or the inline programs of the CI workflows
+read: a removed name there breaks every benchmark run or a CI step, and
+neither the benchmark's own smoke test nor the workflows run in this suite."""
 
 import ast
 import importlib
 import importlib.util
+import re
+import textwrap
 import types
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKFLOWS = ROOT / ".github" / "workflows"
 
 MODULES = (
     "geoipm.jordan",
@@ -43,27 +48,65 @@ def test_every_traced_name_resolves():
     assert not missing
 
 
-@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
-def test_every_package_name_the_benchmark_reads_resolves(path):
-    """Names imported from ``geoipm`` modules, and attributes read off the
-    ``geoipm`` modules a file imports."""
-    tree = ast.parse(path.read_text())
-    modules, missing = {}, []
+def _unresolved(tree: ast.AST) -> list:
+    """The package names ``tree`` reads that do not resolve: names imported
+    from ``geoipm`` modules, and each dotted name read off an imported
+    ``geoipm`` module, as far as its chain runs through modules
+    (``g.subspace.scale_matched_mu``)."""
+    modules, missing = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == "geoipm":
-                    modules[alias.asname or alias.name] = importlib.import_module(alias.name)
+                if alias.name.split(".")[0] == "geoipm":
+                    # ``import geoipm.x`` binds geoipm, ``import geoipm.x as y`` binds y
+                    bound = alias.name if alias.asname else "geoipm"
+                    modules[alias.asname or bound] = importlib.import_module(bound)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "geoipm":
             source = importlib.import_module(node.module)
             for alias in node.names:
                 value = getattr(source, alias.name, None)
                 if value is None:
-                    missing.append(f"{node.module}.{alias.name}")
+                    missing.add(f"{node.module}.{alias.name}")
                 elif isinstance(value, types.ModuleType):
                     modules[alias.asname or alias.name] = value
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
-            if not hasattr(modules[node.value.id], node.attr):
-                missing.append(f"{node.value.id}.{node.attr}")
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if not chain or not isinstance(node, ast.Name) or node.id not in modules:
+            continue
+        value, name = modules[node.id], node.id
+        for attr in reversed(chain):
+            if not isinstance(value, types.ModuleType):
+                break
+            name, value = f"{name}.{attr}", getattr(value, attr, None)
+            if value is None:
+                missing.add(name)
+                break
+    return sorted(missing)
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_package_name_the_benchmark_reads_resolves(path):
+    assert not _unresolved(ast.parse(path.read_text()))
+
+
+def _inline_programs() -> dict:
+    """The ``python -c`` programs of the workflows by ``file:line``: each
+    quoted argument of a ``-c`` flag, dedented as YAML dedents its block."""
+    out = {}
+    for path in sorted(WORKFLOWS.glob("*.yml")):
+        text = path.read_text()
+        for match in re.finditer(r"""-c (["'])(.*?)\1""", text, re.S):
+            out[f"{path.name}:{text.count(chr(10), 0, match.start()) + 1}"] = textwrap.dedent(match.group(2))
+    return out
+
+
+def test_every_package_name_an_inline_ci_program_reads_resolves():
+    """Three programs import the package today; a change to the quoting
+    that hid them from the extraction would leave them unchecked."""
+    programs = _inline_programs()
+    assert sum("import geoipm" in program for program in programs.values()) >= 3
+    missing = {where: names for where, program in programs.items() if (names := _unresolved(ast.parse(program)))}
     assert not missing

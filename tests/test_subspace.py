@@ -250,6 +250,18 @@ def test_problem_parts_must_match_the_cone():
             S.ConicProblem(SMALL_MIXED, form)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["B", "b", "g"])
+def test_operator_form_data_must_be_finite(name, value):
+    """B, b and g of an operator form built in memory are checked when the
+    problem is built, as those of a file are when it is read."""
+    data = dict(B=np.ones((1, 3)), b=np.zeros(3), g=np.ones(1))
+    data[name].flat[0] = value
+    form = S.OperatorForm(columns=_scaled_columns((1.0,) * 3), c=J.identity(SMALL_MIXED), **data)
+    with pytest.raises(ProblemFormatError, match=f"^{name} contains non-finite values"):
+        S.ConicProblem(SMALL_MIXED, form)
+
+
 def test_rank_loss_more_columns_than_dimension():
     # seven columns in a six-dimensional space are dependent whatever their values
     rng = np.random.default_rng(18)
