@@ -266,7 +266,7 @@ class ConeDescriptor:
 
     @_lazy
     def frame_identity(self) -> np.ndarray:
-        """Frame coordinates of the identity e (ones / (sqrt 2, 0) / identity matrix per run)."""
+        """Frame coordinates of e (ones / (sqrt 2, 0) / identity matrix)."""
         f = np.zeros(self.frame_dim)
         for run in self.runs:
             E = run.view(f)
@@ -506,9 +506,9 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def circ(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Jordan product x o y (commutative, generally non-associative), one
-    stacked operation per run on the frame coordinates of y, as ``quad_rep``:
-    x y (orthant), (x . y, x0 y1 + y0 x1) with x raw (second-order), (X Y + Y X)/2 (PSD)."""
+    """Jordan product x o y (commutative, generally non-associative), per
+    run on frame coordinates as ``quad_rep``: x y, (x . y, x0 y1 + y0 x1)
+    with x raw, or (X Y + Y X)/2."""
     _same_cone(x, y)
     xf, yf = unpack(x), unpack(y)
     out = np.empty(yf.shape)
