@@ -1,4 +1,4 @@
-"""Step-by-step trace pin: the records of four small seeded solves.
+"""Step-by-step trace pin: the records of five small seeded solves.
 
 A refactor that keeps the arithmetic keeps these records.  The test solves
 each case again and compares its step count exactly and every
@@ -8,6 +8,8 @@ committed file ``data/trace_pin.json``:
 * fig3 ``psd(6)`` trial 0 by ``shortstep`` from the oracle centre;
 * a basis-form problem on 3 psd(6) + 2 soc(4) + orthant(3) (four runs) by
   ``longstep`` from e;
+* the same problem by ``shortstep`` from its oracle centre, whose full
+  steps map the PSD runs and the second-order and orthant runs alike;
 * the operator form of that problem by ``longstep`` from e;
 * an operator form with two rows of ``B`` on the same cone by ``longstep``
   from e: 50 columns, so the representation spans the complement of the
@@ -71,11 +73,18 @@ def _multi_long(problem):
     return V.solve(problem, J.identity(problem.cone), MU0, MU_F, V.LongStepParams())
 
 
+def _multi_short():
+    problem = _multi_basis()
+    params = V.ShortStepParams(V.SHORT_BETA, V.LongStepParams.eps, problem.cone.rank)
+    return V.solve(problem, V.oracle_center(problem, MU0), MU0, MU_F, params)
+
+
 CASES = {
     "fig3_psd6_short": _fig3_short,
     "multi_basis_long": lambda: _multi_long(_multi_basis()),
     "multi_operator_long": lambda: _multi_long(S.as_operator_form(_multi_basis())),
     "multi_operator_rows_long": lambda: _multi_long(_multi_operator_rows()),
+    "multi_basis_short": _multi_short,
 }
 
 
