@@ -181,10 +181,11 @@ def _require_cap(cap: int, name: str) -> None:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One executed Newton step.  ``h_ub``/``h_lb`` are the exact bounds
-    when the step's rule read them (every damped step), else the norm
+    """One executed Newton step.  ``h_ub``/``h_lb`` and ``norm_d_inf`` are
+    exact when the step's rule read them (every damped step), else the norm
     bounds of ``NewtonData.record_bounds`` (a full step, which reads none
-    and so decomposes no g_w)."""
+    and so decomposes neither g_w nor d); ``norm_d_inf`` is then
+    ``norm_d``."""
 
     outer: int
     mu: float
@@ -278,8 +279,9 @@ def _steps(frame: subspace.ScaledFrame, mu, outer: int, trace: SolverTrace, rule
                     break
                 frame = frame.step(nd, t)
                 steps += 1
+                h_ub, h_lb, norm_d_inf = nd.record_bounds()
                 trace.records.append(
-                    StepRecord(outer, mu, *nd.record_bounds(), nd.norm_d, nd.norm_d_inf, t, time.perf_counter() - tic)
+                    StepRecord(outer, mu, h_ub, h_lb, nd.norm_d, norm_d_inf, t, time.perf_counter() - tic)
                 )
     except FloatingPointError as exc:
         trace.status = NUMERICAL_FAILURE

@@ -37,10 +37,13 @@ basis is mapped by it, and the representatives reset to the points
 ``sqrt(mu)(e +- d)`` mapped along, all in one pass over the cone's runs
 (``jordan.geodesic_step``), so the new iterate is never decomposed.  Each
 frame builds g_w (its one projection) with itself; the extreme eigenvalues
-of g_w (its one ``eigvalsh``) and d are formed only when read, so a full
-Newton step, whose rule reads no bound, decomposes d alone.  Only the
-start of a run decomposes its w; the iterate w = T e is formed only where
-it is read (a snapshot's ``w``, observers, a tracker's final data).
+of g_w (its one ``eigvalsh``) and the spectrum of d (its one ``eigh``) are
+formed only when read.  A step on data that have not formed the spectrum
+of d maps its PSD blocks by Taylor polynomials of d, exact to the rounding
+unit while max(1, |t|) ||d|| stays below 0.996, so a full Newton step,
+whose rule reads no bound, decomposes nothing.  Only the start of a run decomposes
+its w; the iterate w = T e is formed only where it is read (a snapshot's
+``w``, observers, a tracker's final data).
 
 The frame holds its basis, representatives and Newton data in the frame
 coordinates of ``jordan`` (PSD blocks as full matrices, second-order
@@ -366,9 +369,9 @@ class ScaledFrame:
     which rejects sigma_min/sigma_max <= 1e-12 here: the rule is scale-free,
     so a frame at c w passes it exactly when the frame at w does.  ``step``
     moves the frame along a geodesic without decomposing the new iterate:
-    only d is decomposed, the step's maps come from one pass over the runs
-    (``jordan.geodesic_step``), and w = T e is formed only when ``w`` is
-    read.
+    d is decomposed at most, the step's maps come from one pass over the
+    runs (``jordan.geodesic_step``), and w = T e is formed only when ``w``
+    is read.
     """
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
@@ -408,7 +411,7 @@ class ScaledFrame:
     def step(self, nd: "NewtonData", t: float) -> "ScaledFrame":
         """The frame of the geodesic point T exp(t d), for the Newton data
         ``nd`` of this frame (Q(w^{1/2}) exp(t d) from a frame built at w);
-        nothing but d is decomposed.
+        nothing but d is decomposed, and d only when it must be.
 
         The anchor takes on S = Q(exp(t d/2)), so the new point is
         T S e = T exp(t d).  The basis maps by S^{-1} (L_w) or S* = S
@@ -419,9 +422,23 @@ class ScaledFrame:
         spectral maps of d.  ``jordan.geodesic_step`` forms all of this but
         the orthonormalization in one pass over the runs; the new frame
         then builds its g_f.
+
+        The step maps on the spectrum of d when ``nd`` has formed it (a
+        damped step's rule reads t_max), or when tau = max(1, |t|) ||d||
+        lies beyond the largest Taylor radius (``jordan._TAYLOR_RADII``,
+        0.996).  Otherwise, as on every full step, it maps on the expansion
+        of d of the least order whose radius holds tau: ||d||, the Frobenius
+        norm, bounds the spectral norm of every block, so the Taylor
+        polynomials of the PSD blocks' step functions are exact to the
+        rounding unit, and d is not decomposed.
         """
+        t = float(t)
+        spec = nd.__dict__.get("d_spectrum")
+        if spec is None:
+            order = jordan._taylor_order(max(1.0, abs(t)) * nd.norm_d)
+            spec = jordan.Spectrum.of_frame(self.problem.cone, nd.d_f, order) if order else nd.d_spectrum
         anchor, span, u_p, u_d = jordan.geodesic_step(
-            self.anchor, nd.d_spectrum, float(t), math.sqrt(nd.mu), self.basis, self._on_l
+            self.anchor, spec, t, math.sqrt(nd.mu), self.basis, self._on_l
         )
         frame = ScaledFrame.__new__(ScaledFrame)
         frame._set(self.problem, anchor, _cholesky_qr(span), u_p, u_d)
@@ -460,14 +477,15 @@ class NewtonData:
     frame of w the data was built from, ``w`` is read off it, and ``mu`` is
     the centering parameter.  The rest is derived on first read and cached,
     so a centering test that takes no step projects nothing and decomposes
-    no direction, and a full step decomposes nothing but d:
+    no direction, and a full step decomposes nothing:
     ``sum_inf``, ||s||_inf, from the frame's extreme eigenvalues of g_w, and
     from it ``h_lb``/``h_ub``, which bound the divergence to the centered
     point (h_ub may be +inf); ``d_f``, the frame coordinates of d, from one
     projection of s; ``d_spectrum``, the one decomposition of d, which the
-    geodesic step (``ScaledFrame.step``) maps on; ``norm_d_inf``; and
-    ``t_max``, the guaranteed-descent step bound.  The element ``d`` is
-    packed when read.  ``record_bounds`` gives a step record its bounds.
+    geodesic step (``ScaledFrame.step``) maps on once it is formed;
+    ``norm_d_inf``; and ``t_max``, the guaranteed-descent step bound.  The
+    element ``d`` is packed when read.  ``record_bounds`` gives a step
+    record its bounds.
     """
 
     s_f: np.ndarray
@@ -490,15 +508,18 @@ class NewtonData:
         return self.norm_d ** 2 / (1.0 - self.sum_inf) if self.sum_inf < 1.0 else math.inf
 
     def record_bounds(self) -> tuple:
-        """``(h_ub, h_lb)`` for a step record: the exact bounds once a reader
-        has formed them, else the norm bounds, which decompose nothing.
-        ``||s||_inf <= ||s|| = ||d||`` gives ``norm_d^2 / (1 - norm_d)``
-        (+inf when norm_d >= 1), never below the exact h_ub, and
-        ``norm_d^2 / (1 + norm_d)``, never above the exact h_lb."""
+        """``(h_ub, h_lb, norm_d_inf)`` for a step record: the exact values
+        once a reader has formed them, else the norm bounds, which decompose
+        nothing.  ``||s||_inf <= ||s|| = ||d||`` gives
+        ``norm_d^2 / (1 - norm_d)`` (+inf when norm_d >= 1), never below the
+        exact h_ub, and ``norm_d^2 / (1 + norm_d)``, never above the exact
+        h_lb; and ``||d||_inf <= ||d||`` gives norm_d."""
+        n, n2 = self.norm_d, self.norm_d ** 2
         if "sum_inf" in self.__dict__:
-            return self.h_ub, self.h_lb
-        n2 = self.norm_d ** 2
-        return (n2 / (1.0 - self.norm_d) if self.norm_d < 1.0 else math.inf), n2 / (1.0 + self.norm_d)
+            bounds = self.h_ub, self.h_lb
+        else:
+            bounds = (n2 / (1.0 - n) if n < 1.0 else math.inf), n2 / (1.0 + n)
+        return bounds + ((self.norm_d_inf if "d_spectrum" in self.__dict__ else n),)
 
     @_lazy
     def d_f(self) -> np.ndarray:

@@ -320,6 +320,53 @@ def test_geodesic_step_matches_its_parts_bitwise():
             assert want[2] is None or np.array_equal(got[2], want[2])
 
 
+def test_taylor_radii_meet_their_tail_bounds():
+    """Each radius rho_K is the largest float at which the tail bound of
+    the order-K step polynomials, (K+2) tau^(K+1) / ((K+1)! (1 - tau)), is
+    at most the rounding unit 2^-53; an order holds up to its radius."""
+    unit = 2.0 ** -53
+
+    def tail(order, tau):
+        return (order + 2) * tau ** (order + 1) / (math.factorial(order + 1) * (1.0 - tau))
+
+    radii = J._TAYLOR_RADII
+    assert len(radii) == 20
+    for order, rho in enumerate(radii, 1):
+        assert tail(order, rho) <= unit < tail(order, np.nextafter(rho, 1.0)), order
+        assert J._taylor_order(rho) == order
+        assert J._taylor_order(np.nextafter(rho, 1.0)) == (order + 1) % 21
+    # rounded to two significant digits, three for the largest
+    stated = {1: 8.6e-9, 2: 5.5e-6, 4: 1.2e-3, 8: 0.054, 12: 0.27, 16: 0.66, 18: 0.88}
+    for order, rho in stated.items():
+        assert float(f"{radii[order - 1]:.2g}") == rho, order
+    assert float(f"{radii[-1]:.3g}") == 0.996
+    assert J._taylor_order(0.0) == 1 and J._taylor_order(1.0) == J._taylor_order(math.nan) == 0
+
+
+def test_taylor_step_functions_of_a_psd_run():
+    """The step functions an expansion forms on a PSD run are those of the
+    eigendecomposition: exp(+-t D/2), r (I + D) exp(-t D) and
+    r (I - D) exp(t D), at 1e-14, from the powers up to each order whose
+    radius holds max(1, |t|) ||D||."""
+    rng = np.random.default_rng(7)
+    cone = J.ConeDescriptor((J.Psd(5),) * 2)
+    f = J.unpack(random_element(cone, rng))
+    for order in (1, 4, 12, 20):
+        for t in (1.0, -0.3, 2.5):
+            d = f * (J._TAYLOR_RADII[order - 1] / max(1.0, abs(t)) / np.linalg.norm(f))
+            assert J._taylor_order(max(1.0, abs(t)) * np.linalg.norm(d)) <= order
+            lam, (vecs,) = J._spectrum(cone, d, vectors=True)
+            _, (powers,) = J._spectrum(cone, d, vectors=True, order=order)
+            assert powers.shape == (order + 1, 2, 5, 5)
+            got = np.tensordot(J._taylor_coefficients(t, 0.7, order), powers, 1)
+            lam = lam.reshape(2, 5)
+            for row, fn in zip(got, (lambda x: np.exp(0.5 * t * x), lambda x: np.exp(-0.5 * t * x),
+                                     lambda x: 0.7 * (1.0 + x) * np.exp(-t * x),
+                                     lambda x: 0.7 * (1.0 - x) * np.exp(t * x))):
+                want = (vecs * fn(lam)[:, None, :]) @ vecs.transpose(0, 2, 1)
+                assert np.abs(row - want).max() <= 1e-14, (order, t)
+
+
 def test_anchor_scaling_is_the_quadratic_representation():
     rng = np.random.default_rng(31)
     cones = list(FAMILIES.values()) + [REPEATS]

@@ -335,6 +335,45 @@ def test_stepped_frame_matches_the_frame_of_the_stepped_point(case):
             frame = stepped
 
 
+def _scaled_newton_data(nd, norm):
+    """Fresh Newton data of nd's frame and mu whose direction is nd's scaled
+    to ``norm``: s, and so d, scales with it."""
+    s = nd.s_f * (norm / nd.norm_d)
+    return S.NewtonData(s_f=s, norm_d=math.sqrt(float(s @ s)), frame=nd.frame, mu=nd.mu)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_full_step_by_taylor_matches_the_decomposed_step(name):
+    """A full step whose data have not decomposed d, at max(1, |t|) ||d||
+    up to the largest Taylor radius, forms its step functions from the
+    powers of d and decomposes nothing; its point T e, mapped basis and
+    reset representatives agree with those of the step on the decomposed d
+    to 1e-13 relative.  Just past that radius it is the decomposed step,
+    bitwise."""
+    cone = FAMILIES[name]
+    rng = np.random.default_rng(43)
+    prob = random_basis_problem(cone, 3, rng)
+    frame = S.ScaledFrame(prob, random_interior(cone, rng))
+    nd = frame.newton(0.6)
+    rho = J._TAYLOR_RADII[-1]
+    for norm in (1e-14, 1e-9, 1e-5, 1e-2, 0.3, 0.85, rho * (1.0 - 1e-12)):
+        taylor, exact = _scaled_newton_data(nd, norm), _scaled_newton_data(nd, norm)
+        exact.d_spectrum
+        for t in (1.0, -0.5):
+            a, b = frame.step(taylor, t), frame.step(exact, t)
+            assert "d_spectrum" not in taylor.__dict__, (norm, t)
+            for what, x, y in (("T e", a.w.coords, b.w.coords), ("basis", a.basis, b.basis),
+                               ("u_p", a.u_p, b.u_p), ("u_d", a.u_d, b.u_d)):
+                err = np.linalg.norm(x - y) / np.linalg.norm(y)
+                assert err <= 1e-13, f"{what} at ||d|| = {norm:g}, t = {t}: {err:.2e}"
+    past, exact = _scaled_newton_data(nd, rho * (1.0 + 1e-12)), _scaled_newton_data(nd, rho * (1.0 + 1e-12))
+    exact.d_spectrum
+    a, b = frame.step(past, 1.0), frame.step(exact, 1.0)
+    assert "d_spectrum" in past.__dict__
+    assert all(np.array_equal(x, y) for x, y in ((a.w.coords, b.w.coords), (a.basis, b.basis),
+                                                   (a.u_p, b.u_p), (a.u_d, b.u_d)))
+
+
 
 @pytest.mark.parametrize("form", ["basis", "operator"])
 @pytest.mark.parametrize("full", [False, True], ids=["dim-L-0", "dim-L-N"])

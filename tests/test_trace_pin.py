@@ -9,7 +9,8 @@ committed file ``data/trace_pin.json``:
 * a basis-form problem on 3 psd(6) + 2 soc(4) + orthant(3) (four runs) by
   ``longstep`` from e;
 * the same problem by ``shortstep`` from its oracle centre, whose full
-  steps map the PSD runs and the second-order and orthant runs alike;
+  steps map the PSD runs by Taylor polynomials of d and the second-order
+  and orthant runs in closed form;
 * the operator form of that problem by ``longstep`` from e;
 * an operator form with two rows of ``B`` on the same cone by ``longstep``
   from e: 50 columns, so the representation spans the complement of the

@@ -11,12 +11,15 @@ built, projects once for g_w.  Its one ``eigvalsh`` of g_w runs when a
 bound is first read: every Newton call at that iterate reads
 ||d1 + d2||_inf off it; with ||d|| = ||d1 + d2|| that gives h_ub, and
 ``mu_candidates`` reads the same extreme eigenvalues.  d is decomposed, by
-one ``eigh``, only when a step reads its spectrum: that ``eigh`` gives
-||d||_inf, t_max, the step map Q(exp(t d/2)) and the reset
-representatives, so a call that only tests h_ub takes none.  So a full
-step, whose rule reads no bound and whose record holds the norm bounds,
-costs 1 ``eigh`` and no ``eigvalsh``; a damped step, whose rule reads h_ub
-and t_max, costs 1 of each.
+one ``eigh``, only when its spectrum is read: that ``eigh`` gives
+||d||_inf and t_max, and the step map Q(exp(t d/2)) and the reset
+representatives are mapped on it, so a call that only tests h_ub takes
+none.  A step on data that have not decomposed d, with
+max(1, |t|) ||d|| below the largest Taylor radius (0.996), forms its step
+functions from the powers of d instead.  So a full step, whose rule reads
+no bound and whose record holds the norm bounds, costs no ``eigh`` and no
+``eigvalsh``; a damped step, whose rule reads h_ub and t_max, costs 1 of
+each.
 
 A step maps the basis once, by Q(exp(t d/2)), in the same pass over the
 runs that forms the map and composes the anchor (``jordan.geodesic_step``);
@@ -92,7 +95,7 @@ def multi_problem():
     return random_basis_problem(MULTI, 3, np.random.default_rng(17))
 
 
-def test_shortstep_one_eigh_no_eigvalsh_per_step(problem, multi_problem, monkeypatch):
+def test_shortstep_full_steps_decompose_nothing(problem, multi_problem, monkeypatch):
     for prob in (problem, multi_problem):
         w0 = V.oracle_center(prob, MU0)
         params = V.shortstep_params(0.5, 1e-4, prob.cone.rank)
@@ -104,12 +107,13 @@ def test_shortstep_one_eigh_no_eigvalsh_per_step(problem, multi_problem, monkeyp
         steps = trace.newton_steps
         assert steps > 0
         # the start: the eigh and interior test of w0 and two anchor maps; each
-        # step: the eigh of d, one map of the basis and, for the new frame,
-        # the projection of its g_w; each step also projects once for d; the
-        # returned Newton data are read off the last frame, and no bound is
-        # read, so no g_w is decomposed
+        # step: one map of the basis by the Taylor polynomials of d and, for
+        # the new frame, the projection of its g_w; each step also projects
+        # once for d; the returned Newton data are read off the last frame,
+        # and no bound is read, so neither d nor g_w is decomposed
+        assert max(rec.norm_d for rec in trace.records) < J._TAYLOR_RADII[-1]
         assert calls == {
-            "eigh": 1 + steps, "eigvalsh": 0, "_map_run": (2 + steps) * runs,
+            "eigh": 1, "eigvalsh": 0, "_map_run": (2 + steps) * runs,
             "require_interior": 1, "_project": 1 + 2 * steps,
         }, prob.cone
         (_, trace), gathers = _counted(
