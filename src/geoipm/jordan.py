@@ -612,7 +612,8 @@ def _spectrum(cone: ConeDescriptor, f: np.ndarray, vectors: bool, order: int = 0
     With an ``order`` K > 0 a PSD run is expanded, not decomposed: its
     frame data are the powers I, X, ..., X^K of its matrices, stacked
     (K + 1, count, k, k) from K - 1 products, and its eigenvalues, which
-    nothing forms, read 0.  Orthant and second-order runs are the same."""
+    nothing forms, read 0.  Orthant and second-order runs are read as
+    without ``order``."""
     lams, datas = [], []
     for run in cone.runs:
         X, data = _frame_block(run, f), None
