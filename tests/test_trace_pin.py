@@ -19,6 +19,9 @@ committed file ``data/trace_pin.json``:
 A change that moves a trace on purpose rewrites the file and says so::
 
     PYTHONPATH=src python tests/test_trace_pin.py --write
+
+The benchmark instances have their own golden file (``golden.py``); the
+last test checks the seed-0 instances of sdp_short and mixed_op against it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from geoipm import subspace as S
 from geoipm.harness.experiments import MU0, trial_seed
 from geoipm.harness.generate import generate_random_sdp
 
+import golden
 from util import random_basis_problem
 
 PIN = Path(__file__).with_name("data") / "trace_pin.json"
@@ -107,6 +111,14 @@ def test_trace_matches_pin(case, pinned):
         for name, x, y in zip(FIELDS, row, ref):
             same = x == y or abs(x - y) <= RTOL * max(1.0, abs(y))
             assert same, f"{case} step {i}: {name} = {x!r}, pinned {y!r}"
+
+
+def test_benchmark_instances_match_the_golden_file():
+    """The 16 seed-0 instances of sdp_short and mixed_op, as the benchmark
+    solves them, against ``data/golden.json`` (``golden.py --check`` runs all 48)."""
+    entries, _ = golden.run(("sdp_short", "mixed_op"), seeds=(0,))
+    assert len(entries) == 16
+    assert golden.first_difference(entries, json.loads(golden.GOLDEN.read_text())["instances"]) is None
 
 
 if __name__ == "__main__":
