@@ -41,7 +41,10 @@ class NumericalFailureError(GeoipmError):
 
 
 class IllConditionedBasisError(GeoipmError):
-    """Rank loss in the spanning set of a problem's subspace or of a frame's."""
+    """Rank loss in the spanning set of a problem's subspace (its rank rule,
+    at load or, for an operator form, at first use), or in a stepped frame's
+    basis (a zero Cholesky pivot).  A fresh frame tests no rank: the
+    interior test of its point bounds the conditioning of its span."""
 
 
 class DegenerateConstraintsError(GeoipmError):

@@ -23,7 +23,8 @@ The Newton machinery works in the frame of the iterate w, where w is e: a
 the problem mapped by it, the primal set by T^{-1} and the dual set by T*.
 So the relevant subspaces are ``L_w = T^{-1} L`` and
 ``L_w_perp = T* L-perp``, of which the frame holds the smaller; a frame
-built from w takes T = Q(w^{1/2}), the scaling of the paper.  The Newton
+built from w takes T = Q(w^{1/2}), the scaling of the paper, and the
+interior test of that w is the frame's one conditioning guard.  The Newton
 data at (w, mu) need one mu-free vector g_w and the projections onto these
 subspaces: with ``s = g_w/sqrt(mu) - e`` the Newton direction d is the
 reflection of s across L_w_perp, split orthogonally as d = d1 - d2 across
@@ -94,9 +95,6 @@ __all__ = [
 
 # rank test of a problem's spanning set: sigma_min/sigma_max of its QR factor R
 _BASIS_RANK_TOL = 1e-10
-# the same test of a frame's mapped span, which carries cond(w): about 1e11
-# at mu = 1e-6 on fig3, which the problem's tolerance would reject
-_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,17 +275,16 @@ class _Representation(NamedTuple):
     span: np.ndarray
 
 
-def _factorize(cols: np.ndarray, complete: bool, what: str, tol: float = _BASIS_RANK_TOL) -> tuple:
-    """``(Q, R)``, one QR of the spanning set ``cols`` (N x k): the first k
-    columns of Q span ``cols`` orthonormally and, when ``complete``, the
-    last N - k its complement; R is k x k.  It serves a problem's spanning
-    set (metric coordinates, ``_BASIS_RANK_TOL``) and a new frame's mapped
-    span (frame coordinates, ``_RANK_TOL``).
+def _factorize(cols: np.ndarray, complete: bool, what: str) -> tuple:
+    """``(Q, R)``, one QR of a problem's spanning set ``cols`` (N x k, metric
+    coordinates): the first k columns of Q span ``cols`` orthonormally and,
+    when ``complete``, the last N - k its complement; R is k x k.  It serves
+    the problem's factor and ``as_operator_form``.
 
     Rank loss raises, naming the set as ``what``: sigma_min/sigma_max <=
-    ``tol`` on the singular values of R, which are those of ``cols`` up to
-    rounding.  The rule is scale-free: scaling ``cols`` does not change
-    its outcome.
+    ``_BASIS_RANK_TOL`` on the singular values of R, which are those of
+    ``cols`` up to rounding.  The rule is scale-free: scaling ``cols`` does
+    not change its outcome.
     """
     n, k = cols.shape
     if k > n:
@@ -296,7 +293,7 @@ def _factorize(cols: np.ndarray, complete: bool, what: str, tol: float = _BASIS_
     r = r[:k]
     if k:
         sv = np.linalg.svd(r, compute_uv=False)
-        if sv[-1] <= tol * sv[0]:
+        if sv[-1] <= _BASIS_RANK_TOL * sv[0]:
             raise IllConditionedBasisError(
                 f"{what} are numerically dependent (sigma_min = {sv[-1]:.3g}, sigma_max = {sv[0]:.3g})"
             )
@@ -363,15 +360,17 @@ class ScaledFrame:
     frame carries.
 
     ``ScaledFrame(problem, w)`` builds the anchor T = Q(w^{1/2}) from one
-    decomposition of the given w, which must pass the cone's interior test,
-    a ratio of eigenvalues that no scaling of w changes.  It orthonormalizes
-    the mapped span with the problem's QR and rank rule (``_factorize``),
-    which rejects sigma_min/sigma_max <= 1e-12 here: the rule is scale-free,
-    so a frame at c w passes it exactly when the frame at w does.  ``step``
-    moves the frame along a geodesic without decomposing the new iterate:
-    d is decomposed at most, the step's maps come from one pass over the
-    runs (``jordan.geodesic_step``), and w = T e is formed only when ``w``
-    is read.
+    decomposition of the given w, which must pass the cone's interior test
+    lambda_min > 1e-12 lambda_max, a ratio that no scaling of w changes.
+    That test is the frame's one conditioning guard: on symmetric
+    directions T^{-1} and T* have the singular values (lambda_i
+    lambda_j)^{-1/2} and (lambda_i lambda_j)^{1/2}, so the mapped
+    orthonormal span keeps sigma_min/sigma_max >= lambda_min/lambda_max,
+    and one QR orthonormalizes it with no rank test.  ``step`` moves the
+    frame along a geodesic without decomposing the new iterate: d is
+    decomposed at most, the step's maps come from one pass over the runs
+    (``jordan.geodesic_step``), and w = T e is formed only when ``w`` is
+    read.
     """
 
     def __init__(self, problem: ConicProblem, w: AlgebraElement):
@@ -388,7 +387,7 @@ class ScaledFrame:
         u_near, span = cols[:, 0], cols[:, 1:]
         u_far = anchor.columns(jordan.unpack(far), inverse=not on_l, adjoint=on_l)
         u_p, u_d = (u_near, u_far) if on_l else (u_far, u_near)
-        q, _ = _factorize(span, complete=False, what="the scaled subspace basis vectors", tol=_RANK_TOL)
+        q, _ = np.linalg.qr(span)
         self._set(problem, anchor, np.asfortranarray(q), u_p, u_d)
         self.w = w
 

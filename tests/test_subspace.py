@@ -170,29 +170,69 @@ def test_rank_loss_in_operator_columns():
     S.ScaledFrame(near, J.identity(SMALL_MIXED))
 
 
-def test_one_rank_rule_at_two_tolerances():
-    """``_factorize`` tests sigma_min/sigma_max of R against its ``tol``: a
-    ratio of 1e-11 passes the frame's 1e-12 and fails the problem's 1e-10,
-    whatever the scale of the columns."""
+def test_the_problem_rank_rule_is_scale_free():
+    """``_factorize`` tests sigma_min/sigma_max of R against 1e-10 whatever
+    the scale of the columns: a ratio of 1e-9 passes it and 1e-11 fails."""
     rng = np.random.default_rng(4)
     left, _ = np.linalg.qr(rng.standard_normal((9, 3)))
     right, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    cols = left @ np.diag([1.0, 0.5, 1e-11]) @ right
     for scale in (1.0, 1e-14, 1e14):
-        q, r = S._factorize(scale * cols, False, "the columns", tol=S._RANK_TOL)
+        q, r = S._factorize(scale * left @ np.diag([1.0, 0.5, 1e-9]) @ right, False, "the columns")
         assert q.shape == (9, 3) and r.shape == (3, 3)
         sv = np.linalg.svd(r, compute_uv=False)
-        assert sv[-1] / sv[0] == pytest.approx(1e-11, rel=1e-3)
+        assert sv[-1] / sv[0] == pytest.approx(1e-9, rel=1e-3)
         with pytest.raises(IllConditionedBasisError, match="the columns are numerically dependent"):
-            S._factorize(scale * cols, False, "the columns", tol=S._BASIS_RANK_TOL)
+            S._factorize(scale * left @ np.diag([1.0, 0.5, 1e-11]) @ right, False, "the columns")
+
+
+def _near_the_boundary(cone, factor, rng):
+    """A point w with lambda_min/lambda_max = ``factor`` INTERIOR_EPS, and a
+    problem whose L holds the idempotents of w's extreme eigenvalues, so the
+    image of L under Q(w^{-1/2}) meets the conditioning bound."""
+    idempotents = J.Spectrum(random_element(cone, rng)).frame
+    lam = np.exp(rng.uniform(math.log(factor * J.INTERIOR_EPS), 0.0, cone.rank))
+    lo, hi = rng.choice(cone.rank, 2, replace=False)
+    lam[lo], lam[hi] = factor * J.INTERIOR_EPS, 1.0
+    w = sum((x * c for x, c in zip(lam, idempotents)), J.zero(cone))
+    e = J.identity(cone)
+    basis = (idempotents[lo], idempotents[hi], random_element(cone, rng))
+    return w, S.ConicProblem(cone, S.BasisForm(x0=e, s0=e, basis=basis))
+
+
+@pytest.mark.parametrize("form", ["basis", "operator"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_interior_test_bounds_the_conditioning_of_a_frame(family, form):
+    """The interior test of w is a fresh frame's one conditioning guard: at
+    lambda_min/lambda_max within 1.01 INTERIOR_EPS the frame builds, and
+    its mapped span keeps sigma_min/sigma_max >= lambda_min/lambda_max, a
+    bound that an L holding w's extreme eigen-directions attains.  The
+    computed sigma_min of a span of condition 1e12 carries an error of
+    about 1e-4 of itself, so the bound is read within 1e-3, which still
+    puts the ratio above INTERIOR_EPS.  Just below the threshold the frame
+    raises DomainError."""
+    cone, rng = FAMILIES[family], np.random.default_rng(35)
+    for _ in range(5):
+        w, prob = _near_the_boundary(cone, 1.01, rng)
+        prob = S.as_operator_form(prob) if form == "operator" else prob
+        frame = S.ScaledFrame(prob, w)
+        assert np.abs(frame.basis.T @ frame.basis - np.eye(frame.basis.shape[1])).max() <= 1e-12
+        _, _, on_l, span = prob._representation
+        sv = np.linalg.svd(frame.anchor.columns(span, inverse=on_l, adjoint=not on_l), compute_uv=False)
+        lam = J.eigenvalues(w)
+        assert lam.min() / lam.max() <= 1.01 * J.INTERIOR_EPS * (1.0 + 1e-3)
+        assert sv[-1] / sv[0] >= (1.0 - 1e-3) * lam.min() / lam.max() > J.INTERIOR_EPS
+        w, prob = _near_the_boundary(cone, 0.99, rng)
+        prob = S.as_operator_form(prob) if form == "operator" else prob
+        with pytest.raises(DomainError):
+            S.ScaledFrame(prob, w)
 
 
 @pytest.mark.parametrize("form", ["basis", "operator"])
 @pytest.mark.parametrize("c", [1e-15, 1e-12, 1e12, 1e15], ids=["1e-15", "1e-12", "1e12", "1e15"])
 def test_newton_direction_is_scale_invariant(form, c):
     """The problem mapped by T_c = c I, solved at c e, takes the Newton
-    direction of the problem at e: neither the interior test of w nor a
-    frame's rank test reads a scale."""
+    direction of the problem at e: the interior test of w, the frame's one
+    conditioning guard, reads no scale."""
     prob = generate.generate_random_sdp(6, 3, 0)
     prob = S.as_operator_form(prob) if form == "operator" else prob
     e = J.identity(prob.cone)

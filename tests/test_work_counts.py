@@ -284,6 +284,19 @@ def test_one_factorization_per_problem(monkeypatch):
         assert calls == ["qr"], type(form).__name__
 
 
+@pytest.mark.parametrize("form", ["basis", "operator"])
+def test_a_fresh_frame_makes_no_svd(monkeypatch, form):
+    """The interior test of w is a fresh frame's one conditioning guard: a
+    frame of a problem that has taken its rank test orthonormalizes its
+    mapped span by one QR and makes no SVD."""
+    problem = _fig3_instance(10)
+    problem = S.as_operator_form(problem) if form == "operator" else problem
+    problem._representation  # the problem's rank test, at load or first use
+    w = random_interior(problem.cone, np.random.default_rng(7))
+    _, calls = _counted(monkeypatch, lambda: S.ScaledFrame(problem, w), ((np.linalg, "svd"), (np.linalg, "qr")))
+    assert calls == {"svd": 0, "qr": 1}
+
+
 def _fig3_instance(n):
     return generate.generate_random_sdp(n, 10, trial_seed(0, n, 0))
 
