@@ -3,9 +3,10 @@
 Subcommands: ``gen`` (random instance -> problem file), ``solve`` (run the
 short- or long-step algorithm on a problem file), ``bench`` (experiment
 drivers).  Exit codes: 0 converged, 2 iteration cap, 3 parse/parameter
-error or a path that cannot be read or written (a missing directory, a
-directory given for a file), 4 numerical failure; one-line diagnostics go
-to stderr.  A problem file of either form gets its rank test, and an
+error, a usage error (an unknown subcommand, a missing argument, a value
+argparse cannot read, a negative ``--seed``) or a path that cannot be read
+or written (a missing directory, a directory given for a file), 4
+numerical failure; one-line diagnostics go to stderr.  A problem file of either form gets its rank test, and an
 operator form its By = g test, when it is read, so a defect there exits 3
 before any solve starts.  ``--algo short`` reads its whole mu schedule
 before it centres the start, so a ``--muf`` the schedule cannot reach
@@ -51,14 +52,32 @@ EXIT_NUMERICAL = 4
 TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(solver.StepRecord))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ParameterError (exit 3,
+    one line) in place of printing the usage and exiting 2."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value, a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="geoipm", description=__doc__)
+    parser = _Parser(prog="geoipm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a random SDP instance")
     p_gen.add_argument("--n", type=int, required=True, help="matrix side of the PSD cone")
     p_gen.add_argument("--dim-l", type=int, default=10, help="dimension of the subspace L")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
 
     p_solve = sub.add_parser("solve", help="track the central path on a problem file")
@@ -78,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", type=Path, default=None, help="write per-step CSV here")
     p_solve.add_argument("--feasible-out", type=Path, default=None,
                          help="write the extracted feasible (x, s)")
-    p_solve.add_argument("--seed", type=int, default=None,
+    p_solve.add_argument("--seed", type=_seed, default=None,
                          help="randomize the initial point (default: identity)")
 
     p_bench = sub.add_parser("bench", help="run an experiment driver")
@@ -160,9 +179,8 @@ def _cmd_bench(args) -> int:
 
 def solve_cli(argv=None) -> int:
     """Entry point returning the process exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "solve":

@@ -45,8 +45,8 @@ class ExperimentConfig:
     fig4's initial points sit at the exact distances ``fig4_deltas`` from
     the point centered at ``MU0`` (geodesic perturbations preserve
     length), and each centering stops at ``h_ub <= fig4_eps``.  The sizes,
-    ``fig4_eps > 0`` and ``fig4_deltas >= 0`` are checked here, before any
-    solve.
+    ``seed >= 0``, ``fig4_eps > 0`` and ``fig4_deltas >= 0`` are checked
+    here, before any directory is made or any solve runs.
     """
 
     seed: int = 0
@@ -61,6 +61,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("seed", "trials", "dim_l", "fig4_n"):
             require_int(getattr(self, name), name)
+        if self.seed < 0:
+            raise ProblemFormatError(f"seed must be a non-negative integer, got {self.seed}")
         for name in ("mu_ratio", "fig4_eps"):
             object.__setattr__(self, name, require_real(getattr(self, name), name))
         for name, require in (("n_values", require_int), ("fig4_deltas", require_real)):

@@ -237,6 +237,52 @@ def test_bad_parameters_exit_3(tmp_path, capsys, flags):
     assert "invalid input" in capsys.readouterr().err
 
 
+# usage errors and the argparse message each one's stderr line ends with;
+# {p} is a readable problem file, {neg} an experiment config with seed -1
+USAGE_ERRORS = {
+    "gen --n abc": "argument --n: invalid int value: 'abc'",
+    "solve --input {p} --mu0 abc": "argument --mu0: invalid float value: 'abc'",
+    "solve": "the following arguments are required: --input",
+    "bogus": "argument command: invalid choice: 'bogus'",
+    "solve --input {p} --algo medium": "argument --algo: invalid choice: 'medium'",
+    "gen --n 4 --dim-l 2 --seed -1": "argument --seed: seed must be a non-negative integer, got '-1'",
+    "solve --input {p} --seed -1": "argument --seed: seed must be a non-negative integer, got '-1'",
+    "bench --experiment fig3 --config {neg} --outdir {out}": "seed must be a non-negative integer, got -1",
+    "bench --experiment fig4 --config {neg} --outdir {out}": "seed must be a non-negative integer, got -1",
+}
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_usage_errors_exit_3_with_one_line(tmp_path, capsys, monkeypatch, command):
+    """A usage error returns 3 with one ``geoipm: invalid input:`` line, as
+    other invalid input does, before any solve and before ``--outdir`` is
+    made; argparse would print its usage and exit 2, the iteration-cap code."""
+
+    def oracle_center(*args, **kwargs):
+        raise AssertionError("the centering oracle ran")
+
+    problem_file, neg, out = tmp_path / "p.json", tmp_path / "neg.json", tmp_path / "out"
+    assert cli.solve_cli(["gen", "--n", "4", "--dim-l", "2", "--out", str(problem_file)]) == 0
+    neg.write_text('{"seed": -1, "n_values": [4], "trials": 1, "dim_l": 2, "fig4_n": 4}')
+    monkeypatch.setattr(V, "oracle_center", oracle_center)
+    capsys.readouterr()
+    rc = cli.solve_cli(command.format(p=problem_file, neg=neg, out=out).split())
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("geoipm: invalid input: ") and captured.err.count("\n") == 1, captured.err
+    assert USAGE_ERRORS[command] in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=" ".join)
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.solve_cli(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: geoipm")
+
+
 def test_short_start_obeys_max_newton(tmp_path, capsys):
     problem_file = tmp_path / "p.json"
     cli.solve_cli(["gen", "--n", "5", "--dim-l", "3", "--seed", "3", "--out", str(problem_file)])

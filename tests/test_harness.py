@@ -142,6 +142,10 @@ def test_experiment_config_validation():
         with pytest.raises(ProblemFormatError, match="fig4_eps > 0 and fig4_deltas >= 0"):
             experiments.ExperimentConfig(**fig4)
     assert experiments.ExperimentConfig(fig4_deltas=(0.0, 2.0)).fig4_deltas == (0.0, 2.0)
+    # a negative seed names its field, before any directory or solve
+    for seed in (-1, -7919):
+        with pytest.raises(ProblemFormatError, match="^seed must be a non-negative integer"):
+            experiments.ExperimentConfig.from_dict({"seed": seed})
     for key, value in (
         ("seed", 1.5), ("trials", 2.5), ("trials", True), ("dim_l", 3.0),
         ("fig4_n", "4"), ("n_values", [4.7]), ("n_values", [False]),
