@@ -6,11 +6,12 @@ drivers).  Exit codes: 0 converged, 2 iteration cap, 3 parse/parameter
 error, a usage error (an unknown subcommand, a missing argument, a value
 argparse cannot read, a negative ``--seed``) or a path that cannot be read
 or written (a missing directory, a directory given for a file), 4
-numerical failure; one-line diagnostics go to stderr.  A problem file of either form gets its rank test, and an
-operator form its By = g test, when it is read, so a defect there exits 3
-before any solve starts.  ``--algo short`` reads its whole mu schedule
-before it centres the start, so a ``--muf`` the schedule cannot reach
-exits 3 without running the centering oracle.  ``solve`` prints its
+numerical failure; one-line diagnostics go to stderr.  A problem file of
+either form gets its rank test, and an operator form its By = g test, when
+it is read, so a defect there exits 3 before any solve starts.  ``--algo
+short`` reads its whole mu schedule before it centres the start, so a
+``--muf`` the schedule cannot reach exits 3 without running the centering
+oracle.  ``solve`` prints its
 status line before it writes the files it is asked for, so a path that
 fails there follows the status line.  A solve that fails (exit 2 or 4)
 prints no status line, but ``--trace`` still gets the steps it recorded.

@@ -21,26 +21,24 @@ purpose rewrites the file with ``--write`` and says so.
 
 from __future__ import annotations
 
-import os
-
-if __name__ == "__main__":
-    # one BLAS thread, as the benchmark runs; must be set before numpy is imported
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
-
 import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT / "src") not in sys.path:
+if __name__ == "__main__":
+    # one BLAS thread, as the benchmark runs, set before numpy is imported;
+    # and the package of this checkout
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
 
 from geoipm import solver, subspace  # noqa: E402
 
@@ -135,8 +133,10 @@ def main(argv) -> int:
         print(f"{len(entries)} instances written to {GOLDEN}, digest {digest}")
         return 0
     golden = json.loads(GOLDEN.read_text())
-    missing = sorted(set(golden["instances"]) - set(entries))
-    diff = first_difference(entries, golden["instances"]) or (missing and f"{missing[0]}: not solved")
+    diff = first_difference(entries, golden["instances"])
+    missing = set(golden["instances"]) - set(entries)
+    if diff is None and missing:
+        diff = f"{min(missing)}: in {GOLDEN.name} but not solved"
     print(f"digest {digest}: {'matches' if digest == golden['digest'] else 'differs from ' + golden['digest']}")
     if diff:
         print(f"golden check failed: {diff}")

@@ -237,8 +237,8 @@ def test_bad_parameters_exit_3(tmp_path, capsys, flags):
     assert "invalid input" in capsys.readouterr().err
 
 
-# usage errors and the argparse message each one's stderr line ends with;
-# {p} is a readable problem file, {neg} an experiment config with seed -1
+# usage errors and the message (argparse's, or the config's) that each
+# one's stderr line holds; {p} is a problem file, {neg} a config with seed -1
 USAGE_ERRORS = {
     "gen --n abc": "argument --n: invalid int value: 'abc'",
     "solve --input {p} --mu0 abc": "argument --mu0: invalid float value: 'abc'",
