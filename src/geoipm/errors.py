@@ -6,10 +6,12 @@ from __future__ import annotations
 class GeoipmError(Exception):
     """Base class for all errors raised by this package.
 
-    An error raised while a tracker or the centering oracle steps
-    (``solver``) carries ``trace``, the partial ``SolverTrace``, and
-    ``iterate``, the last ``NewtonData`` built, at the mu the run had
-    reached; both are None otherwise.
+    An error raised while a tracker steps, or anywhere in the centering
+    oracle once its start's frame is built (``solver``), carries ``trace``,
+    the partial ``SolverTrace``, and ``iterate``, the last ``NewtonData``
+    built, at the mu the run had reached; both are None otherwise.  The
+    oracle's errors keep their type, and their message starts ``centering
+    oracle failed at mu=...``.
     """
 
     def __init__(self, *args, trace=None, iterate=None):
@@ -57,9 +59,10 @@ class ParameterError(GeoipmError):
 
 
 class IterationLimitError(GeoipmError):
-    """An iteration cap was exceeded, by a tracker or by the centering
-    oracle (whose message starts ``centering oracle failed``); ``iterate``
-    is the ``NewtonData`` at the (w, mu) the run stopped on."""
+    """An iteration cap was exceeded, by a tracker or by a centering pass
+    of the oracle (then, like every oracle error, its message starts
+    ``centering oracle failed``); ``iterate`` is the ``NewtonData`` at the
+    (w, mu) the run stopped on."""
 
 
 class ProblemFormatError(GeoipmError):

@@ -15,9 +15,11 @@ oracle.  ``solve`` prints its
 status line before it writes the files it is asked for, so a path that
 fails there follows the status line.  A solve that fails (exit 2 or 4)
 prints no status line, but ``--trace`` still gets the steps it recorded.
-The centering oracle that ``--algo short`` starts from fails only at its
-cap: an IterationLimitError (exit 2) that carries the oracle's own trace,
-which ``--trace`` does not get.
+A failure of the centering oracle that ``--algo short`` starts from keeps
+its error type and names the oracle: at its cap an IterationLimitError
+(exit 2), otherwise a numerical failure (exit 4), such as a far phase whose
+last iterate fails the interior test (fig3 n = 100).  Either carries the
+oracle's own trace, which ``--trace`` does not get.
 ``bench --config`` is read like a problem file, so invalid JSON and the
 literals NaN and Infinity exit 3.
 """

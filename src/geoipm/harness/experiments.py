@@ -104,7 +104,9 @@ def trial_seed(seed: int, n: int, trial: int) -> int:
 
 
 def _fig3_trial(config: ExperimentConfig, n: int, trial: int):
-    """One instance: oracle-center at MU0, run both algorithms down mu_ratio."""
+    """One instance: oracle-center at MU0, then ``solver.solve`` it down
+    mu_ratio with each algorithm; a solve that fails its run or its check
+    raises its error, which the trial writes as a failed row."""
     tseed = trial_seed(config.seed, n, trial)
     mu_f = MU0 / config.mu_ratio
     out = []
@@ -112,12 +114,13 @@ def _fig3_trial(config: ExperimentConfig, n: int, trial: int):
     try:
         problem = generate_random_sdp(n, config.dim_l, tseed)
         w0 = solver.oracle_center(problem, MU0)
-        params = solver.ShortStepParams(solver.SHORT_BETA, solver.LongStepParams.eps, n)
-        _, strace = solver.shortstep(problem, w0, MU0, mu_f, params)
-        out.append((n, "short", trial, strace.newton_steps, ""))
-        _, ltrace = solver.longstep(problem, w0, MU0, mu_f, solver.LongStepParams())
-        out.append((n, "long", trial, ltrace.newton_steps, ""))
-        trace_rows = _mu_trace_rows(ltrace)
+        short = solver.ShortStepParams(solver.SHORT_BETA, solver.LongStepParams.eps, n)
+        for algo, params in (("short", short), ("long", solver.LongStepParams())):
+            result = solver.solve(problem, w0, MU0, mu_f, params)
+            if result.error is not None:
+                raise result.error
+            out.append((n, algo, trial, result.trace.newton_steps, ""))
+        trace_rows = _mu_trace_rows(result.trace)  # the long run, solved last
     except GeoipmError as exc:
         out.append((n, "failed", trial, "", str(exc).replace(",", ";")))
     return out, trace_rows

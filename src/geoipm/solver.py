@@ -458,23 +458,28 @@ def oracle_center(
     so their last iterate gets a fresh frame (one decomposition).  Every
     start then ends with ``center`` at mu with gamma ``ORACLE_GAMMA``, so
     any other start, such as a warm start near the path, is centered as by
-    ``center`` alone.  ``cap`` bounds each centering pass; exceeding it
-    raises IterationLimitError with the message ``centering oracle failed
-    at mu=...: ...``, carrying the oracle's partial trace (status
-    ITERATION_CAP, the steps of every pass) and, as ``iterate``, the last
-    ``NewtonData`` of the pass that hit the cap.
+    ``center`` alone.  ``cap`` bounds each centering pass.  A GeoipmError
+    raised once the start's frame is built, at a cap, in a step or by the
+    fresh frame (a ``DomainError`` when the far phase's last iterate is not
+    interior), keeps its type and its message, prefixed ``centering oracle
+    failed at mu=...: ``, and carries the oracle's partial trace (the steps
+    of every pass, status ITERATION_CAP or NUMERICAL_FAILURE) and, as
+    ``iterate``, the last ``NewtonData`` the oracle built.
     """
     _require_mu("mu must be positive and finite", mu)
     _require_cap(cap, "cap")
     start = warm if warm is not None else jordan.identity(problem.cone)
     frame = subspace.ScaledFrame(problem, start)
     mu_star = subspace.scale_matched_mu(frame)
-    trace = SolverTrace()
+    trace, nd = SolverTrace(), None
     try:
         if mu < mu_star < math.inf and math.isinf(_steps(frame, mu, 0, trace, _full(0)).h_ub):
             params = LongStepParams(clamp_mu_f=True, max_newton=cap)
-            frame = subspace.ScaledFrame(problem, _longstep(frame, mu_star, mu, params, trace).w)
+            nd = _longstep(frame, mu_star, mu, params, trace)
+            frame = subspace.ScaledFrame(problem, nd.w)
         return _steps(frame, mu, 0, trace, _damped(ORACLE_EPS, ORACLE_GAMMA, cap)).w
-    except IterationLimitError as exc:
-        message = f"centering oracle failed at mu={mu:g}: {exc}"
-        raise IterationLimitError(message, trace=trace, iterate=exc.iterate) from exc
+    except GeoipmError as exc:
+        trace.status = ITERATION_CAP if isinstance(exc, IterationLimitError) else NUMERICAL_FAILURE
+        exc.args = (f"centering oracle failed at mu={mu:g}: {exc}",)
+        exc.trace, exc.iterate = trace, exc.iterate if exc.iterate is not None else nd
+        raise

@@ -58,12 +58,50 @@ def test_gen_writes_stdout(capsys):
 
 
 def test_solve_short_algo(tmp_path):
-    problem_file = tmp_path / "p.json"
+    """The short path writes the pair of the Newton data its tracker
+    returns, and ``io.read_feasible_pair`` reads it back."""
+    problem_file, feas_file = tmp_path / "p.json", tmp_path / "feas.json"
     cli.solve_cli(["gen", "--n", "5", "--dim-l", "3", "--seed", "3", "--out", str(problem_file)])
     rc = cli.solve_cli(
-        ["solve", "--input", str(problem_file), "--algo", "short", "--muf", "0.125"]
+        ["solve", "--input", str(problem_file), "--algo", "short", "--muf", "0.125",
+         "--feasible-out", str(feas_file)]
     )
     assert rc == 0
+    x, s, mu, gap = io.read_feasible_pair(feas_file, io.load_problem(problem_file).cone)
+    assert mu <= 0.125 and gap > 0.0
+
+
+def test_empty_subspace_solves_to_one_status_line(tmp_path, capsys):
+    """With ``"basis_L": []`` the solve prints its status line and nothing
+    else, and raises no warning."""
+    problem_file = tmp_path / "p.json"
+    cli.solve_cli(["gen", "--n", "4", "--dim-l", "3", "--seed", "1", "--out", str(problem_file)])
+    doc = json.loads(problem_file.read_text())
+    doc["basis_L"] = []
+    problem_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.solve_cli(["solve", "--input", str(problem_file)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("status=converged algo=long ") and out.count("\n") == 1, out
+
+
+@pytest.mark.parametrize("n, algo, steps", [(20, "long", 301), (40, "short", 160)], ids=["20-long", "40-short"])
+def test_both_forms_solve_in_the_same_steps(tmp_path, capsys, n, algo, steps):
+    """The file from ``gen --n N --dim-l 10 --seed 0`` and the same problem
+    in operator form, which states L-perp (200 of 210 dimensions at n = 20,
+    810 of 820 at n = 40), take the same Newton steps.  At n = 40 the
+    default long solve from e hits the centering cap, so that size runs
+    short steps."""
+    basis_file, operator_file = tmp_path / "basis.json", tmp_path / "operator.json"
+    cli.solve_cli(["gen", "--n", str(n), "--dim-l", "10", "--seed", "0", "--out", str(basis_file)])
+    io.save_problem(S.as_operator_form(io.load_problem(basis_file)), operator_file)
+    for path in (basis_file, operator_file):
+        capsys.readouterr()
+        assert cli.solve_cli(["solve", "--input", str(path), "--algo", algo]) == 0
+        assert f" newton_steps={steps} " in capsys.readouterr().out
 
 
 def test_long_step_defaults_are_long_step_params(tmp_path, monkeypatch):
@@ -86,11 +124,13 @@ def test_long_step_defaults_are_long_step_params(tmp_path, monkeypatch):
     for name in ("solve", "shortstep", "longstep"):
         spy(name)
     assert cli.solve_cli(["solve", "--input", str(problem_file)]) == 0
-    assert seen == [("solve", V.LongStepParams()), ("longstep", V.LongStepParams())]
+    long = V.LongStepParams()
+    assert seen == [("solve", long), ("longstep", long)]
     seen.clear()
     config = experiments.ExperimentConfig(n_values=(4,), trials=1, dim_l=2)
     experiments.run_experiment_fig3(config, tmp_path / "fig3")
-    assert seen == [("shortstep", V.ShortStepParams(0.5, 1e-4, 4)), ("longstep", V.LongStepParams())]
+    short = V.ShortStepParams(0.5, 1e-4, 4)
+    assert seen == [("solve", short), ("shortstep", short), ("solve", long), ("longstep", long)]
 
 
 @pytest.mark.parametrize("beta", ["1e200", "1e308"])
@@ -238,7 +278,8 @@ def test_bad_parameters_exit_3(tmp_path, capsys, flags):
 
 
 # usage errors and the message (argparse's, or the config's) that each
-# one's stderr line holds; {p} is a problem file, {neg} a config with seed -1
+# one's stderr line holds; {p} is a problem file, {neg} a config with seed
+# -1, {gamma} a config that sets gamma
 USAGE_ERRORS = {
     "gen --n abc": "argument --n: invalid int value: 'abc'",
     "solve --input {p} --mu0 abc": "argument --mu0: invalid float value: 'abc'",
@@ -249,6 +290,8 @@ USAGE_ERRORS = {
     "solve --input {p} --seed -1": "argument --seed: seed must be a non-negative integer, got '-1'",
     "bench --experiment fig3 --config {neg} --outdir {out}": "seed must be a non-negative integer, got -1",
     "bench --experiment fig4 --config {neg} --outdir {out}": "seed must be a non-negative integer, got -1",
+    # a config holds only sizes, so a solver setting is an unknown key
+    "bench --experiment fig3 --config {gamma} --outdir {out}": "unknown experiment config keys: ['gamma']",
 }
 
 
@@ -262,11 +305,13 @@ def test_usage_errors_exit_3_with_one_line(tmp_path, capsys, monkeypatch, comman
         raise AssertionError("the centering oracle ran")
 
     problem_file, neg, out = tmp_path / "p.json", tmp_path / "neg.json", tmp_path / "out"
+    gamma = tmp_path / "gamma.json"
     assert cli.solve_cli(["gen", "--n", "4", "--dim-l", "2", "--out", str(problem_file)]) == 0
     neg.write_text('{"seed": -1, "n_values": [4], "trials": 1, "dim_l": 2, "fig4_n": 4}')
+    gamma.write_text('{"gamma": 0.5}')
     monkeypatch.setattr(V, "oracle_center", oracle_center)
     capsys.readouterr()
-    rc = cli.solve_cli(command.format(p=problem_file, neg=neg, out=out).split())
+    rc = cli.solve_cli(command.format(p=problem_file, neg=neg, gamma=gamma, out=out).split())
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
@@ -287,13 +332,28 @@ def test_short_start_obeys_max_newton(tmp_path, capsys):
     problem_file = tmp_path / "p.json"
     cli.solve_cli(["gen", "--n", "5", "--dim-l", "3", "--seed", "3", "--out", str(problem_file)])
     capsys.readouterr()
-    # the centering of the start at mu0 is capped like every other centering pass
+    # the centering of the start at mu0 is capped like every other centering
+    # pass: exit 2, one stderr line that names the oracle, no status line
     rc = cli.solve_cli(
         ["solve", "--input", str(problem_file), "--algo", "short", "--muf", "0.125",
          "--max-newton", "1"]
     )
     assert rc == 2
-    assert "iteration cap exceeded: centering oracle failed" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("geoipm: iteration cap exceeded: centering oracle failed") and err.count("\n") == 1, err
+
+
+def test_oracle_failure_exits_4_with_one_line(tmp_path, capsys):
+    """fig3 psd(100) trial 1: the fresh frame of the oracle's far phase is
+    not interior, a numerical failure whose one stderr line names the
+    oracle."""
+    path = tmp_path / "p.json"
+    io.save_problem(geoipm.generate_random_sdp(100, 10, experiments.trial_seed(0, 100, 1)), path)
+    assert cli.solve_cli(["solve", "--input", str(path), "--algo", "short"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("geoipm: numerical failure: centering oracle failed at mu=1: ") and err.count("\n") == 1, err
 
 
 def test_non_integer_block_size_exit_3(tmp_path, capsys):
@@ -336,17 +396,21 @@ def test_dependent_operator_columns_are_named(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("g, exit_code", [([0.0], 0), ([1.0], 3), ([], 3)], ids=["g=0", "g=1", "no-g"])
-def test_b_with_a_row_and_no_columns(tmp_path, g, exit_code):
+def test_b_with_a_row_and_no_columns(tmp_path, capsys, g, exit_code):
     """With no operator columns, ``"B": [[]]`` is one row of zero columns:
     By = g reads 0 = g, which g = [0] solves and g = [1] leaves empty (a
-    file with an empty dual set is rejected at load), and a missing g does
-    not match B's row count."""
+    file with an empty dual set is rejected at load, with one stderr line
+    and no status line), and a missing g does not match B's row count."""
     path = tmp_path / "p.json"
     path.write_text(json.dumps({
         "cone": [{"type": "orthant", "size": 2}], "form": "operator",
         "A": [], "b": [], "B": [[]], "g": g, "c": [1.0, 2.0],
     }))
     assert cli.solve_cli(["solve", "--input", str(path)]) == exit_code
+    out, err = capsys.readouterr()
+    if exit_code == 3:
+        assert out == ""
+        assert err.startswith("geoipm: invalid input: ") and err.count("\n") == 1, err
 
 
 def _defective_operator_form(defect):
@@ -394,13 +458,20 @@ def test_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr() == ("", "geoipm: numerical failure: step failed\n")
 
 
-def test_overflow_exits_4_under_runtime_warning_errors(tmp_path):
+def test_overflow_exits_4_under_runtime_warning_errors(tmp_path, capsys):
     """An input whose anchor overflows (no interior) exits 4 with one
-    stderr line, also when numpy's RuntimeWarnings are errors, and
-    ``--trace`` gets the steps taken before the overflow."""
+    stderr line and no warning, also when numpy's RuntimeWarnings are
+    errors, and ``--trace`` gets the steps taken before the overflow."""
     problem = no_interior_psd3()
     path, trace_path = tmp_path / "p.json", tmp_path / "t.csv"
     io.save_problem(problem, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.solve_cli(["solve", "--input", str(path)]) == 4
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("geoipm: numerical failure: ") and err.count("\n") == 1, err
     env = dict(os.environ, PYTHONPATH=str(Path(geoipm.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "geoipm", "solve", "--input", str(path),
@@ -411,6 +482,20 @@ def test_overflow_exits_4_under_runtime_warning_errors(tmp_path):
     assert out.stderr.startswith("geoipm: numerical failure: ") and out.stderr.count("\n") == 1, out.stderr
     steps = V.solve(problem, J.identity(problem.cone), 1.0, 1.0 / 1024.0, V.LongStepParams()).trace.newton_steps
     assert len(trace_path.read_text().splitlines()) == 1 + steps
+
+
+def test_far_start_pair_miss_exits_4(tmp_path, capsys):
+    """fig3 psd(60) trial 0 from e at its scale-matched mu* down to 1: the
+    run stops with h_ub <= eps, but its pair misses s0 + L-perp, a numerical
+    failure with one stderr line and no status line."""
+    problem = geoipm.generate_random_sdp(60, 10, experiments.trial_seed(0, 60, 0))
+    path = tmp_path / "p.json"
+    io.save_problem(problem, path)
+    mu_star = S.scale_matched_mu(S.ScaledFrame(problem, J.identity(problem.cone)))
+    assert cli.solve_cli(["solve", "--input", str(path), "--mu0", repr(mu_star), "--muf", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("geoipm: numerical failure: relative affine residuals") and err.count("\n") == 1, err
 
 
 def test_short_schedule_is_read_before_the_centering(tmp_path, capsys, monkeypatch):
@@ -442,7 +527,7 @@ def test_bench_fig4(tmp_path):
         ["bench", "--experiment", "fig4", "--config", str(cfg_file), "--outdir", str(tmp_path)]
     )
     assert rc == 0
-    assert (tmp_path / "fig4_center.csv").exists()
+    assert (tmp_path / "fig4_center.csv").read_text().splitlines()[0] == "init_id,iter,delta,h_ub"
     bad_cfg = tmp_path / "bad.json"
     small = '"n_values": [4], "trials": 1, "dim_l": 3, "fig4_n": 4, "fig4_deltas": [0.5]'
     for experiment, bad in (
@@ -507,18 +592,21 @@ def test_bench_fig4_settings_are_checked_before_any_solve(tmp_path, capsys, monk
 
 
 def test_bench_fig3_writes_one_row_per_algorithm(tmp_path, capsys):
-    """``bench --experiment fig3`` on one psd(4) trial: the header, a short
-    row and a long row, each with a step count and no error."""
+    """``bench --experiment fig3`` on two psd(10) trials (dim L = 10): the
+    header and a long and a short row per trial, whose counts pin the Newton
+    steps of ``geoipm solve``'s default long and short steps, and no error."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"n_values": [4], "trials": 1, "dim_l": 2}')
+    cfg.write_text('{"n_values": [10], "trials": 2}')
     rc = cli.solve_cli(["bench", "--experiment", "fig3", "--config", str(cfg), "--outdir", str(tmp_path)])
     assert rc == 0
-    lines = (tmp_path / "fig3_steps.csv").read_text().splitlines()
-    assert lines[0] == experiments.FIG3_STEPS_HEADER
-    rows = [line.split(",") for line in lines[1:]]
-    assert [row[:3] for row in rows] == [["4", "long", "0"], ["4", "short", "0"]]
-    assert all(int(row[3]) > 0 and row[4] == "" for row in rows)
-    assert "fig3: n=4 short" in capsys.readouterr().out
+    assert (tmp_path / "fig3_steps.csv").read_text().splitlines() == [
+        "n,algo,trial,steps,errors",
+        "10,long,0,8,",
+        "10,long,1,8,",
+        "10,short,0,80,",
+        "10,short,1,80,",
+    ]
+    assert "fig3: n=10 short" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -582,6 +582,23 @@ def test_oracle_cap_error_carries_its_trace():
     assert isinstance(exc.iterate, S.NewtonData) and exc.iterate.mu > 1.0
 
 
+def test_oracle_failure_of_its_fresh_frame_names_the_oracle():
+    """fig3 psd(100) trial 1: the far phase carries e from mu* down to 1,
+    and the fresh frame of its last iterate fails the interior test.  The
+    DomainError keeps its type and eigenvalue, names the oracle, and
+    carries the far phase's steps and its last Newton data."""
+    prob = generate.generate_random_sdp(100, 10, trial_seed(0, 100, 1))
+    with pytest.raises(DomainError) as info:
+        V.oracle_center(prob, 1.0)
+    exc = info.value
+    assert str(exc).startswith("centering oracle failed at mu=1: scaling point must be interior")
+    assert str(exc).endswith(f"(offending eigenvalue {exc.eigenvalue:.6g})")
+    assert exc.trace.status == V.NUMERICAL_FAILURE
+    # every far-phase step belongs to an outer iteration of the long steps
+    assert exc.trace.newton_steps > 0 and all(rec.outer > 0 for rec in exc.trace.records)
+    assert isinstance(exc.iterate, S.NewtonData) and exc.iterate.mu == 1.0
+
+
 def _far_start_problems():
     """Every test family, plus the fig3 psd(20) instance of trial 0, each
     with a mu at which the identity is far from the path (h_ub = inf) and
