@@ -6,12 +6,12 @@ from __future__ import annotations
 class GeoipmError(Exception):
     """Base class for all errors raised by this package.
 
-    An error raised while a tracker steps, or anywhere in the centering
-    oracle once its start's frame is built (``solver``), carries ``trace``,
-    the partial ``SolverTrace``, and ``iterate``, the last ``NewtonData``
-    built, at the mu the run had reached; both are None otherwise.  The
-    oracle's errors keep their type, and their message starts ``centering
-    oracle failed at mu=...``.
+    A run fails only by raising (``solver``).  An error raised while a
+    tracker steps, by ``solve``'s check or anywhere in the centering oracle
+    once its start's frame is built carries ``trace``, the partial
+    ``SolverTrace``, and ``iterate``, the last ``NewtonData`` built, at the
+    mu the run had reached; both are None otherwise.  The oracle's errors
+    keep their type, and their message starts ``centering oracle failed``.
     """
 
     def __init__(self, *args, trace=None, iterate=None):

@@ -151,17 +151,19 @@ def _cmd_solve(args) -> int:
             beta=beta, alpha=args.alpha, eps=args.eps, gamma=args.gamma,
             max_newton=args.max_newton, max_outer=args.max_outer,
         )
-    result = solver.solve(problem, w0, mu0, mu_f, params)
-    if result.error is None:
-        print(
-            f"status={result.status} algo={args.algo} newton_steps={result.trace.newton_steps} "
-            f"mu={result.nd.mu!r} h_ub={result.nd.h_ub!r}"
-        )
-    # a failed solve writes what it recorded; a failed oracle above writes none
+    try:
+        result = solver.solve(problem, w0, mu0, mu_f, params)
+    except GeoipmError as exc:
+        # a failed solve writes what it recorded; a failed oracle above writes none
+        if args.trace is not None and exc.trace is not None:
+            _write_trace(args.trace, exc.trace)
+        raise
+    print(
+        f"status={result.status} algo={args.algo} newton_steps={result.trace.newton_steps} "
+        f"mu={result.nd.mu!r} h_ub={result.nd.h_ub!r}"
+    )
     if args.trace is not None:
         _write_trace(args.trace, result.trace)
-    if result.error is not None:
-        raise result.error
     if args.feasible_out is not None:
         x, s = result.pair
         io.write_feasible_pair(args.feasible_out, x, s, result.nd.mu, result.gap)
@@ -198,7 +200,7 @@ def solve_cli(argv=None) -> int:
     except OSError as exc:
         print(f"geoipm: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GeoipmError, np.linalg.LinAlgError) as exc:
+    except GeoipmError as exc:
         print(f"geoipm: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

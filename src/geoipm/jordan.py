@@ -712,9 +712,12 @@ class Spectrum:
         return (ConeAutomorphism(self.cone, maps) if lead else None), tuple(out)
 
     def require_interior(self, message: str) -> "Spectrum":
-        """This spectrum if it passes the interior test (``INTERIOR_EPS``), else DomainError."""
+        """This spectrum if it passes the interior test (``INTERIOR_EPS``), else
+        DomainError naming the ratio lambda_min / max|lambda| that failed."""
         if not _interior_spectrum(self.eigenvalues):
-            raise DomainError(message, eigenvalue=float(self.eigenvalues.min()))
+            low, high = float(self.eigenvalues.min()), float(np.abs(self.eigenvalues).max())
+            ratio = f"lambda_min / max|lambda| = {low / high if high else math.nan:.3g}"  # floats: no numpy flag
+            raise DomainError(f"{message}: {ratio} not above INTERIOR_EPS = {INTERIOR_EPS:g}", eigenvalue=low)
         return self
 
     def require_domain(self, name: str, lower_open: bool) -> "Spectrum":

@@ -24,10 +24,10 @@ the (w, mu) they stop on, whose ``frame`` is the last frame.  The loop
 runs with numpy's overflow, invalid and divide-by-zero flags raised, so a
 floating-point failure, such as an anchor that overflows, is a
 ``NumericalFailureError`` that names mu, not a warning.  A
-``GeoipmError`` raised while the loop steps, at a cap or by a numerical
-failure of the frame, carries the partial trace, whose status is
-ITERATION_CAP or NUMERICAL_FAILURE, and the last ``NewtonData`` built as
-``iterate``.
+``GeoipmError`` raised while the loop steps or by ``solve``'s check
+carries the partial trace, status ITERATION_CAP or NUMERICAL_FAILURE, and
+the last ``NewtonData`` built as ``iterate``: a run fails only by raising,
+and ``solve`` returns only a converged run.
 """
 
 from __future__ import annotations
@@ -284,15 +284,21 @@ def _steps(frame: subspace.ScaledFrame, mu, outer: int, trace: SolverTrace, rule
                     StepRecord(outer, mu, h_ub, h_lb, nd.norm_d, norm_d_inf, t, time.perf_counter() - tic)
                 )
     except FloatingPointError as exc:
-        trace.status = NUMERICAL_FAILURE
-        raise NumericalFailureError(f"{exc} at mu={mu!r}", trace=trace, iterate=nd) from exc
+        raise _failed(NumericalFailureError(f"{exc} at mu={mu!r}"), trace, nd) from exc
     except GeoipmError as exc:
-        trace.status = ITERATION_CAP if isinstance(exc, IterationLimitError) else NUMERICAL_FAILURE
-        exc.trace, exc.iterate = trace, nd
-        raise
+        raise _failed(exc, trace, nd)
     if outer:
         trace.snapshots.append(OuterSnapshot(outer=outer, mu=mu, anchor=frame.anchor))
     return nd
+
+
+def _failed(exc: GeoipmError, trace: SolverTrace, iterate) -> GeoipmError:
+    """``exc`` carrying the partial ``trace``, its status set from the
+    error's type (ITERATION_CAP or NUMERICAL_FAILURE), and ``iterate``, the
+    last ``NewtonData`` built."""
+    trace.status = ITERATION_CAP if isinstance(exc, IterationLimitError) else NUMERICAL_FAILURE
+    exc.trace, exc.iterate = trace, iterate
+    return exc
 
 
 def _full(m: int):
@@ -382,16 +388,15 @@ def _longstep(frame: subspace.ScaledFrame, mu: float, mu_f, params: LongStepPara
 
 @dataclass(frozen=True, eq=False)
 class Result:
-    """A checked ``solve``: the tracker's Newton data (on a failure, the error's
-    ``iterate``), ``nd.pair()`` with its gap <x, s> and relative affine residuals
-    (over max(1, ||x||) and max(1, ||s||)), and the error of a failed run or check."""
+    """A converged ``solve``: the tracker's trace and Newton data at the
+    returned (w, mu), ``nd.pair()`` with its gap <x, s> and its relative
+    affine residuals (over max(1, ||x||) and max(1, ||s||))."""
 
     trace: SolverTrace
-    nd: subspace.NewtonData | None
-    pair: tuple | None = None
-    gap: float | None = None
-    residuals: tuple | None = None
-    error: GeoipmError | None = None
+    nd: subspace.NewtonData
+    pair: tuple
+    gap: float
+    residuals: tuple
 
     @property
     def status(self) -> str:
@@ -399,32 +404,23 @@ class Result:
 
 
 def solve(problem: ConicProblem, w0: AlgebraElement, mu0: float, mu_f: float, params) -> Result:
-    """Run the tracker of ``params`` (``shortstep`` or ``longstep``) and check it:
-    CONVERGED needs h_ub <= eps at the returned data and a pair within
-    ``RESIDUAL_TOL``, else NUMERICAL_FAILURE with an error naming the check.
-    A GeoipmError raised mid-run, or while the returned data are read,
-    becomes a status; one raised before the loop raises."""
+    """Run the tracker of ``params`` (``shortstep`` or ``longstep``) and check
+    it: the ``Result`` needs h_ub <= eps at the returned data and a pair within
+    ``RESIDUAL_TOL``.  Else it raises, as the trackers do, the run's GeoipmError,
+    one from reading back h_ub and then the pair, or a NumericalFailureError
+    naming the check; each raised once the run starts carries its trace."""
     track = {ShortStepParams: shortstep, LongStepParams: longstep}.get(type(params))
     if track is None:
         raise ParameterError(f"params must be ShortStepParams or LongStepParams, got {params!r}")
-    try:
-        nd, trace = track(problem, w0, mu0, mu_f, params)
-    except GeoipmError as exc:
-        if exc.trace is None:
-            raise
-        return Result(exc.trace, exc.iterate, error=exc)
+    nd, trace = track(problem, w0, mu0, mu_f, params)
     try:
         # the decompositions of g_w (a full step reads no bound) and of d
         # (the last data took no step) may first run here
         h_ub, pair = nd.h_ub, nd.pair()
     except GeoipmError as exc:
-        trace.status = NUMERICAL_FAILURE
-        exc.trace, exc.iterate = trace, nd
-        return Result(trace, nd, error=exc)
-    gap = residuals = failed = None
+        raise _failed(exc, trace, nd)
     if pair is not None:
         x, s = pair
-        gap = subspace.duality_gap(x, s)
         rp, rd = subspace.affine_residuals(problem, x, s)
         residuals = (rp / max(1.0, jordan.norm2(x)), rd / max(1.0, jordan.norm2(s)))
     if not h_ub <= params.eps:
@@ -433,10 +429,9 @@ def solve(problem: ConicProblem, w0: AlgebraElement, mu0: float, mu_f: float, pa
         failed = f"no feasible pair at the returned (w, mu): ||d||_inf={nd.norm_d_inf!r} above 1"
     elif not max(residuals) <= RESIDUAL_TOL:
         failed = f"relative affine residuals {residuals[0]:.3e} / {residuals[1]:.3e} above {RESIDUAL_TOL:g}"
-    if failed is None:
-        return Result(trace, nd, pair, gap, residuals)
-    trace.status = NUMERICAL_FAILURE
-    return Result(trace, nd, pair, gap, residuals, NumericalFailureError(failed, trace=trace, iterate=nd))
+    else:
+        return Result(trace, nd, pair, subspace.duality_gap(x, s), residuals)
+    raise _failed(NumericalFailureError(failed), trace, nd)
 
 
 def oracle_center(
@@ -479,7 +474,5 @@ def oracle_center(
             frame = subspace.ScaledFrame(problem, nd.w)
         return _steps(frame, mu, 0, trace, _damped(ORACLE_EPS, ORACLE_GAMMA, cap)).w
     except GeoipmError as exc:
-        trace.status = ITERATION_CAP if isinstance(exc, IterationLimitError) else NUMERICAL_FAILURE
         exc.args = (f"centering oracle failed at mu={mu:g}: {exc}",)
-        exc.trace, exc.iterate = trace, exc.iterate if exc.iterate is not None else nd
-        raise
+        raise _failed(exc, trace, exc.iterate if exc.iterate is not None else nd)

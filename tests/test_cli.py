@@ -480,7 +480,9 @@ def test_overflow_exits_4_under_runtime_warning_errors(tmp_path, capsys):
     )
     assert (out.returncode, out.stdout) == (4, "")
     assert out.stderr.startswith("geoipm: numerical failure: ") and out.stderr.count("\n") == 1, out.stderr
-    steps = V.solve(problem, J.identity(problem.cone), 1.0, 1.0 / 1024.0, V.LongStepParams()).trace.newton_steps
+    with pytest.raises(NumericalFailureError) as exc:
+        V.solve(problem, J.identity(problem.cone), 1.0, 1.0 / 1024.0, V.LongStepParams())
+    steps = exc.value.trace.newton_steps
     assert len(trace_path.read_text().splitlines()) == 1 + steps
 
 

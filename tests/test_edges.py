@@ -43,7 +43,7 @@ def _oracle_start(name):
 
 
 def _check(result, mu_f):
-    assert result.status == V.CONVERGED, result.error
+    assert result.status == V.CONVERGED
     assert result.nd.mu <= mu_f
     assert max(result.residuals) <= RESIDUAL_TOL[mu_f]
 
@@ -71,16 +71,20 @@ def test_far_start_is_converged_only_with_its_pair(n, status, steps):
     e = J.identity(problem.cone)
     mu_star = S.scale_matched_mu(S.ScaledFrame(problem, e))
     params = V.LongStepParams(clamp_mu_f=True)
-    result = V.solve(problem, e, mu_star, 1.0, params)
-    assert result.status == status
-    assert result.trace.newton_steps == steps
-    assert result.nd.h_ub <= params.eps and result.pair is not None
-    rel_p, rel_d = result.residuals
-    assert rel_p <= V.RESIDUAL_TOL
     if status == V.CONVERGED:
-        assert result.error is None and rel_d <= V.RESIDUAL_TOL
+        result = V.solve(problem, e, mu_star, 1.0, params)
+        trace, nd, (rel_p, rel_d) = result.trace, result.nd, result.residuals
+        assert result.pair is not None and rel_d <= V.RESIDUAL_TOL
     else:
+        with pytest.raises(NumericalFailureError) as exc:
+            V.solve(problem, e, mu_star, 1.0, params)
+        assert str(exc.value).startswith("relative affine residuals")
+        trace, nd = exc.value.trace, exc.value.iterate
+        x, s = nd.pair()
+        rp, rd = S.affine_residuals(problem, x, s)
+        rel_p, rel_d = rp / max(1.0, J.norm2(x)), rd / max(1.0, J.norm2(s))
         assert rel_d == pytest.approx(5.8e-8, rel=0.05)
-        assert isinstance(result.error, NumericalFailureError)
-        assert str(result.error).startswith("relative affine residuals")
-        assert result.error.trace is result.trace and result.error.iterate is result.nd
+    assert trace.status == status
+    assert trace.newton_steps == steps
+    assert nd.h_ub <= params.eps
+    assert rel_p <= V.RESIDUAL_TOL

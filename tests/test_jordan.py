@@ -541,6 +541,14 @@ def test_interior_test_is_scale_relative():
     assert J.is_interior(J.element(ORTH2, [1e-14, 1e-13]))
     assert not J.is_interior(J.element(ORTH2, [1e-26, 1e-13]))
     assert not J.is_interior(J.element(ORTH2, [0.0, 1e-13]))
+    # a positive lambda_min that fails: the error names the ratio it failed
+    with pytest.raises(DomainError) as exc:
+        J.Spectrum(J.element(ORTH2, [1.0, 1e-13])).require_interior("x must be interior")
+    assert str(exc.value) == (
+        "x must be interior: lambda_min / max|lambda| = 1e-13 not above INTERIOR_EPS = 1e-12"
+        " (offending eigenvalue 1e-13)"
+    )
+    assert exc.value.eigenvalue == 1e-13
 
 
 def test_automorphism_examples():

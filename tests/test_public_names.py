@@ -1,7 +1,8 @@
 """Every public name resolves, and so does every package name that the
 benchmark in ``perfbench/`` or the inline programs of the CI workflows
 read: a removed name there breaks every benchmark run or a CI step, and
-neither the benchmark's own smoke test nor the workflows run in this suite."""
+neither the benchmark's own smoke test nor the workflows run in this suite.
+README's library example runs as it stands."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 WORKFLOWS = ROOT / ".github" / "workflows"
+README = ROOT / "README.md"
 
 MODULES = (
     "geoipm.jordan",
@@ -111,3 +113,15 @@ def test_every_package_name_an_inline_ci_program_reads_resolves():
     assert sum("import geoipm" in program for program in programs.values()) >= 1
     missing = {where: names for where, program in programs.items() if (names := _unresolved(ast.parse(program)))}
     assert not missing
+
+
+def test_the_readme_library_example_runs(capsys):
+    """The one ``python`` block under "Library example", run as written:
+    its solve converges and the dual run ends at the inverse of its w."""
+    section = README.read_text().split("## Library example", 1)[1]
+    (program,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    exec(compile(program, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("converged ") and lines[1].startswith("objective gap: ")
+    steps, distance = lines[2].split()
+    assert steps == lines[0].split()[1] and float(distance) <= 1e-6

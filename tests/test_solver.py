@@ -214,7 +214,7 @@ def test_center_cap_reports_trace():
     rng = np.random.default_rng(2)
     prob = random_basis_problem(PSD6, 3, rng)
     w0 = random_interior(PSD6, rng)
-    # solve returns the cap of longstep's first centering pass as its status
+    # solve raises the cap of longstep's first centering pass
     runs = (
         lambda: V.center(prob, w0, 1.0, 1e-12, cap=2),
         lambda: V.solve(prob, w0, 1.0, 1e-4, V.LongStepParams(max_newton=2)),
@@ -249,17 +249,14 @@ def _tracker_runs():
 
 
 def _outcome(run):
-    """(trace, Newton data, error) of a run: the error a tracker raises and
-    what it carries, or the fields of the ``Result`` that ``solve`` returns,
-    whose data must be its error's iterate."""
+    """(trace, Newton data, error) of a run: the error it raises and what it
+    carries, or what it returns, with no error."""
     try:
         out = run()
     except GeoipmError as exc:
         return exc.trace, exc.iterate, exc
     if isinstance(out, V.Result):
-        assert out.error is None or out.nd is out.error.iterate
-        assert out.status is out.trace.status
-        return out.trace, out.nd, out.error
+        return out.trace, out.nd, None
     return out[1], out[0], None
 
 
@@ -273,7 +270,7 @@ def test_failed_step_keeps_the_partial_trace(tracker, monkeypatch):
     """A step that fails after k steps: the error keeps its type and message,
     and carries the k records, the snapshots taken so far and the Newton
     data the failed step was given, at the mu the run had reached; ``solve``
-    returns them as its ``Result``."""
+    raises the same."""
     run = _tracker_runs()[tracker]
     full, _, error = _outcome(run)
     assert error is None and full.status == V.CONVERGED
@@ -338,8 +335,8 @@ def test_step_records_bracket_the_exact_bounds(tracker, monkeypatch):
 
 def test_a_failure_reading_the_returned_bound_keeps_the_trace(monkeypatch):
     """A short-step run reads no bound, so ``solve`` first decomposes the
-    last frame's g_w when it reads h_ub; a failure there comes back as the
-    ``Result`` of a numerical failure with the whole trace, not as a raise."""
+    last frame's g_w when it reads h_ub; a failure there raises with the
+    whole trace, its status a numerical failure."""
     run = _tracker_runs()["solve-shortstep"]
     full = _outcome(run)[0]
 
@@ -357,8 +354,8 @@ def test_a_failure_reading_the_returned_bound_keeps_the_trace(monkeypatch):
 
 def test_a_lapack_failure_in_the_loop_keeps_the_trace(monkeypatch):
     """numpy's eigh raising LinAlgError inside the loop ends a longstep
-    ``solve`` as a numerical failure whose ``Result`` holds every record up
-    to the failed step.  The start takes one eigh and each step one more (of
+    ``solve`` as a numerical failure whose trace holds every record up to
+    the failed step.  The start takes one eigh and each step one more (of
     d), so failing the k-th call leaves k - 2 records."""
     run = _tracker_runs()["solve-longstep"]
     full = _outcome(run)[0]
@@ -386,18 +383,19 @@ def test_overflow_in_the_loop_is_a_numerical_failure():
     NumericalFailureError that names mu and carries the trace and the last
     Newton data, not as a numpy warning or at the step cap."""
     prob = no_interior_psd3()
-    result = V.solve(prob, J.identity(prob.cone), 1.0, 1.0 / 1024.0, V.LongStepParams())
-    assert result.status == V.NUMERICAL_FAILURE
-    assert isinstance(result.error, NumericalFailureError)
-    assert str(result.error).endswith("at mu=1.0")
-    assert 0 < result.trace.newton_steps < V.DEFAULT_CENTER_CAP
-    assert result.error.trace is result.trace and result.error.iterate is result.nd
+    with pytest.raises(NumericalFailureError) as exc:
+        V.solve(prob, J.identity(prob.cone), 1.0, 1.0 / 1024.0, V.LongStepParams())
+    trace = exc.value.trace
+    assert trace.status == V.NUMERICAL_FAILURE
+    assert str(exc.value).endswith("at mu=1.0")
+    assert 0 < trace.newton_steps < V.DEFAULT_CENTER_CAP
+    assert isinstance(exc.value.iterate, S.NewtonData)
 
 
 def test_shortstep_from_a_far_start_fails_with_its_trace():
     """From e, fig3 psd(20) trial 0 is far from the path at mu0 = 1: the
     first full step maps the basis to rank loss, and the error says how
-    far the run got (nowhere) and at which mu; ``solve`` returns the same."""
+    far the run got (nowhere) and at which mu; ``solve`` raises the same."""
     problem = generate.generate_random_sdp(20, 10, trial_seed(0, 20, 0))
     params = V.shortstep_params(0.5, 1e-4, 20)
     for run in (V.shortstep, V.solve):
@@ -411,18 +409,21 @@ def test_shortstep_from_a_far_start_fails_with_its_trace():
 def test_solve_checks_the_data_it_returns():
     """``shortstep`` with mu0 <= mu_f returns its start untested, and e is
     far from centered: h_ub fails eps.  A final eps of 9 stops ``longstep``
-    where ||d||_inf = 1.18 > 1 and no pair exists.  Both runs end without
-    an error raised, and ``solve`` reports each as the check it failed."""
+    where ||d||_inf = 1.18 > 1 and no pair exists.  Both trackers return
+    without an error, and ``solve`` raises the check each failed."""
     prob = random_basis_problem(FAMILIES["orthant"], 2, np.random.default_rng(79))
     e = J.identity(prob.cone)
-    short = V.solve(prob, e, 1.0, 2.0, V.shortstep_params(0.5, 1e-4, prob.cone.rank))
-    loose = V.solve(prob, e, 3.0, 3.0, V.LongStepParams(eps=9.0))
-    assert short.nd.h_ub > 1e-4
-    assert 1.0 < loose.nd.h_ub <= 9.0 and loose.pair is loose.residuals is None
-    for result, check in ((short, "h_ub="), (loose, "no feasible pair")):
-        assert result.status == V.NUMERICAL_FAILURE and result.trace.newton_steps == 0
-        assert type(result.error) is NumericalFailureError and str(result.error).startswith(check)
-        assert result.error.iterate is result.nd
+    with pytest.raises(NumericalFailureError) as short:
+        V.solve(prob, e, 1.0, 2.0, V.shortstep_params(0.5, 1e-4, prob.cone.rank))
+    with pytest.raises(NumericalFailureError) as loose:
+        V.solve(prob, e, 3.0, 3.0, V.LongStepParams(eps=9.0))
+    assert short.value.iterate.h_ub > 1e-4
+    assert 1.0 < loose.value.iterate.h_ub <= 9.0 and loose.value.iterate.pair() is None
+    for exc, check, mu in ((short, "h_ub=", 1.0), (loose, "no feasible pair", 3.0)):
+        error = exc.value
+        assert error.trace.status == V.NUMERICAL_FAILURE and error.trace.newton_steps == 0
+        assert type(error) is NumericalFailureError and str(error).startswith(check)
+        assert isinstance(error.iterate, S.NewtonData) and error.iterate.mu == mu
 
 
 def test_longstep_single_center_when_mu_reached():

@@ -94,7 +94,7 @@ CASES = {
 
 
 def _records(result) -> list:
-    assert result.status == V.CONVERGED, result.error
+    assert result.status == V.CONVERGED
     return [[getattr(rec, name) for name in FIELDS] for rec in result.trace.records]
 
 
